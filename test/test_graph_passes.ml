@@ -367,6 +367,130 @@ let test_fusion_fine_off_isolates_ops () =
   Alcotest.(check int) "two fused ops" 2 (List.length fg.fused)
 
 (* ------------------------------------------------------------------ *)
+(* Golden fusion decisions: the fused-op structure fine-grain fusion
+   produces for every workload family, f32 and int8, under the full
+   pipeline and the primitives preset (coarse fusion off, so the
+   partitions are exactly [Fusion.run]'s). Op and tensor ids are
+   renumbered by rank, so the signature does not depend on how many ids
+   the process handed out before. On a mismatch the actual signature is
+   written next to the test binary as [fusion_golden.actual]; copy it
+   over [test/fusion_golden.txt] only when a change to the fusion
+   heuristic is intended. *)
+
+let fusion_signature (fg : Gc_lowering.Fused_op.graph) =
+  let rank ids =
+    let sorted = List.sort_uniq compare ids in
+    let tbl = Hashtbl.create (List.length sorted) in
+    List.iteri (fun i id -> Hashtbl.replace tbl id i) sorted;
+    Hashtbl.find tbl
+  in
+  let ops = List.concat_map Gc_lowering.Fused_op.ops fg.fused in
+  let op_rank = rank (List.map (fun (op : Op.t) -> op.id) ops) in
+  let lt_rank =
+    rank
+      (List.concat_map
+         (fun (f : Gc_lowering.Fused_op.t) ->
+           List.map (fun (lt : Logical_tensor.t) -> lt.id) (f.f_inputs @ f.f_outputs))
+         fg.fused
+      @ List.concat_map
+          (fun (op : Op.t) ->
+            List.map (fun (lt : Logical_tensor.t) -> lt.id) (op.inputs @ op.outputs))
+          ops)
+  in
+  let op_s (op : Op.t) = Printf.sprintf "%s:%d" (Op_kind.to_string op.kind) (op_rank op.id) in
+  let lts l =
+    String.concat "," (List.map (fun (lt : Logical_tensor.t) -> string_of_int (lt_rank lt.id)) l)
+  in
+  let pre = function
+    | None -> "-"
+    | Some (op, a) -> op_s op ^ "@" ^ Gc_lowering.Anchor.pre_to_string a
+  in
+  Printf.sprintf "partitions %d" (List.length fg.fused)
+  :: List.concat_map
+       (fun (f : Gc_lowering.Fused_op.t) ->
+         Printf.sprintf "  fused tunable=%s pre_a=%s pre_b=%s in=[%s] out=[%s]"
+           (match f.tunable with Some op -> op_s op | None -> "-")
+           (pre f.pre_a) (pre f.pre_b) (lts f.f_inputs) (lts f.f_outputs)
+         :: List.map
+              (fun (gp : Gc_lowering.Fused_op.post_group) ->
+                Printf.sprintf "    %s: %s"
+                  (Gc_lowering.Anchor.post_to_string gp.g_anchor)
+                  (String.concat " " (List.map op_s gp.g_ops)))
+              f.post_groups)
+       fg.fused
+
+let golden_workloads =
+  let open Gc_workloads in
+  let mlp int8 =
+    let build = if int8 then Mlp.build_int8 else Mlp.build_f32 in
+    (build ~seed:1 ~batch:32 ~hidden:Table1.mlp_1.hidden ()).graph
+  in
+  let mha int8 =
+    let build = if int8 then Mha.build_int8 else Mha.build_f32 in
+    (build ~seed:1 ~batch:2 ~seq:64 ~hidden:256 ~heads:4 ()).graph
+  in
+  let bert layers int8 =
+    let build = if int8 then Bert.build_int8 else Bert.build_f32 in
+    (build ~seed:1 ~layers ~batch:1 ~seq:8 ~hidden:32 ~heads:2 ()).graph
+  in
+  let dlrm int8 =
+    let build = if int8 then Dlrm.build_int8 else Dlrm.build_f32 in
+    (build ~seed:1 ~batch:8 ~dense_dim:13 ~bottom:[ 32; 16 ] ~tables:2 ~vocab:40
+       ~emb_dim:16 ~top:[ 32; 1 ] ())
+      .graph
+  in
+  let conv int8 =
+    let build = if int8 then Conv.build_int8 else Conv.build_f32 in
+    (build ~seed:1 ~relu:true ~batch:2 ~height:8 ~width:8 ~channels:3 ~kh:3 ~kw:3
+       ~out_channels:8 ~strides:(1, 1) ~pads:(1, 1, 1, 1) ~dilations:(1, 1) ())
+      .graph
+  in
+  List.concat_map
+    (fun (name, build) ->
+      List.map
+        (fun int8 -> (Printf.sprintf "%s_%s" name (if int8 then "int8" else "f32"), fun () -> build int8))
+        [ false; true ])
+    [
+      ("mlp1", mlp); ("mha", mha); ("bert1", bert 1); ("bert2", bert 2);
+      ("dlrm", dlrm); ("conv", conv);
+    ]
+
+let golden_signature () =
+  List.concat_map
+    (fun (name, build) ->
+      let g = build () in
+      List.concat_map
+        (fun (preset, (cfg : Pipeline.config)) ->
+          let clone, _ = Graph.clone g in
+          Printf.sprintf "== %s %s" name preset
+          :: fusion_signature (Pipeline.run { cfg with coarse_fusion = false } clone))
+        [
+          ("full", Pipeline.default ~machine ());
+          ("primitives", Pipeline.onednn_primitives ~machine ());
+        ])
+    golden_workloads
+
+let test_fusion_golden () =
+  let actual = golden_signature () in
+  let expected =
+    In_channel.with_open_text "fusion_golden.txt" In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_text "fusion_golden.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | a :: xs, b :: ys -> if a = b then first_diff (i + 1) (xs, ys) else (i, a, b)
+      | a :: _, [] -> (i, a, "<end of golden>")
+      | [], b :: _ -> (i, "<end of actual>", b)
+      | [], [] -> (i, "", "")
+    in
+    let i, a, e = first_diff 1 (actual, expected) in
+    Alcotest.failf "fusion decisions differ from the golden at line %d:\n  actual:   %s\n  expected: %s" i a e
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Coarse fusion *)
 
 let test_coarse_tags_batched_pair () =
@@ -449,6 +573,7 @@ let () =
           Alcotest.test_case "reduction limits" `Quick test_fusion_reduction_limits;
           Alcotest.test_case "fine off" `Quick test_fusion_fine_off_isolates_ops;
           Alcotest.test_case "reduction escape trimmed" `Quick test_fusion_reduction_escape_trimmed;
+          Alcotest.test_case "golden decisions" `Quick test_fusion_golden;
         ] );
       ( "coarse_fusion",
         [
