@@ -62,9 +62,10 @@ type binding_plan = {
           output is not an entry parameter (resolved via bindings) *)
 }
 
-(* Per-domain pool of output tensors ([execute ~reuse_outputs:true]),
-   stamped with the constant generation that produced it. *)
-type out_pool = { op_gen : int; op_tensors : Tensor.t option array }
+(* One domain's pooled output tensors ([execute ~reuse_outputs:true]),
+   stamped with the owning domain and the constant generation that
+   produced them. Only the owner fills [op_tensors]. *)
+type out_pool = { op_domain : int; op_gen : int; op_tensors : Tensor.t option array }
 
 type t = {
   config : config;
@@ -90,12 +91,16 @@ type t = {
   init_mutex : Mutex.t;
   pool_gen : int Atomic.t;
       (** bumped by [invalidate_constants]; stale output pools are dropped *)
-  out_pool : out_pool option Domain.DLS.key;
+  out_pools : out_pool option Atomic.t array;
+      (** per-domain output pools, slot [domain id mod length]; a domain
+          that finds another domain's pool in its slot replaces it *)
   tune_scope : string option;
       (** tuning-DB scope the partition compiled under (the compile
           fingerprint); [None] when autotuning was off — the serving
           layer's online demotion needs it to drop the scope's entries *)
 }
+
+let out_pool_slots = 16
 
 let build_plan (fused : Fused_op.graph) (lowered : Lower_graph.t)
     (clone_map : (int, Logical_tensor.t) Hashtbl.t) =
@@ -286,7 +291,7 @@ let compile ?config ?trace ?tune_scope (g : Graph.t) =
     init_gen = Atomic.make (-1);
     init_mutex = Mutex.create ();
     pool_gen = Atomic.make 0;
-    out_pool = Domain.DLS.new_key (fun () -> None);
+    out_pools = Array.init out_pool_slots (fun _ -> Atomic.make None);
     tune_scope;
   }
 
@@ -436,17 +441,20 @@ let output_tensor t ~reuse_outputs slot (lt : Logical_tensor.t) =
     Tensor.create ~name:lt.name ~layout:lt.layout lt.dtype lt.shape
   else begin
     let gen = Atomic.get t.pool_gen in
+    let domain = (Domain.self () :> int) in
+    let cell = t.out_pools.(domain mod out_pool_slots) in
     let pool =
-      match Domain.DLS.get t.out_pool with
-      | Some p when p.op_gen = gen -> p
+      match Atomic.get cell with
+      | Some p when p.op_domain = domain && p.op_gen = gen -> p
       | _ ->
           let p =
             {
+              op_domain = domain;
               op_gen = gen;
               op_tensors = Array.make (Array.length t.plan.bp_params) None;
             }
           in
-          Domain.DLS.set t.out_pool (Some p);
+          Atomic.set cell (Some p);
           p
     in
     match pool.op_tensors.(slot) with

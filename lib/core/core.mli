@@ -74,10 +74,10 @@ type config = {
   pool : Gc_runtime.Parallel.t option;
       (** domain pool for execution ([None] = shared default pool) *)
   fastpath : bool;
-      (** steady-state serving fast path (default [true]): per-domain
-          engine arenas pre-sized from the buffer planner's allocation
-          plan, reusable execution environments and cached call-site
-          scratch — see {!Gc_runtime.Engine.create} *)
+      (** steady-state serving fast path (default [true]): pooled,
+          reusable execution environments owning arenas pre-sized from
+          the buffer planner's allocation plan — see
+          {!Gc_runtime.Engine.create} *)
 }
 
 val default_config : ?machine:Machine.t -> unit -> config

@@ -17,15 +17,78 @@ let default_limits =
     max_extra_bytes = 8 * 1024 * 1024;
   }
 
-(* Does [lt] transitively depend on any tensor in [tainted]? Used to keep
-   the fused region acyclic: an external operand of a candidate post-op
-   must not be computed *from* the region's own outputs. *)
-let rec depends_on g (tainted : (int, unit) Hashtbl.t) (lt : Logical_tensor.t) =
-  Hashtbl.mem tainted lt.id
-  ||
-  match Graph.producer g lt with
-  | None -> false
-  | Some p -> List.exists (depends_on g tainted) p.inputs
+(* Producer/consumer index over one graph, built once per [run]: every
+   lookup the heuristic makes is a hash probe, not a scan of [g.ops]. *)
+type index = {
+  pos : (int, int) Hashtbl.t;  (* op id -> position in topological order *)
+  producer : (int, Op.t) Hashtbl.t;  (* tensor id -> producing op *)
+  consumers : (int, Op.t list) Hashtbl.t;  (* tensor id -> consumers, op order *)
+  outputs : (int, unit) Hashtbl.t;  (* graph outputs *)
+}
+
+let index (g : Graph.t) =
+  let n = List.length g.ops in
+  let ix =
+    {
+      pos = Hashtbl.create n;
+      producer = Hashtbl.create n;
+      consumers = Hashtbl.create n;
+      outputs = Hashtbl.create 8;
+    }
+  in
+  List.iteri (fun i (op : Op.t) -> Hashtbl.replace ix.pos op.id i) g.ops;
+  (* walk backwards so each consumer list comes out in op order; an op
+     reading a tensor twice is listed once, as in [Graph.consumers] *)
+  List.iter
+    (fun (op : Op.t) ->
+      List.iter (fun (o : Logical_tensor.t) -> Hashtbl.replace ix.producer o.id op) op.outputs;
+      List.iter
+        (fun (i : Logical_tensor.t) ->
+          match Hashtbl.find_opt ix.consumers i.id with
+          | Some (c :: _) when c == op -> ()
+          | cur -> Hashtbl.replace ix.consumers i.id (op :: Option.value ~default:[] cur))
+        op.inputs)
+    (List.rev g.ops);
+  List.iter (fun (o : Logical_tensor.t) -> Hashtbl.replace ix.outputs o.id ()) g.outputs;
+  ix
+
+let consumers ix (lt : Logical_tensor.t) =
+  Option.value ~default:[] (Hashtbl.find_opt ix.consumers lt.id)
+
+let is_output ix (lt : Logical_tensor.t) = Hashtbl.mem ix.outputs lt.id
+
+(* [descends ix ~start] tests whether a tensor is computed from [start]
+   (the tunable's output), [start] included. Every op of a region has an
+   input the region produced, so every region tensor descends from
+   [start], and a tensor depends on some region output exactly when it
+   descends from [start]; fusing an op whose external operand does would
+   close a cycle through the region. A descendant other than [start] is
+   produced after [start]'s producer in topological order, so the backward
+   walk stops at earlier producers, and the memo visits each tensor once
+   per chain: the work is bounded by the ops between the tunable and the
+   chain's frontier, not by the graph. *)
+let descends ix ~(start : Logical_tensor.t) =
+  let p0 =
+    match Hashtbl.find_opt ix.producer start.id with
+    | Some p -> Hashtbl.find ix.pos p.id
+    | None -> -1
+  in
+  let memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+  let rec go (lt : Logical_tensor.t) =
+    lt.id = start.id
+    ||
+    match Hashtbl.find_opt memo lt.id with
+    | Some r -> r
+    | None ->
+        let r =
+          match Hashtbl.find_opt ix.producer lt.id with
+          | Some p when Hashtbl.find ix.pos p.id > p0 -> List.exists go p.inputs
+          | _ -> false
+        in
+        Hashtbl.replace memo lt.id r;
+        r
+  in
+  go
 
 (* Grow the fusible region behind [start] (the tunable's output). The
    region is a DAG, not just a linear chain: a reduction's result feeds a
@@ -34,10 +97,21 @@ let rec depends_on g (tainted : (int, unit) Hashtbl.t) (lt : Logical_tensor.t) =
    one scalar chain); from the first reduction on, every op output is
    materialized by the post#3 scheduler, so diamonds are allowed. *)
 let grow_chain ~limits ~(params : Params.t) ?(allow_reductions = true)
-    ?(allow_reorders = true) g (start : Logical_tensor.t) =
+    ?(allow_reorders = true) ix (start : Logical_tensor.t) =
   let region : (int, unit) Hashtbl.t = Hashtbl.create 8 in
   let produced : (int, unit) Hashtbl.t = Hashtbl.create 8 in
-  Hashtbl.replace produced start.id ();
+  (* ops outside the region that read a region tensor: the only ops that
+     can pass [candidate_ok] *)
+  let frontier : (int, Op.t) Hashtbl.t = Hashtbl.create 8 in
+  let produce (lt : Logical_tensor.t) =
+    Hashtbl.replace produced lt.id ();
+    List.iter
+      (fun (c : Op.t) ->
+        if not (Hashtbl.mem region c.id) then Hashtbl.replace frontier c.id c)
+      (consumers ix lt)
+  in
+  produce start;
+  let descends = descends ix ~start in
   let chain = ref [] in
   let c_shape = start.shape in
   let n_reduce = ref 0 and n_reorder = ref 0 and extra = ref 0 in
@@ -49,7 +123,7 @@ let grow_chain ~limits ~(params : Params.t) ?(allow_reductions = true)
     && (* external operands must not depend on region outputs (acyclicity) *)
     List.for_all
       (fun (i : Logical_tensor.t) ->
-        Hashtbl.mem produced i.id || not (depends_on g produced i))
+        Hashtbl.mem produced i.id || not (descends i))
       op.inputs
     &&
     match Op_kind.category op.kind with
@@ -73,13 +147,13 @@ let grow_chain ~limits ~(params : Params.t) ?(allow_reductions = true)
             && !n_reorder < limits.max_reorders
             && !n_reduce = 0 (* post#3 stores need a plain final target *)
             && Logical_tensor.equal (List.hd op.inputs) !head
-            && List.length (Graph.consumers g !head) = 1
+            && List.length (consumers ix !head) = 1
         | _ -> false)
     | Fusible Eltwise_unary ->
         Shape.equal (Op.output op).shape c_shape
         && (!n_reduce > 0
            || (Logical_tensor.equal (List.hd op.inputs) !head
-              && List.length (Graph.consumers g !head) = 1))
+              && List.length (consumers ix !head) = 1))
     | Fusible Eltwise_binary ->
         let extra_bytes =
           List.fold_left
@@ -92,16 +166,20 @@ let grow_chain ~limits ~(params : Params.t) ?(allow_reductions = true)
         && !extra + extra_bytes <= limits.max_extra_bytes
         && (!n_reduce > 0
            || (List.exists (Logical_tensor.equal !head) op.inputs
-              && List.length (Graph.consumers g !head) = 1))
+              && List.length (consumers ix !head) = 1))
+  in
+  let by_pos (a : Op.t) (b : Op.t) =
+    compare (Hashtbl.find ix.pos a.id) (Hashtbl.find ix.pos b.id)
   in
   while (not !stop) && List.length !chain < limits.max_post_ops do
-    match List.find_opt candidate_ok g.Graph.ops with
+    (* the first acceptable op in topological order *)
+    let frontier_ops = Hashtbl.fold (fun _ op acc -> op :: acc) frontier [] in
+    match List.find_opt candidate_ok (List.sort by_pos frontier_ops) with
     | None -> stop := true
     | Some op ->
         Hashtbl.replace region op.id ();
-        List.iter
-          (fun (o : Logical_tensor.t) -> Hashtbl.replace produced o.id ())
-          op.outputs;
+        Hashtbl.remove frontier op.id;
+        List.iter produce op.outputs;
         chain := op :: !chain;
         (match op.kind with
         | Reduce _ -> incr n_reduce
@@ -118,7 +196,7 @@ let grow_chain ~limits ~(params : Params.t) ?(allow_reductions = true)
         (match op.kind with
         | Reduce _ -> ()
         | _ -> if Shape.equal (Op.output op).shape c_shape then head := Op.output op);
-        if Graph.is_output g (Op.output op) then stop := true
+        if is_output ix (Op.output op) then stop := true
   done;
   List.rev !chain
 
@@ -160,17 +238,15 @@ let externals (ops : Op.t list) =
     ops
 
 (* Outputs of the set consumed outside it (or graph outputs). *)
-let set_outputs g (ops : Op.t list) =
+let set_outputs ix (ops : Op.t list) =
   let ids : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   List.iter (fun (op : Op.t) -> Hashtbl.replace ids op.id ()) ops;
   List.concat_map
     (fun (op : Op.t) ->
       List.filter
         (fun (o : Logical_tensor.t) ->
-          Graph.is_output g o
-          || List.exists
-               (fun (c : Op.t) -> not (Hashtbl.mem ids c.id))
-               (Graph.consumers g o))
+          is_output ix o
+          || List.exists (fun (c : Op.t) -> not (Hashtbl.mem ids c.id)) (consumers ix o))
         op.outputs)
     ops
 
@@ -206,6 +282,7 @@ let topo_fused (fused : Fused_op.t list) =
 let run ?(fine = true) ?(limits = default_limits) ~machine ~params
     (g : Graph.t) ~init =
   let g = match Graph.topo_sort g with Ok g -> g | Error e -> invalid_arg e in
+  let ix = index g in
   let assigned : (int, unit) Hashtbl.t = Hashtbl.create 32 in
   let fused = ref [] in
   let get_params (mm : Op.t) =
@@ -228,7 +305,7 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
         let chain =
           if fine then
             grow_chain ~limits ~params:p ~allow_reductions:(not is_conv)
-              ~allow_reorders:(not is_conv) g (Op.output op)
+              ~allow_reorders:(not is_conv) ix (Op.output op)
           else []
         in
         (* soundness trim: the post#3 scheduler materializes eltwise
@@ -242,11 +319,11 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
             let ids = Hashtbl.create 8 in
             List.iter (fun (o : Op.t) -> Hashtbl.replace ids o.id ()) chain;
             let escaped (c : Op.t) =
-              Graph.is_output g (Op.output c)
+              is_output ix (Op.output c)
               || not
                    (List.for_all
                       (fun (u : Op.t) -> Hashtbl.mem ids u.id)
-                      (Graph.consumers g (Op.output c)))
+                      (consumers ix (Op.output c)))
             in
             let rec trim kept = function
               | [] -> List.rev kept
@@ -268,12 +345,12 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
         let pre_of (input : Logical_tensor.t) operand =
           if not fine then None
           else
-            match Graph.producer g input with
+            match Hashtbl.find_opt ix.producer input.id with
             | Some ({ kind = Reorder; _ } as r)
               when (not (Hashtbl.mem assigned r.id))
                    && (not (Logical_tensor.is_constant (Op.output r)))
-                   && (not (Graph.is_output g input))
-                   && List.length (Graph.consumers g input) = 1 ->
+                   && (not (is_output ix input))
+                   && List.length (consumers ix input) = 1 ->
                 Some (r, Anchor.best_pre ~machine p operand)
             | _ -> None
         in
@@ -290,7 +367,7 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
         List.iter (fun (o : Op.t) -> Hashtbl.replace assigned o.id ()) all_ops;
         let f =
           Fused_op.create ~tunable:op ?pre_a ?pre_b ~post_groups ~params:p
-            ~inputs:(externals all_ops) ~outputs:(set_outputs g all_ops) ()
+            ~inputs:(externals all_ops) ~outputs:(set_outputs ix all_ops) ()
         in
         fused := f :: !fused
       end)
@@ -304,11 +381,11 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
         let rec extend (cur : Op.t) =
           match cur.outputs with
           | [ out ] -> (
-              match Graph.consumers g out with
+              match consumers ix out with
               | [ c ]
                 when fine
                      && (not (Hashtbl.mem assigned c.id))
-                     && (not (Graph.is_output g out))
+                     && (not (is_output ix out))
                      && Op_kind.is_fusible c.kind
                      && (match c.kind with
                         | Reduce _ -> (
@@ -328,7 +405,7 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
         let f =
           Fused_op.create
             ~post_groups:[ { Fused_op.g_anchor = Post3; g_ops = ops } ]
-            ~inputs:(externals ops) ~outputs:(set_outputs g ops) ()
+            ~inputs:(externals ops) ~outputs:(set_outputs ix ops) ()
         in
         fused := f :: !fused
       end)

@@ -37,12 +37,12 @@ val task_stolen : unit -> unit
     (the self-scheduling queue balanced load across domains) *)
 
 val env_reused : unit -> unit
-(** one parallel-region scratch environment served from a worker's cache
-    instead of being freshly allocated *)
+(** one execution environment (a call's or a parallel grain's) taken
+    from an engine pool instead of being freshly allocated *)
 
 val arena_hit : unit -> unit
-(** one [Alloc] statement served from a domain-local pre-sized arena slot
-    instead of a fresh buffer allocation *)
+(** one [Alloc] statement served from an execution environment's
+    pre-sized arena slot instead of a fresh buffer allocation *)
 
 val arena_bytes_saved : int -> unit
 (** [arena_bytes_saved n]: [n] bytes of buffer allocation avoided because

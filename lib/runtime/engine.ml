@@ -3,88 +3,107 @@ open Gc_tensor_ir
 open Ir
 
 (* Runtime environment. Scalar variables live in slot arrays; tensors bind
-   buffers into [bufs] by compile-time slot. Parallel regions clone the
-   arrays (cheap) so loop variables and thread-local Allocs don't race;
-   buffer *contents* stay shared, which is exactly the shared-memory
-   semantics of the template's parallel loops. *)
+   buffers into [bufs] by compile-time slot. Parallel regions run on their
+   own envs, refreshed from the submitting env, so loop variables and
+   thread-local Allocs don't race; buffer *contents* stay shared, which is
+   exactly the shared-memory semantics of the template's parallel loops.
+
+   An env also owns the steady-state fast path's per-call memory, so
+   repeated executes allocate nothing once it is warm:
+   - [arena]: one buffer per [Alloc] site of the function, sized from
+     {!Gc_tir_passes.Buffer_schedule.alloc_plan} on first use ([dummy_buf]
+     until then). An [Alloc] installs the env's arena buffer into its slot
+     (zero-filled, preserving [Buffer.create] semantics).
+   - [a_offs]/[b_offs]: brgemm batch offset arrays, grown on demand; a
+     dispatch consumes them before it returns. *)
 type env = {
   ints : int array;
   floats : float array;
   bufs : Buffer.t array;
+  arena : Buffer.t array;
+  mutable a_offs : int array;
+  mutable b_offs : int array;
 }
-
-let clone_env e =
-  { ints = Array.copy e.ints; floats = Array.copy e.floats; bufs = Array.copy e.bufs }
-
-(* Per-worker scratch environments for parallel regions. Each parallel For
-   site compiles to a closure holding a Domain.DLS key; every domain that
-   executes grains of that loop keeps one cached env and refreshes it from
-   the submitting env by blitting (no allocation) at each grain. [busy]
-   guards re-entrant inline execution of the same loop site (e.g. through
-   a recursive function call), which falls back to a fresh clone. A cached
-   env retains the buffers of the last region it ran until the site is
-   next executed on that domain — slot counts are per-function, so sizes
-   always match. *)
-type scratch = { senv : env; mutable busy : bool }
-
-let refresh_scratch ~from s =
-  Array.blit from.ints 0 s.senv.ints 0 (Array.length from.ints);
-  Array.blit from.floats 0 s.senv.floats 0 (Array.length from.floats);
-  Array.blit from.bufs 0 s.senv.bufs 0 (Array.length from.bufs)
-
-let borrow_scratch key env =
-  match Domain.DLS.get key with
-  | Some s when not s.busy ->
-      s.busy <- true;
-      refresh_scratch ~from:env s;
-      Gc_observe.Counters.env_reused ();
-      s
-  | cached ->
-      let s = { senv = clone_env env; busy = true } in
-      (match cached with None -> Domain.DLS.set key (Some s) | Some _ -> ());
-      s
 
 (* A length-0 placeholder for unfilled buffer slots. *)
 let dummy_buf = Buffer.create Dtype.F32 0
 
-(* ------------------------------------------------------------------ *)
-(* Steady-state fast path (serving): per-function, per-domain state that
-   makes repeated executes allocation-free.
+let clone_env e =
+  {
+    ints = Array.copy e.ints;
+    floats = Array.copy e.floats;
+    bufs = Array.copy e.bufs;
+    arena = Array.make (Array.length e.arena) dummy_buf;
+    a_offs = [||];
+    b_offs = [||];
+  }
 
-   - [arena_key]: one arena per (compiled function, domain) — a buffer per
-     [Alloc] site, pre-sized from {!Gc_tir_passes.Buffer_schedule.alloc_plan}.
-     An [Alloc] compiles to installing the domain's arena buffer into the
-     env slot (zero-filled, preserving [Buffer.create] semantics). Domains
-     never share arena buffers, so concurrent executes of one compiled
-     partition cannot race on locals; within one execute, parallel grains
-     see top-level locals through the scratch-env blit exactly as before.
-   - Call-site argument arrays and brgemm offset arrays are cached the same
-     way (per site, per domain): they are consumed before the call returns,
-     and a domain runs one grain at a time, so reuse is race-free. *)
+(* ------------------------------------------------------------------ *)
+(* Env pools. Every compiled function and every parallel loop site owns a
+   small lock-free pool of envs. A call (or a grain) takes an env, runs on
+   it, drops the caller's buffers from it and gives it back. A slot holds
+   either a free env or [no_env]; [take] wins an env only by the CAS that
+   empties its slot, and [give] publishes one only by the CAS that fills an
+   empty slot, so between take and give an env has exactly one holder and
+   no two executes ever share an env or its arena. An empty pool means a
+   new env (warm-up, or more concurrent holders than slots); a full pool
+   drops the returned env. The pools live in the compiled closures, so
+   their memory goes with the artifact. An env whose call raised is
+   dropped, not returned: a straggler grain of an abandoned parallel
+   section may still be writing its locals. *)
+let no_env =
+  { ints = [||]; floats = [||]; bufs = [||]; arena = [||]; a_offs = [||]; b_offs = [||] }
+
+type env_pool = env Atomic.t array
+
+let pool_slots = 8
+let new_pool () : env_pool = Array.init pool_slots (fun _ -> Atomic.make no_env)
+
+(* [no_env] when every slot is empty *)
+let rec take (p : env_pool) i =
+  if i = pool_slots then no_env
+  else
+    let slot = Array.unsafe_get p i in
+    let e = Atomic.get slot in
+    if e != no_env && Atomic.compare_and_set slot e no_env then begin
+      Gc_observe.Counters.env_reused ();
+      e
+    end
+    else take p (i + 1)
+
+let rec give (p : env_pool) e i =
+  if i < pool_slots then
+    let slot = Array.unsafe_get p i in
+    if not (Atomic.get slot == no_env && Atomic.compare_and_set slot no_env e)
+    then give p e (i + 1)
+
+(* A parallel grain's env: a pooled one refreshed from the submitting env
+   by blitting, or a clone of it. *)
+let borrow_scratch p env =
+  let s = take p 0 in
+  if s == no_env then clone_env env
+  else begin
+    Array.blit env.ints 0 s.ints 0 (Array.length env.ints);
+    Array.blit env.floats 0 s.floats 0 (Array.length env.floats);
+    Array.blit env.bufs 0 s.bufs 0 (Array.length env.bufs);
+    s
+  end
+
+let return_scratch p s =
+  Array.fill s.bufs 0 (Array.length s.bufs) dummy_buf;
+  give p s 0
+
+(* Fast-path Alloc plan of one function: the arena site of each Alloc'd
+   tensor. *)
 type arena_site = { site : int; a_dtype : Dtype.t; a_numel : int; a_bytes : int }
 
 type fast_ctx = {
   fast : bool;
-  arena_key : Buffer.t option array option Domain.DLS.key;
   n_sites : int;
   site_of_tid : (int, arena_site) Hashtbl.t;
 }
 
-let no_fast_ctx =
-  {
-    fast = false;
-    arena_key = Domain.DLS.new_key (fun () -> None);
-    n_sites = 0;
-    site_of_tid = Hashtbl.create 1;
-  }
-
-let domain_arena fc =
-  match Domain.DLS.get fc.arena_key with
-  | Some a -> a
-  | None ->
-      let a = Array.make (max 1 fc.n_sites) None in
-      Domain.DLS.set fc.arena_key (Some a);
-      a
+let no_fast_ctx = { fast = false; n_sites = 0; site_of_tid = Hashtbl.create 1 }
 
 (* Compile-time slot assignment for one function. *)
 type ctx = {
@@ -528,9 +547,13 @@ and cflt ctx (e : expr) : env -> float =
         ce env;
         Array.unsafe_get env.floats dst
 
+(* [cf_run bufs scalars] runs the function on positional arguments;
+   [cf_call caller targs sargs] runs it as a sibling call, reading the
+   tensor arguments from the caller's buffer slots [targs] and evaluating
+   the scalar arguments [sargs] on the caller's env. *)
 type compiled_func = {
-  cf_params : param list;
   cf_run : Buffer.t array -> float array -> unit;
+  cf_call : env -> int array -> (env -> float) array -> unit;
 }
 
 type t = {
@@ -580,22 +603,23 @@ let rec cstmt_leaf ctx fc (s : stmt) : env -> unit =
       let site = if fc.fast then Hashtbl.find_opt fc.site_of_tid t.tid else None in
       (match site with
       | Some { site; a_dtype; a_numel; a_bytes } ->
-          (* serve the local from the domain's pre-sized arena; zero-fill to
-             keep exact [Buffer.create] semantics for reused buffers *)
+          (* serve the local from the env's arena; zero-fill to keep exact
+             [Buffer.create] semantics for reused buffers *)
           fun env ->
-            let arena = domain_arena fc in
+            let b = Array.unsafe_get env.arena site in
             let b =
-              match Array.unsafe_get arena site with
-              | Some b ->
-                  Gc_observe.Counters.arena_hit ();
-                  Gc_observe.Counters.arena_bytes_saved a_bytes;
-                  Buffer.fill_range b 0 a_numel 0.;
-                  b
-              | None ->
-                  Gc_observe.Counters.alloc_bytes a_bytes;
-                  let b = Buffer.create ~name:t.tname a_dtype a_numel in
-                  arena.(site) <- Some b;
-                  b
+              if b != dummy_buf then begin
+                Gc_observe.Counters.arena_hit ();
+                Gc_observe.Counters.arena_bytes_saved a_bytes;
+                Buffer.fill_range b 0 a_numel 0.;
+                b
+              end
+              else begin
+                Gc_observe.Counters.alloc_bytes a_bytes;
+                let b = Buffer.create ~name:t.tname a_dtype a_numel in
+                env.arena.(site) <- b;
+                b
+              end
             in
             env.bufs.(slot) <- b
       | None ->
@@ -621,25 +645,17 @@ and ccall ctx fc name args : env -> unit =
           and cbstride = cint ctx bstride
           and cslot, coff = addr_arg ctx c in
           if fc.fast then begin
-            (* per-site, per-domain offset arrays: consumed inside the
-               dispatch, so sequential reuse on one domain is race-free *)
-            let offs_key : (int array * int array) option Domain.DLS.key =
-              Domain.DLS.new_key (fun () -> None)
-            in
             fun env ->
               Gc_observe.Counters.kernel_invocation ();
               Guard.check ();
               let batch = cbatch env in
               let a0 = aoff env and b0 = boff env in
               let sa = castride env and sb = cbstride env in
-              let a_offs, b_offs =
-                match Domain.DLS.get offs_key with
-                | Some (a_offs, _ as p) when Array.length a_offs >= batch -> p
-                | _ ->
-                    let p = (Array.make batch 0, Array.make batch 0) in
-                    Domain.DLS.set offs_key (Some p);
-                    p
-              in
+              if Array.length env.a_offs < batch then begin
+                env.a_offs <- Array.make batch 0;
+                env.b_offs <- Array.make batch 0
+              end;
+              let a_offs = env.a_offs and b_offs = env.b_offs in
               for i = 0 to batch - 1 do
                 Array.unsafe_set a_offs i (a0 + (i * sa));
                 Array.unsafe_set b_offs i (b0 + (i * sb))
@@ -730,12 +746,7 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
               a_bytes = s.slot_bytes;
             })
         plan;
-      {
-        fast = true;
-        arena_key = Domain.DLS.new_key (fun () -> None);
-        n_sites = Array.length plan;
-        site_of_tid;
-      }
+      { fast = true; n_sites = Array.length plan; site_of_tid }
     end
   in
   (* params get the first buffer slots, in order *)
@@ -754,68 +765,34 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
         (* call to a sibling function: args are tensor addresses (offset 0)
            or scalars *)
         let targs =
-          List.filter_map
-            (fun a ->
-              match a with
-              | Addr (t, _) -> Some (tensor_slot ctx t)
-              | _ -> None)
-            args
+          Array.of_list
+            (List.filter_map
+               (function Addr (t, _) -> Some (tensor_slot ctx t) | _ -> None)
+               args)
         in
         let sargs =
-          List.filter_map
-            (fun a -> match a with Addr _ -> None | e -> Some (cflt ctx e))
-            args
+          Array.of_list
+            (List.filter_map
+               (function Addr _ -> None | e -> Some (cflt ctx e))
+               args)
         in
         let callee = ref None in
-        let get_callee () =
-          match !callee with
-          | Some cf -> cf
-          | None ->
-              let cf = lookup name in
-              callee := Some cf;
-              cf
-        in
-        if fastpath then begin
-          (* per-site, per-domain argument arrays: the callee blits them
-             into its own env before running, so sequential reuse on one
-             domain is safe *)
-          let nt = List.length targs and ns = List.length sargs in
-          let targs = Array.of_list targs and sargs = Array.of_list sargs in
-          let args_key : (Buffer.t array * float array) option Domain.DLS.key =
-            Domain.DLS.new_key (fun () -> None)
+        fun env ->
+          let cf =
+            match !callee with
+            | Some cf -> cf
+            | None ->
+                let cf = lookup name in
+                callee := Some cf;
+                cf
           in
-          fun env ->
-            let cf = get_callee () in
-            let bufs, scalars =
-              match Domain.DLS.get args_key with
-              | Some p -> p
-              | None ->
-                  let p = (Array.make nt dummy_buf, Array.make ns 0.) in
-                  Domain.DLS.set args_key (Some p);
-                  p
-            in
-            for i = 0 to nt - 1 do
-              Array.unsafe_set bufs i (Array.unsafe_get env.bufs (Array.unsafe_get targs i))
-            done;
-            for i = 0 to ns - 1 do
-              Array.unsafe_set scalars i ((Array.unsafe_get sargs i) env)
-            done;
-            cf.cf_run bufs scalars
-        end
-        else
-          fun env ->
-            let cf = get_callee () in
-            let bufs = Array.of_list (List.map (fun s -> env.bufs.(s)) targs) in
-            let scalars = Array.of_list (List.map (fun f -> f env) sargs) in
-            cf.cf_run bufs scalars
+          cf.cf_call env targs sargs
     | For l ->
         let vslot = var_slot ctx l.v in
         let clo = cint ctx l.lo and chi = cint ctx l.hi and cstep = cint ctx l.step in
         let body = cbody' l.body in
         if l.parallel then begin
-          let skey : scratch option Domain.DLS.key =
-            Domain.DLS.new_key (fun () -> None)
-          in
+          let scratch = new_pool () in
           fun env ->
             let lo = clo env and hi = chi env and step = cstep env in
             if step <> 1 then begin
@@ -828,17 +805,12 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
             end
             else
               Parallel.parallel_for pool ~lo ~hi (fun c0 c1 ->
-                  let s = borrow_scratch skey env in
-                  let local = s.senv in
-                  (try
-                     for i = c0 to c1 - 1 do
-                       Array.unsafe_set local.ints vslot i;
-                       body local
-                     done
-                   with e ->
-                     s.busy <- false;
-                     raise e);
-                  s.busy <- false)
+                  let local = borrow_scratch scratch env in
+                  for i = c0 to c1 - 1 do
+                    Array.unsafe_set local.ints vslot i;
+                    body local
+                  done;
+                  return_scratch scratch local)
         end
         else
           fun env ->
@@ -885,94 +857,93 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
               (Printf.sprintf "Engine: unbound global %s" g.tname))
       ctx.global_binds
   in
+  (* the buffer slots of an idle env: globals bound, everything else
+     [dummy_buf]. Param slots are filled per call, local slots are
+     re-installed by Alloc before any access (Check guarantees
+     def-before-use). *)
+  let idle_bufs = Array.make (max 1 n_bufs) dummy_buf in
+  List.iter (fun (slot, b) -> idle_bufs.(slot) <- b) global_bufs;
   let fresh_env () =
-    let env =
-      {
-        ints = Array.make (max 1 n_ints) 0;
-        floats = Array.make (max 1 n_floats) 0.;
-        bufs = Array.make (max 1 n_bufs) dummy_buf;
-      }
-    in
-    List.iter (fun (slot, b) -> env.bufs.(slot) <- b) global_bufs;
-    env
+    {
+      ints = Array.make (max 1 n_ints) 0;
+      floats = Array.make (max 1 n_floats) 0.;
+      bufs = Array.copy idle_bufs;
+      arena = Array.make fc.n_sites dummy_buf;
+      a_offs = [||];
+      b_offs = [||];
+    }
   in
-  (* per-domain reusable top-level env: param slots are refreshed per call,
-     global slots are stable, local slots are re-installed by Alloc before
-     any access (Check guarantees def-before-use) *)
-  let env_key : scratch option Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> None)
+  (* fast path: top-level envs come from the function's pool; without it,
+     every call gets a fresh env (the allocate-per-call baseline) *)
+  let envs = new_pool () in
+  let acquire () =
+    if not fastpath then fresh_env ()
+    else
+      let env = take envs 0 in
+      if env == no_env then fresh_env () else env
   in
-  let check_args bufs scalars =
-    if Array.length bufs <> n_params then
-      Gc_errors.invalid_input
-        ~ctx:
-          [
-            ("func", f.fname);
-            ("expected", string_of_int n_params);
-            ("got", string_of_int (Array.length bufs));
-          ]
-        (Printf.sprintf "Engine.run %s: expected %d tensor params, got %d"
-           f.fname n_params (Array.length bufs));
-    if Array.length scalars <> n_scalars then
-      Gc_errors.invalid_input
-        ~ctx:
-          [
-            ("func", f.fname);
-            ("expected", string_of_int n_scalars);
-            ("got", string_of_int (Array.length scalars));
-          ]
-        (Printf.sprintf "Engine.run %s: expected %d scalar params, got %d"
-           f.fname n_scalars (Array.length scalars));
-    Array.iteri
-      (fun i b ->
-        if Buffer.length b < param_sizes.(i) then
-          Gc_errors.invalid_input
-            ~ctx:
-              [
-                ("func", f.fname);
-                ("param", string_of_int i);
-                ("actual", string_of_int (Buffer.length b));
-                ("requested", string_of_int param_sizes.(i));
-              ]
-            (Printf.sprintf
-               "Engine.run %s: param %d buffer too small (%d < %d)" f.fname i
-               (Buffer.length b) param_sizes.(i)))
-      bufs
+  let release env =
+    if fastpath then begin
+      Array.blit idle_bufs 0 env.bufs 0 (Array.length idle_bufs);
+      give envs env 0
+    end
   in
-  let cf_run =
-    if fastpath then fun bufs scalars ->
-      check_args bufs scalars;
-      let s =
-        match Domain.DLS.get env_key with
-        | Some s when not s.busy ->
-            s.busy <- true;
-            Gc_observe.Counters.env_reused ();
-            s
-        | cached ->
-            let s = { senv = fresh_env (); busy = true } in
-            (match cached with
-            | None -> Domain.DLS.set env_key (Some s)
-            | Some _ -> ());
-            s
-      in
-      let env = s.senv in
-      (* a cached env can only hold arrays at least as large as the
-         call's arguments (slot counts are per-function constants) *)
-      Array.blit bufs 0 env.bufs 0 n_params;
-      Array.blit scalars 0 env.floats 0 n_scalars;
-      (try body env
-       with e ->
-         s.busy <- false;
-         raise e);
-      s.busy <- false
-    else fun bufs scalars ->
-      check_args bufs scalars;
-      let env = fresh_env () in
-      Array.blit bufs 0 env.bufs 0 n_params;
-      Array.blit scalars 0 env.floats 0 n_scalars;
-      body env
+  let bad_arity ~what ~expected ~got =
+    Gc_errors.invalid_input
+      ~ctx:
+        [
+          ("func", f.fname);
+          ("expected", string_of_int expected);
+          ("got", string_of_int got);
+        ]
+      (Printf.sprintf "Engine.run %s: expected %d %s params, got %d" f.fname
+         expected what got)
   in
-  { cf_params = f.params; cf_run }
+  let check_arity ~nt ~ns =
+    if nt <> n_params then bad_arity ~what:"tensor" ~expected:n_params ~got:nt;
+    if ns <> n_scalars then bad_arity ~what:"scalar" ~expected:n_scalars ~got:ns
+  in
+  (* the param buffers, already in the env's first slots *)
+  let check_sizes env =
+    for i = 0 to n_params - 1 do
+      let b = Array.unsafe_get env.bufs i in
+      if Buffer.length b < param_sizes.(i) then
+        Gc_errors.invalid_input
+          ~ctx:
+            [
+              ("func", f.fname);
+              ("param", string_of_int i);
+              ("actual", string_of_int (Buffer.length b));
+              ("requested", string_of_int param_sizes.(i));
+            ]
+          (Printf.sprintf "Engine.run %s: param %d buffer too small (%d < %d)"
+             f.fname i (Buffer.length b) param_sizes.(i))
+    done
+  in
+  let cf_run bufs scalars =
+    check_arity ~nt:(Array.length bufs) ~ns:(Array.length scalars);
+    let env = acquire () in
+    Array.blit bufs 0 env.bufs 0 n_params;
+    Array.blit scalars 0 env.floats 0 n_scalars;
+    check_sizes env;
+    body env;
+    release env
+  in
+  let cf_call caller targs sargs =
+    check_arity ~nt:(Array.length targs) ~ns:(Array.length sargs);
+    let env = acquire () in
+    for i = 0 to n_params - 1 do
+      Array.unsafe_set env.bufs i
+        (Array.unsafe_get caller.bufs (Array.unsafe_get targs i))
+    done;
+    for i = 0 to n_scalars - 1 do
+      Array.unsafe_set env.floats i ((Array.unsafe_get sargs i) caller)
+    done;
+    check_sizes env;
+    body env;
+    release env
+  in
+  { cf_run; cf_call }
 
 let create ?pool ?(fastpath = true) (m : Ir.module_) =
   (match Check.check_module m with

@@ -70,10 +70,11 @@
 
     {!drain} stops admission and waits (bounded) for queued and in-flight
     work; queued requests still waiting at the drain deadline are shed as
-    [Overloaded]. {!shutdown} drains and then joins the worker domains,
-    releasing their domain-local arenas and scratch environments — with a
-    Memgov budget armed, the ledger returns to zero once the released
-    buffers are collected.
+    [Overloaded]. {!shutdown} drains and then joins the worker domains.
+    Engine arenas and environments belong to the compiled artifacts, and a
+    pooled environment drops each batch's buffers when its call returns,
+    so with a Memgov budget armed the ledger returns to its pre-serving
+    value once the requests' buffers are collected.
 
     Every request ends in {e exactly one} typed outcome: [Ok] or one of
     [Overloaded] / [Timeout] / [Resource_exhausted] / [Runtime_fault] /
@@ -324,8 +325,7 @@ val handle_stats : t -> handle -> handle_stats
     wait. Idempotent; admission stays closed afterwards. *)
 val drain : ?deadline_ms:int -> t -> unit
 
-(** {!drain}, then stop and join the worker domains (releasing their
-    domain-local arenas and scratch state), then dump the
+(** {!drain}, then stop and join the worker domains, then dump the
     {!Gc_observe.Events} flight recorder if [GC_EVENTS_DUMP] is armed.
     Idempotent. *)
 val shutdown : ?drain_deadline_ms:int -> t -> unit

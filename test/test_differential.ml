@@ -506,8 +506,12 @@ let check_outputs ~what ~rtol ~atol got expect =
           (Tensor.max_abs_diff g e))
     (List.combine got expect)
 
-let run_exec_vs_reference ~kind seed =
+(* [layers] pins the BERT depth (otherwise 1-2, drawn from the seed). *)
+let run_exec_vs_reference ?layers ~kind seed =
   let rs = Random.State.make [| 0xe2e; seed |] in
+  let bert_layers () =
+    match layers with Some l -> l | None -> 1 + Random.State.int rs 2
+  in
   let graph, data, what, rtol, atol =
     match kind with
     | `Mlp_f32 ->
@@ -552,7 +556,7 @@ let run_exec_vs_reference ~kind seed =
         let heads = 1 + Random.State.int rs 2 in
         let b =
           Gc_workloads.Bert.build_f32 ~seed
-            ~layers:(1 + Random.State.int rs 2)
+            ~layers:(bert_layers ())
             ~batch:(1 + Random.State.int rs 2)
             ~seq:(4 + Random.State.int rs 5)
             ~hidden:(heads * (4 + Random.State.int rs 5))
@@ -564,7 +568,7 @@ let run_exec_vs_reference ~kind seed =
         let heads = 1 + Random.State.int rs 2 in
         let b =
           Gc_workloads.Bert.build_int8 ~seed
-            ~layers:(1 + Random.State.int rs 2)
+            ~layers:(bert_layers ())
             ~batch:(1 + Random.State.int rs 2)
             ~seq:(4 + Random.State.int rs 5)
             ~hidden:(heads * (4 + Random.State.int rs 5))
@@ -812,6 +816,9 @@ let () =
       cases "e2e-mha-int8" 2 (run_exec_vs_reference ~kind:`Mha_int8);
       cases "e2e-bert-f32" 2 (run_exec_vs_reference ~kind:`Bert_f32);
       cases "e2e-bert-int8" 2 (run_exec_vs_reference ~kind:`Bert_int8);
+      cases "e2e-bert4-f32" 2 (run_exec_vs_reference ~layers:4 ~kind:`Bert_f32);
+      cases "e2e-bert4-int8" 2 (run_exec_vs_reference ~layers:4 ~kind:`Bert_int8);
+      cases "e2e-bert12-f32" 1 (run_exec_vs_reference ~layers:12 ~kind:`Bert_f32);
       cases "e2e-dlrm-f32" 2 (run_exec_vs_reference ~kind:`Dlrm_f32);
       cases "e2e-dlrm-int8" 2 (run_exec_vs_reference ~kind:`Dlrm_int8);
       ( "coverage",

@@ -678,6 +678,49 @@ let test_zero_window_violations_soak () =
 
 (* ------------------------------------------------------------------ *)
 
+(* A coalesced batch runs on pooled engine envs on the worker domain.
+   Handing an env back must drop the batch's padded input and its output:
+   once the server is shut down and the caller has let go of its results,
+   the ledger returns to where it stood before serving. Every bucket is
+   warmed on the calling domain before the budget is armed, with a
+   sequential pool, so serving creates no new envs or arenas and every
+   byte it charges belongs to the requests. *)
+let test_served_batch_leaves_no_buffers () =
+  let b = poly_mlp ~hidden:[ 16; 8 ] () in
+  let p = Core.compile_poly ~config:(compile_config ()) b.Mlp.graph in
+  let room () = Some (Memgov.used () + (256 * 1024 * 1024)) in
+  let prev = Memgov.limit () in
+  Fun.protect
+    ~finally:(fun () -> Memgov.set_limit prev)
+    (fun () ->
+      (* under GC_MEM_BUDGET_BYTES the warm-up must not be refused *)
+      if prev <> None then Memgov.set_limit (room ());
+      List.iter
+        (fun n -> ignore (Core.execute_poly p (poly_bindings b n)))
+        [ 1; 2; 3; 4; 5; 6 ];
+      Gc.full_major ();
+      let ledger = Memgov.used () in
+      Memgov.set_limit (room ());
+      with_server ~config:(coalesce_config ()) (fun server ->
+          let h = Serve.register_poly server p in
+          let tickets =
+            List.map (fun n -> Serve.submit server h (poly_bindings b n)) [ 1; 2; 3 ]
+          in
+          List.iter
+            (fun tk ->
+              match Serve.await tk with
+              | Ok _ -> ()
+              | Error e -> Alcotest.failf "served: %s" (Core.Errors.to_string e))
+            tickets);
+      let rec settle n =
+        Gc.full_major ();
+        if Memgov.used () > ledger && n > 0 then settle (n - 1)
+      in
+      settle 10;
+      if Memgov.used () > ledger then
+        Alcotest.failf "ledger holds %d bytes after shutdown"
+          (Memgov.used () - ledger))
+
 let () =
   Alcotest.run "serve"
     [
@@ -729,6 +772,8 @@ let () =
             test_coalesced_matches_solo;
           Alcotest.test_case "tight deadline not coalesced" `Quick
             test_tight_deadline_not_coalesced;
+          Alcotest.test_case "served batch leaves no buffers" `Quick
+            test_served_batch_leaves_no_buffers;
           Alcotest.test_case "chaos during coalesce" `Slow
             test_chaos_during_coalesce;
           Alcotest.test_case "zero window violations soak" `Slow

@@ -150,6 +150,69 @@ let test_arena_counters_fire () =
   Alcotest.(check int) "no buffer allocation" 0 s.bytes_allocated
 
 (* ------------------------------------------------------------------ *)
+(* Lifetime: engine state (arenas, envs, offset arrays) and pooled
+   outputs belong to the artifact, so dropping an artifact frees them,
+   and a pooled env keeps none of a call's buffers once it is handed
+   back. *)
+
+module Memgov = Gc_tensor.Memgov
+
+let test_dropped_artifacts_release_memory () =
+  let b = Mlp.build_f32 ~seed:19 ~batch:32 ~hidden:Table1.mlp_1.hidden () in
+  Gc.full_major ();
+  (* baseline-relative: under GC_MEM_BUDGET_BYTES the ledger already holds
+     live charges of earlier tests *)
+  let used0 = Memgov.used () in
+  let prev = Memgov.limit () in
+  Fun.protect
+    ~finally:(fun () -> Memgov.set_limit prev)
+    (fun () ->
+      Memgov.set_limit (Some (used0 + (256 * 1024 * 1024)));
+      for _ = 1 to 8 do
+        let t = compile b.Mlp.graph in
+        for _ = 1 to 3 do
+          ignore (Core.execute ~reuse_outputs:true t b.Mlp.data)
+        done;
+        Alcotest.(check bool) "artifact charged" true (Memgov.used () > used0)
+      done;
+      let rec settle n =
+        Gc.full_major ();
+        if Memgov.used () > used0 && n > 0 then settle (n - 1)
+      in
+      settle 10;
+      if Memgov.used () > used0 then
+        Alcotest.failf "%d bytes still charged after dropping 8 artifacts"
+          (Memgov.used () - used0))
+
+let test_pooled_env_drops_caller_buffers () =
+  let b = Mlp.build_f32 ~seed:23 ~batch:4 ~hidden:[ 6; 8; 5 ] () in
+  let t = compile b.Mlp.graph in
+  let seen = Weak.create 2 in
+  let call () =
+    (* fresh activations and fresh outputs, so the only references to
+       them are this call's *)
+    let data =
+      List.map
+        (fun ((lt : Core.Logical_tensor.t), v) ->
+          (lt, if Core.Logical_tensor.is_constant lt then v else Core.Tensor.copy v))
+        b.Mlp.data
+    in
+    let input = List.assq (List.hd b.Mlp.graph.inputs) data in
+    let out = List.hd (Core.execute t data) in
+    check_matches_reference ~what:"pooled env call" ~graph:b.Mlp.graph
+      ~data:b.Mlp.data [ out ];
+    Weak.set seen 0 (Some (Core.Tensor.buffer input));
+    Weak.set seen 1 (Some (Core.Tensor.buffer out))
+  in
+  call ();
+  call ();
+  Gc.full_major ();
+  Alcotest.(check bool) "input buffer collected" false (Weak.check seen 0);
+  Alcotest.(check bool) "output buffer collected" false (Weak.check seen 1);
+  (* the artifact (and its pooled envs) stayed alive throughout *)
+  ignore (Core.execute t b.Mlp.data)
+
+(* ------------------------------------------------------------------ *)
 (* Compilation cache *)
 
 let test_fingerprint_structural () =
@@ -240,6 +303,13 @@ let () =
           Alcotest.test_case "allocation regression" `Quick
             test_allocation_regression;
           Alcotest.test_case "arena counters" `Quick test_arena_counters_fire;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case "dropped artifacts release memory" `Quick
+            test_dropped_artifacts_release_memory;
+          Alcotest.test_case "pooled env drops caller buffers" `Quick
+            test_pooled_env_drops_caller_buffers;
         ] );
       ( "compile-cache",
         [
