@@ -64,8 +64,14 @@ type binding_plan = {
 
 (* One domain's pooled output tensors ([execute ~reuse_outputs:true]),
    stamped with the owning domain and the constant generation that
-   produced them. Only the owner fills [op_tensors]. *)
-type out_pool = { op_domain : int; op_gen : int; op_tensors : Tensor.t option array }
+   produced them. Only the owner fills [op_tensors] and stamps [op_used]
+   (the artifact's [out_clock] at its last use). *)
+type out_pool = {
+  op_domain : int;
+  op_gen : int;
+  mutable op_used : int;
+  op_tensors : Tensor.t option array;
+}
 
 type t = {
   config : config;
@@ -92,8 +98,8 @@ type t = {
   pool_gen : int Atomic.t;
       (** bumped by [invalidate_constants]; stale output pools are dropped *)
   out_pools : out_pool option Atomic.t array;
-      (** per-domain output pools, slot [domain id mod length]; a domain
-          that finds another domain's pool in its slot replaces it *)
+      (** per-domain output pools, one cell each (see [out_pool]) *)
+  out_clock : int Atomic.t;  (** ticks once per use of an output pool *)
   tune_scope : string option;
       (** tuning-DB scope the partition compiled under (the compile
           fingerprint); [None] when autotuning was off — the serving
@@ -292,6 +298,7 @@ let compile ?config ?trace ?tune_scope (g : Graph.t) =
     init_mutex = Mutex.create ();
     pool_gen = Atomic.make 0;
     out_pools = Array.init out_pool_slots (fun _ -> Atomic.make None);
+    out_clock = Atomic.make 0;
     tune_scope;
   }
 
@@ -436,27 +443,67 @@ let ensure_init t bindings =
         end)
   end
 
+(* Output-pool cells are probed from [domain mod out_pool_slots]. *)
+let rec own_cell cells domain home k =
+  if k = out_pool_slots then -1
+  else
+    let c = (home + k) mod out_pool_slots in
+    match Atomic.get cells.(c) with
+    | Some p when p.op_domain = domain -> c
+    | _ -> own_cell cells domain home (k + 1)
+
+(* The cell a domain without a pool claims, with the value seen in it:
+   the first empty one or one holding a stale generation, else the least
+   recently used. *)
+let rec free_cell cells gen home k best =
+  if k = out_pool_slots then best
+  else
+    let c = (home + k) mod out_pool_slots in
+    match Atomic.get cells.(c) with
+    | None -> (c, None)
+    | Some p as seen when p.op_gen <> gen -> (c, seen)
+    | Some p as seen -> (
+        match best with
+        | _, Some q when q.op_used <= p.op_used ->
+            free_cell cells gen home (k + 1) best
+        | _ -> free_cell cells gen home (k + 1) (c, seen))
+
+(* The calling domain's output pool at constant generation [gen]. A domain
+   keeps its pool in one cell; it claims a cell by CAS and never evicts a
+   current pool while a free or stale cell exists, so a pool is lost only
+   when more than [out_pool_slots] domains reuse this artifact's outputs
+   (or to a lost CAS, in which case this call's pool goes unpublished). *)
+let out_pool t gen =
+  let domain = (Domain.self () :> int) in
+  let home = domain mod out_pool_slots in
+  let own = own_cell t.out_pools domain home 0 in
+  let current = if own < 0 then None else Atomic.get t.out_pools.(own) in
+  match current with
+  | Some p when p.op_domain = domain && p.op_gen = gen ->
+      p.op_used <- Atomic.fetch_and_add t.out_clock 1;
+      p
+  | _ ->
+      let p =
+        {
+          op_domain = domain;
+          op_gen = gen;
+          op_used = Atomic.fetch_and_add t.out_clock 1;
+          op_tensors = Array.make (Array.length t.plan.bp_params) None;
+        }
+      in
+      let c, seen =
+        match current with
+        | Some q when q.op_domain = domain -> (own, current)
+        | _ -> free_cell t.out_pools gen home 0 (home, None)
+      in
+      ignore (Atomic.compare_and_set t.out_pools.(c) seen (Some p));
+      p
+
 let output_tensor t ~reuse_outputs slot (lt : Logical_tensor.t) =
   if not reuse_outputs then
     Tensor.create ~name:lt.name ~layout:lt.layout lt.dtype lt.shape
   else begin
-    let gen = Atomic.get t.pool_gen in
-    let domain = (Domain.self () :> int) in
-    let cell = t.out_pools.(domain mod out_pool_slots) in
-    let pool =
-      match Atomic.get cell with
-      | Some p when p.op_domain = domain && p.op_gen = gen -> p
-      | _ ->
-          let p =
-            {
-              op_domain = domain;
-              op_gen = gen;
-              op_tensors = Array.make (Array.length t.plan.bp_params) None;
-            }
-          in
-          Atomic.set cell (Some p);
-          p
-    in
+    let pool = out_pool t (Atomic.get t.pool_gen) in
     match pool.op_tensors.(slot) with
     | Some v -> v
     | None ->

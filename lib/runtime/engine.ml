@@ -46,42 +46,73 @@ let clone_env e =
    empties its slot, and [give] publishes one only by the CAS that fills an
    empty slot, so between take and give an env has exactly one holder and
    no two executes ever share an env or its arena. An empty pool means a
-   new env (warm-up, or more concurrent holders than slots); a full pool
-   drops the returned env. The pools live in the compiled closures, so
-   their memory goes with the artifact. An env whose call raised is
+   new env (warm-up, or more concurrent holders than ever before). A pool
+   starts with one slot per worker of the engine's domain pool plus one
+   and doubles when a give finds every slot full, keeping the old slots,
+   so it ends up holding one env per concurrent holder it has seen and
+   never drops a returned env. The pools live in the compiled closures,
+   so their memory goes with the artifact. An env whose call raised is
    dropped, not returned: a straggler grain of an abandoned parallel
    section may still be writing its locals. *)
 let no_env =
   { ints = [||]; floats = [||]; bufs = [||]; arena = [||]; a_offs = [||]; b_offs = [||] }
 
-type env_pool = env Atomic.t array
+type env_pool = env Atomic.t array Atomic.t
 
-let pool_slots = 8
-let new_pool () : env_pool = Array.init pool_slots (fun _ -> Atomic.make no_env)
+(* The pools of one engine and the number of envs they ever created, so
+   callers can see that warm executes create none. *)
+type pools = { mutable all : env_pool list; created : int Atomic.t }
+
+let new_pool pools n : env_pool =
+  let p = Atomic.make (Array.init n (fun _ -> Atomic.make no_env)) in
+  pools.all <- p :: pools.all;
+  p
 
 (* [no_env] when every slot is empty *)
-let rec take (p : env_pool) i =
-  if i = pool_slots then no_env
+let rec take_from slots i =
+  if i = Array.length slots then no_env
   else
-    let slot = Array.unsafe_get p i in
+    let slot = Array.unsafe_get slots i in
     let e = Atomic.get slot in
     if e != no_env && Atomic.compare_and_set slot e no_env then begin
       Gc_observe.Counters.env_reused ();
       e
     end
-    else take p (i + 1)
+    else take_from slots (i + 1)
 
-let rec give (p : env_pool) e i =
-  if i < pool_slots then
-    let slot = Array.unsafe_get p i in
-    if not (Atomic.get slot == no_env && Atomic.compare_and_set slot no_env e)
-    then give p e (i + 1)
+let take (p : env_pool) = take_from (Atomic.get p) 0
+
+let rec give_to slots e i =
+  i < Array.length slots
+  &&
+  let slot = Array.unsafe_get slots i in
+  (Atomic.get slot == no_env && Atomic.compare_and_set slot no_env e)
+  || give_to slots e (i + 1)
+
+let rec give (p : env_pool) e =
+  let slots = Atomic.get p in
+  if not (give_to slots e 0) then begin
+    let n = Array.length slots in
+    let grown =
+      Array.init (2 * n) (fun i -> if i < n then slots.(i) else Atomic.make no_env)
+    in
+    ignore (Atomic.compare_and_set p slots grown);
+    give p e
+  end
+
+let idle_envs (p : env_pool) =
+  Array.fold_left
+    (fun n slot -> if Atomic.get slot == no_env then n else n + 1)
+    0 (Atomic.get p)
 
 (* A parallel grain's env: a pooled one refreshed from the submitting env
    by blitting, or a clone of it. *)
-let borrow_scratch p env =
-  let s = take p 0 in
-  if s == no_env then clone_env env
+let borrow_scratch pools p env =
+  let s = take p in
+  if s == no_env then begin
+    Atomic.incr pools.created;
+    clone_env env
+  end
   else begin
     Array.blit env.ints 0 s.ints 0 (Array.length env.ints);
     Array.blit env.floats 0 s.floats 0 (Array.length env.floats);
@@ -91,7 +122,7 @@ let borrow_scratch p env =
 
 let return_scratch p s =
   Array.fill s.bufs 0 (Array.length s.bufs) dummy_buf;
-  give p s 0
+  give p s
 
 (* Fast-path Alloc plan of one function: the arena site of each Alloc'd
    tensor. *)
@@ -561,6 +592,7 @@ type t = {
   pool : Parallel.t;
   funcs : (string, compiled_func) Hashtbl.t;
   globals : (int, Buffer.t) Hashtbl.t;  (* tensor id -> buffer *)
+  pools : pools;
 }
 
 let addr_arg ctx (e : expr) =
@@ -727,9 +759,12 @@ and ccall ctx fc name args : env -> unit =
 (* Compile a function. Calls to sibling functions are resolved through
    [lookup] lazily (the entry function is compiled after the fused-op
    functions it calls, but order independence is safer). *)
-let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
-    (f : func) : compiled_func =
+let compile_func ~fastpath ~pools pool (lookup : string -> compiled_func)
+    globals (f : func) : compiled_func =
   let ctx = new_ctx () in
+  (* at most one holder per worker of [pool] runs a section's grains, plus
+     one for a concurrent submitter that runs it inline *)
+  let pool_slots = Parallel.size pool + 1 in
   (* fast-path arena plan: one pre-sized slot per Alloc site *)
   let fc =
     if not fastpath then no_fast_ctx
@@ -792,7 +827,7 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
         let clo = cint ctx l.lo and chi = cint ctx l.hi and cstep = cint ctx l.step in
         let body = cbody' l.body in
         if l.parallel then begin
-          let scratch = new_pool () in
+          let scratch = new_pool pools pool_slots in
           fun env ->
             let lo = clo env and hi = chi env and step = cstep env in
             if step <> 1 then begin
@@ -805,7 +840,7 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
             end
             else
               Parallel.parallel_for pool ~lo ~hi (fun c0 c1 ->
-                  let local = borrow_scratch scratch env in
+                  let local = borrow_scratch pools scratch env in
                   for i = c0 to c1 - 1 do
                     Array.unsafe_set local.ints vslot i;
                     body local
@@ -875,17 +910,21 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
   in
   (* fast path: top-level envs come from the function's pool; without it,
      every call gets a fresh env (the allocate-per-call baseline) *)
-  let envs = new_pool () in
+  let envs = new_pool pools pool_slots in
   let acquire () =
     if not fastpath then fresh_env ()
     else
-      let env = take envs 0 in
-      if env == no_env then fresh_env () else env
+      let env = take envs in
+      if env == no_env then begin
+        Atomic.incr pools.created;
+        fresh_env ()
+      end
+      else env
   in
   let release env =
     if fastpath then begin
       Array.blit idle_bufs 0 env.bufs 0 (Array.length idle_bufs);
-      give envs env 0
+      give envs env
     end
   in
   let bad_arity ~what ~expected ~got =
@@ -920,30 +959,40 @@ let compile_func ~fastpath pool (lookup : string -> compiled_func) globals
              f.fname i (Buffer.length b) param_sizes.(i))
     done
   in
-  let cf_run bufs scalars =
-    check_arity ~nt:(Array.length bufs) ~ns:(Array.length scalars);
+  (* one call: [fill env x y z] binds the arguments into the env's param
+     slots (passing them through, rather than closing over them, keeps
+     calls allocation-free) *)
+  let invoke ~nt ~ns fill x y z =
+    check_arity ~nt ~ns;
     let env = acquire () in
-    Array.blit bufs 0 env.bufs 0 n_params;
-    Array.blit scalars 0 env.floats 0 n_scalars;
+    fill env x y z;
     check_sizes env;
     body env;
     release env
   in
-  let cf_call caller targs sargs =
-    check_arity ~nt:(Array.length targs) ~ns:(Array.length sargs);
-    let env = acquire () in
+  let fill_positional env bufs scalars () =
+    Array.blit bufs 0 env.bufs 0 n_params;
+    Array.blit scalars 0 env.floats 0 n_scalars
+  in
+  let fill_sibling env caller targs sargs =
     for i = 0 to n_params - 1 do
       Array.unsafe_set env.bufs i
         (Array.unsafe_get caller.bufs (Array.unsafe_get targs i))
     done;
     for i = 0 to n_scalars - 1 do
       Array.unsafe_set env.floats i ((Array.unsafe_get sargs i) caller)
-    done;
-    check_sizes env;
-    body env;
-    release env
+    done
   in
-  { cf_run; cf_call }
+  {
+    cf_run =
+      (fun bufs scalars ->
+        invoke ~nt:(Array.length bufs) ~ns:(Array.length scalars)
+          fill_positional bufs scalars ());
+    cf_call =
+      (fun caller targs sargs ->
+        invoke ~nt:(Array.length targs) ~ns:(Array.length sargs) fill_sibling
+          caller targs sargs);
+  }
 
 let create ?pool ?(fastpath = true) (m : Ir.module_) =
   (match Check.check_module m with
@@ -959,13 +1008,14 @@ let create ?pool ?(fastpath = true) (m : Ir.module_) =
         (Buffer.create ~name:g.tname g.tdtype (tensor_numel g)))
     m.globals;
   let funcs = Hashtbl.create 16 in
+  let pools = { all = []; created = Atomic.make 0 } in
   let rec lookup name =
     match Hashtbl.find_opt funcs name with
     | Some cf -> cf
     | None -> (
         match Ir.find_func m name with
         | Some f ->
-            let cf = compile_func ~fastpath pool lookup globals f in
+            let cf = compile_func ~fastpath ~pools pool lookup globals f in
             Hashtbl.replace funcs name cf;
             cf
         | None ->
@@ -974,10 +1024,12 @@ let create ?pool ?(fastpath = true) (m : Ir.module_) =
               (Printf.sprintf "Engine: unknown function %S" name))
   in
   List.iter (fun (f : func) -> ignore (lookup f.fname)) m.funcs;
-  { module_ = m; pool; funcs; globals }
+  { module_ = m; pool; funcs; globals; pools }
 
 let module_ t = t.module_
 let pool t = t.pool
+let envs_created t = Atomic.get t.pools.created
+let pooled_envs t = List.fold_left (fun n p -> n + idle_envs p) 0 t.pools.all
 
 let run_func t name params =
   match Hashtbl.find_opt t.funcs name with

@@ -20,7 +20,8 @@ type t
 
     [fastpath] (default [true]) enables the steady-state serving fast
     path: every function and every parallel loop keeps a small lock-free
-    pool of execution environments. Each environment owns an arena
+    pool of execution environments, sized from [pool] and grown when more
+    holders than slots hand environments back. Each environment owns an arena
     pre-sized from {!Gc_tir_passes.Buffer_schedule.alloc_plan}, so
     [Alloc] statements install cache-resident arena buffers (zero-filled,
     preserving allocation semantics) instead of allocating, and its own
@@ -35,6 +36,15 @@ val create : ?pool:Parallel.t -> ?fastpath:bool -> Ir.module_ -> t
 
 val module_ : t -> Ir.module_
 val pool : t -> Parallel.t
+
+(** Execution environments the engine's pools have created so far. Warm
+    executes create none. *)
+val envs_created : t -> int
+
+(** Execution environments resting in the engine's pools. Between calls
+    it equals {!envs_created} unless a call raised (its environment is
+    dropped). *)
+val pooled_envs : t -> int
 
 (** [run_func t name params] executes one function. [params] are positional
     buffers for the function's tensor parameters (lengths are checked

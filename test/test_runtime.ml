@@ -422,6 +422,86 @@ let test_engine_arena_serves_allocs () =
     Alcotest.(check (float 0.)) "equivalent" (Buffer.get obuf i) (Buffer.get obuf2 i)
   done
 
+let test_engine_pools_keep_envs () =
+  (* every parallel grain and every call holds a pooled env; a pool grows
+     past its initial size (workers + 1) when more holders hand envs back,
+     so no env is ever dropped and warm runs create none. On the 1-worker
+     pool, four domains calling in at once exceed the entry function's
+     two initial slots; on the 12-worker pool, grains fill the loop's. *)
+  let n = 20_000 in
+  let out = Ir.fresh_tensor ~name:"out" ~storage:Param Dtype.F32 [| n |] in
+  let tmp = Ir.fresh_tensor ~name:"tmp" ~storage:Local Dtype.F32 [| 4 |] in
+  let i = Ir.fresh_var ~name:"i" Index in
+  let body =
+    [
+      Ir.For
+        {
+          v = i;
+          lo = Ir.int 0;
+          hi = Ir.int n;
+          step = Ir.int 1;
+          body =
+            [
+              Ir.Alloc tmp;
+              Ir.Store (tmp, [| Ir.int 0 |], Ir.(Binop (Add, v i, Int 1)));
+              Ir.Call
+                ( "copy",
+                  [ Ir.Addr (out, [| Ir.v i |]); Ir.Addr (tmp, [| Ir.int 0 |]); Ir.int 1 ] );
+            ];
+          parallel = true;
+          merge_tag = None;
+        };
+    ]
+  in
+  let f = { Ir.fname = "grains"; params = [ Ir.Ptensor out ]; body } in
+  let m = { Ir.funcs = [ f ]; entry = "grains"; init = None; globals = [] } in
+  let run_on workers =
+    let pool = Parallel.create workers in
+    Fun.protect
+      ~finally:(fun () -> Parallel.shutdown pool)
+      (fun () ->
+        let engine = Engine.create ~pool m in
+        let check buf =
+          for k = 0 to n - 1 do
+            if Buffer.get buf k <> float_of_int (k + 1) then
+              Alcotest.failf "out[%d] = %g" k (Buffer.get buf k)
+          done
+        in
+        let ready = Atomic.make 0 in
+        let client () =
+          let buf = Buffer.create Dtype.F32 n in
+          Atomic.incr ready;
+          while Atomic.get ready < 4 do Domain.cpu_relax () done;
+          for _ = 1 to 10 do
+            Engine.run_entry engine [| buf |]
+          done;
+          buf
+        in
+        List.init 4 (fun _ -> Domain.spawn client)
+        |> List.map Domain.join |> List.iter check;
+        Alcotest.(check int) "every env back in a pool" (Engine.envs_created engine)
+          (Engine.pooled_envs engine);
+        (* a warm run (one that found every env it needed pooled) allocates
+           nothing: each pooled env kept its arena *)
+        let buf = Buffer.create Dtype.F32 n in
+        let rec warm k =
+          let before = Engine.envs_created engine in
+          let (), s =
+            Gc_observe.Counters.with_counters (fun () ->
+              Engine.run_entry engine [| buf |])
+          in
+          if Engine.envs_created engine = before then
+            Alcotest.(check int) "warm run allocates nothing" 0 s.bytes_allocated
+          else if k = 0 then Alcotest.fail "every run created envs"
+          else warm (k - 1)
+        in
+        warm 50;
+        check buf;
+        Alcotest.(check int) "still every env pooled" (Engine.envs_created engine)
+          (Engine.pooled_envs engine))
+  in
+  List.iter run_on [ 1; 12 ]
+
 let test_engine_brgemm_intrinsic () =
   (* single brgemm call: C[2,2] += A[2,3] . B[2,3]^T *)
   let a = Ir.fresh_tensor ~name:"A" ~storage:Param Dtype.F32 [| 2; 3 |] in
@@ -625,6 +705,7 @@ let () =
           Alcotest.test_case "if/select/cast" `Quick test_engine_if_select_cast;
           Alcotest.test_case "alloc+intrinsics" `Quick test_engine_alloc_and_intrinsics;
           Alcotest.test_case "arena serves allocs" `Quick test_engine_arena_serves_allocs;
+          Alcotest.test_case "pools keep every env" `Quick test_engine_pools_keep_envs;
           Alcotest.test_case "brgemm intrinsic" `Quick test_engine_brgemm_intrinsic;
           Alcotest.test_case "function call + globals" `Quick test_engine_function_call_and_globals;
           Alcotest.test_case "rejects malformed" `Quick test_engine_rejects_malformed;

@@ -149,6 +149,70 @@ let test_arena_counters_fire () =
   Alcotest.(check bool) "arena bytes saved" true (s.arena_bytes_saved > 0);
   Alcotest.(check int) "no buffer allocation" 0 s.bytes_allocated
 
+(* A wide domain pool: each parallel loop site's env pool starts with a
+   slot per worker plus one and grows past that, so once every env it
+   needs is pooled an execute allocates no buffer. A run that still had
+   to create an env (its grains first reached a new level of concurrency)
+   does not count as warm. *)
+let test_wide_pool_warm_execute () =
+  let pool = Gc_runtime.Parallel.create 12 in
+  Fun.protect
+    ~finally:(fun () -> Gc_runtime.Parallel.shutdown pool)
+    (fun () ->
+      let b = Mlp.build_f32 ~seed:29 ~batch:16 ~hidden:[ 13; 32; 16 ] () in
+      let t =
+        Core.compile
+          ~config:{ (Core.default_config ()) with Core.pool = Some pool }
+          b.Mlp.graph
+      in
+      for _ = 1 to 10 do
+        ignore (Core.execute ~reuse_outputs:true t b.Mlp.data)
+      done;
+      let rec warm k =
+        let (), s =
+          Core.Observe.Counters.with_counters (fun () ->
+              ignore (Core.execute ~reuse_outputs:true t b.Mlp.data))
+        in
+        if s.Core.Observe.Counters.bytes_allocated = 0 then ()
+        else if k = 0 then
+          Alcotest.failf "every warm execute allocated (last: %d bytes)"
+            s.bytes_allocated
+        else warm (k - 1)
+      in
+      warm 50;
+      check_matches_reference ~what:"12-worker pool" ~graph:b.Mlp.graph
+        ~data:b.Mlp.data
+        (Core.execute ~reuse_outputs:true t b.Mlp.data))
+
+(* Output pools live in per-artifact cells probed from [domain id mod 16].
+   A second domain whose id collides with the main domain's must take
+   another cell, not evict the main domain's pool. *)
+let test_colliding_domains_keep_output_pools () =
+  let b = Mlp.build_f32 ~seed:31 ~batch:3 ~hidden:[ 5; 6 ] () in
+  let t = compile b.Mlp.graph in
+  let main = (Domain.self () :> int) in
+  let r1 = Core.execute ~reuse_outputs:true t b.Mlp.data in
+  let rec colliding tries =
+    if tries = 0 then Alcotest.fail "no domain id collided mod 16"
+    else
+      let d =
+        Domain.spawn (fun () ->
+            if ((Domain.self () :> int) - main) mod 16 <> 0 then None
+            else
+              let d1 = Core.execute ~reuse_outputs:true t b.Mlp.data in
+              let d2 = Core.execute ~reuse_outputs:true t b.Mlp.data in
+              Some (List.for_all2 ( == ) d1 d2))
+      in
+      match Domain.join d with
+      | Some reused -> reused
+      | None -> colliding (tries - 1)
+  in
+  Alcotest.(check bool) "colliding domain reuses its outputs" true (colliding 64);
+  let r2 = Core.execute ~reuse_outputs:true t b.Mlp.data in
+  Alcotest.(check bool) "main domain keeps its outputs" true (List.for_all2 ( == ) r1 r2);
+  check_matches_reference ~what:"after collision" ~graph:b.Mlp.graph
+    ~data:b.Mlp.data r2
+
 (* ------------------------------------------------------------------ *)
 (* Lifetime: engine state (arenas, envs, offset arrays) and pooled
    outputs belong to the artifact, so dropping an artifact frees them,
@@ -303,6 +367,10 @@ let () =
           Alcotest.test_case "allocation regression" `Quick
             test_allocation_regression;
           Alcotest.test_case "arena counters" `Quick test_arena_counters_fire;
+          Alcotest.test_case "wide pool warm execute" `Quick
+            test_wide_pool_warm_execute;
+          Alcotest.test_case "colliding domains keep output pools" `Quick
+            test_colliding_domains_keep_output_pools;
         ] );
       ( "lifetime",
         [
