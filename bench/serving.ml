@@ -10,13 +10,11 @@
 
    Sections (per workload: fused MLP and MHA, f32):
    - single client: iters/s, p50/p99 latency and minor-heap words per
-     iteration of a steady-state execute loop, compiled both with
-     [fastpath:false] (the pre-PR allocate-per-call engine, kept in-tree
-     as the measurable baseline) and [fastpath:true], plus the arena hit
-     rate of the fast engine.
+     iteration of a steady-state execute loop, plus the engine's arena
+     hit rate and env reuse.
    - multi client: N domains hammering ONE shared compiled partition
      (per-client sequential pools, [~reuse_outputs:true]), aggregate
-     throughput fast vs slow.
+     throughput.
    - compile cache: cold compile wallclock vs a [compile_cached] hit on an
      independently built isomorphic graph. *)
 
@@ -69,11 +67,10 @@ let build_workloads mode =
          { wname = "mha_f32"; graph = b.Mha.graph; data = b.Mha.data });
       ]
 
-let config ~fastpath () =
+let config () =
   {
     (Core.default_config ~machine:Bench_util.machine ()) with
     Core.pool = Some (Gc_runtime.Parallel.create 1);
-    fastpath;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -117,62 +114,34 @@ let steady_state compiled data =
     counted_iters = k;
   }
 
-let steady_json s ~fast =
+let steady_json s =
   let open Core.Observe.Json in
   let c = s.counters in
-  let base =
+  let per_iter x = float_of_int x /. float_of_int s.counted_iters in
+  (* byte-weighted: arena misses surface as engine temporary allocations
+     ([bytes_allocated]); after warmup every Alloc hits *)
+  let hit_rate =
+    let saved = float_of_int c.Core.Observe.Counters.arena_bytes_saved in
+    let missed = float_of_int c.Core.Observe.Counters.bytes_allocated in
+    if saved +. missed = 0. then 0. else saved /. (saved +. missed)
+  in
+  Obj
     [
       ("iters_per_s", Float s.iters_per_s);
       ("p50_us", Float s.p50_us);
       ("p99_us", Float s.p99_us);
       ("minor_words_per_iter", Float s.minor_words_per_iter);
+      ("arena_hits_per_iter", Float (per_iter c.Core.Observe.Counters.arena_hits));
+      ("arena_bytes_saved_per_iter", Float (per_iter c.arena_bytes_saved));
+      ("arena_hit_rate", Float hit_rate);
+      ("envs_reused_per_iter", Float (per_iter c.envs_reused));
     ]
-  in
-  if not fast then Obj base
-  else
-    let per_iter x = float_of_int x /. float_of_int s.counted_iters in
-    (* byte-weighted: arena misses surface as engine temporary
-       allocations ([bytes_allocated]); after warmup every Alloc hits *)
-    let hit_rate =
-      let saved = float_of_int c.Core.Observe.Counters.arena_bytes_saved in
-      let missed = float_of_int c.Core.Observe.Counters.bytes_allocated in
-      if saved +. missed = 0. then 0. else saved /. (saved +. missed)
-    in
-    Obj
-      (base
-      @ [
-          ("arena_hits_per_iter", Float (per_iter c.Core.Observe.Counters.arena_hits));
-          ("arena_bytes_saved_per_iter", Float (per_iter c.arena_bytes_saved));
-          ("arena_hit_rate", Float hit_rate);
-          ("envs_reused_per_iter", Float (per_iter c.envs_reused));
-        ])
 
 let workload_section w =
-  let slow_t = Core.compile ~config:(config ~fastpath:false ()) w.graph in
-  let fast_t = Core.compile ~config:(config ~fastpath:true ()) w.graph in
-  let slow = steady_state slow_t w.data in
-  let fast = steady_state fast_t w.data in
-  let reduction =
-    if slow.minor_words_per_iter <= 0. then 0.
-    else
-      (slow.minor_words_per_iter -. fast.minor_words_per_iter)
-      /. slow.minor_words_per_iter *. 100.
-  in
-  let speedup = fast.iters_per_s /. slow.iters_per_s in
-  Printf.printf
-    "  %-8s slow %8.1f it/s (p99 %7.1f us, %8.0f minor w/it)\n\
-    \           fast %8.1f it/s (p99 %7.1f us, %8.0f minor w/it)  %5.1f%% fewer minor words, %.2fx\n%!"
-    w.wname slow.iters_per_s slow.p99_us slow.minor_words_per_iter
-    fast.iters_per_s fast.p99_us fast.minor_words_per_iter reduction speedup;
-  let open Core.Observe.Json in
-  ( w.wname,
-    Obj
-      [
-        ("slow", steady_json slow ~fast:false);
-        ("fast", steady_json fast ~fast:true);
-        ("minor_words_reduction_pct", Float reduction);
-        ("throughput_speedup", Float speedup);
-      ] )
+  let s = steady_state (Core.compile ~config:(config ()) w.graph) w.data in
+  Printf.printf "  %-8s %8.1f it/s (p50 %7.1f us, p99 %7.1f us, %6.0f minor w/it)\n%!"
+    w.wname s.iters_per_s s.p50_us s.p99_us s.minor_words_per_iter;
+  (w.wname, steady_json s)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-client: N domains, ONE shared compiled partition *)
@@ -201,20 +170,16 @@ let multi_client_throughput compiled data =
   float_of_int (Array.fold_left ( + ) 0 counts) /. elapsed
 
 let multi_client_section w =
-  let slow_t = Core.compile ~config:(config ~fastpath:false ()) w.graph in
-  let fast_t = Core.compile ~config:(config ~fastpath:true ()) w.graph in
-  let slow = multi_client_throughput slow_t w.data in
-  let fast = multi_client_throughput fast_t w.data in
-  Printf.printf "  %-8s %d clients: slow %8.1f it/s   fast %8.1f it/s   %.2fx\n%!"
-    w.wname !clients slow fast (fast /. slow);
+  let rate =
+    multi_client_throughput (Core.compile ~config:(config ()) w.graph) w.data
+  in
+  Printf.printf "  %-8s %d clients: %8.1f it/s\n%!" w.wname !clients rate;
   let open Core.Observe.Json in
   Obj
     [
       ("workload", String w.wname);
       ("clients", Int !clients);
-      ("slow_iters_per_s", Float slow);
-      ("fast_iters_per_s", Float fast);
-      ("speedup", Float (fast /. slow));
+      ("iters_per_s", Float rate);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -227,7 +192,7 @@ let cache_section mode =
     | `Full -> (Mlp.build_f32 ~batch:32 ~hidden:[ 13; 512; 256; 128 ] ()).Mlp.graph
     | `Tiny -> (Mlp.build_f32 ~batch:4 ~hidden:[ 13; 32; 16 ] ()).Mlp.graph
   in
-  let cfg = config ~fastpath:true () in
+  let cfg = config () in
   let time f =
     let t0 = Unix.gettimeofday () in
     let r = f () in
@@ -297,11 +262,12 @@ let latency_us f =
   (pct 0.50, pct 0.99)
 
 let error_path_section w =
-  let compiled = Core.compile ~config:(config ~fastpath:true ()) w.graph in
+  let compiled = Core.compile ~config:(config ()) w.graph in
+  let art = Core.Fixed compiled in
   let options = Core.default_exec_options () in
   let raw () = ignore (Core.execute ~reuse_outputs:true compiled w.data) in
   let checked () =
-    match Core.execute_checked ~options ~reuse_outputs:true compiled w.data with
+    match Core.execute_checked ~options ~reuse_outputs:true art w.data with
     | Ok _ -> ()
     | Error e -> failwith (Core.Errors.to_string e)
   in
@@ -314,7 +280,7 @@ let error_path_section w =
   let bad = Core.Tensor.random Core.Dtype.F32 (Core.Shape.of_list [ 3; 5 ]) in
   let bad_bindings = (x_lt, bad) :: List.tl w.data in
   let reject () =
-    match Core.execute_checked ~options compiled bad_bindings with
+    match Core.execute_checked ~options art bad_bindings with
     | Error (Core.Errors.Invalid_input _) -> ()
     | Ok _ -> failwith "bad-shape binding accepted"
     | Error e -> failwith (Core.Errors.to_string e)
@@ -327,7 +293,7 @@ let error_path_section w =
   let degraded_opts = { options with Core.sanitize_outputs = true } in
   let fallback () =
     match
-      Core.execute_checked ~options:degraded_opts ~reuse_outputs:true compiled
+      Core.execute_checked ~options:degraded_opts ~reuse_outputs:true art
         w.data
     with
     | Ok _ -> ()
@@ -381,7 +347,7 @@ let overload_section w =
   let server = Serve.create ~config:scfg () in
   let h =
     match
-      Serve.compile_and_register ~config:(config ~fastpath:true ()) server
+      Serve.compile_and_register ~config:(config ()) server
         w.graph
     with
     | Ok h -> h
@@ -538,7 +504,7 @@ let model_section (name, graph, data) =
   let server = Serve.create ~config:scfg () in
   let h =
     match
-      Serve.compile_and_register ~config:(config ~fastpath:true ()) server graph
+      Serve.compile_and_register ~config:(config ()) server graph
     with
     | Ok h -> h
     | Error e -> failwith (Core.Errors.to_string e)
@@ -656,7 +622,7 @@ let poly_bindings (b : Mlp.built) ~seed n =
 
 let bucket_subsection mode =
   let b = poly_mlp_built mode in
-  let p = Core.compile_poly ~config:(config ~fastpath:true ()) b.Mlp.graph in
+  let p = Core.compile_poly ~config:(config ()) b.Mlp.graph in
   let batches = [ 1; 2; 3; 4; 5; 6; 7; 8; 12; 16; 20; 24; 28; 32 ] in
   let rounds = match mode with `Full -> 10 | `Tiny -> 5 in
   let reqs = List.map (fun n -> poly_bindings b ~seed:(40 + n) n) batches in
@@ -759,7 +725,7 @@ let coalesce_run ~window_ms ~workers b p =
 
 let coalesce_subsection mode =
   let b = poly_mlp_built mode in
-  let p = Core.compile_poly ~config:(config ~fastpath:true ()) b.Mlp.graph in
+  let p = Core.compile_poly ~config:(config ()) b.Mlp.graph in
   let v0 = (Core.Observe.Counters.snapshot ()).window_deadline_violations in
   (* one worker on both sides: the off/on delta is then purely the gather
      window (the workers share one compute pool anyway, so a second
@@ -836,7 +802,7 @@ let tune_shapes mode =
 
 let tuning_section mode =
   let open Core.Observe.Json in
-  let cfg = config ~fastpath:true () in
+  let cfg = config () in
   let db = Filename.temp_file "gc_tune_bench" ".json" in
   Sys.remove db (* start from an absent DB: the cold-miss path *);
   let budget = match mode with `Full -> 150 | `Tiny -> 40 in
@@ -994,7 +960,7 @@ let health_section mode w =
   let server = Serve.create ~config:scfg () in
   let h =
     match
-      Serve.compile_and_register ~config:(config ~fastpath:true ()) server
+      Serve.compile_and_register ~config:(config ()) server
         w.graph
     with
     | Ok h -> h
@@ -1253,7 +1219,7 @@ let multimodel_section mode =
   let module Fault = Gc_faultinject in
   let module Memgov = Gc_tensor.Memgov in
   let workloads = multimodel_workloads mode in
-  let ccfg = config ~fastpath:true () in
+  let ccfg = config () in
   let typed_ok = function
     | Ok _ -> true
     | Error
@@ -2020,32 +1986,16 @@ let validate file =
             | Some wj -> wj
             | None -> fail ("missing workloads." ^ w)
           in
-          (match Option.bind (member "fast" wj) (member "minor_words_per_iter") with
-          | Some (Float _) -> ()
-          | _ -> fail (w ^ ": missing fast.minor_words_per_iter"));
-          (match member "minor_words_reduction_pct" wj with
-          | Some (Float _) -> ()
-          | _ -> fail (w ^ ": missing minor_words_reduction_pct"));
-          match member "throughput_speedup" wj with
-          | Some (Float sp) ->
-              (* the fast-path floor: the fast engine must never fall more
-                 than noise below the slow path. mha_f32 once sat at 0.92x
-                 — arena reuse zero-filled large attention intermediates
-                 with a scalar loop where [Buffer.create]'s fresh
-                 allocation memsets — so the floor keeps that class of
-                 regression from landing silently again. Full runs only;
-                 tiny runs are noise-dominated. *)
-              if full && sp < 0.85 then
-                fail
-                  (Printf.sprintf
-                     "%s: throughput_speedup %.2f below the 0.85 fast-path \
-                      floor"
-                     w sp)
-          | _ -> fail (w ^ ": missing throughput_speedup"))
+          List.iter
+            (fun k ->
+              match member k wj with
+              | Some (Float _) -> ()
+              | _ -> fail (w ^ ": missing " ^ k))
+            [ "iters_per_s"; "minor_words_per_iter"; "arena_hit_rate" ])
         [ "mlp_f32"; "mha_f32" ];
-      (match Option.bind (member "multi_client" j) (member "speedup") with
+      (match Option.bind (member "multi_client" j) (member "iters_per_s") with
       | Some (Float _) -> ()
-      | _ -> fail "missing multi_client.speedup");
+      | _ -> fail "missing multi_client.iters_per_s");
       (match Option.bind (member "compile_cache" j) (member "speedup") with
       | Some (Float sp) when sp > 0. -> ()
       | _ -> fail "missing compile_cache.speedup");
@@ -2196,7 +2146,7 @@ let () =
             ("multimodel", mm);
           ]
     | _ ->
-        Bench_util.header "Single-client steady state (fast vs pre-PR slow path)";
+        Bench_util.header "Single-client steady state";
         let wl = List.map workload_section workloads in
         Bench_util.header "Multi-client throughput (shared compiled partition)";
         let mc = multi_client_section (List.hd workloads) in

@@ -7,7 +7,6 @@ let config ?machine () =
     Core.graph = Gc_graph_passes.Pipeline.onednn_primitives ?machine ();
     tir = Gc_tir_passes.Tir_pipeline.default;
     pool = None;
-    fastpath = true;
   }
 
 (* library-call overhead of one primitive invocation beyond a direct call

@@ -27,7 +27,7 @@ module Engine = Gc_runtime.Engine
 module Guard = Gc_runtime.Guard
 module Buffer = Gc_tensor.Buffer
 module Observe = Gc_observe
-module Errors = Errors
+module Errors = Gc_errors
 
 let version = "1.0.0"
 
@@ -35,7 +35,6 @@ type config = {
   graph : Pipeline.config;
   tir : Tir_pipeline.config;
   pool : Gc_runtime.Parallel.t option;
-  fastpath : bool;
 }
 
 let default_config ?machine () =
@@ -43,7 +42,6 @@ let default_config ?machine () =
     graph = Pipeline.default ?machine ();
     tir = Tir_pipeline.default;
     pool = None;
-    fastpath = true;
   }
 
 (* The binding plan: [execute]'s binding resolution, compiled once. Each
@@ -242,8 +240,7 @@ let fingerprint ?config (g : Graph.t) =
   (* the compiled artifact also depends on the pass configuration; the pool
      only carries execution resources and is deliberately excluded *)
   let config_digest =
-    Digest.string
-      (Marshal.to_string (config.graph, config.tir, config.fastpath) [])
+    Digest.string (Marshal.to_string (config.graph, config.tir) [])
   in
   Digest.to_hex graph_digest ^ Digest.to_hex config_digest
 
@@ -279,7 +276,7 @@ let compile ?config ?trace ?tune_scope (g : Graph.t) =
     Gc_observe.Trace.time_into trace ~stage:"runtime" ~name:"engine_create"
       ~before:(Gc_observe.Stats.of_module module_opt)
       ~after:(fun _ -> Gc_observe.Stats.of_module module_opt)
-      (Engine.create ?pool:config.pool ~fastpath:config.fastpath)
+      (Engine.create ?pool:config.pool)
       module_opt
   in
   let plan = build_plan fused lowered clone_map in
@@ -627,111 +624,6 @@ let sanitize_outputs outs =
           end
       | _ -> ())
     outs
-
-(* Fallback path: run the caller's original graph through the reference
-   interpreter. User bindings apply directly (the source graph is theirs);
-   compile-time constants that the engine baked into generated code are
-   reconstituted from the logical tensors' properties. *)
-let run_fallback t bindings =
-  let bindings =
-    List.fold_left
-      (fun acc (lt : Logical_tensor.t) ->
-        let bound =
-          List.exists (fun ((l : Logical_tensor.t), _) -> l.id = lt.id) acc
-        in
-        if bound then acc
-        else
-          match lt.property with
-          | Compile_const v -> (lt, v) :: acc
-          | _ -> acc)
-      bindings t.source_graph.Graph.inputs
-  in
-  Gc_observe.Counters.fallback_interp ();
-  Reference.run t.source_graph bindings
-
-type exec_report = { used_fallback : bool; retries_used : int }
-
-let execute_checked_report ?options ?deadline_ms ?(reuse_outputs = false) t
-    bindings =
-  let options =
-    match options with Some o -> o | None -> default_exec_options ()
-  in
-  (* A per-call deadline overrides whatever the options (and hence
-     GC_EXEC_TIMEOUT_MS) said — this is the serving layer's lever for
-     propagating each request's remaining deadline into the watchdog. *)
-  let options =
-    match deadline_ms with
-    | Some ms -> { options with timeout_ms = Some ms }
-    | None -> options
-  in
-  let attempt () =
-    let run () =
-      let outs = execute ~reuse_outputs t bindings in
-      if options.sanitize_outputs then sanitize_outputs outs;
-      outs
-    in
-    match options.timeout_ms with
-    | Some ms -> Guard.with_deadline ~timeout_ms:ms ~site:"core.execute" run
-    | None -> run ()
-  in
-  let rec go tries =
-    match attempt () with
-    | outs -> Ok (outs, { used_fallback = false; retries_used = tries })
-    | exception Gc_errors.Error (Gc_errors.Runtime_fault _ as e) ->
-        (* a contained execution fault: the partition is still
-           serviceable, so retry (transient faults: a poisoned kernel, a
-           worker hiccup), then degrade to the reference interpreter *)
-        if tries < options.retries then begin
-          Gc_observe.Counters.exec_retry ();
-          go (tries + 1)
-        end
-        else if options.fallback then begin
-          match run_fallback t bindings with
-          | outs ->
-              if options.sanitize_outputs then sanitize_outputs outs;
-              Ok (outs, { used_fallback = true; retries_used = tries })
-          | exception _ -> Error e
-        end
-        else Error e
-    | exception Gc_errors.Error e ->
-        (* Resource_exhausted is counted here: its raise sites live below
-           the observability layer (Buffer/faultinject), so the boundary
-           does the counting *)
-        (match e with
-        | Gc_errors.Resource_exhausted _ ->
-            Gc_observe.Counters.resource_exhausted ()
-        | _ -> ());
-        Error e
-    | exception e ->
-        let backtrace = Printexc.get_backtrace () in
-        Error (Gc_errors.classify ~site:"core.execute" ~backtrace e)
-  in
-  go 0
-
-let execute_checked ?options ?deadline_ms ?reuse_outputs t bindings =
-  Result.map fst
-    (execute_checked_report ?options ?deadline_ms ?reuse_outputs t bindings)
-
-(* Run the reference-interpreter degraded path directly (no compiled
-   attempt). The serving layer's circuit breaker uses this to short-circuit
-   partitions whose compiled path keeps faulting. *)
-let execute_fallback ?deadline_ms t bindings =
-  let run () = run_fallback t bindings in
-  match
-    match deadline_ms with
-    | Some ms -> Guard.with_deadline ~timeout_ms:ms ~site:"core.fallback" run
-    | None -> run ()
-  with
-  | outs -> Ok outs
-  | exception Gc_errors.Error e ->
-      (match e with
-      | Gc_errors.Resource_exhausted _ ->
-          Gc_observe.Counters.resource_exhausted ()
-      | _ -> ());
-      Error e
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error (Gc_errors.classify ~site:"core.fallback" ~backtrace e)
 
 let compile_checked ?config ?trace g =
   match compile ?config ?trace g with
@@ -1281,14 +1173,15 @@ let poly_instances p =
   Mutex.unlock p.p_lock;
   n
 
-(* Translate caller bindings (symbolic-graph tensors) to the substituted
-   graph's tensors, zero-padding symbolic inputs up to the instance's
+(* Translate caller bindings (symbolic-graph tensors) to the tensors of a
+   graph substituted by [subst], zero-padding symbolic inputs up to a
    bucketed shape. Padding is sound only for row-independent (batch-like)
-   symbolic axes — the contract of [bucket_syms]. *)
-let poly_translate_bindings inst bindings =
+   symbolic axes — the contract of [bucket_syms]; under an exact
+   substitution no binding needs it. *)
+let poly_translate_bindings subst bindings =
   List.filter_map
     (fun ((lt : Logical_tensor.t), v) ->
-      match Hashtbl.find_opt inst.pi_subst lt.id with
+      match Hashtbl.find_opt subst lt.id with
       | None -> None (* binding for a tensor outside this graph: drop *)
       | Some sub_lt ->
           let target = sub_lt.Logical_tensor.shape in
@@ -1318,89 +1211,104 @@ let poly_slice_outputs p env_actual outs =
       else v)
     p.p_graph.Graph.outputs outs
 
-let poly_prepare p bindings =
+(* Resolve a request's shape class (compiling its bucketed instance on
+   first use) and return the bucketed execute: padded bindings in, outputs
+   sliced back. Retries rerun the returned closure, not the resolution. *)
+let poly_run ?reuse_outputs p bindings =
   let env_actual = poly_env p bindings in
   let env_bucket = poly_bucket_env p env_actual in
   let inst = poly_instance p env_bucket in
   Gc_observe.Counters.pad_waste_rows (poly_pad_waste env_actual env_bucket);
-  (env_actual, inst, poly_translate_bindings inst bindings)
+  let sub_bindings = poly_translate_bindings inst.pi_subst bindings in
+  fun () ->
+    poly_slice_outputs p env_actual
+      (execute ?reuse_outputs inst.pi_core sub_bindings)
 
 let execute_poly ?reuse_outputs p bindings =
-  let env_actual, inst, sub_bindings = poly_prepare p bindings in
-  let outs = execute ?reuse_outputs inst.pi_core sub_bindings in
-  poly_slice_outputs p env_actual outs
+  poly_run ?reuse_outputs p bindings ()
 
-(* Checked variant: the full retry/fallback ladder of
-   [execute_checked_report] runs on the bucketed instance (its reference
-   fallback interprets the substituted concrete graph with the padded
-   bindings, which is execution-equivalent), then outputs are sliced. *)
-let execute_poly_checked_report ?options ?deadline_ms ?reuse_outputs p
+(* {2 Checked execution: one path over both artifact kinds} *)
+
+type artifact = Fixed of t | Poly of poly
+
+(* The degraded path: run the artifact's graph through the reference
+   interpreter. A fixed partition interprets the caller's (unmutated)
+   source graph, so user bindings apply directly; a poly interprets its
+   symbolic graph substituted at the request's EXACT environment, so the
+   interpreter never sees padded rows. The interpreter reconstitutes the
+   compile-time constants the engine baked into generated code from the
+   logical tensors' properties. *)
+let interpret art bindings =
+  let g, bindings =
+    match art with
+    | Fixed t -> (t.source_graph, bindings)
+    | Poly p -> (
+        match Graph.substitute ~env:(poly_env p bindings) p.p_graph with
+        | Ok (g_sub, subst) -> (g_sub, poly_translate_bindings subst bindings)
+        | Error e -> Gc_errors.compile_error ~stage:"substitute" e)
+  in
+  Gc_observe.Counters.fallback_interp ();
+  Reference.run g bindings
+
+(* The one error boundary of both checked entry points: typed errors pass
+   through, foreign exceptions are classified. Resource_exhausted is
+   counted here: its raise sites live below the observability layer
+   (Buffer/faultinject), so the boundary does the counting. *)
+let boundary ~site f =
+  let r = Gc_errors.guard ~site f in
+  (match r with
+  | Error (Gc_errors.Resource_exhausted _) ->
+      Gc_observe.Counters.resource_exhausted ()
+  | _ -> ());
+  r
+
+let with_deadline ~site timeout_ms run =
+  match timeout_ms with
+  | Some ms -> Guard.with_deadline ~timeout_ms:ms ~site run
+  | None -> run ()
+
+let execute_checked ?options ?deadline_ms ?(reuse_outputs = false) art
     bindings =
-  match poly_prepare p bindings with
-  | exception Gc_errors.Error e -> Error e
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error (Gc_errors.classify ~site:"core.execute_poly" ~backtrace e)
-  | env_actual, inst, sub_bindings -> (
-      match
-        execute_checked_report ?options ?deadline_ms ?reuse_outputs
-          inst.pi_core sub_bindings
-      with
-      | Ok (outs, report) -> Ok (poly_slice_outputs p env_actual outs, report)
-      | Error e -> Error e)
+  let options =
+    match options with Some o -> o | None -> default_exec_options ()
+  in
+  (* A per-call deadline overrides whatever the options (and hence
+     GC_EXEC_TIMEOUT_MS) said — this is the serving layer's lever for
+     propagating each request's remaining deadline into the watchdog. *)
+  let timeout_ms =
+    match deadline_ms with Some _ -> deadline_ms | None -> options.timeout_ms
+  in
+  let sanitized outs =
+    if options.sanitize_outputs then sanitize_outputs outs;
+    outs
+  in
+  boundary ~site:"core.execute" (fun () ->
+      let compiled =
+        match art with
+        | Fixed t -> fun () -> execute ~reuse_outputs t bindings
+        | Poly p -> poly_run ~reuse_outputs p bindings
+      in
+      let rec go tries =
+        match
+          with_deadline ~site:"core.execute" timeout_ms (fun () ->
+              sanitized (compiled ()))
+        with
+        | outs -> outs
+        | exception Gc_errors.Error (Gc_errors.Runtime_fault _)
+          when tries < options.retries ->
+            (* a contained execution fault: the partition is still
+               serviceable, so retry (transient faults: a poisoned kernel,
+               a worker hiccup), then degrade to the reference
+               interpreter *)
+            Gc_observe.Counters.exec_retry ();
+            go (tries + 1)
+        | exception (Gc_errors.Error (Gc_errors.Runtime_fault _) as fault)
+          when options.fallback -> (
+            try sanitized (interpret art bindings) with _ -> raise fault)
+      in
+      go 0)
 
-let execute_poly_checked ?options ?deadline_ms ?reuse_outputs p bindings =
-  Result.map fst
-    (execute_poly_checked_report ?options ?deadline_ms ?reuse_outputs p
-       bindings)
-
-(* Degraded path for the serving layer's circuit breaker: substitute the
-   EXACT environment (no bucket, no padding) and interpret that concrete
-   graph — the reference interpreter never sees padded rows. *)
-let execute_poly_fallback ?deadline_ms p bindings =
-  match
-    let env_actual = poly_env p bindings in
-    match Graph.substitute ~env:env_actual p.p_graph with
-    | Error e ->
-        Error
-          (Gc_errors.Compile_error
-             { stage = "substitute"; what = e; ctx = [] })
-    | Ok (g_sub, subst) ->
-        let sub_bindings =
-          List.filter_map
-            (fun ((lt : Logical_tensor.t), v) ->
-              Option.map
-                (fun sub_lt -> (sub_lt, v))
-                (Hashtbl.find_opt subst lt.id))
-            bindings
-        in
-        let bindings =
-          List.fold_left
-            (fun acc (lt : Logical_tensor.t) ->
-              match lt.Logical_tensor.property with
-              | Compile_const v -> (lt, v) :: acc
-              | _ -> acc)
-            sub_bindings
-            (Graph.all_tensors g_sub)
-        in
-        let run () =
-          Gc_observe.Counters.fallback_interp ();
-          Reference.run g_sub bindings
-        in
-        Ok
-          (match deadline_ms with
-          | Some ms ->
-              Guard.with_deadline ~timeout_ms:ms ~site:"core.poly_fallback" run
-          | None -> run ())
-  with
-  | Ok outs -> Ok outs
-  | Error e -> Error e
-  | exception Gc_errors.Error e ->
-      (match e with
-      | Gc_errors.Resource_exhausted _ ->
-          Gc_observe.Counters.resource_exhausted ()
-      | _ -> ());
-      Error e
-  | exception e ->
-      let backtrace = Printexc.get_backtrace () in
-      Error (Gc_errors.classify ~site:"core.poly_fallback" ~backtrace e)
+let execute_fallback ?deadline_ms art bindings =
+  boundary ~site:"core.fallback" (fun () ->
+      with_deadline ~site:"core.fallback" deadline_ms (fun () ->
+          interpret art bindings))

@@ -20,7 +20,16 @@
     optimizes the Tensor IR (loop merging, tensor shrinking, buffer
     planning) and prepares the execution engine. The first [execute] runs
     the constant-preprocessing init step and caches its results; later
-    calls reuse them. *)
+    calls reuse them.
+
+    Four entry points execute. {!execute} and {!execute_poly} are the raw
+    calls: a fixed-shape partition, or a shape-polymorphic one through
+    its bucketed instances, raising [Errors.Error] on failure. Every
+    resilient caller goes through one path, over an {!artifact} of either
+    kind: {!execute_checked} (watchdog, retry, reference fallback, typed
+    [result]) — the analogue of oneDNN Graph's
+    [execute_compiled_partition] — and {!execute_fallback}, its
+    reference-interpreter degraded path on its own. *)
 
 (** {1 Re-exported substrate modules} *)
 
@@ -54,13 +63,7 @@ module Observe = Gc_observe
     [Compile_error], [Runtime_fault], [Resource_exhausted] or [Timeout] —
     raised as [Errors.Error] by the raising entry points and returned as
     [result] by {!compile_checked} / {!execute_checked}. *)
-module Errors : sig
-  include module type of Gc_errors
-
-  (** [protect ?site f] runs [f]; [Gc_errors.Error] is caught into
-      [Error e], any foreign exception is classified. *)
-  val protect : ?site:string -> (unit -> 'a) -> ('a, error) result
-end
+module Errors = Gc_errors
 
 (** The watchdog ({!Gc_runtime.Guard} re-exported): per-execute deadlines,
     cooperative cancellation checks, [GC_EXEC_TIMEOUT_MS]. *)
@@ -73,11 +76,6 @@ type config = {
   tir : Tir_pipeline.config;  (** Tensor IR pass configuration *)
   pool : Gc_runtime.Parallel.t option;
       (** domain pool for execution ([None] = shared default pool) *)
-  fastpath : bool;
-      (** steady-state serving fast path (default [true]): pooled,
-          reusable execution environments owning arenas pre-sized from
-          the buffer planner's allocation plan — see
-          {!Gc_runtime.Engine.create} *)
 }
 
 val default_config : ?machine:Machine.t -> unit -> config
@@ -125,78 +123,6 @@ val tune_scope : t -> string option
     re-executing. Pools are discarded by {!invalidate_constants}. *)
 val execute :
   ?reuse_outputs:bool -> t -> (Logical_tensor.t * Tensor.t) list -> Tensor.t list
-
-(** {1 Checked entry points}
-
-    The resilient serving surface: the same compile/execute pipeline, but
-    every failure comes back as a typed [result] instead of an exception,
-    guarded by a watchdog and backed by retry + reference-interpreter
-    fallback. *)
-
-type exec_options = {
-  timeout_ms : int option;
-      (** watchdog deadline for the whole execute; default
-          [Guard.env_timeout_ms ()] (the [GC_EXEC_TIMEOUT_MS] variable),
-          [None] = no deadline *)
-  retries : int;
-      (** how many times a [Runtime_fault] execute is retried before
-          falling back (default 1) *)
-  fallback : bool;
-      (** after retries are exhausted, re-run the source graph through the
-          reference interpreter (default [true]; counted as
-          [fallback_interp] in [Observe.Counters]) *)
-  sanitize_outputs : bool;
-      (** scan float outputs for NaN/Inf and promote a hit to a
-          [Runtime_fault] — making silent kernel poisoning visible to the
-          retry/fallback ladder (default [false]; it reads every output
-          element) *)
-}
-
-val default_exec_options : unit -> exec_options
-
-(** [execute_checked t bindings] is {!execute} with the full containment
-    ladder: bindings are validated (arity, shape, dtype, layout) before
-    any engine state is touched; execution runs under the watchdog
-    deadline; a [Runtime_fault] is retried and then degraded to the
-    reference interpreter; every failure class maps to exactly one
-    [Errors.error]. [Invalid_input], [Compile_error], [Timeout] and
-    [Resource_exhausted] are never retried — they are deterministic or
-    resource-bound, so a retry cannot help.
-
-    [deadline_ms] overrides [options.timeout_ms] (and hence
-    [GC_EXEC_TIMEOUT_MS]) for this call only: the serving layer passes
-    each request's remaining deadline here so the watchdog enforces it. *)
-val execute_checked :
-  ?options:exec_options ->
-  ?deadline_ms:int ->
-  ?reuse_outputs:bool ->
-  t ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list, Errors.error) result
-
-(** What the containment ladder actually did for a successful execute:
-    whether the result came from the reference-interpreter fallback, and
-    how many retries were burned first. The serving layer's circuit
-    breaker feeds on this. *)
-type exec_report = { used_fallback : bool; retries_used : int }
-
-(** {!execute_checked}, additionally reporting the ladder's path. *)
-val execute_checked_report :
-  ?options:exec_options ->
-  ?deadline_ms:int ->
-  ?reuse_outputs:bool ->
-  t ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list * exec_report, Errors.error) result
-
-(** Run the reference-interpreter degraded path directly, skipping the
-    compiled engine entirely (counted as [fallback_interp]). Used by the
-    serving layer when a partition's circuit breaker is open. *)
-val execute_fallback :
-  ?deadline_ms:int ->
-  t ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list, Errors.error) result
 
 (** [compile_checked g] is {!compile} with every failure returned as a
     typed [Compile_error] (or the original typed error for boundary
@@ -396,31 +322,71 @@ val execute_poly :
   (Logical_tensor.t * Tensor.t) list ->
   Tensor.t list
 
-(** {!execute_checked_report} over the bucketed instance: watchdog,
-    retry, reference fallback (interpreting the substituted concrete
-    graph with the padded bindings), outputs sliced back. *)
-val execute_poly_checked_report :
-  ?options:exec_options ->
-  ?deadline_ms:int ->
-  ?reuse_outputs:bool ->
-  poly ->
-  (Logical_tensor.t * Tensor.t) list ->
-  (Tensor.t list * exec_report, Errors.error) result
+(** {1 Checked execution}
 
-val execute_poly_checked :
+    The resilient serving surface and the one execute path for both
+    artifact kinds: every failure comes back as a typed [result] instead
+    of an exception, guarded by a watchdog and backed by retry +
+    reference-interpreter fallback. *)
+
+(** What a checked execute runs: a fixed-shape partition, or a
+    shape-polymorphic compilation (a graph without symbols is a poly with
+    one instance). *)
+type artifact = Fixed of t | Poly of poly
+
+type exec_options = {
+  timeout_ms : int option;
+      (** watchdog deadline for the whole execute; default
+          [Guard.env_timeout_ms ()] (the [GC_EXEC_TIMEOUT_MS] variable),
+          [None] = no deadline *)
+  retries : int;
+      (** how many times a [Runtime_fault] execute is retried before
+          falling back (default 1) *)
+  fallback : bool;
+      (** after retries are exhausted, run the artifact through the
+          reference interpreter as {!execute_fallback} does (default
+          [true]; counted as [fallback_interp] in [Observe.Counters]) *)
+  sanitize_outputs : bool;
+      (** scan float outputs for NaN/Inf and promote a hit to a
+          [Runtime_fault] — making silent kernel poisoning visible to the
+          retry/fallback ladder (default [false]; it reads every output
+          element) *)
+}
+
+val default_exec_options : unit -> exec_options
+
+(** [execute_checked art bindings] is {!execute} (a [Fixed] artifact) or
+    {!execute_poly} (a [Poly] one) with the full containment ladder:
+    bindings are validated (arity, shape, dtype, layout) before any
+    engine state is touched; a [Poly] request's bucket is resolved (and
+    compiled on first use) before the watchdog starts; execution runs
+    under the watchdog deadline; a [Runtime_fault] is retried and then
+    degraded to the reference interpreter; every failure class maps to
+    exactly one [Errors.error], and a [Resource_exhausted] is counted in
+    [Observe.Counters] whichever kind raised it. [Invalid_input],
+    [Compile_error], [Timeout] and [Resource_exhausted] are never retried
+    — they are deterministic or resource-bound, so a retry cannot help.
+
+    [deadline_ms] overrides [options.timeout_ms] (and hence
+    [GC_EXEC_TIMEOUT_MS]) for this call only: the serving layer passes
+    each request's remaining deadline here so the watchdog enforces it. *)
+val execute_checked :
   ?options:exec_options ->
   ?deadline_ms:int ->
   ?reuse_outputs:bool ->
-  poly ->
+  artifact ->
   (Logical_tensor.t * Tensor.t) list ->
   (Tensor.t list, Errors.error) result
 
-(** Degraded path: substitute the {e exact} environment (no bucket, no
-    padding) and run the reference interpreter on that concrete graph.
-    The serving layer's circuit breaker uses this. *)
-val execute_poly_fallback :
+(** The degraded path on its own, skipping the compiled engine entirely
+    (counted as [fallback_interp]): a [Fixed] artifact interprets its
+    source graph, a [Poly] one its symbolic graph substituted at the
+    request's {e exact} environment (no bucket, no padding). The serving
+    layer uses it when a partition's circuit breaker is open. Errors go
+    through the same boundary as {!execute_checked}. *)
+val execute_fallback :
   ?deadline_ms:int ->
-  poly ->
+  artifact ->
   (Logical_tensor.t * Tensor.t) list ->
   (Tensor.t list, Errors.error) result
 

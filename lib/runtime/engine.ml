@@ -8,8 +8,8 @@ open Ir
    thread-local Allocs don't race; buffer *contents* stay shared, which is
    exactly the shared-memory semantics of the template's parallel loops.
 
-   An env also owns the steady-state fast path's per-call memory, so
-   repeated executes allocate nothing once it is warm:
+   An env also owns its per-call memory, so repeated executes allocate
+   nothing once it is warm:
    - [arena]: one buffer per [Alloc] site of the function, sized from
      {!Gc_tir_passes.Buffer_schedule.alloc_plan} on first use ([dummy_buf]
      until then). An [Alloc] installs the env's arena buffer into its slot
@@ -124,17 +124,8 @@ let return_scratch p s =
   Array.fill s.bufs 0 (Array.length s.bufs) dummy_buf;
   give p s
 
-(* Fast-path Alloc plan of one function: the arena site of each Alloc'd
-   tensor. *)
+(* The arena site of each Alloc'd tensor of one function. *)
 type arena_site = { site : int; a_dtype : Dtype.t; a_numel : int; a_bytes : int }
-
-type fast_ctx = {
-  fast : bool;
-  n_sites : int;
-  site_of_tid : (int, arena_site) Hashtbl.t;
-}
-
-let no_fast_ctx = { fast = false; n_sites = 0; site_of_tid = Hashtbl.create 1 }
 
 (* Compile-time slot assignment for one function. *)
 type ctx = {
@@ -604,8 +595,8 @@ let addr_arg ctx (e : expr) =
 
 (* Compile a leaf statement (everything except For/If/function-calls,
    which [compile_func] handles so it can thread the pool and sibling
-   lookup through). [fc] carries the fast-path arena state. *)
-let rec cstmt_leaf ctx fc (s : stmt) : env -> unit =
+   lookup through). [sites] maps Alloc'd tensors to their arena sites. *)
+let rec cstmt_leaf ctx sites (s : stmt) : env -> unit =
   match s with
   | Assign (v, e) ->
       let slot = var_slot ctx v in
@@ -630,39 +621,32 @@ let rec cstmt_leaf ctx fc (s : stmt) : env -> unit =
         | b -> Buffer.unsafe_set b (off env) v)
   | Alloc t ->
       let slot = tensor_slot ctx t in
-      let dtype = t.tdtype and n = tensor_numel t in
-      let bytes = tensor_bytes t in
-      let site = if fc.fast then Hashtbl.find_opt fc.site_of_tid t.tid else None in
-      (match site with
-      | Some { site; a_dtype; a_numel; a_bytes } ->
-          (* serve the local from the env's arena; zero-fill to keep exact
-             [Buffer.create] semantics for reused buffers *)
-          fun env ->
-            let b = Array.unsafe_get env.arena site in
-            let b =
-              if b != dummy_buf then begin
-                Gc_observe.Counters.arena_hit ();
-                Gc_observe.Counters.arena_bytes_saved a_bytes;
-                Buffer.fill_range b 0 a_numel 0.;
-                b
-              end
-              else begin
-                Gc_observe.Counters.alloc_bytes a_bytes;
-                let b = Buffer.create ~name:t.tname a_dtype a_numel in
-                env.arena.(site) <- b;
-                b
-              end
-            in
-            env.bufs.(slot) <- b
-      | None ->
-          fun env ->
-            Gc_observe.Counters.alloc_bytes bytes;
-            env.bufs.(slot) <- Buffer.create ~name:t.tname dtype n)
+      (* serve the local from the env's arena; zero-fill to keep exact
+         [Buffer.create] semantics for reused buffers. The plan lists
+         every Alloc of the function, so the site exists. *)
+      let { site; a_dtype; a_numel; a_bytes } = Hashtbl.find sites t.tid in
+      fun env ->
+        let b = Array.unsafe_get env.arena site in
+        let b =
+          if b != dummy_buf then begin
+            Gc_observe.Counters.arena_hit ();
+            Gc_observe.Counters.arena_bytes_saved a_bytes;
+            Buffer.fill_range b 0 a_numel 0.;
+            b
+          end
+          else begin
+            Gc_observe.Counters.alloc_bytes a_bytes;
+            let b = Buffer.create ~name:t.tname a_dtype a_numel in
+            env.arena.(site) <- b;
+            b
+          end
+        in
+        env.bufs.(slot) <- b
   | Barrier -> fun _ -> Gc_observe.Counters.barrier ()
-  | Call (name, args) -> ccall ctx fc name args
+  | Call (name, args) -> ccall ctx name args
   | For _ | If _ -> assert false
 
-and ccall ctx fc name args : env -> unit =
+and ccall ctx name args : env -> unit =
   match name with
   | "brgemm" -> (
       match args with
@@ -676,48 +660,29 @@ and ccall ctx fc name args : env -> unit =
           and bslot, boff = addr_arg ctx b
           and cbstride = cint ctx bstride
           and cslot, coff = addr_arg ctx c in
-          if fc.fast then begin
-            fun env ->
-              Gc_observe.Counters.kernel_invocation ();
-              Guard.check ();
-              let batch = cbatch env in
-              let a0 = aoff env and b0 = boff env in
-              let sa = castride env and sb = cbstride env in
-              if Array.length env.a_offs < batch then begin
-                env.a_offs <- Array.make batch 0;
-                env.b_offs <- Array.make batch 0
-              end;
-              let a_offs = env.a_offs and b_offs = env.b_offs in
-              for i = 0 to batch - 1 do
-                Array.unsafe_set a_offs i (a0 + (i * sa));
-                Array.unsafe_set b_offs i (b0 + (i * sb))
-              done;
-              Gc_microkernel.Brgemm.dispatch ~batch ~mb:(cmb env) ~nb:(cnb env)
-                ~kb:(ckb env)
-                ~a:(Array.unsafe_get env.bufs aslot)
-                ~a_offs
-                ~b:(Array.unsafe_get env.bufs bslot)
-                ~b_offs
-                ~c:(Array.unsafe_get env.bufs cslot)
-                ~c_off:(coff env)
-          end
-          else
-            fun env ->
-              Gc_observe.Counters.kernel_invocation ();
-              Guard.check ();
-              let batch = cbatch env in
-              let a0 = aoff env and b0 = boff env in
-              let sa = castride env and sb = cbstride env in
-              let a_offs = Array.init batch (fun i -> a0 + (i * sa)) in
-              let b_offs = Array.init batch (fun i -> b0 + (i * sb)) in
-              Gc_microkernel.Brgemm.dispatch ~batch ~mb:(cmb env) ~nb:(cnb env)
-                ~kb:(ckb env)
-                ~a:(Array.unsafe_get env.bufs aslot)
-                ~a_offs
-                ~b:(Array.unsafe_get env.bufs bslot)
-                ~b_offs
-                ~c:(Array.unsafe_get env.bufs cslot)
-                ~c_off:(coff env)
+          fun env ->
+            Gc_observe.Counters.kernel_invocation ();
+            Guard.check ();
+            let batch = cbatch env in
+            let a0 = aoff env and b0 = boff env in
+            let sa = castride env and sb = cbstride env in
+            if Array.length env.a_offs < batch then begin
+              env.a_offs <- Array.make batch 0;
+              env.b_offs <- Array.make batch 0
+            end;
+            let a_offs = env.a_offs and b_offs = env.b_offs in
+            for i = 0 to batch - 1 do
+              Array.unsafe_set a_offs i (a0 + (i * sa));
+              Array.unsafe_set b_offs i (b0 + (i * sb))
+            done;
+            Gc_microkernel.Brgemm.dispatch ~batch ~mb:(cmb env) ~nb:(cnb env)
+              ~kb:(ckb env)
+              ~a:(Array.unsafe_get env.bufs aslot)
+              ~a_offs
+              ~b:(Array.unsafe_get env.bufs bslot)
+              ~b_offs
+              ~c:(Array.unsafe_get env.bufs cslot)
+              ~c_off:(coff env)
       | _ ->
           Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 args")
   | "zero" -> (
@@ -759,31 +724,25 @@ and ccall ctx fc name args : env -> unit =
 (* Compile a function. Calls to sibling functions are resolved through
    [lookup] lazily (the entry function is compiled after the fused-op
    functions it calls, but order independence is safer). *)
-let compile_func ~fastpath ~pools pool (lookup : string -> compiled_func)
+let compile_func ~pools pool (lookup : string -> compiled_func)
     globals (f : func) : compiled_func =
   let ctx = new_ctx () in
   (* at most one holder per worker of [pool] runs a section's grains, plus
      one for a concurrent submitter that runs it inline *)
   let pool_slots = Parallel.size pool + 1 in
-  (* fast-path arena plan: one pre-sized slot per Alloc site *)
-  let fc =
-    if not fastpath then no_fast_ctx
-    else begin
-      let plan = Gc_tir_passes.Buffer_schedule.alloc_plan f in
-      let site_of_tid = Hashtbl.create (Array.length plan) in
-      Array.iteri
-        (fun i (s : Gc_tir_passes.Buffer_schedule.alloc_slot) ->
-          Hashtbl.replace site_of_tid s.slot_tensor.tid
-            {
-              site = i;
-              a_dtype = s.slot_dtype;
-              a_numel = s.slot_numel;
-              a_bytes = s.slot_bytes;
-            })
-        plan;
-      { fast = true; n_sites = Array.length plan; site_of_tid }
-    end
-  in
+  (* the arena plan: one pre-sized slot per Alloc site *)
+  let plan = Gc_tir_passes.Buffer_schedule.alloc_plan f in
+  let sites = Hashtbl.create (Array.length plan) in
+  Array.iteri
+    (fun i (s : Gc_tir_passes.Buffer_schedule.alloc_slot) ->
+      Hashtbl.replace sites s.slot_tensor.tid
+        {
+          site = i;
+          a_dtype = s.slot_dtype;
+          a_numel = s.slot_numel;
+          a_bytes = s.slot_bytes;
+        })
+    plan;
   (* params get the first buffer slots, in order *)
   let tensor_params =
     List.filter_map (function Ptensor t -> Some t | Pvar _ -> None) f.params
@@ -860,7 +819,7 @@ let compile_func ~fastpath ~pools pool (lookup : string -> compiled_func)
         let cc = cint ctx c in
         let cth = cbody' th and cel = cbody' el in
         fun env -> if cc env <> 0 then cth env else cel env
-    | s -> cstmt_leaf ctx fc s
+    | s -> cstmt_leaf ctx sites s
   and cbody' body : env -> unit =
     let cs = Array.of_list (List.map cstmt' body) in
     match Array.length cs with
@@ -903,29 +862,24 @@ let compile_func ~fastpath ~pools pool (lookup : string -> compiled_func)
       ints = Array.make (max 1 n_ints) 0;
       floats = Array.make (max 1 n_floats) 0.;
       bufs = Array.copy idle_bufs;
-      arena = Array.make fc.n_sites dummy_buf;
+      arena = Array.make (Array.length plan) dummy_buf;
       a_offs = [||];
       b_offs = [||];
     }
   in
-  (* fast path: top-level envs come from the function's pool; without it,
-     every call gets a fresh env (the allocate-per-call baseline) *)
+  (* top-level envs come from the function's pool *)
   let envs = new_pool pools pool_slots in
   let acquire () =
-    if not fastpath then fresh_env ()
-    else
-      let env = take envs in
-      if env == no_env then begin
-        Atomic.incr pools.created;
-        fresh_env ()
-      end
-      else env
+    let env = take envs in
+    if env == no_env then begin
+      Atomic.incr pools.created;
+      fresh_env ()
+    end
+    else env
   in
   let release env =
-    if fastpath then begin
-      Array.blit idle_bufs 0 env.bufs 0 (Array.length idle_bufs);
-      give envs env
-    end
+    Array.blit idle_bufs 0 env.bufs 0 (Array.length idle_bufs);
+    give envs env
   in
   let bad_arity ~what ~expected ~got =
     Gc_errors.invalid_input
@@ -994,7 +948,7 @@ let compile_func ~fastpath ~pools pool (lookup : string -> compiled_func)
           caller targs sargs);
   }
 
-let create ?pool ?(fastpath = true) (m : Ir.module_) =
+let create ?pool (m : Ir.module_) =
   (match Check.check_module m with
   | Ok () -> ()
   | Error e ->
@@ -1015,7 +969,7 @@ let create ?pool ?(fastpath = true) (m : Ir.module_) =
     | None -> (
         match Ir.find_func m name with
         | Some f ->
-            let cf = compile_func ~fastpath ~pools pool lookup globals f in
+            let cf = compile_func ~pools pool lookup globals f in
             Hashtbl.replace funcs name cf;
             cf
         | None ->

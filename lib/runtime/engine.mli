@@ -18,21 +18,18 @@ type t
     {!Check.check_module} rejects the module. [pool] defaults to
     {!Parallel.default}.
 
-    [fastpath] (default [true]) enables the steady-state serving fast
-    path: every function and every parallel loop keeps a small lock-free
-    pool of execution environments, sized from [pool] and grown when more
-    holders than slots hand environments back. Each environment owns an arena
-    pre-sized from {!Gc_tir_passes.Buffer_schedule.alloc_plan}, so
+    Every function and every parallel loop keeps a small lock-free pool
+    of execution environments, sized from [pool] and grown when more
+    holders than slots hand environments back. Each environment owns an
+    arena pre-sized from {!Gc_tir_passes.Buffer_schedule.alloc_plan}, so
     [Alloc] statements install cache-resident arena buffers (zero-filled,
     preserving allocation semantics) instead of allocating, and its own
     brgemm offset arrays. A call or a parallel grain takes an environment,
     and gives it back without the caller's buffers when it returns;
     between take and give it has exactly one holder, so concurrent
     executes never share this state. The pools belong to [t]: dropping the
-    engine frees them. [fastpath:false] gives every call a fresh
-    environment and every [Alloc] a fresh buffer (kept as the measurable
-    baseline for [bench/serving.exe]). *)
-val create : ?pool:Parallel.t -> ?fastpath:bool -> Ir.module_ -> t
+    engine frees them. *)
+val create : ?pool:Parallel.t -> Ir.module_ -> t
 
 val module_ : t -> Ir.module_
 val pool : t -> Parallel.t

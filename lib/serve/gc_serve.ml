@@ -85,19 +85,20 @@ type ticket = {
 
 type breaker_state = Closed | Open | Half_open
 
-(* What a handle executes: a monomorphic compiled partition, or a
-   shape-polymorphic compilation. A poly handle additionally carries its
-   coalescing symbol — the batch-like symbol along which in-flight
-   requests may be concatenated into one execution — or [None] when the
-   graph's shape doesn't admit coalescing (see [coalesce_sym_of]).
-   [Unbound] is a parked model: the registry dropped the artifact under
-   budget pressure and will rebind on re-admission; traffic meanwhile
-   resolves [Invalid_input] (the registry's residency path prevents it). *)
-type target = Mono of Core.t | Poly of Core.poly * string option | Unbound
+(* What a bound handle executes: a compiled artifact of either kind, plus
+   its coalescing symbol — the batch-like symbol of a poly artifact along
+   which in-flight requests may be concatenated into one execution — or
+   [None] when the artifact's shape doesn't admit coalescing (see
+   [coalesce_sym_of]). *)
+type target = { art : Core.artifact; coalesce_sym : string option }
 
 type handle = {
   h_name : string;
-  mutable h_target : target;  (* guarded by h_mu; rebind on hot-swap/park *)
+  mutable h_target : target option;
+      (* guarded by h_mu; rebind on hot-swap/park. [None] is a parked
+         model: the registry dropped the artifact under budget pressure
+         and will rebind on re-admission; traffic meanwhile resolves
+         [Invalid_input] (the registry's residency path prevents it). *)
   h_weight : float;  (* weighted-fair admission share (immutable) *)
   h_mu : Mutex.t;
   mutable h_ewma_ms : float option;
@@ -234,7 +235,7 @@ let peek tk = locked tk.tk_mu (fun () -> tk.tk_result)
    it concurrently). *)
 let target_of h = locked h.h_mu (fun () -> h.h_target)
 
-let is_bound h = target_of h <> Unbound
+let is_bound h = Option.is_some (target_of h)
 
 let record_outcome t h (outcome : outcome) ~used_fallback =
   locked t.mu (fun () ->
@@ -327,9 +328,9 @@ let note_fallback cfg h =
    online demotion drops from the tuning DB. *)
 let tune_scope_of h =
   match target_of h with
-  | Mono core -> Core.tune_scope core
-  | Poly (p, _) -> Some (Core.poly_tune_scope p)
-  | Unbound -> None
+  | Some { art = Core.Fixed core; _ } -> Core.tune_scope core
+  | Some { art = Core.Poly p; _ } -> Some (Core.poly_tune_scope p)
+  | None -> None
 
 let note_latency cfg h dt_ms =
   (* EWMA update and the demotion decision under the handle lock; the
@@ -450,29 +451,19 @@ let exec_options cfg =
     sanitize_outputs = cfg.sanitize_outputs;
   }
 
-(* Target-dispatched execution: the checked compiled path and the
-   interpreter degraded path, each for both handle kinds. A request that
-   reaches execution on an [Unbound] handle (the registry parks only idle
-   models, so this is belt and braces) resolves typed, never raises. *)
-let unbound_error h =
-  Errors.Invalid_input
-    {
-      what = "model is not resident (parked or retired)";
-      ctx = [ ("handle", h.h_name) ];
-    }
-
-let exec_checked ~options ?deadline_ms h bindings =
+(* Run [f] on the handle's current artifact. A request that reaches
+   execution on a parked handle (the registry parks only idle models, so
+   this is belt and braces) resolves typed, never raises. *)
+let on_artifact h f =
   match target_of h with
-  | Mono core -> Core.execute_checked_report ~options ?deadline_ms core bindings
-  | Poly (p, _) ->
-      Core.execute_poly_checked_report ~options ?deadline_ms p bindings
-  | Unbound -> Error (unbound_error h)
-
-let exec_fallback ?deadline_ms h bindings =
-  match target_of h with
-  | Mono core -> Core.execute_fallback ?deadline_ms core bindings
-  | Poly (p, _) -> Core.execute_poly_fallback ?deadline_ms p bindings
-  | Unbound -> Error (unbound_error h)
+  | Some { art; _ } -> f art
+  | None ->
+      Error
+        (Errors.Invalid_input
+           {
+             what = "model is not resident (parked or retired)";
+             ctx = [ ("handle", h.h_name) ];
+           })
 
 let run_fallback_path t rq ~via =
   let h = rq.rq_handle in
@@ -482,9 +473,10 @@ let run_fallback_path t rq ~via =
   | `Degraded ->
       note_fallback t.cfg h;
       note_crash t.cfg h);
-  match exec_fallback ?deadline_ms:(remaining_ms rq) h rq.rq_bindings with
-  | Ok outs -> (Ok outs, true)
-  | Error e -> (Error e, true)
+  ( on_artifact h (fun art ->
+        Core.execute_fallback ?deadline_ms:(remaining_ms rq) art
+          rq.rq_bindings),
+    true )
 
 let process t rq =
   let h = rq.rq_handle in
@@ -504,10 +496,11 @@ let process t rq =
         else begin
           let t0 = now () in
           match
-            exec_checked ~options:opts ?deadline_ms:(remaining_ms rq) h
-              rq.rq_bindings
+            on_artifact h (fun art ->
+                Core.execute_checked ~options:opts
+                  ?deadline_ms:(remaining_ms rq) art rq.rq_bindings)
           with
-          | Ok (outs, _) ->
+          | Ok outs ->
               note_latency cfg h ((now () -. t0) *. 1000.);
               note_compiled_success h;
               (Ok outs, false)
@@ -708,8 +701,9 @@ let run_coalesced t p ~sym base env =
           let bindings = batch_bindings p base rqs in
           let t0 = now () in
           let r =
-            exec_checked ~options:(exec_options cfg)
-              ?deadline_ms:(min_remaining_ms rqs) h bindings
+            on_artifact h (fun art ->
+                Core.execute_checked ~options:(exec_options cfg)
+                  ?deadline_ms:(min_remaining_ms rqs) art bindings)
           in
           (match r with
           | Ok _ ->
@@ -720,7 +714,7 @@ let run_coalesced t p ~sym base env =
         with e -> Error (Errors.classify ~site:"serve.coalesce" e)
       in
       match result with
-      | Ok (outs, _) ->
+      | Ok outs ->
           Counters.coalesced_batch ~tickets:n;
           locked t.mu (fun () ->
               t.s_coalesced_batches <- t.s_coalesced_batches + 1;
@@ -761,7 +755,8 @@ let coalesce_plan t rq =
     if too_tight then None
     else
       match (target_of rq.rq_handle, rq.rq_env) with
-      | Poly (p, Some sym), Some env when breaker_state rq.rq_handle = Closed ->
+      | Some { art = Core.Poly p; coalesce_sym = Some sym }, Some env
+        when breaker_state rq.rq_handle = Closed ->
           Some (p, sym, env)
       | _ -> None
 
@@ -940,10 +935,15 @@ let run_canary t h =
       let pol = t.cfg.supervision in
       let verdict =
         try
-          match exec_checked ~options:(exec_options t.cfg) h bindings with
+          match
+            on_artifact h (fun art ->
+                Core.execute_checked ~options:(exec_options t.cfg) art bindings)
+          with
           | Error e -> Error (Errors.to_string e)
-          | Ok (outs, _) -> (
-              match exec_fallback h bindings with
+          | Ok outs -> (
+              match
+                on_artifact h (fun art -> Core.execute_fallback art bindings)
+              with
               | Error e -> Error ("reference failed: " ^ Errors.to_string e)
               | Ok refs ->
                   if
@@ -1060,8 +1060,9 @@ let submit ?deadline_ms t h bindings =
   in
   let rq_env =
     match target_of h with
-    | Mono _ | Unbound -> None
-    | Poly (p, _) -> ( try Some (Core.poly_env p bindings) with _ -> None)
+    | Some { art = Core.Poly p; _ } -> (
+        try Some (Core.poly_env p bindings) with _ -> None)
+    | _ -> None
   in
   let rq =
     {
@@ -1306,7 +1307,10 @@ let mk_handle ?name ?(weight = 1.) t target =
       t.total_weight <- t.total_weight +. weight);
   h
 
-let register ?name ?weight t core = mk_handle ?name ?weight t (Mono core)
+let fixed_target core = Some { art = Core.Fixed core; coalesce_sym = None }
+
+let register ?name ?weight t core =
+  mk_handle ?name ?weight t (fixed_target core)
 
 (* A poly handle coalesces along symbol [s] iff every output and every
    symbolic input carries [s] on axis 0 (and nowhere else), so
@@ -1342,8 +1346,11 @@ let coalesce_sym_of p =
       then Some s
       else None
 
+let poly_target p =
+  Some { art = Core.Poly p; coalesce_sym = coalesce_sym_of p }
+
 let register_poly ?name ?weight t p =
-  mk_handle ?name ?weight t (Poly (p, coalesce_sym_of p))
+  mk_handle ?name ?weight t (poly_target p)
 
 let compile_and_register ?config ?name ?weight t g =
   Result.map (register ?name ?weight t) (Core.compile_checked ?config g)
@@ -1368,9 +1375,9 @@ let set_target t h target =
       h.h_probe <- None;
       h.h_next_canary <- 0.)
 
-let rebind t h core = set_target t h (Mono core)
-let rebind_poly t h p = set_target t h (Poly (p, coalesce_sym_of p))
-let unbind t h = set_target t h Unbound
+let rebind t h core = set_target t h (fixed_target core)
+let rebind_poly t h p = set_target t h (poly_target p)
+let unbind t h = set_target t h None
 
 (* Drop the handle from the canary sweep and the fair-share total. The
    handle itself stays usable by anyone still holding it (submissions
@@ -1471,7 +1478,7 @@ let handle_stats t h =
         hs_shed = shed;
         hs_quota_shed = quota_shed;
         hs_queued = queued;
-        hs_bound = h.h_target <> Unbound;
+        hs_bound = Option.is_some h.h_target;
         hs_quarantined = h.h_quarantined;
         hs_breaker = h.h_state;
         hs_ewma_ms = h.h_ewma_ms;

@@ -24,9 +24,9 @@ val empty_stats : stats
 (** {2 Per-function allocation plan}
 
     The compile-time contract between the buffer planner and the execution
-    engine's steady-state fast path: every [Alloc] site of a function,
-    described as a slot of known dtype and maximal size. {!Gc_runtime.Engine}
-    pre-sizes one arena buffer per slot (per executing domain) so the
+    engine's arenas: every [Alloc] site of a function, described as a slot
+    of known dtype and maximal size. {!Gc_runtime.Engine} pre-sizes one
+    arena buffer per slot in each execution environment so the
     steady-state run performs no buffer allocation at all — [Alloc]
     compiles to an install of the arena slot. *)
 

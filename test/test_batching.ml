@@ -252,13 +252,13 @@ let test_execute_poly_checked_and_fallback () =
   let built = sym_mlp ~batch:6 () in
   let p = Core.compile_poly built.graph in
   let want = Core.execute_poly p built.data in
-  (match Core.execute_poly_checked p built.data with
+  (match Core.execute_checked (Core.Poly p) built.data with
   | Ok got ->
       List.iter2
         (fun g w -> Alcotest.(check bool) "checked identical" true (Tensor.equal g w))
         got want
   | Error e -> Alcotest.fail (Core.Errors.to_string e));
-  match Core.execute_poly_fallback p built.data with
+  match Core.execute_fallback (Core.Poly p) built.data with
   | Ok got ->
       List.iter2
         (fun g w ->
@@ -267,6 +267,53 @@ let test_execute_poly_checked_and_fallback () =
             (Tensor.allclose ~rtol:1e-4 ~atol:1e-5 g w))
         got want
   | Error e -> Alcotest.fail (Core.Errors.to_string e)
+
+(* A fixed-shape graph is a poly with one instance: both artifact kinds
+   agree bit for bit on the checked path (with raw [execute]) and on the
+   fallback path (with the reference evaluator). *)
+let test_cross_kind_agreement () =
+  let built = Gc_workloads.Mlp.build_f32 ~batch:6 ~hidden:[ 13; 32; 16 ] () in
+  let raw = Core.execute (Core.compile built.graph) built.data in
+  let ref_out = Core.reference built.graph built.data in
+  let same what want = function
+    | Ok got ->
+        Alcotest.(check bool) what true (List.for_all2 Tensor.equal got want)
+    | Error e -> Alcotest.fail (what ^ ": " ^ Core.Errors.to_string e)
+  in
+  List.iter
+    (fun (kind, art) ->
+      same (kind ^ ": checked == execute") raw
+        (Core.execute_checked art built.data);
+      same (kind ^ ": fallback == reference") ref_out
+        (Core.execute_fallback art built.data))
+    [
+      ("fixed", Core.Fixed (Core.compile built.graph));
+      ("poly", Core.Poly (Core.compile_poly built.graph));
+    ]
+
+(* The checked path counts Resource_exhausted for the poly kind too: the
+   first request compiles its bucket, and the engine's packed-weight
+   global does not fit the budget. *)
+let test_poly_checked_counts_resource_exhausted () =
+  Core.Compile_cache.clear ();
+  let built = sym_mlp () in
+  let p = Core.compile_poly built.graph in
+  let before = (Counters.snapshot ()).Counters.resource_exhausted in
+  let prev = Memgov.limit () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Memgov.set_limit prev)
+      (fun () ->
+        Memgov.set_limit (Some (Memgov.used () + 64));
+        Core.execute_checked (Core.Poly p) built.data)
+  in
+  (match r with
+  | Error (Core.Errors.Resource_exhausted _) -> ()
+  | Ok _ -> Alcotest.fail "bucket compiled past the budget"
+  | Error e -> Alcotest.fail ("wrong class: " ^ Core.Errors.to_string e));
+  Alcotest.(check int)
+    "counted exactly once" (before + 1)
+    (Counters.snapshot ()).Counters.resource_exhausted
 
 let test_poly_env_validation () =
   let built = sym_mlp () in
@@ -337,6 +384,10 @@ let () =
           Alcotest.test_case "mha seq exact" `Quick test_execute_poly_mha_seq_exact;
           Alcotest.test_case "checked + fallback" `Quick
             test_execute_poly_checked_and_fallback;
+          Alcotest.test_case "cross-kind agreement" `Quick
+            test_cross_kind_agreement;
+          Alcotest.test_case "checked counts Resource_exhausted" `Quick
+            test_poly_checked_counts_resource_exhausted;
           Alcotest.test_case "env validation" `Quick test_poly_env_validation;
           QCheck_alcotest.to_alcotest prop_padded_equals_exact;
         ] );

@@ -66,7 +66,7 @@ let test_validation_rejected_and_counted () =
   let x_lt, _ = List.hd built.data in
   let bad = Tensor.random Dtype.F32 (sh [ 3; 8 ]) in
   (match
-     execute_checked compiled ((x_lt, bad) :: List.tl built.data)
+     execute_checked (Fixed compiled) ((x_lt, bad) :: List.tl built.data)
    with
   | Error (Errors.Invalid_input { ctx; _ }) ->
       Alcotest.(check (option string))
@@ -74,7 +74,7 @@ let test_validation_rejected_and_counted () =
         (List.assoc_opt "shape" ctx)
   | Ok _ -> Alcotest.fail "bad shape accepted"
   | Error e -> Alcotest.fail ("wrong class: " ^ Errors.to_string e));
-  (match execute_checked compiled [ List.hd built.data ] with
+  (match execute_checked (Fixed compiled) [ List.hd built.data ] with
   | Error (Errors.Invalid_input _) -> ()
   | _ -> Alcotest.fail "missing binding not rejected as Invalid_input");
   let snap = Observe.Counters.snapshot () in
@@ -98,7 +98,7 @@ let test_alloc_fault_contained () =
           Alcotest.(check (option string))
             "marked injected" (Some "true")
             (List.assoc_opt "injected" ctx));
-      match execute_checked compiled built.data with
+      match execute_checked (Fixed compiled) built.data with
       | Error (Errors.Resource_exhausted _) -> ()
       | Ok _ -> Alcotest.fail "execute succeeded under alloc:1"
       | Error e -> Alcotest.fail ("wrong class: " ^ Errors.to_string e));
@@ -152,7 +152,9 @@ let test_worker_fault_falls_back_to_interp () =
       check_serviceable ~msg:"warm-up execute" compiled built;
       let ref_out = reference built.graph built.data in
       with_faults "worker:1" (fun () ->
-          match execute_checked ~options:(opts ()) compiled built.data with
+          match
+            execute_checked ~options:(opts ()) (Fixed compiled) built.data
+          with
           | Ok out ->
               Alcotest.(check bool) "fallback output matches reference" true
                 (List.for_all2 Tensor.equal out ref_out)
@@ -178,7 +180,7 @@ let test_kernel_nan_sanitized_and_recovered () =
   with_faults "kernel_nan:1" (fun () ->
       (* without the sanitizer the poisoned output is silent *)
       (match
-         execute_checked ~options:(opts ~sanitize:false ()) compiled
+         execute_checked ~options:(opts ~sanitize:false ()) (Fixed compiled)
            built.data
        with
       | Ok [ out ] ->
@@ -188,7 +190,8 @@ let test_kernel_nan_sanitized_and_recovered () =
       | Error e -> Alcotest.fail ("unexpected " ^ Errors.to_string e));
       (* with the sanitizer: detect, retry, degrade to the interpreter *)
       match
-        execute_checked ~options:(opts ~sanitize:true ()) compiled built.data
+        execute_checked ~options:(opts ~sanitize:true ()) (Fixed compiled)
+          built.data
       with
       | Ok out ->
           Alcotest.(check bool) "recovered output matches reference" true
@@ -244,7 +247,7 @@ let test_timeout_through_execute_checked () =
           match
             execute_checked
               ~options:(opts ~timeout_ms:40 ())
-              compiled built.data
+              (Fixed compiled) built.data
           with
           | Error (Errors.Timeout _) -> ()
           | Ok _ -> Alcotest.fail "expected Timeout"
@@ -381,7 +384,7 @@ let test_chaos_soak () =
         match
           execute_checked
             ~options:(opts ~timeout_ms:2000 ~sanitize:true ())
-            compiled built.data
+            (Fixed compiled) built.data
         with
         | Ok _ -> ()
         | Error
@@ -417,7 +420,7 @@ let model_chaos ~what ~rtol ~atol (graph : Gc_graph_ir.Graph.t) data =
         match
           execute_checked
             ~options:(opts ~timeout_ms:5000 ~sanitize:true ())
-            compiled data
+            (Fixed compiled) data
         with
         | Ok out ->
             Alcotest.(check bool)
@@ -453,6 +456,66 @@ let test_chaos_dlrm () =
       ~tables:2 ~vocab:20 ~emb_dim:8 ~top:[ 8; 1 ] ()
   in
   model_chaos ~what:"dlrm" ~rtol:1e-4 ~atol:1e-4 built.graph built.data
+
+(* The same soak over a shape-polymorphic artifact: a symbolic-batch MLP
+   through [execute_checked (Poly p)] at three batch sizes, each in its own
+   bucket, so faults also land in bucket compiles, padding and slicing.
+   Request [n] rebinds the exact batch-[n] build's tensors positionally
+   onto the symbolic graph; that build's reference is the oracle. *)
+let test_chaos_poly () =
+  Observe.Counters.reset ();
+  let hidden = [ 13; 32; 16 ] in
+  let sym =
+    Gc_workloads.Mlp.build_f32 ~batch:4
+      ~batch_dim:(Gc_graph_ir.Dim.Sym "b") ~hidden ()
+  in
+  let p = compile_poly sym.graph in
+  let requests =
+    List.map
+      (fun n ->
+        let exact = Gc_workloads.Mlp.build_f32 ~batch:n ~hidden () in
+        ( n,
+          List.map2 (fun (lt, _) (_, v) -> (lt, v)) sym.data exact.data,
+          reference exact.graph exact.data ))
+      [ 3; 5; 12 ]
+  in
+  let close out ref_out =
+    List.for_all2
+      (fun o r ->
+        Tensor.allclose ~rtol:1e-4 ~atol:1e-4 o r
+        && Array.for_all Float.is_finite (Tensor.to_float_array o))
+      out ref_out
+  in
+  if not (Fault.enabled ()) then
+    Fault.configure "worker:3,kernel_nan:5,alloc:7";
+  Fun.protect ~finally:Fault.clear (fun () ->
+      for _ = 1 to 10 do
+        List.iter
+          (fun (n, data, ref_out) ->
+            match
+              execute_checked
+                ~options:(opts ~timeout_ms:5000 ~sanitize:true ())
+                (Poly p) data
+            with
+            | Ok out ->
+                Alcotest.(check bool)
+                  (Printf.sprintf
+                     "poly batch %d: chaos output finite and reference-close" n)
+                  true (close out ref_out)
+            | Error
+                ( Errors.Invalid_input _ | Errors.Compile_error _
+                | Errors.Runtime_fault _ | Errors.Resource_exhausted _
+                | Errors.Timeout _ | Errors.Overloaded _ ) ->
+                ())
+          requests
+      done);
+  List.iter
+    (fun (n, data, ref_out) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "poly batch %d: post-chaos execute" n)
+        true
+        (close (execute_poly p data) ref_out))
+    requests
 
 let test_seed_honored () =
   (match Sys.getenv_opt "GC_FAULT_SEED" with
@@ -516,5 +579,6 @@ let () =
           Alcotest.test_case "conv model" `Quick test_chaos_conv;
           Alcotest.test_case "bert model" `Quick test_chaos_bert;
           Alcotest.test_case "dlrm model" `Quick test_chaos_dlrm;
+          Alcotest.test_case "poly mlp" `Quick test_chaos_poly;
         ] );
     ]

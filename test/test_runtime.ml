@@ -378,9 +378,9 @@ let test_engine_alloc_and_intrinsics () =
   done
 
 let test_engine_arena_serves_allocs () =
-  (* with the fast path on, the second run of an Alloc-ing function is
-     served from the per-domain arena: hits counted, zero bytes allocated,
-     and the zero-fill preserves Buffer.create semantics *)
+  (* the second run of an Alloc-ing function is served from the env's
+     arena: hits counted, zero bytes allocated, and the zero-fill
+     preserves Buffer.create semantics *)
   let n = 8 in
   let src = Ir.fresh_tensor ~name:"src" ~storage:Param Dtype.F32 [| n |] in
   let out = Ir.fresh_tensor ~name:"out" ~storage:Param Dtype.F32 [| n |] in
@@ -409,15 +409,9 @@ let test_engine_arena_serves_allocs () =
   Alcotest.(check int) "no allocation" 0 s.bytes_allocated;
   Alcotest.(check (float 0.)) "written half" 9. (Buffer.get obuf 0);
   Alcotest.(check (float 0.)) "zeroed half" 0. (Buffer.get obuf (n - 1));
-  (* fastpath:false computes the same thing, allocating per call *)
-  let slow = Engine.create ~pool:seq_pool ~fastpath:false m in
+  (* the reference interpreter computes the same thing *)
   let obuf2 = Buffer.create Dtype.F32 n in
-  Engine.run_entry slow [| sbuf; obuf2 |];
-  let (), s2 =
-    Gc_observe.Counters.with_counters (fun () ->
-        Engine.run_entry slow [| sbuf; obuf2 |])
-  in
-  Alcotest.(check bool) "slow path allocates" true (s2.Gc_observe.Counters.bytes_allocated > 0);
+  Interp.run_entry (Interp.create m) [| sbuf; obuf2 |];
   for i = 0 to n - 1 do
     Alcotest.(check (float 0.)) "equivalent" (Buffer.get obuf i) (Buffer.get obuf2 i)
   done

@@ -199,11 +199,14 @@ let test_execute_deadline_param () =
     }
   in
   with_faults ~slow_ms:300 "slow:1" (fun () ->
-      match Core.execute_checked ~options ~deadline_ms:30 compiled b.Mlp.data with
+      match
+        Core.execute_checked ~options ~deadline_ms:30 (Core.Fixed compiled)
+          b.Mlp.data
+      with
       | Error (Core.Errors.Timeout _) -> ()
       | o -> Alcotest.failf "expected Timeout, got %s" (err_class o));
   (* and without the override the generous options deadline passes *)
-  (match Core.execute_checked ~options compiled b.Mlp.data with
+  (match Core.execute_checked ~options (Core.Fixed compiled) b.Mlp.data with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "clean run failed: %s" (Core.Errors.to_string e));
   Parallel.shutdown pool
@@ -511,7 +514,7 @@ let test_verifier_passes_pipeline () =
       Verify.set_enabled (Some true);
       match Core.compile_checked ~config:(compile_config ()) b.Mlp.graph with
       | Ok compiled -> (
-          match Core.execute_checked compiled b.Mlp.data with
+          match Core.execute_checked (Core.Fixed compiled) b.Mlp.data with
           | Ok _ -> ()
           | Error e ->
               Alcotest.failf "execute under verifier failed: %s"

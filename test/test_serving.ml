@@ -7,10 +7,10 @@ open Gc_workloads
 
 let seq_pool = Gc_runtime.Parallel.create 1
 
-let serving_config ?(fastpath = true) () =
-  { (Core.default_config ()) with Core.pool = Some seq_pool; fastpath }
+let serving_config () =
+  { (Core.default_config ()) with Core.pool = Some seq_pool }
 
-let compile ?fastpath g = Core.compile ~config:(serving_config ?fastpath ()) g
+let compile g = Core.compile ~config:(serving_config ()) g
 
 let check_matches_reference ~what ~graph ~data outputs =
   let expect = Core.reference graph data in
@@ -29,15 +29,15 @@ let check_matches_reference ~what ~graph ~data outputs =
 let test_execute_matches_reference_both_paths () =
   let b = Mlp.build_f32 ~seed:11 ~batch:5 ~hidden:[ 7; 9; 4 ] () in
   List.iter
-    (fun fastpath ->
-      let t = compile ~fastpath b.Mlp.graph in
+    (fun reuse_outputs ->
+      let t = compile b.Mlp.graph in
       (* twice: the second run exercises arena/env reuse *)
-      ignore (Core.execute t b.Mlp.data);
+      ignore (Core.execute ~reuse_outputs t b.Mlp.data);
       check_matches_reference
-        ~what:(Printf.sprintf "mlp fastpath:%b" fastpath)
+        ~what:(Printf.sprintf "mlp reuse_outputs:%b" reuse_outputs)
         ~graph:b.Mlp.graph ~data:b.Mlp.data
-        (Core.execute t b.Mlp.data))
-    [ true; false ]
+        (Core.execute ~reuse_outputs t b.Mlp.data))
+    [ false; true ]
 
 let test_reuse_outputs_pools_tensors () =
   let b = Mlp.build_f32 ~seed:3 ~batch:3 ~hidden:[ 5; 6 ] () in
@@ -292,7 +292,10 @@ let test_fingerprint_structural () =
     (Core.fingerprint g1 = Core.fingerprint g4);
   Alcotest.(check bool) "config change fingerprints differ" false
     (Core.fingerprint ~config:(serving_config ()) g1
-    = Core.fingerprint ~config:(serving_config ~fastpath:false ()) g1)
+    = Core.fingerprint
+        ~config:
+          { (serving_config ()) with graph = Core.Pipeline.onednn_primitives () }
+        g1)
 
 let test_compile_cache_hit () =
   Core.Compile_cache.clear ();
