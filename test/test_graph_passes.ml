@@ -370,7 +370,8 @@ let test_fusion_fine_off_isolates_ops () =
 (* Golden fusion decisions: the fused-op structure fine-grain fusion
    produces for every workload family, f32 and int8, under the full
    pipeline and the primitives preset (coarse fusion off, so the
-   partitions are exactly [Fusion.run]'s). Op and tensor ids are
+   partitions are exactly [Fusion.run]'s), with each tunable op's
+   template parameters as the static heuristic chose them. Op and tensor ids are
    renumbered by rank, so the signature does not depend on how many ids
    the process handed out before. On a mismatch the actual signature is
    written next to the test binary as [fusion_golden.actual]; copy it
@@ -411,7 +412,10 @@ let fusion_signature (fg : Gc_lowering.Fused_op.graph) =
          Printf.sprintf "  fused tunable=%s pre_a=%s pre_b=%s in=[%s] out=[%s]"
            (match f.tunable with Some op -> op_s op | None -> "-")
            (pre f.pre_a) (pre f.pre_b) (lts f.f_inputs) (lts f.f_outputs)
-         :: List.map
+         :: (match f.params with
+            | Some p -> [ "    params: " ^ Gc_lowering.Params.to_string p ]
+            | None -> [])
+         @ List.map
               (fun (gp : Gc_lowering.Fused_op.post_group) ->
                 Printf.sprintf "    %s: %s"
                   (Gc_lowering.Anchor.post_to_string gp.g_anchor)
