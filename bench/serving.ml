@@ -771,153 +771,6 @@ let batching_section mode =
   Obj [ ("buckets", bk); ("coalesce", co) ]
 
 (* ------------------------------------------------------------------ *)
-(* Measured autotuning (PR 8): sync-tune headline GEMM shapes into a
-   temporary tuning DB, then reload the DB in a fresh policy state and
-   recompile isomorphic graphs to prove persistence (db_hits > 0) and
-   that a DB-hit compile stays within noise of a plain compile.
-
-   Per shape the tuner's own measurements are reported: [static_ms] is
-   the static heuristic's choice measured under the same harness,
-   [tuned_ms] the winning candidate — tuned <= static holds by
-   construction (the static config is always in the measured set), which
-   is exactly the "never worse on a headline shape" pin. The mispredicted
-   shapes (m = 6 skinny rows; 31x61x33 ragged) are where the static
-   model's tile leaves measurable room — full runs pin a >= 1.01x win on
-   at least one of them. *)
-
-module Autotune = Gc_tuning.Autotune
-module Tune_db = Gc_tuning.Tune_db
-
-(* GEMM views of the BENCH_micro shapes (m, n, k = batch * kb): the
-   headline shape first, then the mispredicted ones. *)
-let tune_shapes mode =
-  match mode with
-  | `Full ->
-      [
-        ("f32_64x64x64_bs4", 64, 64, 256);
-        ("f32_6x64x64_bs4", 6, 64, 256);
-        ("f32_31x61x33_bs3", 31, 61, 99);
-      ]
-  | `Tiny -> [ ("f32_16x16x16_bs2", 16, 16, 32); ("f32_7x9x5_bs2", 7, 9, 10) ]
-
-let tuning_section mode =
-  let open Core.Observe.Json in
-  let cfg = config () in
-  let db = Filename.temp_file "gc_tune_bench" ".json" in
-  Sys.remove db (* start from an absent DB: the cold-miss path *);
-  let budget = match mode with `Full -> 150 | `Tiny -> 40 in
-  let build (_, m, n, k) =
-    (* one matmul layer (k -> n features, m rows) + bias + relu: the same
-       post-op chain the serving workloads carry *)
-    let b = Mlp.build_f32 ~batch:m ~hidden:[ k; n ] () in
-    b.Mlp.graph
-  in
-  let shapes = tune_shapes mode in
-  (* phase 1: cold compiles under GC_TUNE=sync measure-tune every shape *)
-  Autotune.reset ();
-  Autotune.set_db_path (Some db);
-  Autotune.set_budget_ms (Some budget);
-  Autotune.set_mode Autotune.Sync;
-  let (), cold =
-    Core.Observe.Counters.with_counters (fun () ->
-        List.iter (fun s -> ignore (Core.compile ~config:cfg (build s))) shapes)
-  in
-  let entries = Autotune.entries () in
-  let per_shape =
-    List.map
-      (fun (name, m, n, k) ->
-        match
-          List.find_opt
-            (fun e ->
-              e.Tune_db.e_m = m && e.Tune_db.e_n = n && e.Tune_db.e_k = k)
-            entries
-        with
-        | None ->
-            Printf.eprintf "tuning: no DB entry recorded for %s\n" name;
-            exit 1
-        | Some e ->
-            let speedup =
-              if e.Tune_db.e_expected_ms > 0. then
-                e.Tune_db.e_static_ms /. e.Tune_db.e_expected_ms
-              else 1.
-            in
-            Printf.printf
-              "  %-20s tuned %.4f ms  static %.4f ms  (%.2fx)  tile \
-               %dx%dx%d bs%d grid %dx%dx%d\n\
-               %!"
-              name e.Tune_db.e_expected_ms e.Tune_db.e_static_ms speedup
-              e.Tune_db.e_mb e.Tune_db.e_nb e.Tune_db.e_kb e.Tune_db.e_bs
-              e.Tune_db.e_mpn e.Tune_db.e_npn e.Tune_db.e_kpn;
-            ( name,
-              Obj
-                [
-                  ("m", Int m);
-                  ("n", Int n);
-                  ("k", Int k);
-                  ("tuned_ms", Float e.Tune_db.e_expected_ms);
-                  ("static_ms", Float e.Tune_db.e_static_ms);
-                  ("speedup", Float speedup);
-                  ("tile_m", Int e.Tune_db.e_mb);
-                  ("tile_n", Int e.Tune_db.e_nb);
-                  ("tile_k", Int e.Tune_db.e_kb);
-                  ("tile_bs", Int e.Tune_db.e_bs);
-                  ( "grid",
-                    String
-                      (Printf.sprintf "%dx%dx%d" e.Tune_db.e_mpn
-                         e.Tune_db.e_npn e.Tune_db.e_kpn) );
-                ] ))
-      shapes
-  in
-  let best_speedup =
-    List.fold_left
-      (fun acc (_, j) ->
-        match member "speedup" j with Some (Float s) -> max acc s | _ -> acc)
-      1. per_shape
-  in
-  (* phase 2: fresh policy state, isomorphic graphs — every tuned shape
-     must now be served from the reloaded on-disk DB *)
-  Autotune.reset ();
-  Autotune.set_mode Autotune.Consult;
-  let (), warm =
-    Core.Observe.Counters.with_counters (fun () ->
-        List.iter (fun s -> ignore (Core.compile ~config:cfg (build s))) shapes)
-  in
-  (* phase 3: compile wallclock, plain (tuning off) vs DB-hit — the
-     consultation (fingerprint + hash lookup + re-validation) must stay
-     within noise of the static compile *)
-  let g = build (List.hd shapes) in
-  Autotune.set_mode Autotune.Off;
-  let plain_rate = rate_of (fun () -> ignore (Core.compile ~config:cfg g)) in
-  Autotune.set_mode Autotune.Consult;
-  let hit_rate = rate_of (fun () -> ignore (Core.compile ~config:cfg g)) in
-  let overhead_ratio = if hit_rate > 0. then plain_rate /. hit_rate else 1. in
-  Printf.printf
-    "  tunes %d (%d ms measuring)   reload hits %d/%d   DB-hit compile \
-     %.3fx plain\n\
-     %!"
-    cold.Core.Observe.Counters.tunes_run
-    cold.Core.Observe.Counters.tune_time_ms
-    warm.Core.Observe.Counters.tune_db_hits
-    (List.length shapes) overhead_ratio;
-  (* restore the ambient (env-derived) policy and drop the temp DB *)
-  Autotune.set_mode Autotune.Off;
-  Autotune.set_db_path None;
-  Autotune.set_budget_ms None;
-  Autotune.reset ();
-  (try Sys.remove db with Sys_error _ -> ());
-  Obj
-    [
-      ("budget_ms", Int budget);
-      ("shapes", Obj per_shape);
-      ("best_speedup", Float best_speedup);
-      ("tunes_run", Int cold.Core.Observe.Counters.tunes_run);
-      ("tune_time_ms", Int cold.Core.Observe.Counters.tune_time_ms);
-      ("cold_misses", Int cold.Core.Observe.Counters.tune_db_misses);
-      ("db_hits", Int warm.Core.Observe.Counters.tune_db_hits);
-      ("hit_compile_overhead_ratio", Float overhead_ratio);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Self-healing (supervision): measured recovery. Phase 1 runs a
    closed-loop burst against an undisturbed server, then the same burst
    with worker-death faults armed (every ticket must still resolve in a
@@ -1713,70 +1566,6 @@ let validate file =
                  "batching: %d gather-window deadline violations (pin: 0)" n)
         | _ -> fail "batching: missing coalesce.window_deadline_violations"
       in
-      let check_tuning () =
-        let tn =
-          match member "tuning" j with
-          | Some tn -> tn
-          | None -> fail "missing \"tuning\" section"
-        in
-        let shapes =
-          match member "shapes" tn with
-          | Some (Obj ((_ :: _) as shapes)) -> shapes
-          | _ -> fail "tuning: missing or empty shapes"
-        in
-        List.iter
-          (fun (name, sj) ->
-            match member "speedup" sj with
-            | Some (Float sp) ->
-                (* the never-worse pin, every mode: the static config is
-                   always in the measured candidate set, so the recorded
-                   winner can only tie or beat it. A speedup below 1 means
-                   the tuner stored something it did not measure best. The
-                   epsilon absorbs float round-trips through JSON. *)
-                if sp < 0.999 then
-                  fail
-                    (Printf.sprintf
-                       "tuning: %s tuned slower than static (%.3fx) — \
-                        breaches the never-worse pin"
-                       name sp)
-            | _ -> fail ("tuning: " ^ name ^ " missing speedup"))
-          shapes;
-        (match member "best_speedup" tn with
-        | Some (Float sp) ->
-            (* the measured-win pin: on full runs at least one mispredicted
-               shape must improve >= 1.01x over the static model —
-               otherwise the whole measuring apparatus is dead weight.
-               Tiny runs use microsecond problems (pure noise), so only
-               presence is checked there. *)
-            if full && sp < 1.01 then
-              fail
-                (Printf.sprintf
-                   "tuning: best speedup %.3fx below the 1.01x \
-                    measured-win pin"
-                   sp)
-        | _ -> fail "tuning: missing best_speedup");
-        (match member "db_hits" tn with
-        | Some (Int h) ->
-            (* persistence pin, every mode: after a policy reset the
-               reloaded on-disk DB must serve the recompiles *)
-            if h <= 0 then
-              fail "tuning: zero db_hits after reload — persistence broken"
-        | _ -> fail "tuning: missing db_hits");
-        (match member "tunes_run" tn with
-        | Some (Int n) when n > 0 -> ()
-        | _ -> fail "tuning: missing tunes_run (or zero)");
-        match member "hit_compile_overhead_ratio" tn with
-        | Some (Float r) ->
-            (* the compile-overhead pin (full runs): consulting the DB on
-               a hit must cost < 5% of a plain compile *)
-            if full && r > 1.05 then
-              fail
-                (Printf.sprintf
-                   "tuning: DB-hit compile is %.3fx a plain compile \
-                    (pin: 1.05)"
-                   r)
-        | _ -> fail "tuning: missing hit_compile_overhead_ratio"
-      in
       let check_health () =
         let hl =
           match member "health" j with
@@ -1954,11 +1743,6 @@ let validate file =
           Printf.printf "%s: valid gc-bench-serving/1 document (batching only)\n"
             file;
           exit 0
-      | Some (String "tuning") ->
-          check_tuning ();
-          Printf.printf "%s: valid gc-bench-serving/1 document (tuning only)\n"
-            file;
-          exit 0
       | Some (String "health") ->
           check_health ();
           Printf.printf "%s: valid gc-bench-serving/1 document (health only)\n"
@@ -1973,7 +1757,6 @@ let validate file =
       check_overload ();
       check_models ();
       check_batching ();
-      check_tuning ();
       check_health ();
       check_multimodel ();
       (match member "workloads" j with
@@ -2042,11 +1825,11 @@ let () =
     | "--section" :: name :: rest ->
         (if
            name <> "overload" && name <> "models" && name <> "batching"
-           && name <> "tuning" && name <> "health" && name <> "multimodel"
+           && name <> "health" && name <> "multimodel"
          then begin
            Printf.eprintf
              "unknown --section %s (only: overload, models, batching, \
-              tuning, health, multimodel)\n"
+              health, multimodel)\n"
              name;
            exit 2
          end);
@@ -2058,7 +1841,7 @@ let () =
     | arg :: _ ->
         Printf.eprintf
           "usage: serving.exe [--tiny] [--section \
-           overload|models|batching|tuning|health] [--out FILE] [--validate \
+           overload|models|batching|health|multimodel] [--out FILE] [--validate \
            FILE] (got %s)\n"
           arg;
         exit 2
@@ -2114,16 +1897,6 @@ let () =
             ("sections", String "batching");
             ("batching", bt);
           ]
-    | Some "tuning" ->
-        Bench_util.header "Measured autotuning (tuned vs static schedules)";
-        let tn = tuning_section !mode in
-        Obj
-          [
-            ("schema", String "gc-bench-serving/1");
-            ("mode", String mode_s);
-            ("sections", String "tuning");
-            ("tuning", tn);
-          ]
     | Some "health" ->
         Bench_util.header "Self-healing (supervised recovery from faults)";
         let hl = health_section !mode (List.hd workloads) in
@@ -2160,8 +1933,6 @@ let () =
         let ms = models_section !mode in
         Bench_util.header "Batching (bucketed specialization + coalescing)";
         let bt = batching_section !mode in
-        Bench_util.header "Measured autotuning (tuned vs static schedules)";
-        let tn = tuning_section !mode in
         Bench_util.header "Self-healing (supervised recovery from faults)";
         let hl = health_section !mode (List.hd workloads) in
         Bench_util.header
@@ -2178,7 +1949,6 @@ let () =
             ("overload", ov);
             ("models", Obj ms);
             ("batching", bt);
-            ("tuning", tn);
             ("health", hl);
             ("multimodel", mm);
           ]

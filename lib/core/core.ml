@@ -98,10 +98,6 @@ type t = {
   out_pools : out_pool option Atomic.t array;
       (** per-domain output pools, one cell each (see [out_pool]) *)
   out_clock : int Atomic.t;  (** ticks once per use of an output pool *)
-  tune_scope : string option;
-      (** tuning-DB scope the partition compiled under (the compile
-          fingerprint); [None] when autotuning was off — the serving
-          layer's online demotion needs it to drop the scope's entries *)
 }
 
 let out_pool_slots = 16
@@ -244,25 +240,14 @@ let fingerprint ?config (g : Graph.t) =
   in
   Digest.to_hex graph_digest ^ Digest.to_hex config_digest
 
-let compile ?config ?trace ?tune_scope (g : Graph.t) =
+let compile ?config ?trace (g : Graph.t) =
   let config = match config with Some c -> c | None -> default_config () in
-  (* the tuning scope — the shape-class prefix of every tuning-DB key this
-     compile's tunable ops produce — defaults to the compile fingerprint,
-     computed only when autotuning is on (fingerprinting a graph that will
-     not consult the DB would be pure overhead) *)
-  let tune_scope =
-    match tune_scope with
-    | Some _ as s -> s
-    | None ->
-        if Gc_tuning.Autotune.enabled () then Some (fingerprint ~config g)
-        else None
-  in
   (* compilation refines tensor metadata (layouts, constness) in place, so
      work on a private clone of the graph *)
   let source_graph = g in
   let g, clone_map = Graph.clone g in
   let compiled_io = Array.of_list (g.inputs @ g.outputs) in
-  let fused = Pipeline.run ?trace ?tune_scope config.graph g in
+  let fused = Pipeline.run ?trace config.graph g in
   let lowered =
     Gc_observe.Trace.time_into trace ~stage:"lowering" ~name:"lower_graph"
       ~before:(Gc_observe.Stats.of_fused fused)
@@ -296,14 +281,12 @@ let compile ?config ?trace ?tune_scope (g : Graph.t) =
     pool_gen = Atomic.make 0;
     out_pools = Array.init out_pool_slots (fun _ -> Atomic.make None);
     out_clock = Atomic.make 0;
-    tune_scope;
   }
 
 let fused_graph t = t.fused
 let tir_module t = t.module_opt
 let tir_stats t = t.stats
 let config_of t = t.config
-let tune_scope t = t.tune_scope
 
 let invalidate_constants t =
   Mutex.lock t.init_mutex;
@@ -885,13 +868,9 @@ let rekey (base : t) (g : Graph.t) =
     { base with clone_map; plan = { base.plan with bp_slots }; source_graph = g }
   end
 
-let compile_cached ?config ?trace ?tune_scope ?(pin = false) (g : Graph.t) =
+let compile_cached ?config ?trace ?(pin = false) (g : Graph.t) =
   let config = match config with Some c -> c | None -> default_config () in
   let key = fingerprint ~config g in
-  (* the cache key doubles as the tuning scope, except for bucketed poly
-     instances, whose caller passes the symbolic source fingerprint so
-     every bucket of one shape class shares tuned entries *)
-  let tune_scope = Option.value tune_scope ~default:key in
   let cached =
     Compile_cache.locked (fun () ->
         match Hashtbl.find_opt Compile_cache.table key with
@@ -909,7 +888,7 @@ let compile_cached ?config ?trace ?tune_scope ?(pin = false) (g : Graph.t) =
   | None -> (
       (* compile outside the lock: concurrent misses race, first insert
          wins and the losers re-key against the winner *)
-      let t = compile ~config ?trace ~tune_scope g in
+      let t = compile ~config ?trace g in
       let bytes = estimated_bytes t in
       Compile_cache.locked (fun () ->
           match Hashtbl.find_opt Compile_cache.table key with
@@ -1010,10 +989,6 @@ type poly = {
   p_syms : string list;
   p_lock : Mutex.t;
   p_instances : (string, poly_instance) Hashtbl.t;
-  p_tune_scope : string;
-      (* fingerprint of the symbolic source graph: the tuning scope every
-         bucketed instance compiles under, so one shape class shares tuned
-         entries across buckets *)
 }
 
 let compile_poly ?config ?buckets ?bucket_syms (g : Graph.t) =
@@ -1038,14 +1013,12 @@ let compile_poly ?config ?buckets ?bucket_syms (g : Graph.t) =
     p_syms = syms;
     p_lock = Mutex.create ();
     p_instances = Hashtbl.create 8;
-    p_tune_scope = fingerprint ~config g;
   }
 
 let poly_graph p = p.p_graph
 let poly_syms p = p.p_syms
 let poly_buckets p = p.p_buckets
 let poly_bucket_syms p = p.p_bucket_syms
-let poly_tune_scope p = p.p_tune_scope
 
 (* Resolve each symbol's concrete size from the bound input tensors,
    rejecting inconsistent bindings (same symbol, two sizes). *)
@@ -1148,10 +1121,7 @@ let poly_instance p env_bucket =
              referenced. Once registered, the instance itself keeps the
              compiled core alive; the cache entry becomes evictable. *)
           let ck = fingerprint ~config:p.p_config g_sub in
-          let core =
-            compile_cached ~config:p.p_config ~tune_scope:p.p_tune_scope
-              ~pin:true g_sub
-          in
+          let core = compile_cached ~config:p.p_config ~pin:true g_sub in
           let inst = { pi_core = core; pi_subst = subst; pi_graph = g_sub } in
           Mutex.lock p.p_lock;
           let winner =

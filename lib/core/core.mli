@@ -86,13 +86,8 @@ type t
 (** [compile ?config ?trace g] compiles a DNN computation graph. Raises
     [Errors.Error] on a malformed graph. When [trace] is given, every
     Graph-IR and Tensor-IR pass (plus lowering and engine preparation) is
-    timed and its before/after IR statistics are recorded into the trace.
-
-    [tune_scope] names the tuning-DB shape class the partition's tunable
-    ops key under; when absent and autotuning is enabled ([GC_TUNE], see
-    [Gc_tuning.Autotune]) it defaults to the compile {!fingerprint}. *)
-val compile :
-  ?config:config -> ?trace:Observe.Trace.t -> ?tune_scope:string -> Graph.t -> t
+    timed and its before/after IR statistics are recorded into the trace. *)
+val compile : ?config:config -> ?trace:Observe.Trace.t -> Graph.t -> t
 
 (** The optimization artifacts, for inspection, testing and benchmarks. *)
 
@@ -101,10 +96,6 @@ val tir_module : t -> Ir.module_  (** after Tensor IR optimization *)
 
 val tir_stats : t -> Tir_pipeline.stats
 val config_of : t -> config
-
-val tune_scope : t -> string option
-(** The tuning scope the partition compiled under ([None] when autotuning
-    was off) — what the serving layer demotes on an online retune. *)
 
 (** [execute t bindings] runs the compiled partition. [bindings] must
     cover every graph input (including constant weights — they are read on
@@ -231,17 +222,12 @@ end
     same entry, so hits assume the same runtime-constant weight values;
     call {!invalidate_constants} after swapping weights.
 
-    When autotuning is enabled the cache key doubles as the default
-    tuning scope; [tune_scope] overrides it (bucketed poly instances pass
-    their symbolic source fingerprint so buckets share tuned entries).
-
     [pin:true] additionally takes one residency pin on the entry (hit or
     fresh insert alike); the caller must {!Compile_cache.unpin} the
     graph's fingerprint when the reference is dropped. *)
 val compile_cached :
   ?config:config ->
   ?trace:Observe.Trace.t ->
-  ?tune_scope:string ->
   ?pin:bool ->
   Graph.t ->
   t
@@ -296,10 +282,6 @@ val poly_graph : poly -> Graph.t
 val poly_syms : poly -> string list
 val poly_buckets : poly -> Buckets.t
 val poly_bucket_syms : poly -> string list
-
-val poly_tune_scope : poly -> string
-(** Tuning scope shared by every bucketed instance: the fingerprint of
-    the symbolic source graph. *)
 
 val poly_instances : poly -> int
 (** Number of bucketed instances compiled so far. *)

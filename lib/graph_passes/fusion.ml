@@ -289,7 +289,7 @@ let run ?(fine = true) ?(limits = default_limits) ~machine ~params
     match Hashtbl.find_opt params mm.id with
     | Some p -> p
     | None ->
-        let p = Layout_prop.choose_params ~machine g mm in
+        let p = Layout_prop.choose_params ~machine mm in
         Hashtbl.replace params mm.id p;
         p
   in

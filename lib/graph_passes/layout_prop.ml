@@ -27,60 +27,28 @@ let conv_problem_of (cv : Op.t) =
   and ic = Shape.dim w.shape 2 in
   (batch, oh, ow, oc, kh, kw, ic)
 
-let choose_params ?tune_key ~machine _g (mm : Op.t) =
+let choose_params ~machine (mm : Op.t) =
   match mm.kind with
   | Op_kind.Conv2d ->
       let batch, oh, ow, oc, kh, kw, c = conv_problem_of mm in
-      Heuristic.choose_conv ~machine ~dtype:(dtype_of mm) ?tune_key ~batch ~oh
-        ~ow ~oc ~kh ~kw ~c ()
+      Heuristic.choose_conv ~machine ~dtype:(dtype_of mm) ~batch ~oh ~ow ~oc
+        ~kh ~kw ~c ()
   | _ ->
       let m, n, k, batch = problem_of mm in
-      Heuristic.choose ~machine ~dtype:(dtype_of mm) ?tune_key ~batch ~m ~n ~k
-        ()
+      Heuristic.choose ~machine ~dtype:(dtype_of mm) ~batch ~m ~n ~k ()
 
-(* The fused post-op chain downstream of a tunable op (single-consumer
-   walk, as fine-grained fusion will see it): part of the tuning-DB key —
-   post-ops run inside the template's writeback and change the measured
-   balance, so "matmul" and "matmul+relu" must not share tuned entries. *)
-let post_chain g (mm : Op.t) =
-  let rec go acc t depth =
-    if depth >= 8 then acc
-    else
-      match Graph.consumers g t with
-      | [ op ]
-        when op.Op.kind <> Op_kind.Matmul && op.Op.kind <> Op_kind.Conv2d ->
-          go (Op_kind.to_string op.Op.kind :: acc) (Op.output op) (depth + 1)
-      | _ -> acc
-  in
-  String.concat "," (List.rev (go [] (Op.output mm) 0))
-
-let run ?tune_scope ?(align_tolerance = 1.15) ?(propagate_activations = true)
-    ~machine (g : Graph.t) =
+let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
+    (g : Graph.t) =
   let params : (int, Params.t) Hashtbl.t = Hashtbl.create 16 in
   let g = match Graph.topo_sort g with Ok g -> g | Error e -> invalid_arg e in
   let current = ref g in
-  (* tunable ops are numbered in topo order, so the same graph always maps
-     an op to the same tuning key *)
-  let next_idx = ref 0 in
-  let tune_key_for g (mm : Op.t) =
-    let op_index = !next_idx in
-    incr next_idx;
-    Option.map
-      (fun scope ->
-        Gc_tuning.Tune_db.key ~scope ~op_index
-          ~op:(Op_kind.to_string mm.kind)
-          ~dtype:(dtype_of mm) ~post_ops:(post_chain g mm) ~machine)
-      tune_scope
-  in
   List.iter
     (fun (mm : Op.t) ->
       (* Conv2d: record tile parameters for its im2col GEMM view. The
          operands stay in plain NHWC/HWIO — the packing anchors perform the
          gather at run time, so there is no prepacked layout to publish. *)
-      if mm.kind = Op_kind.Conv2d then begin
-        let tune_key = tune_key_for g mm in
-        Hashtbl.replace params mm.id (choose_params ?tune_key ~machine g mm)
-      end;
+      if mm.kind = Op_kind.Conv2d then
+        Hashtbl.replace params mm.id (choose_params ~machine mm);
       if mm.kind = Op_kind.Matmul then begin
         let g = !current in
         let a, b = match mm.inputs with [ a; b ] -> (a, b) | _ -> assert false in
@@ -90,11 +58,8 @@ let run ?tune_scope ?(align_tolerance = 1.15) ?(propagate_activations = true)
         let transpose_b =
           Option.value (Attrs.get_bool mm.attrs "transpose_b") ~default:false
         in
-        let tune_key = tune_key_for g mm in
-        let best = Heuristic.choose ~machine ~dtype ?tune_key ~batch ~m ~n ~k () in
-        (* try to align with an already-blocked A input (a constrained
-           search — no tune_key: it must match the neighbour's blocking,
-           not a DB entry recorded for the free problem) *)
+        let best = Heuristic.choose ~machine ~dtype ~batch ~m ~n ~k () in
+        (* try to align with an already-blocked A input *)
         let p =
           match a.layout with
           | Layout.Blocked [ (0, mba); (1, kba) ] when batch = 1 && not transpose_b

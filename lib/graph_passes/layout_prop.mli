@@ -28,15 +28,8 @@ type result = {
 (** [propagate_activations:false] keeps every activation plain — only the
     constant-weight prepacking is performed. This is what a primitives
     library can do (each primitive sees one op), and is the baseline's
-    setting.
-
-    [tune_scope] (the compile fingerprint of the source graph) enables
-    tuning-DB consultation: each tunable op, numbered in topo order, gets
-    a [Tune_db.key] under the scope and the heuristic checks the database
-    before running the static model. Absent (direct pass-level callers),
-    parameter choice is exactly the pre-tuning static behavior. *)
+    setting. *)
 val run :
-  ?tune_scope:string ->
   ?align_tolerance:float ->
   ?propagate_activations:bool ->
   machine:Machine.t ->
@@ -45,5 +38,4 @@ val run :
 
 (** Parameter choice for one matmul op (shared with the fusion pass when
     layout propagation is disabled). *)
-val choose_params :
-  ?tune_key:string -> machine:Machine.t -> Graph.t -> Op.t -> Params.t
+val choose_params : machine:Machine.t -> Op.t -> Params.t

@@ -62,7 +62,7 @@ let onednn_primitives ?(machine = Machine.xeon_8358) () =
 
 let when_ flag f g = if flag then f g else g
 
-let run ?trace ?tune_scope cfg (g : Graph.t) =
+let run ?trace cfg (g : Graph.t) =
   (match Graph.verify g with
   | Ok () -> ()
   | Error e -> invalid_arg ("Pipeline.run: invalid input graph: " ^ e));
@@ -104,8 +104,7 @@ let run ?trace ?tune_scope cfg (g : Graph.t) =
         ~before:(Gc_observe.Stats.of_graph g)
         ~after:(fun (lp : Layout_prop.result) ->
           Gc_observe.Stats.of_graph lp.graph)
-        (Layout_prop.run ?tune_scope
-           ~propagate_activations:cfg.propagate_activations
+        (Layout_prop.run ~propagate_activations:cfg.propagate_activations
            ~machine:cfg.machine)
         g
     else { Layout_prop.graph = g; params = Hashtbl.create 16 }

@@ -45,12 +45,9 @@ val onednn_primitives : ?machine:Machine.t -> unit -> config
 
 (** [run ?trace cfg g]: when [trace] is given, every pass is timed and its
     before/after IR statistics recorded ({!Gc_observe.Trace}); [None] adds
-    no work. [tune_scope] threads the compile fingerprint down to layout
-    propagation for tuning-DB keyed parameter lookup (see
-    {!Layout_prop.run}). *)
+    no work. *)
 val run :
   ?trace:Gc_observe.Trace.t ->
-  ?tune_scope:string ->
   config ->
   Graph.t ->
   Fused_op.graph

@@ -92,38 +92,9 @@ let tile_candidates ~machine ~dtype =
         nbs)
     mbs
 
-type tuned_lookup =
-  machine:Machine.t ->
-  dtype:Dtype.t ->
-  batch:int ->
-  allow_kslice:bool ->
-  m:int ->
-  n:int ->
-  k:int ->
-  tune_key:string ->
-  Params.t option
-
-let tuned_lookup : tuned_lookup option ref = ref None
-let set_tuned_lookup f = tuned_lookup := Some f
-
 let choose ~machine ~dtype ?(batch = 1) ?force_grid ?force_tile ?mb_fixed
-    ?kb_fixed ?(allow_kslice = true) ?tune_key ~m ~n ~k () =
+    ?kb_fixed ?(allow_kslice = true) ~m ~n ~k () =
   if m <= 0 || n <= 0 || k <= 0 then invalid_arg "Heuristic.choose: bad problem size";
-  (* a constrained search must honour its constraints, not a DB entry
-     recorded for the free problem *)
-  let unconstrained =
-    force_grid = None && force_tile = None && mb_fixed = None && kb_fixed = None
-  in
-  let tuned =
-    match (tune_key, !tuned_lookup) with
-    | Some key, Some f when unconstrained ->
-        f ~machine ~dtype ~batch ~allow_kslice ~m ~n ~k ~tune_key:key
-    | _ -> None
-  in
-  match tuned with
-  | Some p -> p
-  | None ->
-  (* static model below *)
   let grids =
     match force_grid with
     | Some g -> [ g ]
@@ -195,12 +166,12 @@ let choose ~machine ~dtype ?(batch = 1) ?force_grid ?force_tile ?mb_fixed
   | Some (_, p) -> p
   | None -> mk (List.hd grids) (List.hd tiles)
 
-let choose_conv ~machine ~dtype ?tune_key ~batch ~oh ~ow ~oc ~kh ~kw ~c () =
+let choose_conv ~machine ~dtype ~batch ~oh ~ow ~oc ~kh ~kw ~c () =
   (* im2col GEMM view of the convolution: every output pixel is a GEMM row,
      every output channel a column, the receptive field the k axis. The
      k-sliced template variant is excluded — its partial-C reduction phase
      assumes the plain 2-D packing path, not the conv gather. *)
   if batch <= 0 || oh <= 0 || ow <= 0 || oc <= 0 || kh <= 0 || kw <= 0 || c <= 0
   then invalid_arg "Heuristic.choose_conv: bad conv geometry";
-  choose ~machine ~dtype ~allow_kslice:false ?tune_key ~m:(batch * oh * ow)
+  choose ~machine ~dtype ~allow_kslice:false ~m:(batch * oh * ow)
     ~n:oc ~k:(kh * kw * c) ()

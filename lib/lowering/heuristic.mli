@@ -22,41 +22,7 @@ open Gc_microkernel
     imbalance across the core grid, and one barrier. *)
 val cost : machine:Machine.t -> Params.t -> float
 
-(** Candidate core grids for [cores] cores ([MPN × NPN ≤ cores], every
-    divisor split plus undersubscribed grids for small problems). *)
-val grid_candidates : cores:int -> (int * int) list
-
-(** Candidate microkernel tiles for a dtype, already filtered by
-    {!Ukernel_cost.valid}. *)
-val tile_candidates :
-  machine:Machine.t -> dtype:Dtype.t -> (int * int * int * int) list
-
-(** Consultation hook for measured autotuning (PR 8): called by {!choose}
-    before the static search when a [tune_key] is supplied and the choice
-    is unconstrained. [Some params] short-circuits the search (a tuning-DB
-    hit); [None] falls through to the static model. Installed by
-    [Gc_tuning.Autotune] at link time — the indirection keeps the lowering
-    layer free of a dependency on the tuner (which itself needs the
-    lowering layer's cost model). *)
-type tuned_lookup =
-  machine:Machine.t ->
-  dtype:Dtype.t ->
-  batch:int ->
-  allow_kslice:bool ->
-  m:int ->
-  n:int ->
-  k:int ->
-  tune_key:string ->
-  Params.t option
-
-val set_tuned_lookup : tuned_lookup -> unit
-
 (** [choose ~machine ~dtype ~m ~n ~k ()] returns the best parameters.
-    [tune_key] identifies the partition for the autotuning hook (shape
-    class, op, dtype, post-op chain, machine); it is consulted only when
-    none of the constraining arguments below are given — a constrained
-    search (ablation or neighbour-aligned retry) must honour its
-    constraints, not a tuned entry recorded for the free problem.
     [batch] > 1 selects the batched-matmul template: the core grid
     parallelizes over batch instead of the m/n plane (mpn = npn = 1) and
     the per-task problem is the single [m × n × k] matmul.
@@ -76,7 +42,6 @@ val choose :
   ?mb_fixed:int ->
   ?kb_fixed:int ->
   ?allow_kslice:bool ->
-  ?tune_key:string ->
   m:int ->
   n:int ->
   k:int ->
@@ -89,7 +54,6 @@ val choose :
 val choose_conv :
   machine:Machine.t ->
   dtype:Dtype.t ->
-  ?tune_key:string ->
   batch:int ->
   oh:int ->
   ow:int ->

@@ -73,12 +73,3 @@ let pp fmt t =
   Format.fprintf fmt "%s: %d cores, L1 %dKB, L2 %dKB, LLC %dMB" t.name t.cores
     (t.l1_size / 1024) (t.l2_size / 1024)
     (t.llc_size / (1024 * 1024))
-
-(* Stable identity string for persisted per-machine artifacts (the tuning
-   database key): anything that changes measured kernel behavior — core
-   count, vector width, cache geometry, frequency — changes the
-   descriptor, so entries tuned on one machine are never applied to
-   another. *)
-let descriptor t =
-  Printf.sprintf "%s|c%d|v%d|l1:%d|l2:%d|llc:%d|f%.2f" t.name t.cores
-    t.vector_bytes t.l1_size t.l2_size t.llc_size t.freq_ghz

@@ -43,9 +43,3 @@ val xeon_8358 : t
 val test_machine : t
 
 val pp : Format.formatter -> t -> unit
-
-(** Stable identity string for persisted per-machine artifacts (the
-    tuning-database key component): changes whenever anything that affects
-    measured kernel behavior changes (cores, vector width, cache geometry,
-    frequency). *)
-val descriptor : t -> string

@@ -50,17 +50,6 @@ let c_coalesced_tickets = Atomic.make 0
 let c_coalesced_max_tickets = Atomic.make 0
 let c_window_deadline_violations = Atomic.make 0
 
-(* Tuning counters (PR 8). DB consultations happen per compile, tunes per
-   DB miss, retunes per EWMA demotion — all rare relative to per-kernel
-   work, and a serving process always wants its tuning history —
-   unconditional like the serve counters above. *)
-let c_tune_db_hits = Atomic.make 0
-let c_tune_db_misses = Atomic.make 0
-let c_tunes_run = Atomic.make 0
-let c_retunes_triggered = Atomic.make 0
-let c_tune_rejects = Atomic.make 0
-let c_tune_time_ms = Atomic.make 0
-
 (* Supervision counters (PR 9). Every supervision action — a restart, a
    reincarnation, a quarantine — is an error-path event by definition, and
    a serving process always wants its self-healing history; unconditional
@@ -121,12 +110,6 @@ let reset () =
   Atomic.set c_coalesced_tickets 0;
   Atomic.set c_coalesced_max_tickets 0;
   Atomic.set c_window_deadline_violations 0;
-  Atomic.set c_tune_db_hits 0;
-  Atomic.set c_tune_db_misses 0;
-  Atomic.set c_tunes_run 0;
-  Atomic.set c_retunes_triggered 0;
-  Atomic.set c_tune_rejects 0;
-  Atomic.set c_tune_time_ms 0;
   Atomic.set c_workers_restarted 0;
   Atomic.set c_workers_superseded 0;
   Atomic.set c_pools_reincarnated 0;
@@ -200,12 +183,6 @@ let coalesced_batch ~tickets =
 let window_deadline_violation () =
   ignore (Atomic.fetch_and_add c_window_deadline_violations 1)
 
-let tune_db_hit () = ignore (Atomic.fetch_and_add c_tune_db_hits 1)
-let tune_db_miss () = ignore (Atomic.fetch_and_add c_tune_db_misses 1)
-let tune_run () = ignore (Atomic.fetch_and_add c_tunes_run 1)
-let retune_triggered () = ignore (Atomic.fetch_and_add c_retunes_triggered 1)
-let tune_reject () = ignore (Atomic.fetch_and_add c_tune_rejects 1)
-let tune_time_ms n = if n > 0 then ignore (Atomic.fetch_and_add c_tune_time_ms n)
 let worker_restarted () = ignore (Atomic.fetch_and_add c_workers_restarted 1)
 let worker_superseded () = ignore (Atomic.fetch_and_add c_workers_superseded 1)
 let pool_reincarnated () = ignore (Atomic.fetch_and_add c_pools_reincarnated 1)
@@ -259,12 +236,6 @@ type snapshot = {
   coalesced_tickets : int;
   coalesced_max_tickets : int;
   window_deadline_violations : int;
-  tune_db_hits : int;
-  tune_db_misses : int;
-  tunes_run : int;
-  retunes_triggered : int;
-  tune_rejects : int;
-  tune_time_ms : int;
   workers_restarted : int;
   workers_superseded : int;
   pools_reincarnated : int;
@@ -317,12 +288,6 @@ let snapshot () =
     coalesced_tickets = Atomic.get c_coalesced_tickets;
     coalesced_max_tickets = Atomic.get c_coalesced_max_tickets;
     window_deadline_violations = Atomic.get c_window_deadline_violations;
-    tune_db_hits = Atomic.get c_tune_db_hits;
-    tune_db_misses = Atomic.get c_tune_db_misses;
-    tunes_run = Atomic.get c_tunes_run;
-    retunes_triggered = Atomic.get c_retunes_triggered;
-    tune_rejects = Atomic.get c_tune_rejects;
-    tune_time_ms = Atomic.get c_tune_time_ms;
     workers_restarted = Atomic.get c_workers_restarted;
     workers_superseded = Atomic.get c_workers_superseded;
     pools_reincarnated = Atomic.get c_pools_reincarnated;
@@ -376,12 +341,6 @@ let snapshot_to_json s =
       ("coalesced_tickets", Json.Int s.coalesced_tickets);
       ("coalesced_max_tickets", Json.Int s.coalesced_max_tickets);
       ("window_deadline_violations", Json.Int s.window_deadline_violations);
-      ("tune_db_hits", Json.Int s.tune_db_hits);
-      ("tune_db_misses", Json.Int s.tune_db_misses);
-      ("tunes_run", Json.Int s.tunes_run);
-      ("retunes_triggered", Json.Int s.retunes_triggered);
-      ("tune_rejects", Json.Int s.tune_rejects);
-      ("tune_time_ms", Json.Int s.tune_time_ms);
       ("workers_restarted", Json.Int s.workers_restarted);
       ("workers_superseded", Json.Int s.workers_superseded);
       ("pools_reincarnated", Json.Int s.pools_reincarnated);
@@ -409,8 +368,7 @@ let pp_snapshot fmt s =
      breaker_opens=%d breaker_probes=%d breaker_closes=%d breaker_short=%d \
      bucket_compiles=%d bucket_hits=%d pad_waste=%d coalesced=%d \
      coalesced_tickets=%d coalesced_max=%d window_violations=%d \
-     tune_hits=%d tune_misses=%d tunes=%d retunes=%d tune_rejects=%d \
-     tune_ms=%d restarts=%d superseded=%d reincarnations=%d inline_runs=%d \
+     restarts=%d superseded=%d reincarnations=%d inline_runs=%d \
      quarantines=%d canary_probes=%d readmissions=%d hb_missed=%d \
      models_loaded=%d models_retired=%d hot_swaps=%d parked=%d reloaded=%d \
      quota_sheds=%d cache_evicted_bytes=%d cache_overcommits=%d"
@@ -422,13 +380,11 @@ let pp_snapshot fmt s =
     s.serve_budget_rejects s.breaker_opens s.breaker_probes s.breaker_closes
     s.breaker_shortcircuits s.bucket_compiles s.bucket_cache_hits
     s.pad_waste_rows s.coalesced_batches s.coalesced_tickets
-    s.coalesced_max_tickets s.window_deadline_violations s.tune_db_hits
-    s.tune_db_misses s.tunes_run s.retunes_triggered s.tune_rejects
-    s.tune_time_ms s.workers_restarted s.workers_superseded
-    s.pools_reincarnated s.pool_inline_runs s.quarantines s.canary_probes
-    s.canary_readmissions s.heartbeats_missed s.models_loaded s.models_retired
-    s.hot_swaps s.models_parked s.models_reloaded s.quota_sheds
-    s.cache_bytes_evicted s.cache_overcommits
+    s.coalesced_max_tickets s.window_deadline_violations s.workers_restarted
+    s.workers_superseded s.pools_reincarnated s.pool_inline_runs s.quarantines
+    s.canary_probes s.canary_readmissions s.heartbeats_missed s.models_loaded
+    s.models_retired s.hot_swaps s.models_parked s.models_reloaded
+    s.quota_sheds s.cache_bytes_evicted s.cache_overcommits
 
 let with_counters f =
   let was = enabled () in

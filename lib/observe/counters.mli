@@ -135,32 +135,6 @@ val window_deadline_violation : unit -> unit
     — must stay zero; the window is sized to never outwait the tightest
     admitted deadline *)
 
-(** Tuning hooks (PR 8): measured autotuning in [Gc_tuning] and the online
-    retuning trigger in {!Gc_serve}. Always counted, like the serving
-    hooks. *)
-
-val tune_db_hit : unit -> unit
-(** one compile-time parameter choice served by the persisted tuning DB *)
-
-val tune_db_miss : unit -> unit
-(** one consultation that found no usable entry (static model used) *)
-
-val tune_run : unit -> unit
-(** one empirical tuning run (candidate measurement under the budget) *)
-
-val retune_triggered : unit -> unit
-(** one schedule demoted because the serving latency EWMA lost to its
-    tuned expectation (the DB entries were dropped and queued for retune) *)
-
-val tune_reject : unit -> unit
-(** one persisted entry rejected at load/lookup — failed
-    [Ukernel_cost.valid] for the current machine or was inconsistent with
-    its recorded problem; the static model is used instead *)
-
-val tune_time_ms : int -> unit
-(** [tune_time_ms n]: [n] wall-clock milliseconds spent measuring
-    candidates (accumulated across tunes) *)
-
 (** Supervision hooks (PR 9): self-healing actions taken by
     [Gc_supervise] and the degraded-mode tells they react to. Always
     counted, like the serving hooks. *)
@@ -262,12 +236,6 @@ type snapshot = {
   coalesced_tickets : int;  (** total tickets across coalesced batches *)
   coalesced_max_tickets : int;  (** largest single coalesced batch *)
   window_deadline_violations : int;
-  tune_db_hits : int;
-  tune_db_misses : int;
-  tunes_run : int;
-  retunes_triggered : int;
-  tune_rejects : int;
-  tune_time_ms : int;  (** total wall-clock ms spent measuring candidates *)
   workers_restarted : int;
   workers_superseded : int;
   pools_reincarnated : int;

@@ -30,8 +30,6 @@ type config = {
   sanitize_outputs : bool;
   coalesce_window_ms : float;
   max_coalesce : int;
-  retune_factor : float;
-  retune_min_samples : int;
   quota_borrow : float;
   supervision : Supervise.policy;
 }
@@ -69,8 +67,6 @@ let default_config () =
     coalesce_window_ms =
       float_of_int (env_int "GC_SERVE_COALESCE_MS" 0) (* 0 = off *);
     max_coalesce = env_int "GC_SERVE_MAX_COALESCE" 8;
-    retune_factor = env_float "GC_SERVE_RETUNE_FACTOR" 2.0;
-    retune_min_samples = env_int "GC_SERVE_RETUNE_MIN_SAMPLES" 8;
     quota_borrow = env_float "GC_SERVE_QUOTA_BORROW" 0.5;
     supervision = Supervise.default_policy ();
   }
@@ -105,11 +101,6 @@ type handle = {
   mutable h_consec_fb : int;  (* consecutive fallbacks-to-interpreter *)
   mutable h_state : breaker_state;
   mutable h_opened_at : float;  (* when the breaker last tripped open *)
-  mutable h_best_ms : float option;
-      (* best latency EWMA the handle has sustained — the schedule's
-         demonstrated expectation; the online-retune detector fires when
-         the current EWMA loses to it by [retune_factor] *)
-  mutable h_lat_samples : int;  (* completions since the last demotion *)
   (* artifact quarantine (all guarded by h_mu): crash-correlated fault
      stamps within the correlation window; while quarantined, traffic
      reroutes to the reference interpreter and only a background canary —
@@ -324,53 +315,13 @@ let note_fallback cfg h =
           Counters.breaker_open ()
       | Closed | Open -> ())
 
-(* The tuning scope the handle's compiled code keys under — what an
-   online demotion drops from the tuning DB. *)
-let tune_scope_of h =
-  match target_of h with
-  | Some { art = Core.Fixed core; _ } -> Core.tune_scope core
-  | Some { art = Core.Poly p; _ } -> Some (Core.poly_tune_scope p)
-  | None -> None
-
 let note_latency cfg h dt_ms =
-  (* EWMA update and the demotion decision under the handle lock; the
-     demotion's side effects (counter, DB drop, background retunes)
-     outside it — demote_scope takes the tuner's own lock and nothing
-     orders handle locks after it *)
-  let demote =
-    locked h.h_mu (fun () ->
-        let e =
-          match h.h_ewma_ms with
+  locked h.h_mu (fun () ->
+      h.h_ewma_ms <-
+        Some
+          (match h.h_ewma_ms with
           | None -> dt_ms
-          | Some e -> (cfg.ewma_alpha *. dt_ms) +. ((1. -. cfg.ewma_alpha) *. e)
-        in
-        h.h_ewma_ms <- Some e;
-        h.h_lat_samples <- h.h_lat_samples + 1;
-        (match h.h_best_ms with
-        | Some b when e >= b -> ()
-        | _ -> h.h_best_ms <- Some e);
-        if
-          cfg.retune_factor > 0.
-          && Gc_tuning.Autotune.enabled ()
-          && h.h_lat_samples >= cfg.retune_min_samples
-        then
-          match h.h_best_ms with
-          | Some best when e > cfg.retune_factor *. best ->
-              (* the schedule is losing to its demonstrated expectation:
-                 demote and restart the baseline so one regression does
-                 not re-fire on every subsequent completion *)
-              h.h_best_ms <- None;
-              h.h_lat_samples <- 0;
-              true
-          | _ -> false
-        else false)
-  in
-  if demote then
-    match tune_scope_of h with
-    | Some scope ->
-        Counters.retune_triggered ();
-        ignore (Gc_tuning.Autotune.demote_scope scope)
-    | None -> ()
+          | Some e -> (cfg.ewma_alpha *. dt_ms) +. ((1. -. cfg.ewma_alpha) *. e)))
 
 let breaker_state h = locked h.h_mu (fun () -> h.h_state)
 let ewma_ms h = locked h.h_mu (fun () -> h.h_ewma_ms)
@@ -382,9 +333,8 @@ let is_quarantined h = locked h.h_mu (fun () -> h.h_quarantined)
 (* A compiled execution that degraded to the interpreter is a
    crash-correlated fault for the artifact. Enough of them inside the
    correlation window and the artifact is quarantined: traffic reroutes
-   to the reference interpreter, the artifact's tuning scope is demoted
-   (a quarantined scope also re-tunes — the crash may be a bad
-   schedule), and only a reference-validated canary re-admits it. *)
+   to the reference interpreter, and only a reference-validated canary
+   re-admits it. *)
 let note_crash cfg h =
   let pol = cfg.supervision in
   let tripped =
@@ -414,16 +364,8 @@ let note_crash cfg h =
       (Printf.sprintf "%d crash-correlated faults in %.0fms; rerouting to \
                        reference interpreter"
          cfg.supervision.Supervise.quarantine_threshold
-         cfg.supervision.Supervise.quarantine_window_ms);
-    match tune_scope_of h with
-    | Some scope -> ignore (Gc_tuning.Autotune.demote_scope scope)
-    | None -> ()
+         cfg.supervision.Supervise.quarantine_window_ms)
   end
-
-(* Exported latency observation: feeds the same EWMA + online-retune
-   detector the workers feed, for callers (and tests) that execute a
-   handle's partition outside the serving queue. *)
-let observe_latency t h ms = note_latency t.cfg h ms
 
 (* {2 Request processing (worker side)} *)
 
@@ -1286,8 +1228,6 @@ let mk_handle ?name ?(weight = 1.) t target =
       h_consec_fb = 0;
       h_state = Closed;
       h_opened_at = 0.;
-      h_best_ms = None;
-      h_lat_samples = 0;
       h_crash_stamps = [];
       h_quarantined = false;
       h_quarantined_at = 0.;

@@ -111,16 +111,6 @@ type config = {
   max_coalesce : int;
       (** most tickets packed into one batched execution
           ([GC_SERVE_MAX_COALESCE], 8) *)
-  retune_factor : float;
-      (** online retuning trigger: a handle whose latency EWMA exceeds
-          [retune_factor] times the best EWMA it has sustained is demoted —
-          its tuning-DB scope is dropped and background re-tunes queued
-          ([GC_SERVE_RETUNE_FACTOR], 2.0; 0 disables; requires autotuning
-          to be enabled, see [Gc_tuning.Autotune]) *)
-  retune_min_samples : int;
-      (** completions a handle must accumulate (since the last demotion)
-          before the retune detector may fire, so a cold-start outlier
-          cannot demote a schedule ([GC_SERVE_RETUNE_MIN_SAMPLES], 8) *)
   quota_borrow : float;
       (** weighted-fair admission quotas: a model may queue past its
           share of the effective depth (share = depth × weight / total
@@ -264,12 +254,6 @@ val tier_health : t -> Gc_supervise.component_health
 (** The handle's latency EWMA over compiled executes, ms ([None] until the
     first completion). *)
 val ewma_ms : handle -> float option
-
-(** Feed one completion latency (ms) into the handle's EWMA and the
-    online-retune detector — exactly what worker-side completions do.
-    For callers that execute a handle's partition outside the serving
-    queue (and for tests of the demotion path). *)
-val observe_latency : t -> handle -> float -> unit
 
 type stats = {
   submitted : int;  (** all [submit] calls *)
