@@ -10,79 +10,15 @@
      dune exec bench/micro.exe -- --validate FILE     # parse + schema-check
 
    Sections:
-   - brgemm: single-thread BRGEMM GFLOP/s over paper-relevant tile shapes,
-     for the register-tiled kernel and for the pre-PR scalar kernels
-     (kept below as [legacy_f32] / [legacy_int8]), including the
-     tiled/legacy speedup, plus the tile/grid parameters the heuristic
-     picks for each shape's GEMM view (so the tuning bench can name the
-     schedule it is beating).
+   - brgemm: single-thread GFLOP/s of the register-tiled BRGEMM kernel
+     over paper-relevant tile shapes, plus the tile/grid parameters the
+     heuristic picks for each shape's GEMM view.
    - pool: fork-join overhead of one parallel section and the number of
      grains the self-scheduler migrated off the submitting domain.
    - mlp: wallclock of one fused-MLP execution through the full compiler,
      with the env-reuse and steal counters of a counted run. *)
 
 open Gc_tensor
-open Bigarray
-
-(* ------------------------------------------------------------------ *)
-(* The pre-PR BRGEMM f32 kernel, verbatim: a 1×1-output scalar loop with a
-   4-wide unrolled k reduction. Kept here (not in the library) purely as
-   the perf baseline the tiled kernel is measured against. *)
-
-let legacy_f32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  let kb4 = kb - (kb mod 4) in
-  for bi = 0 to batch - 1 do
-    let ao = Array.unsafe_get a_offs bi in
-    let bo = Array.unsafe_get b_offs bi in
-    for m = 0 to mb - 1 do
-      let arow = ao + (m * kb) in
-      let crow = c_off + (m * nb) in
-      for n = 0 to nb - 1 do
-        let brow = bo + (n * kb) in
-        let acc0 = ref 0. and acc1 = ref 0. and acc2 = ref 0. and acc3 = ref 0. in
-        let k = ref 0 in
-        while !k < kb4 do
-          let k0 = !k in
-          acc0 := !acc0 +. (Array1.unsafe_get a (arow + k0) *. Array1.unsafe_get b (brow + k0));
-          acc1 := !acc1 +. (Array1.unsafe_get a (arow + k0 + 1) *. Array1.unsafe_get b (brow + k0 + 1));
-          acc2 := !acc2 +. (Array1.unsafe_get a (arow + k0 + 2) *. Array1.unsafe_get b (brow + k0 + 2));
-          acc3 := !acc3 +. (Array1.unsafe_get a (arow + k0 + 3) *. Array1.unsafe_get b (brow + k0 + 3));
-          k := k0 + 4
-        done;
-        while !k < kb do
-          acc0 := !acc0 +. (Array1.unsafe_get a (arow + !k) *. Array1.unsafe_get b (brow + !k));
-          incr k
-        done;
-        let ci = crow + n in
-        Array1.unsafe_set c ci
-          (Array1.unsafe_get c ci +. ((!acc0 +. !acc1) +. (!acc2 +. !acc3)))
-      done
-    done
-  done
-
-(* The scalar u8·s8→s32 loop the tiled int8 kernel replaced, kept as the
-   perf baseline so the u8s8s32 rows carry a legacy/speedup column too
-   (pre-PR they reported the tiled rate with nothing to compare it to). *)
-
-let legacy_int8 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  for bi = 0 to batch - 1 do
-    let ao = Array.unsafe_get a_offs bi in
-    let bo = Array.unsafe_get b_offs bi in
-    for m = 0 to mb - 1 do
-      let arow = ao + (m * kb) in
-      let crow = c_off + (m * nb) in
-      for n = 0 to nb - 1 do
-        let brow = bo + (n * kb) in
-        let acc = ref 0 in
-        for k = 0 to kb - 1 do
-          acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
-        done;
-        let ci = crow + n in
-        Array1.unsafe_set c ci
-          (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
-      done
-    done
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Measurement: quota-bounded repetition, best of 3 (robust against other
@@ -150,19 +86,10 @@ let bench_shape s =
       for i = 0 to Buffer.length a - 1 do Buffer.set a i (sin (float_of_int i)) done;
       for i = 0 to Buffer.length b - 1 do Buffer.set b i (cos (float_of_int i)) done;
       let af = Buffer.as_f32 a and bf = Buffer.as_f32 b and cf = Buffer.as_f32 c in
-      let tiled =
-        gflops
-          (rate_of ~work:flops (fun () ->
-               Gc_microkernel.Brgemm.f32 ~batch ~mb ~nb ~kb ~a:af ~a_offs ~b:bf
-                 ~b_offs ~c:cf ~c_off:0))
-      in
-      let legacy =
-        gflops
-          (rate_of ~work:flops (fun () ->
-               legacy_f32 ~batch ~mb ~nb ~kb ~a:af ~a_offs ~b:bf ~b_offs ~c:cf
-                 ~c_off:0))
-      in
-      (tiled, Some legacy)
+      gflops
+        (rate_of ~work:flops (fun () ->
+             Gc_microkernel.Brgemm.f32 ~batch ~mb ~nb ~kb ~a:af ~a_offs ~b:bf
+               ~b_offs ~c:cf ~c_off:0))
   | "u8s8s32" ->
       let a = Buffer.create Dtype.U8 (batch * mb * kb) in
       let b = Buffer.create Dtype.S8 (batch * nb * kb) in
@@ -170,25 +97,14 @@ let bench_shape s =
       for i = 0 to Buffer.length a - 1 do Buffer.set_int a i ((i * 37) mod 256) done;
       for i = 0 to Buffer.length b - 1 do Buffer.set_int b i (((i * 23) mod 255) - 128) done;
       let au = Buffer.as_u8 a and bs = Buffer.as_s8 b and cs = Buffer.as_s32 c in
-      let tiled =
-        gflops
-          (rate_of ~work:flops (fun () ->
-               Gc_microkernel.Brgemm.u8s8s32 ~batch ~mb ~nb ~kb ~a:au ~a_offs
-                 ~b:bs ~b_offs ~c:cs ~c_off:0))
-      in
-      let legacy =
-        gflops
-          (rate_of ~work:flops (fun () ->
-               legacy_int8 ~batch ~mb ~nb ~kb ~a:au ~a_offs ~b:bs ~b_offs
-                 ~c:cs ~c_off:0))
-      in
-      (tiled, Some legacy)
+      gflops
+        (rate_of ~work:flops (fun () ->
+             Gc_microkernel.Brgemm.u8s8s32 ~batch ~mb ~nb ~kb ~a:au ~a_offs
+               ~b:bs ~b_offs ~c:cs ~c_off:0))
   | other -> invalid_arg ("micro: unknown dtype " ^ other)
 
 (* The schedule the static heuristic picks for each shape's GEMM view
-   (the batch-reduce seen as one long-k matmul): recorded per shape so
-   the BENCH file — and the tuning bench that reads it — can name the
-   tile/grid a measured-tuned entry displaces. *)
+   (the batch-reduce seen as one long-k matmul), recorded per shape. *)
 let chosen_params s =
   let dtype =
     match s.sdtype with "u8s8s32" -> Dtype.U8 | _ -> Dtype.F32
@@ -210,15 +126,11 @@ let params_fields p =
 let brgemm_section shapes =
   List.map
     (fun s ->
-      let tiled, legacy = bench_shape s in
+      let tiled = bench_shape s in
       let p = chosen_params s in
       let open Core.Observe.Json in
-      Printf.printf "  %-24s %8.3f GFLOP/s%s   tile %dx%dx%d grid %dx%dx%d\n%!"
-        s.sname tiled
-        (match legacy with
-        | Some l -> Printf.sprintf "  (legacy %.3f, %.2fx)" l (tiled /. l)
-        | None -> "")
-        p.Gc_lowering.Params.mb p.Gc_lowering.Params.nb
+      Printf.printf "  %-24s %8.3f GFLOP/s   tile %dx%dx%d grid %dx%dx%d\n%!"
+        s.sname tiled p.Gc_lowering.Params.mb p.Gc_lowering.Params.nb
         p.Gc_lowering.Params.kb p.Gc_lowering.Params.mpn
         p.Gc_lowering.Params.npn p.Gc_lowering.Params.kpn;
       ( s.sname,
@@ -231,12 +143,7 @@ let brgemm_section shapes =
              ("kb", Int s.kb);
              ("tiled_gflops", Float tiled);
            ]
-          @ params_fields p
-          @
-          match legacy with
-          | Some l ->
-              [ ("legacy_gflops", Float l); ("speedup", Float (tiled /. l)) ]
-          | None -> []) ))
+          @ params_fields p) ))
     shapes
 
 (* ------------------------------------------------------------------ *)
@@ -348,9 +255,9 @@ let validate file =
       (match member "brgemm" j with
       | Some (Obj (_ :: _)) -> ()
       | _ -> fail "missing or empty \"brgemm\" section");
-      (match Option.bind (member "headline" j) (member "speedup") with
-      | Some (Float sp) when sp > 0. -> ()
-      | _ -> fail "missing headline.speedup");
+      (match Option.bind (member "headline" j) (member "tiled_gflops") with
+      | Some (Float g) when g > 0. -> ()
+      | _ -> fail "missing headline.tiled_gflops");
       (match Option.bind (member "headline" j) (member "grid") with
       | Some (String _) -> ()
       | _ -> fail "missing headline.grid (chosen tile params)");
