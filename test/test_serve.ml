@@ -214,17 +214,28 @@ let test_execute_deadline_param () =
 (* ------------------------------------------------------------------ *)
 (* Memory budget governor *)
 
+(* Collect until the ledger stops falling. Dead buffers of earlier tests
+   release their charges from finalisers, so a baseline read before they
+   ran would drop under any later collection. *)
+let rec settle_ledger n =
+  let before = Memgov.used () in
+  Gc.full_major ();
+  if Memgov.used () < before && n > 0 then settle_ledger (n - 1)
+
 let test_budget_rejects_and_recovers () =
   let b = mlp ~batch:8 ~hidden:[ 32; 32 ] () in
+  (* baseline-relative: under GC_MEM_BUDGET_BYTES (the CI chaos job) the
+     ledger already holds live charges — earlier tests' buffers. Settle
+     before any worker domain of this test exists: a finaliser orphaned
+     by an earlier test's exited domain may otherwise be adopted by this
+     test's idle worker and run only when a request wakes it. Without the
+     env budget the baseline is 0 and this proves the absolute
+     drain-to-zero property. *)
+  settle_ledger 10;
+  let used0 = Memgov.used () in
   (* compile unarmed so compile-time constants are not charged *)
   let server = Serve.create ~config:(serve_config ~workers:1 ()) () in
   let h = register server b in
-  (* baseline-relative: under GC_MEM_BUDGET_BYTES (the CI chaos job) the
-     ledger already holds live charges — earlier tests' buffers and the
-     constants of the partition registered above, which stay reachable
-     through [h] past the settle loop. Without the env budget the
-     baseline is 0 and this proves the absolute drain-to-zero property. *)
-  let used0 = Memgov.used () in
   Fun.protect
     ~finally:(fun () ->
       Memgov.set_limit None;
