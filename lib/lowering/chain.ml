@@ -26,6 +26,8 @@ let broadcast_point t (lt : Logical_tensor.t) =
   Array.init rank (fun i ->
       if Shape.dim lt.shape i = 1 then Ir.int 0 else t.point.(pr - rank + i))
 
+let access t lt = Index_map.access t.tmap lt (broadcast_point t lt)
+
 let value t (lt : Logical_tensor.t) =
   match Hashtbl.find_opt t.values lt.id with
   | Some (Scalar e) -> e
@@ -34,7 +36,7 @@ let value t (lt : Logical_tensor.t) =
       match Logical_tensor.const_value lt with
       | Some v when Tensor.numel v = 1 -> Ir.Float (Tensor.item v)
       | _ ->
-          let tensor, idx = Index_map.access t.tmap lt (broadcast_point t lt) in
+          let tensor, idx = access t lt in
           Ir.Load (tensor, idx))
 
 let eltwise_expr (kind : Op_kind.t) attrs (args : Ir.expr list) =

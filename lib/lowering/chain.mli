@@ -22,6 +22,11 @@ val bind : t -> Logical_tensor.t -> Ir.expr -> unit
 (** Bind a reduction result to a scalar variable (per-row accumulator). *)
 val bind_var : t -> Logical_tensor.t -> Ir.var -> unit
 
+(** [access t lt] is the tensor and physical index of [lt]'s element at
+    the chain's point, broadcast into [lt]'s shape (size-1 dimensions read
+    index 0). *)
+val access : t -> Logical_tensor.t -> Ir.tensor * Ir.expr array
+
 (** The current scalar value of a logical tensor at the chain's point:
     a bound value, an inlined compile-time scalar constant, or a broadcast
     load from the external tensor. *)

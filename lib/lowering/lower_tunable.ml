@@ -434,6 +434,25 @@ let lower ~tmap (f : Fused_op.t) =
           List.iter (fun (lt, var) -> Chain.bind_var c lt var) !rowaccs;
           c
         in
+        (* persist [op]'s result at the current column: compute it once
+           into a scalar, store the scalar, and rebind the chain to it so
+           later ops of the segment and the reduction's combine read it
+           instead of inlining the expression again. Every result is
+           stored, not just the last: a later segment may load any of
+           them, and an intermediate output can escape the region when
+           the chain was cut at an escaping reduction (layernorm's
+           deviation feeding the final scale). Dead stores to locals are
+           cleaned by DSE. A row-shaped result (layernorm's variance +
+           eps, [.., 1]) is stored at column 0 of its own shape. *)
+        let persist chain (op : Op.t) =
+          let e = Chain.apply chain op in
+          let out = Op.output op in
+          let target, idx = Chain.access chain out in
+          let v = Ir.fresh_var ~name:(out.name ^ "_v") (Ir.Scalar target.tdtype) in
+          Chain.bind chain out (Ir.Var v);
+          staged := out;
+          [ Ir.Assign (v, e); Ir.Store (target, idx, Ir.Var v) ]
+        in
         let segs = split_segments g.g_ops in
         let seg_stmts =
           List.concat_map
@@ -445,28 +464,10 @@ let lower ~tmap (f : Fused_op.t) =
                   in
                   let acc = Ir.fresh_var ~name:"racc" (Ir.Scalar Dtype.F32) in
                   let chain = new_chain (Ir.v colv) in
-                  (* persist every eltwise result so later segments can
-                     load any of them (dead stores are cleaned by DSE) *)
-                  let persist =
-                    List.concat_map
-                      (fun (op : Gc_graph_ir.Op.t) ->
-                        let e = Chain.apply chain op in
-                        let out = Op.output op in
-                        let target, idx =
-                          Index_map.access (resolve ts) out (point (Ir.v colv))
-                        in
-                        staged := out;
-                        [ Ir.Store (target, idx, e) ])
-                      elts
-                  in
-                  let v =
-                    Chain.value chain
-                      (match List.rev elts with
-                      | last :: _ -> Op.output last
-                      | [] -> !staged)
-                  in
+                  let stores = List.concat_map (persist chain) elts in
+                  let v = Chain.value chain !staged in
                   let body =
-                    persist @ [ Ir.Assign (acc, reduce_combine rkind (Ir.v acc) v) ]
+                    stores @ [ Ir.Assign (acc, reduce_combine rkind (Ir.v acc) v) ]
                   in
                   rowaccs := (Op.output rop, acc) :: !rowaccs;
                   [ Ir.Assign (acc, reduce_init rkind) ]
@@ -480,24 +481,8 @@ let lower ~tmap (f : Fused_op.t) =
                   match elts with
                   | [] -> []
                   | _ ->
-                      (* persist every result, not just the last: an
-                         intermediate output can escape the region when the
-                         chain was cut at an escaping reduction (layernorm's
-                         deviation feeding the final scale). Dead stores to
-                         locals are cleaned by DSE. *)
                       let chain = new_chain (Ir.v colv) in
-                      let stores =
-                        List.concat_map
-                          (fun (op : Gc_graph_ir.Op.t) ->
-                            let e = Chain.apply chain op in
-                            let out = Op.output op in
-                            let target, idx =
-                              Index_map.access (resolve ts) out
-                                (point (Ir.v colv))
-                            in
-                            [ Ir.Store (target, idx, e) ])
-                          elts
-                      in
+                      let stores = List.concat_map (persist chain) elts in
                       [ for_ colv (Ir.Int 0) (Ir.Int n) stores ]))
             segs
         in

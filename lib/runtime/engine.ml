@@ -362,22 +362,67 @@ and coffset ctx (t : tensor) idx : env -> int =
         ]
       (Printf.sprintf "Engine: tensor %s rank mismatch in access" t.tname);
   let strides = strides_of t.dims in
-  let parts =
-    Array.to_list
-      (Array.mapi
-         (fun i e ->
-           let ci = cint ctx e in
-           let s = strides.(i) in
-           fun env -> ci env * s)
-         idx)
+  (* Fold at closure-compile time: constant terms (the zeros a shrunk
+     temporary keeps in its size-1 dims) add into one base offset,
+     variable terms are read straight from their int slots inside one
+     closure, and a unit stride (the innermost dim) skips its multiply.
+     Only computed terms keep a closure each. *)
+  let base = ref 0 and slots = ref [] and computed = ref [] in
+  Array.iteri
+    (fun i e ->
+      let s = strides.(i) in
+      match e with
+      | Int c -> base := !base + (c * s)
+      | Var v when is_int_ty v.vty -> slots := (var_slot ctx v, s) :: !slots
+      | e ->
+          let ci = cint ctx e in
+          computed := (if s = 1 then ci else fun env -> ci env * s) :: !computed)
+    idx;
+  let b = !base and computed = List.rev !computed in
+  (* the base plus the variable terms, as one closure *)
+  let slot_sum =
+    match List.rev !slots with
+    | [] -> None
+    | [ (k, 1) ] -> Some (fun env -> b + Array.unsafe_get env.ints k)
+    | [ (k, s) ] -> Some (fun env -> b + (Array.unsafe_get env.ints k * s))
+    | [ (k, s); (l, 1) ] ->
+        Some
+          (fun env ->
+            let ints = env.ints in
+            b + (Array.unsafe_get ints k * s) + Array.unsafe_get ints l)
+    | [ (k, s); (l, t); (m, 1) ] ->
+        Some
+          (fun env ->
+            let ints = env.ints in
+            b
+            + (Array.unsafe_get ints k * s)
+            + (Array.unsafe_get ints l * t)
+            + Array.unsafe_get ints m)
+    | ts ->
+        let ks = Array.of_list (List.map fst ts)
+        and ss = Array.of_list (List.map snd ts) in
+        Some
+          (fun env ->
+            let acc = ref b in
+            for i = 0 to Array.length ks - 1 do
+              acc :=
+                !acc
+                + (Array.unsafe_get env.ints (Array.unsafe_get ks i)
+                  * Array.unsafe_get ss i)
+            done;
+            !acc)
+  in
+  let b, parts =
+    match slot_sum with Some f -> (0, f :: computed) | None -> (b, computed)
   in
   match parts with
-  | [] -> fun _ -> 0
-  | [ p ] -> p
-  | [ p; q ] -> fun env -> p env + q env
-  | [ p; q; r ] -> fun env -> p env + q env + r env
-  | [ p; q; r; s ] -> fun env -> p env + q env + r env + s env
-  | ps -> fun env -> List.fold_left (fun acc p -> acc + p env) 0 ps
+  | [] -> fun _ -> b
+  | [ p ] when b = 0 -> p
+  | [ p ] -> fun env -> b + p env
+  | [ p; q ] -> fun env -> b + p env + q env
+  | [ p; q; r ] -> fun env -> b + p env + q env + r env
+  | [ p; q; r; s ] -> fun env -> b + p env + q env + r env + s env
+  | ps -> fun env -> List.fold_left (fun acc p -> acc + p env) b ps
 
 (* Destination-passing float evaluation: the compiled closure leaves the
    value in [env.floats.(dst)] and returns unit. An [env -> float] closure

@@ -32,10 +32,17 @@ let unop_str = function
   | Round -> "round"
   | Rcp -> "rcp"
 
-let rec pp_expr fmt = function
+(* The printers below take [name], how a variable prints. Outside a
+   function it is the plain [vname]; [pp_func] passes its disambiguated
+   form. *)
+let plain_name (v : var) = v.vname
+
+let rec pp_expr_n name fmt e =
+  let pp_expr = pp_expr_n name and pp_indices = pp_indices_n name in
+  match e with
   | Int i -> Format.fprintf fmt "%d" i
   | Float f -> Format.fprintf fmt "%g" f
-  | Var v -> Format.pp_print_string fmt v.vname
+  | Var v -> Format.pp_print_string fmt (name v)
   | Load (t, idx) -> Format.fprintf fmt "%s[%a]" t.tname pp_indices idx
   | Addr (t, idx) -> Format.fprintf fmt "&%s[%a]" t.tname pp_indices idx
   | Binop (((Min | Max) as op), a, b) ->
@@ -49,18 +56,24 @@ let rec pp_expr fmt = function
   | Select (c, a, b) ->
       Format.fprintf fmt "(%a ? %a : %a)" pp_expr c pp_expr a pp_expr b
 
-and pp_indices fmt idx =
+and pp_indices_n name fmt idx =
   Array.iteri
     (fun i e ->
       if i > 0 then Format.fprintf fmt ", ";
-      pp_expr fmt e)
+      pp_expr_n name fmt e)
     idx
+
+let pp_expr = pp_expr_n plain_name
 
 let pp_dims fmt dims =
   Array.iter (fun d -> Format.fprintf fmt "[%d]" d) dims
 
-let rec pp_stmt fmt = function
-  | Assign (v, e) -> Format.fprintf fmt "@[<h>%s = %a;@]" v.vname pp_expr e
+let rec pp_stmt_n name fmt s =
+  let pp_expr = pp_expr_n name
+  and pp_indices = pp_indices_n name
+  and pp_body = pp_body_n name in
+  match s with
+  | Assign (v, e) -> Format.fprintf fmt "@[<h>%s = %a;@]" (name v) pp_expr e
   | Store (t, idx, e) ->
       Format.fprintf fmt "@[<h>%s[%a] = %a;@]" t.tname pp_indices idx pp_expr e
   | Alloc t ->
@@ -74,9 +87,9 @@ let rec pp_stmt fmt = function
         | Some tg -> Printf.sprintf "  // mergeable #%d" tg
         | None -> ""
       in
+      let lv = name l.v in
       Format.fprintf fmt "@[<v 2>%s (%s = %a; %s < %a; %s += %a) {%s@,%a@]@,}" kw
-        l.v.vname pp_expr l.lo l.v.vname pp_expr l.hi l.v.vname pp_expr l.step
-        tag pp_body l.body
+        lv pp_expr l.lo lv pp_expr l.hi lv pp_expr l.step tag pp_body l.body
   | If (c, t, []) ->
       Format.fprintf fmt "@[<v 2>if (%a) {@,%a@]@,}" pp_expr c pp_body t
   | If (c, t, e) ->
@@ -90,20 +103,43 @@ let rec pp_stmt fmt = function
         args
   | Barrier -> Format.pp_print_string fmt "barrier();"
 
-and pp_body fmt body =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt fmt body
+and pp_body_n name fmt body =
+  Format.pp_print_list ~pp_sep:Format.pp_print_cut (pp_stmt_n name) fmt body
 
-let pp_param fmt = function
+let pp_stmt = pp_stmt_n plain_name
+
+let pp_param name fmt = function
   | Ptensor t ->
       Format.fprintf fmt "%s %s%a"
         (Gc_tensor.Dtype.to_string t.tdtype)
         t.tname pp_dims t.dims
-  | Pvar v -> Format.fprintf fmt "%a %s" pp_ty v.vty v.vname
+  | Pvar v -> Format.fprintf fmt "%a %s" pp_ty v.vty (name v)
+
+(* Distinct variables that share a name within [f] (the max and the sum
+   accumulators of a fused softmax are both [racc]) print as
+   [name_vid]; every other variable prints as its plain name. *)
+let func_var_names f =
+  let vids_of_name = Hashtbl.create 32 in
+  let note (v : var) =
+    let vids = Option.value (Hashtbl.find_opt vids_of_name v.vname) ~default:[] in
+    if not (List.mem v.vid vids) then
+      Hashtbl.replace vids_of_name v.vname (v.vid :: vids)
+  in
+  List.iter (function Pvar v -> note v | Ptensor _ -> ()) f.params;
+  Visit.iter_stmts
+    ~expr:(function Var v -> note v | _ -> ())
+    ~stmt:(function Assign (v, _) -> note v | For l -> note l.v | _ -> ())
+    f.body;
+  fun (v : var) ->
+    match Hashtbl.find_opt vids_of_name v.vname with
+    | Some (_ :: _ :: _) -> Printf.sprintf "%s_%d" v.vname v.vid
+    | _ -> v.vname
 
 let pp_func fmt f =
+  let name = func_var_names f in
   Format.fprintf fmt "@[<v 2>func %s(%a) {@,%a@]@,}" f.fname
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") pp_param)
-    f.params pp_body f.body
+    (Format.pp_print_list ~pp_sep:(fun f () -> Format.fprintf f ", ") (pp_param name))
+    f.params (pp_body_n name) f.body
 
 let pp_module fmt m =
   Format.fprintf fmt "@[<v>module {  // entry=%s%s@," m.entry

@@ -14,7 +14,8 @@ open Gc_tensor_ir
     dead-store elimination behind it) turns the chain's full-size
     temporaries into scalars — the paper's "the temporary tensor could be
     replaced by a scalar variable". Bindings are invalidated by any nested
-    statement that may write the tensor. *)
+    statement that may write the tensor. A store whose scalar no later load
+    reads stays the direct [T[i] = e]. *)
 
 val run_func : Ir.func -> Ir.func
 val run : Ir.module_ -> Ir.module_

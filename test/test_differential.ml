@@ -277,6 +277,80 @@ let run_memory seed =
     (gen_memory_module seed)
 
 (* ------------------------------------------------------------------ *)
+(* 1b'. Index terms: the engine folds constant terms into one base offset,
+   reads variable terms straight from their slots and skips unit-stride
+   multiplies. Accesses mix constant, zero, variable and computed terms at
+   every rank from 1 to 5; the temporary's accesses put a constant 0 or 1
+   before all-variable terms, so at rank 5 they take the engine's general
+   fold path with a nonzero base. Both executors evaluate each value in
+   the same order, so they must agree bit-exactly. *)
+
+let gen_index_module seed =
+  let rs = Random.State.make [| 0x1dc5; seed |] in
+  let open Ir in
+  let rank = 1 + (seed mod 5) in
+  let dims = Array.init rank (fun _ -> 1 + Random.State.int rs 4) in
+  let x = fresh_tensor ~name:"x" ~storage:Param Dtype.F32 dims in
+  let o = fresh_tensor ~name:"o" ~storage:Param Dtype.F32 dims in
+  (* a temporary whose leading dim holds two planes, addressed by a
+     constant like the size-1 dims of a shrunk fused temporary *)
+  let tdims = Array.mapi (fun i d -> if i = 0 then 2 else d) dims in
+  let tmp = fresh_tensor ~name:"tmp" ~storage:Local Dtype.F32 tdims in
+  let vars =
+    Array.init rank (fun i -> fresh_var ~name:(Printf.sprintf "i%d" i) Index)
+  in
+  let term i =
+    let d = dims.(i) in
+    match Random.State.int rs 5 with
+    | 0 -> Int (Random.State.int rs d)
+    | 1 -> Int 0
+    | 2 -> Binop (Sub, Int (d - 1), Var vars.(i))
+    | 3 -> Binop (Mod, Binop (Add, Var vars.(i), Int (Random.State.int rs 3)), Int d)
+    | _ -> Var vars.(i)
+  in
+  let here = Array.map (fun v -> Var v) vars in
+  let plane c = Array.mapi (fun i e -> if i = 0 then Int c else e) here in
+  let body =
+    [
+      Store (tmp, plane 0, Binop (Mul, Load (x, Array.init rank term), Float 3.));
+      Store (tmp, plane 1, Binop (Sub, Load (x, Array.init rank term), Float 1.));
+      Store
+        ( o,
+          here,
+          Binop
+            ( Add,
+              Load (tmp, plane 0),
+              Binop (Mul, Load (tmp, plane 1), Load (x, Array.init rank term)) ) );
+    ]
+  in
+  let parallel_outer = Random.State.bool rs in
+  let rec nest i inner =
+    if i < 0 then inner
+    else
+      nest (i - 1)
+        [
+          For
+            {
+              v = vars.(i);
+              lo = Int 0;
+              hi = Int dims.(i);
+              step = Int 1;
+              body = inner;
+              parallel = i = 0 && parallel_outer;
+              merge_tag = None;
+            };
+        ]
+  in
+  let body = Alloc tmp :: nest (rank - 1) body in
+  { funcs = [ { fname = "main"; params = [ Ptensor x; Ptensor o ]; body } ];
+    entry = "main"; init = None; globals = [] }
+
+let run_index seed =
+  let rs = Random.State.make [| 0x1d0; seed |] in
+  run_differential ~tol:0. ~what:(Printf.sprintf "index seed %d" seed) ~rs
+    (gen_index_module seed)
+
+(* ------------------------------------------------------------------ *)
 (* 1c. brgemm intrinsic: f32 (tolerance) and int8 (bit-exact) *)
 
 let gen_brgemm_module ~int8 seed =
@@ -793,6 +867,7 @@ let () =
     [
       cases "random-tir-eltwise" 20 run_eltwise;
       cases "random-tir-memory" 8 run_memory;
+      cases "random-tir-index" 10 run_index;
       cases "random-tir-brgemm-f32" 6 (run_brgemm ~int8:false);
       cases "random-tir-brgemm-int8" 6 (run_brgemm ~int8:true);
       cases "pipeline-mlp-f32" 10 (run_pipeline_mlp ~int8:false);

@@ -366,6 +366,75 @@ let test_template_batched_softmax_fusion () =
   if not (Tensor.allclose ~rtol:1e-4 ~atol:1e-5 got expect) then
     Alcotest.failf "softmax fusion mismatch: max diff %g" (Tensor.max_abs_diff got expect)
 
+(* Unop nodes of kind [op] anywhere in a module *)
+let count_unop op (m : Gc_tensor_ir.Ir.module_) =
+  List.fold_left
+    (fun n (f : Gc_tensor_ir.Ir.func) ->
+      Gc_tensor_ir.Visit.fold_stmts
+        ~expr:(fun n e ->
+          match e with Gc_tensor_ir.Ir.Unop (o, _) when o = op -> n + 1 | _ -> n)
+        n f.body)
+    0 m.funcs
+
+let test_mha_softmax_one_exp_per_softmax () =
+  (* anchor #3 persists each eltwise result once and the reduction reads
+     the persisted value, so the optimized module computes every exp once:
+     one Exp node per softmax of the graph *)
+  let built = Gc_workloads.Mha.build_f32 ~batch:2 ~seq:16 ~hidden:64 ~heads:4 () in
+  let softmaxes =
+    List.length
+      (List.filter (fun (op : Op.t) -> op.kind = Softmax) built.graph.ops)
+  in
+  Alcotest.(check bool) "graph has a softmax" true (softmaxes > 0);
+  let c = Core.compile ~config:(Core.default_config ~machine ()) built.graph in
+  Alcotest.(check int) "one exp per softmax" softmaxes
+    (count_unop Gc_tensor_ir.Ir.Exp (Core.tir_module c))
+
+let test_template_layernorm_post3_segments () =
+  (* a decomposed layernorm at post#3 of a batched matmul: three anchor-3
+     segments (mean | sub, square, mean | add eps, sqrt, rcp, scale,
+     shift). The deviation feeds the square twice and the sqrt feeds the
+     rest of the chain, yet each appears once in the lowered code. *)
+  let b = 2 and m = 5 and n = 12 and k = 7 in
+  let a_lt = Logical_tensor.create ~name:"A" Dtype.F32 (sh [ b; m; k ]) in
+  let b_lt = Logical_tensor.create ~name:"B" Dtype.F32 (sh [ b; k; n ]) in
+  let g_lt = Logical_tensor.create ~name:"gamma" Dtype.F32 (sh [ n ]) in
+  let be_lt = Logical_tensor.create ~name:"beta" Dtype.F32 (sh [ n ]) in
+  let tun = Op.create Matmul ~inputs:[ a_lt; b_lt ]
+      ~outputs:[ Logical_tensor.create ~name:"S" Dtype.F32 (sh [ b; m; n ]) ] in
+  let ln =
+    Op.create Layernorm
+      ~attrs:(Attrs.of_list [ ("epsilon", Attrs.Float 1e-5) ])
+      ~inputs:[ Op.output tun; g_lt; be_lt ]
+      ~outputs:[ Logical_tensor.create ~name:"Y" Dtype.F32 (sh [ b; m; n ]) ]
+  in
+  let y = Op.output ln in
+  let ops = Gc_graph_passes.Decompose.decompose_op ln in
+  let params = Heuristic.choose ~machine:Machine.test_machine ~dtype:Dtype.F32 ~batch:b ~m ~n ~k () in
+  let f =
+    mk_tunable_fused ~params
+      ~post_groups:[ { Fused_op.g_anchor = Post3; g_ops = ops } ]
+      tun ~inputs:[ a_lt; b_lt; g_lt; be_lt ] ~outputs:[ y ]
+  in
+  let fg =
+    { Fused_op.fused = [ f ]; g_inputs = [ a_lt; b_lt; g_lt; be_lt ]; g_outputs = [ y ];
+      init = None }
+  in
+  let lowered = Lower_graph.lower fg in
+  Alcotest.(check int) "one sqrt" 1 (count_unop Gc_tensor_ir.Ir.Sqrt lowered.module_);
+  Alcotest.(check int) "one rcp" 1 (count_unop Gc_tensor_ir.Ir.Rcp lowered.module_);
+  let a = Tensor.random ~seed:21 Dtype.F32 (sh [ b; m; k ]) in
+  let bt = Tensor.random ~seed:22 Dtype.F32 (sh [ b; k; n ]) in
+  let g = Tensor.random ~seed:23 Dtype.F32 (sh [ n ]) in
+  let be = Tensor.random ~seed:24 Dtype.F32 (sh [ n ]) in
+  let outs = run_fused_graph fg [ (a_lt, a); (b_lt, bt); (g_lt, g); (be_lt, be) ] in
+  let got = List.assoc y.id outs in
+  let expect =
+    List.hd (Reference.eval_op ln ~inputs:[ Ref_ops.matmul a bt; g; be ])
+  in
+  if not (Tensor.allclose ~rtol:1e-4 ~atol:1e-5 got expect) then
+    Alcotest.failf "layernorm post#3 mismatch: max diff %g" (Tensor.max_abs_diff got expect)
+
 let test_fusible_group_lowering () =
   (* a standalone eltwise chain with a reduction, no tunable op *)
   let x_lt = Logical_tensor.create ~name:"x" Dtype.F32 (sh [ 4; 6 ]) in
@@ -510,6 +579,9 @@ let () =
           Alcotest.test_case "batched" `Quick test_template_batched_matmul;
           Alcotest.test_case "transpose_b" `Quick test_template_batched_transpose_b;
           Alcotest.test_case "softmax post fusion" `Quick test_template_batched_softmax_fusion;
+          Alcotest.test_case "one exp per softmax" `Quick test_mha_softmax_one_exp_per_softmax;
+          Alcotest.test_case "layernorm post#3 segments" `Quick
+            test_template_layernorm_post3_segments;
           Alcotest.test_case "fusible group" `Quick test_fusible_group_lowering;
           Alcotest.test_case "two fused ops" `Quick test_two_fused_ops_pipeline;
           Alcotest.test_case "k-sliced template" `Quick test_template_ksliced;

@@ -94,10 +94,10 @@ let test_time_consistent_with_frequency () =
 
 let golden =
   [
-    ("mlp-full", `Full, `Mlp, 7087.40, 1);
-    ("mlp-baseline", `Baseline, `Mlp, 13561.46, 2);
-    ("mha-full", `Full, `Mha, 8985.88, 1);
-    ("mha-baseline", `Baseline, `Mha, 23626.92, 3);
+    ("mlp-full", `Full, `Mlp, 7075.52, 1);
+    ("mlp-baseline", `Baseline, `Mlp, 13553.54, 2);
+    ("mha-full", `Full, `Mha, 8242.84, 1);
+    ("mha-baseline", `Baseline, `Mha, 23584.68, 3);
   ]
 
 let test_golden_cycles () =

@@ -81,10 +81,17 @@ let test_queue_full_sheds_typed () =
   with_server ~config:(serve_config ~queue_depth:1 ~workers:1 ())
     (fun server ->
       let h = register server b in
-      let tickets =
-        List.init 8 (fun _ -> Serve.submit server h b.Mlp.data)
+      (* every pool task of an execute sleeps 20 ms, so the one worker is
+         still busy with the first request when the later submits arrive
+         and the depth-1 queue must shed; without the gate a fast execute
+         can drain the queue between two submits *)
+      let outcomes =
+        with_faults ~slow_ms:20 "slow:1" (fun () ->
+            let tickets =
+              List.init 8 (fun _ -> Serve.submit server h b.Mlp.data)
+            in
+            List.map Serve.await tickets)
       in
-      let outcomes = List.map Serve.await tickets in
       let ok = List.length (List.filter Result.is_ok outcomes) in
       let overloaded =
         List.length

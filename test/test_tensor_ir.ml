@@ -92,6 +92,49 @@ let test_printer_parallel_and_tags () =
   in
   Alcotest.(check bool) "tag shown" true (contains s "mergeable #7")
 
+let test_printer_disambiguates_shared_names () =
+  (* a fused softmax's max and sum accumulators are both "racc": each
+     prints with its vid; a name used by one variable prints plain *)
+  let t = fresh_tensor ~name:"T" ~storage:Param Dtype.F32 [| 4 |] in
+  let mx = fresh_var ~name:"racc" (Scalar Dtype.F32) in
+  let sum = fresh_var ~name:"racc" (Scalar Dtype.F32) in
+  let i = fresh_var ~name:"i" Index in
+  let loop body = For { v = i; lo = Int 0; hi = Int 4; step = Int 1; body;
+                        parallel = false; merge_tag = None } in
+  let f =
+    {
+      fname = "f";
+      params = [ Ptensor t ];
+      body =
+        [
+          Assign (mx, Float neg_infinity);
+          loop [ Assign (mx, Binop (Max, Var mx, Load (t, [| Var i |]))) ];
+          Assign (sum, Float 0.);
+          loop [ Assign (sum, Binop (Add, Var sum, Binop (Sub, Load (t, [| Var i |]), Var mx))) ];
+        ];
+    }
+  in
+  let name v = Printf.sprintf "racc_%d" v.vid in
+  Alcotest.(check string) "suffixed"
+    (String.concat "\n"
+       [
+         "func f(f32 T[4]) {";
+         Printf.sprintf "  %s = -inf;" (name mx);
+         "  for (i = 0; i < 4; i += 1) {";
+         Printf.sprintf "    %s = max(%s, T[i]);" (name mx) (name mx);
+         "  }";
+         Printf.sprintf "  %s = 0;" (name sum);
+         "  for (i = 0; i < 4; i += 1) {";
+         Printf.sprintf "    %s = (%s + (T[i] - %s));" (name sum) (name sum) (name mx);
+         "  }";
+         "}";
+       ])
+    (Printer.func_to_string f);
+  (* without a collision the function prints exactly as before *)
+  let g = { f with body = [ Assign (mx, Float 1.); Store (t, [| Int 0 |], Var mx) ] } in
+  Alcotest.(check string) "plain" "func f(f32 T[4]) {\n  racc = 1;\n  T[0] = racc;\n}"
+    (Printer.func_to_string g)
+
 (* ------------------------------------------------------------------ *)
 (* Checker *)
 
@@ -225,6 +268,7 @@ let () =
         [
           Alcotest.test_case "c-like" `Quick test_printer_c_like;
           Alcotest.test_case "parallel + tags" `Quick test_printer_parallel_and_tags;
+          Alcotest.test_case "shared names" `Quick test_printer_disambiguates_shared_names;
         ] );
       ( "check",
         [

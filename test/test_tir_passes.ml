@@ -242,6 +242,78 @@ let test_forward_store_respects_aliasing () =
   run_module m' [| yb |];
   Alcotest.(check (float 0.)) "latest value wins" 9. (Buffer.get yb 0)
 
+let test_forward_store_keeps_direct_store () =
+  (* t[i] is stored and never reloaded in the body: no scalar is
+     introduced, the store stays T[i] = e *)
+  let x = fresh_tensor ~name:"x" ~storage:Param Dtype.F32 [| 8 |] in
+  let y = fresh_tensor ~name:"y" ~storage:Param Dtype.F32 [| 8 |] in
+  let t = fresh_tensor ~name:"t" ~storage:Local Dtype.F32 [| 8 |] in
+  let i = fresh_var ~name:"i" Index in
+  let value = Binop (Mul, Load (x, [| Ir.v i |]), Float 2.) in
+  let f =
+    {
+      fname = "f";
+      params = [ Ptensor x; Ptensor y ];
+      body =
+        [
+          Alloc t;
+          loop i 0 8
+            [
+              Store (t, [| Ir.v i |], value);
+              Store (y, [| Ir.v i |], Load (x, [| Ir.v i |]));
+            ];
+          loop i 0 8 [ Store (y, [| Ir.v i |], Load (t, [| Ir.v i |])) ];
+        ];
+    }
+  in
+  let f' = Forward_store.run_func f in
+  let assigns = ref 0 and direct = ref false in
+  Visit.iter_stmts
+    ~stmt:(fun s ->
+      match s with
+      | Assign _ -> incr assigns
+      | Store (t', _, e) when tensor_equal t' t -> direct := e = value
+      | _ -> ())
+    f'.body;
+  Alcotest.(check int) "no scalar introduced" 0 !assigns;
+  Alcotest.(check bool) "direct store kept" true !direct
+
+(* Every Assign of [f] whose variable nothing reads *)
+let unread_assigns (f : func) =
+  let read = Hashtbl.create 64 in
+  Visit.iter_stmts
+    ~expr:(fun e -> match e with Var v -> Hashtbl.replace read v.vid () | _ -> ())
+    f.body;
+  Visit.fold_stmts
+    ~stmt:(fun acc s ->
+      match s with
+      | Assign (v, _) when not (Hashtbl.mem read v.vid) -> v.vname :: acc
+      | _ -> acc)
+    [] f.body
+
+let test_pipelines_leave_no_unread_assign () =
+  let graphs =
+    [
+      ("mlp f32", (Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden:[ 13; 64; 32 ] ()).graph);
+      ("mlp int8", (Gc_workloads.Mlp.build_int8 ~batch:8 ~hidden:[ 13; 64; 32 ] ()).graph);
+      ("mha f32", (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:16 ~hidden:64 ~heads:4 ()).graph);
+      ( "bert f32",
+        (Gc_workloads.Bert.build_f32 ~layers:1 ~batch:1 ~seq:8 ~hidden:32 ~heads:2 ()).graph );
+    ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let m = Core.tir_module (Core.compile g) in
+      List.iter
+        (fun (f : func) ->
+          match unread_assigns f with
+          | [] -> ()
+          | vs ->
+              Alcotest.failf "%s: %s assigns unread %s" name f.fname
+                (String.concat ", " vs))
+        m.funcs)
+    graphs
+
 (* ------------------------------------------------------------------ *)
 (* Tensor shrink *)
 
@@ -568,6 +640,10 @@ let () =
         [
           Alcotest.test_case "collapses chain" `Quick test_forward_store_collapses_chain;
           Alcotest.test_case "aliasing" `Quick test_forward_store_respects_aliasing;
+          Alcotest.test_case "direct store when unread" `Quick
+            test_forward_store_keeps_direct_store;
+          Alcotest.test_case "pipelines leave no unread assign" `Quick
+            test_pipelines_leave_no_unread_assign;
         ] );
       ( "tensor_shrink",
         [
