@@ -410,8 +410,9 @@ let cmd_validate_trace =
   in
   let run file =
     let ic = open_in file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
+    (* read to EOF rather than by length, so a pipe works:
+       [gc_cli health --demo | gc_cli validate-trace /dev/stdin] *)
+    let s = In_channel.input_all ic in
     close_in ic;
     match Observe.Json.of_string s with
     | Error e -> fail e

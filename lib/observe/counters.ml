@@ -51,7 +51,7 @@ let c_coalesced_max_tickets = Atomic.make 0
 let c_window_deadline_violations = Atomic.make 0
 
 (* Supervision counters (PR 9). Every supervision action — a restart, a
-   reincarnation, a quarantine — is an error-path event by definition, and
+   reincarnation — is an error-path event by definition, and
    a serving process always wants its self-healing history; unconditional
    like the serve counters above. [pool_inline_runs] is the poisoned-pool
    perf-cliff tell: parallel sections silently degraded to inline. *)
@@ -59,9 +59,6 @@ let c_workers_restarted = Atomic.make 0
 let c_workers_superseded = Atomic.make 0
 let c_pools_reincarnated = Atomic.make 0
 let c_pool_inline_runs = Atomic.make 0
-let c_quarantines = Atomic.make 0
-let c_canary_probes = Atomic.make 0
-let c_canary_readmissions = Atomic.make 0
 let c_heartbeats_missed = Atomic.make 0
 
 (* Multi-model counters (PR 10). Registry lifecycle transitions, quota
@@ -114,9 +111,6 @@ let reset () =
   Atomic.set c_workers_superseded 0;
   Atomic.set c_pools_reincarnated 0;
   Atomic.set c_pool_inline_runs 0;
-  Atomic.set c_quarantines 0;
-  Atomic.set c_canary_probes 0;
-  Atomic.set c_canary_readmissions 0;
   Atomic.set c_heartbeats_missed 0;
   Atomic.set c_models_loaded 0;
   Atomic.set c_models_retired 0;
@@ -187,9 +181,6 @@ let worker_restarted () = ignore (Atomic.fetch_and_add c_workers_restarted 1)
 let worker_superseded () = ignore (Atomic.fetch_and_add c_workers_superseded 1)
 let pool_reincarnated () = ignore (Atomic.fetch_and_add c_pools_reincarnated 1)
 let pool_inline_run () = ignore (Atomic.fetch_and_add c_pool_inline_runs 1)
-let quarantine () = ignore (Atomic.fetch_and_add c_quarantines 1)
-let canary_probe () = ignore (Atomic.fetch_and_add c_canary_probes 1)
-let canary_readmission () = ignore (Atomic.fetch_and_add c_canary_readmissions 1)
 let heartbeat_missed () = ignore (Atomic.fetch_and_add c_heartbeats_missed 1)
 let model_loaded () = ignore (Atomic.fetch_and_add c_models_loaded 1)
 let model_retired () = ignore (Atomic.fetch_and_add c_models_retired 1)
@@ -240,9 +231,6 @@ type snapshot = {
   workers_superseded : int;
   pools_reincarnated : int;
   pool_inline_runs : int;
-  quarantines : int;
-  canary_probes : int;
-  canary_readmissions : int;
   heartbeats_missed : int;
   models_loaded : int;
   models_retired : int;
@@ -292,9 +280,6 @@ let snapshot () =
     workers_superseded = Atomic.get c_workers_superseded;
     pools_reincarnated = Atomic.get c_pools_reincarnated;
     pool_inline_runs = Atomic.get c_pool_inline_runs;
-    quarantines = Atomic.get c_quarantines;
-    canary_probes = Atomic.get c_canary_probes;
-    canary_readmissions = Atomic.get c_canary_readmissions;
     heartbeats_missed = Atomic.get c_heartbeats_missed;
     models_loaded = Atomic.get c_models_loaded;
     models_retired = Atomic.get c_models_retired;
@@ -345,9 +330,6 @@ let snapshot_to_json s =
       ("workers_superseded", Json.Int s.workers_superseded);
       ("pools_reincarnated", Json.Int s.pools_reincarnated);
       ("pool_inline_runs", Json.Int s.pool_inline_runs);
-      ("quarantines", Json.Int s.quarantines);
-      ("canary_probes", Json.Int s.canary_probes);
-      ("canary_readmissions", Json.Int s.canary_readmissions);
       ("heartbeats_missed", Json.Int s.heartbeats_missed);
       ("models_loaded", Json.Int s.models_loaded);
       ("models_retired", Json.Int s.models_retired);
@@ -369,7 +351,7 @@ let pp_snapshot fmt s =
      bucket_compiles=%d bucket_hits=%d pad_waste=%d coalesced=%d \
      coalesced_tickets=%d coalesced_max=%d window_violations=%d \
      restarts=%d superseded=%d reincarnations=%d inline_runs=%d \
-     quarantines=%d canary_probes=%d readmissions=%d hb_missed=%d \
+     hb_missed=%d \
      models_loaded=%d models_retired=%d hot_swaps=%d parked=%d reloaded=%d \
      quota_sheds=%d cache_evicted_bytes=%d cache_overcommits=%d"
     s.kernel_invocations s.parallel_sections s.barriers s.task_launches
@@ -381,8 +363,8 @@ let pp_snapshot fmt s =
     s.breaker_shortcircuits s.bucket_compiles s.bucket_cache_hits
     s.pad_waste_rows s.coalesced_batches s.coalesced_tickets
     s.coalesced_max_tickets s.window_deadline_violations s.workers_restarted
-    s.workers_superseded s.pools_reincarnated s.pool_inline_runs s.quarantines
-    s.canary_probes s.canary_readmissions s.heartbeats_missed s.models_loaded
+    s.workers_superseded s.pools_reincarnated s.pool_inline_runs
+    s.heartbeats_missed s.models_loaded
     s.models_retired s.hot_swaps s.models_parked s.models_reloaded
     s.quota_sheds s.cache_bytes_evicted s.cache_overcommits
 

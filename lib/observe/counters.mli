@@ -154,18 +154,6 @@ val pool_inline_run : unit -> unit
 (** one parallel section executed inline because the pool was poisoned —
     the degraded-throughput tell supervision exists to heal *)
 
-val quarantine : unit -> unit
-(** one compiled specialization quarantined after crash-correlated faults
-    (traffic rerouted to the reference interpreter) *)
-
-val canary_probe : unit -> unit
-(** one background canary re-execution of a quarantined artifact against
-    the recorded probe input *)
-
-val canary_readmission : unit -> unit
-(** one quarantined artifact re-admitted to service after its canary
-    validated against the reference interpreter *)
-
 val heartbeat_missed : unit -> unit
 (** one monitor tick that found a busy worker's heartbeat older than the
     configured staleness threshold *)
@@ -240,9 +228,6 @@ type snapshot = {
   workers_superseded : int;
   pools_reincarnated : int;
   pool_inline_runs : int;
-  quarantines : int;
-  canary_probes : int;
-  canary_readmissions : int;
   heartbeats_missed : int;
   models_loaded : int;
   models_retired : int;

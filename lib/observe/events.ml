@@ -3,7 +3,7 @@
    recorder: every self-healing action and every degraded-mode tell lands
    here with a wall-clock stamp, so "why was throughput low at 14:32" is
    answerable from a snapshot alone. Bounded, lock-protected, cheap —
-   events are rare (restarts, reincarnations, quarantines, inline runs),
+   events are rare (restarts, reincarnations, breaker trips, inline runs),
    never per-kernel. *)
 
 type event = {

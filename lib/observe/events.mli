@@ -1,6 +1,6 @@
 (** An always-on, bounded flight recorder for supervision and degradation
-    events: worker restarts, pool reincarnations, quarantines, canary
-    verdicts, poisoned-pool inline runs. Complements {!Counters} (how many)
+    events: worker restarts, pool reincarnations, circuit-breaker opens
+    and closes, poisoned-pool inline runs. Complements {!Counters} (how many)
     with ordered, stamped detail (what, when, to which component).
 
     Process-global and lock-protected; events are rare — every recording

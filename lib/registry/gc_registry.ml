@@ -62,36 +62,40 @@ let registry_status t =
     locked t.rg_mu (fun () ->
         Hashtbl.fold (fun _ m acc -> m :: acc) t.rg_models [])
   in
-  let live = List.filter (fun m -> m.md_status <> Retired) models in
-  let quarantined =
-    List.filter
+  (* each live model with its breaker state, [None] unless it is resident
+     and not Closed *)
+  let live =
+    List.filter_map
       (fun m ->
-        m.md_status = Resident && Gc_serve.is_quarantined m.md_handle)
-      live
+        match m.md_status with
+        | Retired -> None
+        | Parked -> Some (m, None)
+        | Resident -> (
+            match Gc_serve.breaker_state m.md_handle with
+            | Gc_serve.Closed -> Some (m, None)
+            | st -> Some (m, Some st)))
+      models
   in
-  let parked = List.filter (fun m -> m.md_status = Parked) live in
+  let opened = List.filter (fun (_, st) -> st <> None) live in
+  let parked = List.filter (fun (m, _) -> m.md_status = Parked) live in
   let per_model =
     String.concat " "
       (List.map
-         (fun m ->
+         (fun (m, st) ->
            Printf.sprintf "%s=%s%s" m.md_name
              (status_string m.md_status)
-             (if
-                m.md_status = Resident
-                && Gc_serve.is_quarantined m.md_handle
-              then "(quarantined)"
-              else ""))
-         (List.sort (fun a b -> compare a.md_name b.md_name) live))
+             (match st with
+             | Some st -> "(" ^ Gc_serve.breaker_state_to_string st ^ ")"
+             | None -> ""))
+         (List.sort (fun (a, _) (b, _) -> compare a.md_name b.md_name) live))
   in
-  let level =
-    if quarantined <> [] then Supervise.Degraded else Supervise.Healthy
-  in
+  let level = if opened <> [] then Supervise.Degraded else Supervise.Healthy in
   {
     Supervise.ch_name = "registry";
     ch_level = level;
     ch_detail =
-      Printf.sprintf "%d model(s), %d parked, %d quarantined%s"
-        (List.length live) (List.length parked) (List.length quarantined)
+      Printf.sprintf "%d model(s), %d parked, %d open%s"
+        (List.length live) (List.length parked) (List.length opened)
         (if per_model = "" then "" else ": " ^ per_model);
   }
 
@@ -510,7 +514,9 @@ let to_json t =
                ("quota_shed", Json.Int s.Gc_serve.hs_quota_shed);
                ("queued", Json.Int s.Gc_serve.hs_queued);
                ("bound", Json.Bool s.Gc_serve.hs_bound);
-               ("quarantined", Json.Bool s.Gc_serve.hs_quarantined);
+               ( "breaker",
+                 Json.String
+                   (Gc_serve.breaker_state_to_string s.Gc_serve.hs_breaker) );
              ] ))
        infos)
 

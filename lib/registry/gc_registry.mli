@@ -1,7 +1,7 @@
 (** Multi-model registry: fault-isolated tenancy over one serve tier.
 
     The serve tier ([Gc_serve]) gives each registered handle its own
-    breaker, quarantine state, supervision health and weighted-fair
+    circuit breaker, supervision health and weighted-fair
     admission share — but it manages {e handles}, not {e models}: nothing
     owns the compiled artifact's lifecycle. This module adds that layer:
 
@@ -26,11 +26,11 @@
     - {b Lazy re-admission}: submitting to a {!Parked} model recompiles
       through the cache (hits if the entry survived) and rebinds before
       admission.
-    - {b Fault isolation}: each model's faults (crash loops, quarantine,
-      breaker trips) are scoped to its own handle by the serve tier; the
-      registry folds per-model states into one supervision component
-      (["registry"], [Degraded] while any resident model is
-      quarantined).
+    - {b Fault isolation}: each model's faults (crash loops, breaker
+      trips) are scoped to its own handle by the serve tier; the registry
+      folds per-model states into one supervision component
+      (["registry"], [Degraded] while any resident model's breaker is not
+      [Closed]).
 
     Locking: each model has a flight lock serializing its residency
     transitions, taken before the registry mutex and before any serve
@@ -143,8 +143,9 @@ val model_info : t -> string -> model_info option
     supervisor polls). *)
 val health : t -> Gc_supervise.component_health
 
-(** Per-model JSON object keyed by name — status, version, weight and
-    serve-tier tallies. Feeds [gc_cli health]. *)
+(** Per-model JSON object keyed by name — status, version, weight,
+    serve-tier tallies and breaker state ([closed], [open] or
+    [half_open]). Feeds [gc_cli health]. *)
 val to_json : t -> Gc_observe.Json.t
 
 (** Retire every model, drop the supervision component, and (when the

@@ -101,17 +101,6 @@ type handle = {
   mutable h_consec_fb : int;  (* consecutive fallbacks-to-interpreter *)
   mutable h_state : breaker_state;
   mutable h_opened_at : float;  (* when the breaker last tripped open *)
-  (* artifact quarantine (all guarded by h_mu): crash-correlated fault
-     stamps within the correlation window; while quarantined, traffic
-     reroutes to the reference interpreter and only a background canary —
-     a re-execution on the recorded probe input, validated against the
-     reference — re-admits the compiled artifact *)
-  mutable h_crash_stamps : float list;
-  mutable h_quarantined : bool;
-  mutable h_quarantined_at : float;
-  mutable h_probe : (Core.Logical_tensor.t * Core.Tensor.t) list option;
-      (* last bindings seen by the compiled path: the canary's input *)
-  mutable h_next_canary : float;
   (* per-model admission tallies (all guarded by t.mu) *)
   mutable h_queued : int;  (* requests of this handle currently queued *)
   mutable h_submitted : int;
@@ -163,7 +152,7 @@ type t = {
   mutable slots : wslot array;
   mutable zombies : unit Domain.t list;
       (* dead or superseded worker domains, joined at shutdown *)
-  mutable handles : handle list;  (* every handle, for the canary sweep *)
+  mutable handles : handle list;  (* registered handles, for tier health *)
   mutable sup_reg : Supervise.registration option;
   mutable next_handle : int;
   (* stats (all guarded by [mu]) *)
@@ -268,7 +257,15 @@ let timeout_error ~site rq =
   Errors.Timeout
     { site; timeout_ms = ms; ctx = [ ("handle", rq.rq_handle.h_name) ] }
 
-(* {2 Circuit breaker} *)
+(* {2 Circuit breaker: the handle's health ladder}
+
+   Closed -> Open after [breaker_threshold] consecutive fallbacks; while
+   Open, requests short-circuit to the reference interpreter; after
+   [breaker_cooldown_ms] the next request is the one half-open probe of
+   the compiled path, which closes the breaker on a compiled [Ok] and
+   re-opens it on a fallback. A bound handle that is not Closed degrades
+   the tier's health (and the registry's); every open and close is an
+   [Events] record. *)
 
 (* What the worker should do with this request, given the handle's breaker
    state. Deciding a probe transitions Open -> Half_open, so concurrent
@@ -291,29 +288,51 @@ let route_of cfg h =
           else Shortcircuit)
 
 let note_compiled_success h =
-  locked h.h_mu (fun () ->
-      h.h_consec_fb <- 0;
-      if h.h_state = Half_open then begin
-        h.h_state <- Closed;
-        Counters.breaker_close ()
-      end)
+  let closed =
+    locked h.h_mu (fun () ->
+        h.h_consec_fb <- 0;
+        if h.h_state = Half_open then begin
+          h.h_state <- Closed;
+          Counters.breaker_close ();
+          true
+        end
+        else false)
+  in
+  if closed then
+    Events.record ~kind:"breaker_close" ~component:h.h_name
+      "half-open probe served by the compiled path; artifact re-admitted"
 
 (* The compiled path faulted hard enough that we degraded to the
    interpreter (whether or not the interpreter then succeeded). *)
 let note_fallback cfg h =
-  locked h.h_mu (fun () ->
-      h.h_consec_fb <- h.h_consec_fb + 1;
-      match h.h_state with
-      | Half_open ->
-          (* the probe failed: back to Open for another cooldown *)
+  let opened =
+    locked h.h_mu (fun () ->
+        h.h_consec_fb <- h.h_consec_fb + 1;
+        let trip =
+          match h.h_state with
+          | Half_open -> true (* the probe failed: another cooldown *)
+          | Closed -> h.h_consec_fb >= cfg.breaker_threshold
+          | Open -> false
+        in
+        if trip then begin
           h.h_state <- Open;
           h.h_opened_at <- now ();
           Counters.breaker_open ()
-      | Closed when h.h_consec_fb >= cfg.breaker_threshold ->
-          h.h_state <- Open;
-          h.h_opened_at <- now ();
-          Counters.breaker_open ()
-      | Closed | Open -> ())
+        end;
+        trip)
+  in
+  if opened then
+    Events.record ~kind:"breaker_open" ~component:h.h_name
+      (Printf.sprintf
+         "compiled path fell back to the interpreter; short-circuiting to \
+          it for %.0fms"
+         cfg.breaker_cooldown_ms)
+
+(* A probe that ended in neither a compiled [Ok] nor a fallback (a
+   timeout, a budget reject) judged nothing: back to Open with the
+   cooldown already served, so the next request probes. *)
+let release_probe h =
+  locked h.h_mu (fun () -> if h.h_state = Half_open then h.h_state <- Open)
 
 let note_latency cfg h dt_ms =
   locked h.h_mu (fun () ->
@@ -326,46 +345,10 @@ let note_latency cfg h dt_ms =
 let breaker_state h = locked h.h_mu (fun () -> h.h_state)
 let ewma_ms h = locked h.h_mu (fun () -> h.h_ewma_ms)
 
-(* {2 Artifact quarantine} *)
-
-let is_quarantined h = locked h.h_mu (fun () -> h.h_quarantined)
-
-(* A compiled execution that degraded to the interpreter is a
-   crash-correlated fault for the artifact. Enough of them inside the
-   correlation window and the artifact is quarantined: traffic reroutes
-   to the reference interpreter, and only a reference-validated canary
-   re-admits it. *)
-let note_crash cfg h =
-  let pol = cfg.supervision in
-  let tripped =
-    locked h.h_mu (fun () ->
-        if (not pol.Supervise.sup_enabled) || h.h_quarantined then false
-        else begin
-          let t_now = now () in
-          let horizon = t_now -. (pol.Supervise.quarantine_window_ms /. 1000.) in
-          h.h_crash_stamps <-
-            t_now :: List.filter (fun s -> s >= horizon) h.h_crash_stamps;
-          if
-            pol.Supervise.quarantine_threshold > 0
-            && List.length h.h_crash_stamps >= pol.Supervise.quarantine_threshold
-          then begin
-            h.h_quarantined <- true;
-            h.h_quarantined_at <- t_now;
-            h.h_next_canary <- t_now +. (pol.Supervise.canary_ms /. 1000.);
-            h.h_crash_stamps <- [];
-            true
-          end
-          else false
-        end)
-  in
-  if tripped then begin
-    Counters.quarantine ();
-    Events.record ~kind:"quarantine" ~component:h.h_name
-      (Printf.sprintf "%d crash-correlated faults in %.0fms; rerouting to \
-                       reference interpreter"
-         cfg.supervision.Supervise.quarantine_threshold
-         cfg.supervision.Supervise.quarantine_window_ms)
-  end
+let breaker_state_to_string = function
+  | Closed -> "closed"
+  | Open -> "open"
+  | Half_open -> "half_open"
 
 (* {2 Request processing (worker side)} *)
 
@@ -411,10 +394,7 @@ let run_fallback_path t rq ~via =
   let h = rq.rq_handle in
   (match via with
   | `Breaker_open -> Counters.breaker_shortcircuit ()
-  | `Quarantined -> () (* no breaker mutation: quarantine owns the route *)
-  | `Degraded ->
-      note_fallback t.cfg h;
-      note_crash t.cfg h);
+  | `Degraded -> note_fallback t.cfg h);
   ( on_artifact h (fun art ->
         Core.execute_fallback ?deadline_ms:(remaining_ms rq) art
           rq.rq_bindings),
@@ -424,14 +404,9 @@ let process t rq =
   let h = rq.rq_handle in
   let cfg = t.cfg in
   let rng = Random.State.make [| cfg.seed; Hashtbl.hash h.h_name |] in
-  if is_quarantined h then run_fallback_path t rq ~via:`Quarantined
-  else
   match route_of cfg h with
   | Shortcircuit -> run_fallback_path t rq ~via:`Breaker_open
-  | Compiled | Probe ->
-      (* the latest bindings the compiled path sees double as the canary's
-         probe input should this artifact be quarantined later *)
-      locked h.h_mu (fun () -> h.h_probe <- Some rq.rq_bindings);
+  | (Compiled | Probe) as route ->
       let opts = exec_options cfg in
       let rec attempt tries prev_ms =
         if expired rq then (Error (timeout_error ~site:"serve.retry" rq), false)
@@ -457,7 +432,11 @@ let process t rq =
           | Error e -> (Error e, false)
         end
       in
-      attempt 0 cfg.backoff_base_ms
+      let outcome = attempt 0 cfg.backoff_base_ms in
+      (match (route, outcome) with
+      | Probe, (Error _, false) -> release_probe h
+      | _ -> ());
+      outcome
 
 let shed rq reason extra_ctx =
   Counters.serve_overloaded ();
@@ -859,60 +838,6 @@ let supersede_stuck_slot t slot =
        its next loop boundary"
   end
 
-(* Background canary: re-execute a quarantined artifact's compiled path on
-   the recorded probe input and compare against the reference
-   interpreter. Only a validated artifact returns to service. *)
-let canary_tolerance = 2e-3
-
-let run_canary t h =
-  let probe =
-    locked h.h_mu (fun () ->
-        if h.h_quarantined && now () >= h.h_next_canary then h.h_probe
-        else None)
-  in
-  match probe with
-  | None -> ()
-  | Some bindings ->
-      Counters.canary_probe ();
-      let pol = t.cfg.supervision in
-      let verdict =
-        try
-          match
-            on_artifact h (fun art ->
-                Core.execute_checked ~options:(exec_options t.cfg) art bindings)
-          with
-          | Error e -> Error (Errors.to_string e)
-          | Ok outs -> (
-              match
-                on_artifact h (fun art -> Core.execute_fallback art bindings)
-              with
-              | Error e -> Error ("reference failed: " ^ Errors.to_string e)
-              | Ok refs ->
-                  if
-                    List.length outs = List.length refs
-                    && List.for_all2
-                         (Core.Tensor.allclose ~rtol:canary_tolerance
-                            ~atol:canary_tolerance)
-                         outs refs
-                  then Ok ()
-                  else Error "outputs diverged from reference")
-        with e -> Error (Printexc.to_string e)
-      in
-      (match verdict with
-      | Ok () ->
-          locked h.h_mu (fun () ->
-              h.h_quarantined <- false;
-              h.h_crash_stamps <- [];
-              h.h_consec_fb <- 0;
-              h.h_state <- Closed);
-          Counters.canary_readmission ();
-          Events.record ~kind:"canary_readmission" ~component:h.h_name
-            "canary validated against the reference; artifact re-admitted"
-      | Error why ->
-          locked h.h_mu (fun () ->
-              h.h_next_canary <- now () +. (pol.Supervise.canary_ms /. 1000.));
-          Events.record ~kind:"canary_failed" ~component:h.h_name why)
-
 let tick_serve t =
   let pol = t.cfg.supervision in
   let stop = locked t.mu (fun () -> t.stopping) in
@@ -932,14 +857,18 @@ let tick_serve t =
           else slot.ws_stuck_logged <- false
         end
         else slot.ws_stuck_logged <- false)
-      t.slots;
-    let handles = locked t.mu (fun () -> t.handles) in
-    List.iter (run_canary t) handles
+      t.slots
   end
 
-let quarantined_handles t =
+(* Bound handles whose breaker is not Closed. *)
+let open_handles t =
   let handles = locked t.mu (fun () -> t.handles) in
-  List.length (List.filter is_quarantined handles)
+  List.length
+    (List.filter
+       (fun h ->
+         locked h.h_mu (fun () ->
+             Option.is_some h.h_target && h.h_state <> Closed))
+       handles)
 
 let serve_status t =
   let pol = t.cfg.supervision in
@@ -955,10 +884,10 @@ let serve_status t =
           0 t.slots)
   in
   let dead = t.cfg.workers - live in
-  let quarantined = quarantined_handles t in
+  let opened = open_handles t in
   let level =
     if live = 0 then Supervise.Critical
-    else if dead > 0 || quarantined > 0 then Supervise.Degraded
+    else if dead > 0 || opened > 0 then Supervise.Degraded
     else Supervise.Healthy
   in
   {
@@ -969,8 +898,8 @@ let serve_status t =
          Printf.sprintf "%d/%d workers live" live t.cfg.workers
        else
          Printf.sprintf
-           "%d/%d workers live (%d crash-looping), %d quarantined handle(s)"
-           live t.cfg.workers exhausted quarantined);
+           "%d/%d workers live (%d crash-looping), %d open handle(s)" live
+           t.cfg.workers exhausted opened);
   }
 
 (* {2 Admission (client side)} *)
@@ -1228,11 +1157,6 @@ let mk_handle ?name ?(weight = 1.) t target =
       h_consec_fb = 0;
       h_state = Closed;
       h_opened_at = 0.;
-      h_crash_stamps = [];
-      h_quarantined = false;
-      h_quarantined_at = 0.;
-      h_probe = None;
-      h_next_canary = 0.;
       h_queued = 0;
       h_submitted = 0;
       h_admitted = 0;
@@ -1286,42 +1210,35 @@ let coalesce_sym_of p =
       then Some s
       else None
 
-let poly_target p =
-  Some { art = Core.Poly p; coalesce_sym = coalesce_sym_of p }
-
 let register_poly ?name ?weight t p =
-  mk_handle ?name ?weight t (poly_target p)
+  mk_handle ?name ?weight t
+    (Some { art = Core.Poly p; coalesce_sym = coalesce_sym_of p })
 
 let compile_and_register ?config ?name ?weight t g =
   Result.map (register ?name ?weight t) (Core.compile_checked ?config g)
 
 (* {2 Rebinding (the registry's hot-swap / park / re-admit lever)} *)
 
-(* Swap the artifact behind a live handle. Serving state tied to the old
-   artifact resets (breaker, quarantine, crash stamps, canary probe); the
-   latency EWMA survives — it tracks the model's cost profile, which a
-   same-structure swap preserves, and one wrong estimate self-corrects in
-   a few completions either way. Queued requests execute against the new
-   target: the registry swaps like-for-like (same graph I/O), so bindings
-   stay valid. *)
+(* Swap the artifact behind a live handle. The breaker, which judged the
+   old artifact, resets to Closed; the latency EWMA survives — it tracks
+   the model's cost profile, which a same-structure swap preserves, and
+   one wrong estimate self-corrects in a few completions either way.
+   Queued requests execute against the new target: the registry swaps
+   like-for-like (same graph I/O), so bindings stay valid. *)
 let set_target t h target =
   ignore t;
   locked h.h_mu (fun () ->
       h.h_target <- target;
       h.h_consec_fb <- 0;
-      h.h_state <- Closed;
-      h.h_crash_stamps <- [];
-      h.h_quarantined <- false;
-      h.h_probe <- None;
-      h.h_next_canary <- 0.)
+      h.h_state <- Closed)
 
 let rebind t h core = set_target t h (fixed_target core)
-let rebind_poly t h p = set_target t h (poly_target p)
 let unbind t h = set_target t h None
 
-(* Drop the handle from the canary sweep and the fair-share total. The
-   handle itself stays usable by anyone still holding it (submissions
-   resolve typed), but it no longer counts as a tenant. Idempotent. *)
+(* Drop the handle from the tier's health count and the fair-share
+   total. The handle itself stays usable by anyone still holding it
+   (submissions resolve typed), but it no longer counts as a tenant.
+   Idempotent. *)
 let unregister t h =
   locked t.mu (fun () ->
       if h.h_registered then begin
@@ -1351,13 +1268,13 @@ type stats = {
   effective_depth : int;
   draining : bool;
   workers_live : int;
-  quarantined_handles : int;
+  open_handles : int;
 }
 
 let tier_health t = serve_status t
 
 let stats t =
-  let quarantined = quarantined_handles t in
+  let opened = open_handles t in
   locked t.mu (fun () ->
       {
         submitted = t.s_submitted;
@@ -1378,12 +1295,11 @@ let stats t =
         effective_depth = effective_depth t.cfg;
         draining = not t.accepting;
         workers_live = live_workers t;
-        quarantined_handles = quarantined;
+        open_handles = opened;
       })
 
 (* Per-model view: admission tallies under the server lock, breaker /
-   quarantine / EWMA under the handle lock (taken after, per the lock
-   order). *)
+   EWMA under the handle lock (taken after, per the lock order). *)
 type handle_stats = {
   hs_name : string;
   hs_weight : float;
@@ -1394,7 +1310,6 @@ type handle_stats = {
   hs_quota_shed : int;
   hs_queued : int;
   hs_bound : bool;
-  hs_quarantined : bool;
   hs_breaker : breaker_state;
   hs_ewma_ms : float option;
 }
@@ -1419,7 +1334,6 @@ let handle_stats t h =
         hs_quota_shed = quota_shed;
         hs_queued = queued;
         hs_bound = Option.is_some h.h_target;
-        hs_quarantined = h.h_quarantined;
         hs_breaker = h.h_state;
         hs_ewma_ms = h.h_ewma_ms;
       })

@@ -39,13 +39,17 @@
     Transient [Runtime_fault]s are retried with exponential backoff and
     decorrelated jitter (deterministic per worker given the config seed),
     never sleeping past the request's deadline; exhausted retries degrade
-    to the reference interpreter. [breaker_threshold] {e consecutive}
-    fallbacks trip the handle's breaker open: requests then short-circuit
-    straight to the interpreter (counted, visible in
+    to the reference interpreter. The breaker is each handle's one health
+    ladder, [Closed -> Open -> Half_open]: [breaker_threshold]
+    {e consecutive} fallbacks trip it open, and requests then
+    short-circuit straight to the interpreter (counted, visible in
     [Observe.Counters]) without burning retries on a compiled path that
-    keeps faulting. After [breaker_cooldown_ms] the next request becomes a
-    half-open probe of the compiled path; success closes the breaker,
-    another fallback re-opens it.
+    keeps faulting. After [breaker_cooldown_ms] the next request becomes
+    the one half-open probe of the compiled path; a compiled [Ok] closes
+    the breaker, another fallback re-opens it. While any bound handle is
+    not [Closed] the tier reports [Degraded] ({!tier_health},
+    [open_handles]); each open and close is an {!Gc_observe.Events}
+    record.
 
     {2 Request coalescing (continuous batching)}
 
@@ -120,12 +124,10 @@ type config = {
           fills ([GC_SERVE_QUOTA_BORROW], 0.5) *)
   supervision : Gc_supervise.policy;
       (** self-healing policy: worker heartbeat staleness, restart budget
-          and backoff, artifact quarantine and canary cadence (defaults
-          from the [GC_SERVE_SUPERVISE_*]-free {!Gc_supervise.default_policy},
-          i.e. the [GC_SUPERVISE_*] environment). With
-          [sup_enabled = false] the server runs exactly as before this
-          layer existed: no monitor registration, no respawn, no
-          quarantine. *)
+          and backoff (defaults from {!Gc_supervise.default_policy}, i.e.
+          the [GC_SUPERVISE_*] environment). With [sup_enabled = false]
+          the server registers no monitor and respawns no worker; the
+          breaker still runs. *)
 }
 
 (** Defaults above, overridden by the [GC_SERVE_*] environment knobs. *)
@@ -168,8 +170,8 @@ val compile_and_register :
 (** {1 Rebinding — the registry's hot-swap / park / re-admit lever}
 
     A handle's compiled target is swappable while the server runs. The
-    swap resets serving state tied to the old artifact (circuit breaker,
-    quarantine, crash stamps, canary probe) and keeps the latency EWMA —
+    swap resets the circuit breaker, which judged the old artifact, to
+    [Closed] and keeps the latency EWMA —
     it tracks the model's cost profile, which a like-for-like swap
     preserves. The caller must swap like-for-like (same graph I/O
     signature): queued requests execute against the new target with
@@ -177,10 +179,6 @@ val compile_and_register :
 
 (** Atomically point the handle at a new compiled partition. *)
 val rebind : t -> handle -> Core.t -> unit
-
-(** Atomically point the handle at a new polymorphic compilation (the
-    coalescing symbol is re-derived). *)
-val rebind_poly : t -> handle -> Core.poly -> unit
 
 (** Park the handle: requests reaching execution resolve
     [Invalid_input] ("model is not resident") — callers are expected to
@@ -190,8 +188,8 @@ val unbind : t -> handle -> unit
 (** Does the handle currently hold a compiled target? *)
 val is_bound : handle -> bool
 
-(** Remove the handle from the canary sweep and the fair-share weight
-    total (a retired tenant). The handle stays safe to submit to —
+(** Remove the handle from the tier's health count and the fair-share
+    weight total (a retired tenant). The handle stays safe to submit to —
     requests resolve typed — but no longer counts as a tenant.
     Idempotent. *)
 val unregister : t -> handle -> unit
@@ -234,10 +232,8 @@ type breaker_state = Closed | Open | Half_open
 
 val breaker_state : handle -> breaker_state
 
-(** Is the handle's compiled artifact currently quarantined (crash-
-    correlated faults tripped it; traffic is rerouting to the reference
-    interpreter until a canary validates the artifact)? *)
-val is_quarantined : handle -> bool
+(** ["closed"], ["open"] or ["half_open"]. *)
+val breaker_state_to_string : breaker_state -> string
 
 (** Double ticket resolutions ever observed, process-wide. Stays zero
     while supervision kills, supersedes and respawns workers — the health
@@ -246,8 +242,8 @@ val double_resolve_count : unit -> int
 
 (** The tier's health as the supervision monitor reports it: [Critical]
     with zero live workers, [Degraded] with dead workers awaiting respawn
-    (including crash-loopers that exhausted the restart budget) or
-    quarantined handles, else [Healthy]. Also folded into
+    (including crash-loopers that exhausted the restart budget) or bound
+    handles whose breaker is not [Closed], else [Healthy]. Also folded into
     {!Gc_supervise.health} while the server is registered. *)
 val tier_health : t -> Gc_supervise.component_health
 
@@ -274,7 +270,9 @@ type stats = {
   effective_depth : int;  (** queue depth after budget backpressure *)
   draining : bool;
   workers_live : int;  (** worker slots not currently dead *)
-  quarantined_handles : int;  (** handles rerouting to the interpreter *)
+  open_handles : int;
+      (** bound handles whose breaker is not [Closed]: their traffic goes
+          to the interpreter until a half-open probe succeeds *)
 }
 
 val stats : t -> stats
@@ -290,7 +288,6 @@ type handle_stats = {
   hs_quota_shed : int;  (** subset of [hs_shed]: over weighted share *)
   hs_queued : int;  (** currently queued *)
   hs_bound : bool;  (** holds a compiled target (not parked) *)
-  hs_quarantined : bool;
   hs_breaker : breaker_state;
   hs_ewma_ms : float option;
 }

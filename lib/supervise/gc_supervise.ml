@@ -1,7 +1,7 @@
 (* Supervision: the self-healing tier above the kernel engine. One
    process-global monitor thread (Guard's retire-when-idle pattern) ticks
    registered components — supervised pools, serve tiers — each of which
-   performs its own healing actions (reincarnation, respawn, canary) and
+   performs its own healing actions (reincarnation, respawn) and
    reports a typed health status. See gc_supervise.mli. *)
 
 module Counters = Gc_observe.Counters
@@ -19,9 +19,6 @@ type policy = {
   restart_window_ms : float;
   backoff_base_ms : float;
   backoff_cap_ms : float;
-  quarantine_threshold : int;
-  quarantine_window_ms : float;
-  canary_ms : float;
 }
 
 let env_float name default =
@@ -50,13 +47,6 @@ let default_policy () =
     restart_window_ms = env_float "GC_SUPERVISE_RESTART_WINDOW_MS" 10_000.;
     backoff_base_ms = env_float "GC_SUPERVISE_BACKOFF_BASE_MS" 1.;
     backoff_cap_ms = env_float "GC_SUPERVISE_BACKOFF_CAP_MS" 50.;
-    (* deliberately above the serve breaker's default threshold (5): the
-       breaker is the fast, reversible first line; quarantine is the
-       heavier escalation for an artifact that keeps crashing through
-       breaker probes *)
-    quarantine_threshold = env_int "GC_SUPERVISE_QUARANTINE_THRESHOLD" 8;
-    quarantine_window_ms = env_float "GC_SUPERVISE_QUARANTINE_WINDOW_MS" 2_000.;
-    canary_ms = env_float "GC_SUPERVISE_CANARY_MS" 20.;
   }
 
 (* ---- health ----------------------------------------------------------- *)

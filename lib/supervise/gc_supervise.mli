@@ -7,7 +7,7 @@
     production compiler runtimes assume: one process-global monitor thread
     ticks registered components, each of which takes its own healing
     actions (pool reincarnation via {!Gc_runtime.Parallel.reincarnate},
-    worker respawn and artifact canary in [Gc_serve]) and reports a typed
+    worker respawn in [Gc_serve]) and reports a typed
     health status, folded into a process {!health} snapshot.
 
     The monitor reuses the {!Gc_runtime.Guard} retire-when-idle contract:
@@ -42,18 +42,6 @@ type policy = {
   backoff_cap_ms : float;
       (** respawn backoff ceiling, [GC_SUPERVISE_BACKOFF_CAP_MS]
           (default 50) *)
-  quarantine_threshold : int;
-      (** crash-correlated faults within the window that quarantine a
-          compiled artifact, [GC_SUPERVISE_QUARANTINE_THRESHOLD]
-          (default 8 — above the breaker's default threshold: the breaker
-          is the fast, reversible first line, quarantine the heavier
-          escalation fed by its failing probes) *)
-  quarantine_window_ms : float;
-      (** the fault-correlation window,
-          [GC_SUPERVISE_QUARANTINE_WINDOW_MS] (default 2000) *)
-  canary_ms : float;
-      (** interval between canary re-executions of a quarantined artifact,
-          [GC_SUPERVISE_CANARY_MS] (default 20) *)
 }
 
 (** Policy from the environment (defaults above). Re-read on each call. *)

@@ -130,7 +130,9 @@ let run_func (f : func) =
               !arenas
               @ [ (id, t.tdtype, ref (tensor_numel t), ref [ (t, first, last) ]) ])
       live;
-    (* materialize arenas and rewrite members to flattened accesses *)
+    (* materialize arenas and rewrite members to flattened accesses; this
+       runs after [Simplify], so fold the identity arithmetic the
+       linearization introduces ([(0 * 32) + i] is [i]) here *)
     let rewritten = ref body_no_allocs in
     let arena_tensors =
       List.map
@@ -143,7 +145,8 @@ let run_func (f : func) =
             (fun ((t : tensor), _, _) ->
               rewritten :=
                 Visit.subst_tensor t ~by:arena
-                  ~index:(fun idx -> [| Ir.linear_index t.dims idx |])
+                  ~index:(fun idx ->
+                    [| Simplify.expr (Ir.linear_index t.dims idx) |])
                   !rewritten)
             !members;
           arena)

@@ -396,6 +396,47 @@ let test_breaker_opens_and_recovers () =
         (snap2.Counters.breaker_closes > snap0.Counters.breaker_closes));
   Parallel.shutdown pool
 
+(* A half-open probe that times out judges nothing: it must hand the
+   probe back (Open, cooldown served) instead of leaving the handle
+   Half_open, where every later request would short-circuit forever *)
+let test_unjudged_probe_handed_back () =
+  let b = mlp ~batch:64 ~hidden:[ 32; 32 ] () in
+  let pool = Parallel.create 4 in
+  let compile_config = { (Core.default_config ()) with Core.pool = Some pool } in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+  with_server
+    ~config:
+      (serve_config ~workers:1 ~breaker_threshold:2 ~breaker_cooldown_ms:50. ())
+    (fun server ->
+      let h =
+        match Serve.compile_and_register ~config:compile_config server b.Mlp.graph with
+        | Ok h -> h
+        | Error e -> Alcotest.failf "compile failed: %s" (Core.Errors.to_string e)
+      in
+      ignore (Serve.call server h b.Mlp.data);
+      with_faults "worker:1" (fun () ->
+          for _ = 1 to 2 do
+            ignore (Serve.call server h b.Mlp.data)
+          done);
+      Alcotest.(check bool) "breaker open" true
+        (Serve.breaker_state h = Serve.Open);
+      Unix.sleepf 0.06;
+      (* the probe's compiled execute outlives its deadline *)
+      with_faults ~slow_ms:300 "slow:1" (fun () ->
+          match Serve.call ~deadline_ms:40 server h b.Mlp.data with
+          | Error (Core.Errors.Timeout _) -> ()
+          | Ok _ -> Alcotest.fail "probe should have timed out"
+          | Error e ->
+              Alcotest.failf "probe: unexpected %s" (Core.Errors.to_string e));
+      Alcotest.(check bool) "probe handed back" true
+        (Serve.breaker_state h = Serve.Open);
+      (* the next request probes at once and closes the breaker *)
+      (match Serve.call server h b.Mlp.data with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "second probe: %s" (Core.Errors.to_string e));
+      Alcotest.(check bool) "closed by the next probe" true
+        (Serve.breaker_state h = Serve.Closed))
+
 (* ------------------------------------------------------------------ *)
 (* Whole-model serving: BERT and DLRM, f32 and int8, through the same
    admission-controlled path as the unit workloads *)
@@ -772,6 +813,8 @@ let () =
         [
           Alcotest.test_case "opens and recovers" `Quick
             test_breaker_opens_and_recovers;
+          Alcotest.test_case "unjudged probe handed back" `Quick
+            test_unjudged_probe_handed_back;
         ] );
       ( "models",
         [

@@ -291,8 +291,11 @@ let unread_assigns (f : func) =
       | _ -> acc)
     [] f.body
 
-let test_pipelines_leave_no_unread_assign () =
-  let graphs =
+(* Full-pipeline Tensor IR modules of the MLP f32/int8, MHA and 1-layer
+   BERT workloads. *)
+let pipeline_modules () =
+  List.map
+    (fun (name, g) -> (name, Core.tir_module (Core.compile g)))
     [
       ("mlp f32", (Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden:[ 13; 64; 32 ] ()).graph);
       ("mlp int8", (Gc_workloads.Mlp.build_int8 ~batch:8 ~hidden:[ 13; 64; 32 ] ()).graph);
@@ -300,10 +303,10 @@ let test_pipelines_leave_no_unread_assign () =
       ( "bert f32",
         (Gc_workloads.Bert.build_f32 ~layers:1 ~batch:1 ~seq:8 ~hidden:32 ~heads:2 ()).graph );
     ]
-  in
+
+let test_pipelines_leave_no_unread_assign () =
   List.iter
-    (fun (name, g) ->
-      let m = Core.tir_module (Core.compile g) in
+    (fun (name, m) ->
       List.iter
         (fun (f : func) ->
           match unread_assigns f with
@@ -312,7 +315,7 @@ let test_pipelines_leave_no_unread_assign () =
               Alcotest.failf "%s: %s assigns unread %s" name f.fname
                 (String.concat ", " vs))
         m.funcs)
-    graphs
+    (pipeline_modules ())
 
 (* ------------------------------------------------------------------ *)
 (* Tensor shrink *)
@@ -532,6 +535,35 @@ let test_alloc_plan_exports_sites () =
   Alcotest.(check int) "s32 bytes" 16 plan.(1).Buffer_schedule.slot_bytes;
   Alcotest.(check int) "plan bytes" 48 (Buffer_schedule.plan_bytes plan)
 
+(* The planner linearizes arena accesses after [Simplify] has run, so it
+   must fold that arithmetic itself: every arena index the full pipeline
+   emits is already a fixed point of [Simplify.expr]. *)
+let test_arena_indices_simplified () =
+  let accesses = ref 0 in
+  let check name (f : func) (t : tensor) idx =
+    if String.starts_with ~prefix:"arena" t.tname then
+      Array.iter
+        (fun e ->
+          incr accesses;
+          if Simplify.expr e <> e then
+            Alcotest.failf "%s: %s indexes %s with unsimplified %s" name
+              f.fname t.tname (Printer.expr_to_string e))
+        idx
+  in
+  List.iter
+    (fun (name, m) ->
+      List.iter
+        (fun (f : func) ->
+          Visit.iter_stmts
+            ~expr:(function
+              | Load (t, idx) | Addr (t, idx) -> check name f t idx
+              | _ -> ())
+            ~stmt:(function Store (t, idx, _) -> check name f t idx | _ -> ())
+            f.body)
+        m.funcs)
+    (pipeline_modules ());
+  Alcotest.(check bool) "modules access arenas" true (!accesses > 0)
+
 (* ------------------------------------------------------------------ *)
 (* optimizer fuzzer: random loop programs must compute the same thing
    before and after the whole Tensor IR pipeline *)
@@ -662,6 +694,8 @@ let () =
           Alcotest.test_case "dtype separation" `Quick test_planner_dtype_separation;
           Alcotest.test_case "alloc plan exports sites" `Quick
             test_alloc_plan_exports_sites;
+          Alcotest.test_case "arena indices simplified" `Quick
+            test_arena_indices_simplified;
         ] );
       ( "fuzzer",
         [ QCheck_alcotest.to_alcotest prop_pipeline_preserves_semantics ] );
