@@ -408,6 +408,26 @@ let cmd_validate_trace =
     Format.eprintf "invalid trace: %s@." msg;
     exit 1
   in
+  (* A "counters" object holds exactly the declared counters, in
+     declaration order, each an integer. *)
+  let check_counters j =
+    match Observe.Json.member "counters" j with
+    | None -> ()
+    | Some (Observe.Json.Obj kvs) ->
+        let want = List.map Observe.Counters.name Observe.Counters.all in
+        let got = List.map fst kvs in
+        if got <> want then
+          fail
+            (Printf.sprintf "\"counters\" keys [%s], want the %d declared [%s]"
+               (String.concat "," got) (List.length want)
+               (String.concat "," want));
+        List.iter
+          (function
+            | _, Observe.Json.Int _ -> ()
+            | k, _ -> fail (Printf.sprintf "counter %S is not an integer" k))
+          kvs
+    | Some _ -> fail "\"counters\" is not an object"
+  in
   let run file =
     let ic = open_in file in
     (* read to EOF rather than by length, so a pipe works:
@@ -425,6 +445,7 @@ let cmd_validate_trace =
           | _ -> fail (Printf.sprintf "health without object %S" k)
         in
         List.iter obj [ "health"; "counters"; "labels"; "cache"; "memgov"; "events" ];
+        check_counters j;
         let level =
           match Observe.Json.member "health" j with
           | Some h -> (
@@ -446,6 +467,7 @@ let cmd_validate_trace =
             fail
               "missing or unknown \"schema\" (want \"gc-trace/1\" or \
                \"gc-health/1\")");
+        check_counters j;
         let bench_sections =
           match j with
           | Observe.Json.Obj kvs ->

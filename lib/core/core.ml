@@ -317,7 +317,7 @@ let find_binding t bindings (lt : Logical_tensor.t) =
    both for [run_init]'s constant bindings and [execute]'s per-call
    bindings. *)
 let reject what ctx =
-  Gc_observe.Counters.validation_reject ();
+  Gc_observe.Counters.(incr validation_rejects);
   Gc_errors.invalid_input ~ctx what
 
 let check_binding (lt : Logical_tensor.t) (v : Tensor.t) =
@@ -596,7 +596,7 @@ let sanitize_outputs outs =
              done
            with Exit -> ());
           if !bad >= 0 then begin
-            Gc_observe.Counters.sanitizer_hit ();
+            Gc_observe.Counters.(incr sanitizer_hits);
             Gc_errors.runtime_fault ~site:"core.sanitizer"
               ~ctx:
                 [
@@ -702,7 +702,7 @@ module Compile_cache = struct
     Hashtbl.remove table key;
     Hashtbl.remove stamps key;
     if e.ce_charged then Memgov.release e.ce_bytes;
-    Gc_observe.Counters.cache_bytes_evicted e.ce_bytes;
+    Gc_observe.Counters.(add cache_bytes_evicted e.ce_bytes);
     incr n_evictions
 
   (* Least-recently-used entry among the evictable (unpinned) ones. *)
@@ -757,7 +757,7 @@ module Compile_cache = struct
               drop_locked k e;
               go ()
           | None ->
-              Gc_observe.Counters.cache_overcommit ();
+              Gc_observe.Counters.(incr cache_overcommits);
               false)
     in
     go ()
@@ -1105,7 +1105,7 @@ let poly_instance p env_bucket =
   in
   match cached with
   | Some inst ->
-      Gc_observe.Counters.bucket_cache_hit ();
+      Gc_observe.Counters.(incr bucket_cache_hits);
       inst
   | None -> (
       match Graph.substitute ~env:env_bucket p.p_graph with
@@ -1133,8 +1133,8 @@ let poly_instance p env_bucket =
           in
           Mutex.unlock p.p_lock;
           Compile_cache.unpin ck;
-          if winner == inst then Gc_observe.Counters.bucket_compile ()
-          else Gc_observe.Counters.bucket_cache_hit ();
+          if winner == inst then Gc_observe.Counters.(incr bucket_compiles)
+          else Gc_observe.Counters.(incr bucket_cache_hits);
           winner)
 
 let poly_instances p =
@@ -1188,7 +1188,7 @@ let poly_run ?reuse_outputs p bindings =
   let env_actual = poly_env p bindings in
   let env_bucket = poly_bucket_env p env_actual in
   let inst = poly_instance p env_bucket in
-  Gc_observe.Counters.pad_waste_rows (poly_pad_waste env_actual env_bucket);
+  Gc_observe.Counters.(add pad_waste_rows (poly_pad_waste env_actual env_bucket));
   let sub_bindings = poly_translate_bindings inst.pi_subst bindings in
   fun () ->
     poly_slice_outputs p env_actual
@@ -1217,7 +1217,7 @@ let interpret art bindings =
         | Ok (g_sub, subst) -> (g_sub, poly_translate_bindings subst bindings)
         | Error e -> Gc_errors.compile_error ~stage:"substitute" e)
   in
-  Gc_observe.Counters.fallback_interp ();
+  Gc_observe.Counters.(incr fallback_interp);
   Reference.run g bindings
 
 (* The one error boundary of both checked entry points: typed errors pass
@@ -1228,7 +1228,7 @@ let boundary ~site f =
   let r = Gc_errors.guard ~site f in
   (match r with
   | Error (Gc_errors.Resource_exhausted _) ->
-      Gc_observe.Counters.resource_exhausted ()
+      Gc_observe.Counters.(incr resource_exhausted)
   | _ -> ());
   r
 
@@ -1270,7 +1270,7 @@ let execute_checked ?options ?deadline_ms ?(reuse_outputs = false) art
                serviceable, so retry (transient faults: a poisoned kernel,
                a worker hiccup), then degrade to the reference
                interpreter *)
-            Gc_observe.Counters.exec_retry ();
+            Gc_observe.Counters.(incr exec_retries);
             go (tries + 1)
         | exception (Gc_errors.Error (Gc_errors.Runtime_fault _) as fault)
           when options.fallback -> (

@@ -1,198 +1,8 @@
-let on = Atomic.make false
-let enable () = Atomic.set on true
-let disable () = Atomic.set on false
-let enabled () = Atomic.get on
-
-let c_kernels = Atomic.make 0
-let c_sections = Atomic.make 0
-let c_barriers = Atomic.make 0
-let c_tasks = Atomic.make 0
-let c_alloc = Atomic.make 0
-let c_steals = Atomic.make 0
-let c_env_reuse = Atomic.make 0
-let c_arena_hits = Atomic.make 0
-let c_arena_saved = Atomic.make 0
-
-(* Resilience counters (PR 4). These sit on error paths only — a fault, a
-   rejected input, a fallback — never on the per-kernel hot path, so they
-   are always counted regardless of enablement: a serving process wants
-   its fault history without paying for hot-path counters. *)
-let c_validation_rejects = Atomic.make 0
-let c_worker_faults = Atomic.make 0
-let c_runtime_faults = Atomic.make 0
-let c_timeouts = Atomic.make 0
-let c_resource_exhausted = Atomic.make 0
-let c_exec_retries = Atomic.make 0
-let c_fallback_interp = Atomic.make 0
-let c_sanitizer_hits = Atomic.make 0
-
-(* Serving counters (PR 5). Admission/shedding/breaker transitions are
-   rare relative to per-kernel work and a serving process always wants its
-   overload history, so these too are counted unconditionally. *)
-let c_serve_admitted = Atomic.make 0
-let c_serve_overloaded = Atomic.make 0
-let c_serve_shed_expired = Atomic.make 0
-let c_serve_budget_rejects = Atomic.make 0
-let c_breaker_opens = Atomic.make 0
-let c_breaker_probes = Atomic.make 0
-let c_breaker_closes = Atomic.make 0
-let c_breaker_shortcircuits = Atomic.make 0
-
-(* Batching counters (PR 7). Bucketed specialization and request
-   coalescing events are per-compile / per-batch, not per-kernel, and a
-   serving process always wants its batching history — unconditional like
-   the serve counters above. *)
-let c_bucket_compiles = Atomic.make 0
-let c_bucket_cache_hits = Atomic.make 0
-let c_pad_waste_rows = Atomic.make 0
-let c_coalesced_batches = Atomic.make 0
-let c_coalesced_tickets = Atomic.make 0
-let c_coalesced_max_tickets = Atomic.make 0
-let c_window_deadline_violations = Atomic.make 0
-
-(* Supervision counters (PR 9). Every supervision action — a restart, a
-   reincarnation — is an error-path event by definition, and
-   a serving process always wants its self-healing history; unconditional
-   like the serve counters above. [pool_inline_runs] is the poisoned-pool
-   perf-cliff tell: parallel sections silently degraded to inline. *)
-let c_workers_restarted = Atomic.make 0
-let c_workers_superseded = Atomic.make 0
-let c_pools_reincarnated = Atomic.make 0
-let c_pool_inline_runs = Atomic.make 0
-let c_heartbeats_missed = Atomic.make 0
-
-(* Multi-model counters (PR 10). Registry lifecycle transitions, quota
-   sheds and cache residency churn are per-request or rarer, and a
-   multi-tenant process always wants its tenancy history — unconditional
-   like the serve counters above. *)
-let c_models_loaded = Atomic.make 0
-let c_models_retired = Atomic.make 0
-let c_hot_swaps = Atomic.make 0
-let c_models_parked = Atomic.make 0
-let c_models_reloaded = Atomic.make 0
-let c_quota_sheds = Atomic.make 0
-let c_cache_bytes_evicted = Atomic.make 0
-let c_cache_overcommits = Atomic.make 0
-
-let reset () =
-  Atomic.set c_kernels 0;
-  Atomic.set c_sections 0;
-  Atomic.set c_barriers 0;
-  Atomic.set c_tasks 0;
-  Atomic.set c_alloc 0;
-  Atomic.set c_steals 0;
-  Atomic.set c_env_reuse 0;
-  Atomic.set c_arena_hits 0;
-  Atomic.set c_arena_saved 0;
-  Atomic.set c_validation_rejects 0;
-  Atomic.set c_worker_faults 0;
-  Atomic.set c_runtime_faults 0;
-  Atomic.set c_timeouts 0;
-  Atomic.set c_resource_exhausted 0;
-  Atomic.set c_exec_retries 0;
-  Atomic.set c_fallback_interp 0;
-  Atomic.set c_sanitizer_hits 0;
-  Atomic.set c_serve_admitted 0;
-  Atomic.set c_serve_overloaded 0;
-  Atomic.set c_serve_shed_expired 0;
-  Atomic.set c_serve_budget_rejects 0;
-  Atomic.set c_breaker_opens 0;
-  Atomic.set c_breaker_probes 0;
-  Atomic.set c_breaker_closes 0;
-  Atomic.set c_breaker_shortcircuits 0;
-  Atomic.set c_bucket_compiles 0;
-  Atomic.set c_bucket_cache_hits 0;
-  Atomic.set c_pad_waste_rows 0;
-  Atomic.set c_coalesced_batches 0;
-  Atomic.set c_coalesced_tickets 0;
-  Atomic.set c_coalesced_max_tickets 0;
-  Atomic.set c_window_deadline_violations 0;
-  Atomic.set c_workers_restarted 0;
-  Atomic.set c_workers_superseded 0;
-  Atomic.set c_pools_reincarnated 0;
-  Atomic.set c_pool_inline_runs 0;
-  Atomic.set c_heartbeats_missed 0;
-  Atomic.set c_models_loaded 0;
-  Atomic.set c_models_retired 0;
-  Atomic.set c_hot_swaps 0;
-  Atomic.set c_models_parked 0;
-  Atomic.set c_models_reloaded 0;
-  Atomic.set c_quota_sheds 0;
-  Atomic.set c_cache_bytes_evicted 0;
-  Atomic.set c_cache_overcommits 0
-
-(* The [if] on a plain atomic load is the entire disabled-path cost. *)
-let kernel_invocation () =
-  if Atomic.get on then ignore (Atomic.fetch_and_add c_kernels 1)
-
-let parallel_section () =
-  if Atomic.get on then ignore (Atomic.fetch_and_add c_sections 1)
-
-let barrier () = if Atomic.get on then ignore (Atomic.fetch_and_add c_barriers 1)
-let tasks n = if Atomic.get on then ignore (Atomic.fetch_and_add c_tasks n)
-let alloc_bytes n = if Atomic.get on then ignore (Atomic.fetch_and_add c_alloc n)
-let task_stolen () = if Atomic.get on then ignore (Atomic.fetch_and_add c_steals 1)
-let env_reused () = if Atomic.get on then ignore (Atomic.fetch_and_add c_env_reuse 1)
-let arena_hit () = if Atomic.get on then ignore (Atomic.fetch_and_add c_arena_hits 1)
-
-let arena_bytes_saved n =
-  if Atomic.get on then ignore (Atomic.fetch_and_add c_arena_saved n)
-
-(* Error-path events: always counted (see above). *)
-let validation_reject () = ignore (Atomic.fetch_and_add c_validation_rejects 1)
-let worker_fault () = ignore (Atomic.fetch_and_add c_worker_faults 1)
-let runtime_fault () = ignore (Atomic.fetch_and_add c_runtime_faults 1)
-let timeout () = ignore (Atomic.fetch_and_add c_timeouts 1)
-let resource_exhausted () = ignore (Atomic.fetch_and_add c_resource_exhausted 1)
-let exec_retry () = ignore (Atomic.fetch_and_add c_exec_retries 1)
-let fallback_interp () = ignore (Atomic.fetch_and_add c_fallback_interp 1)
-let sanitizer_hit () = ignore (Atomic.fetch_and_add c_sanitizer_hits 1)
-let serve_admitted () = ignore (Atomic.fetch_and_add c_serve_admitted 1)
-let serve_overloaded () = ignore (Atomic.fetch_and_add c_serve_overloaded 1)
-let serve_shed_expired () = ignore (Atomic.fetch_and_add c_serve_shed_expired 1)
-
-let serve_budget_reject () =
-  ignore (Atomic.fetch_and_add c_serve_budget_rejects 1)
-
-let breaker_open () = ignore (Atomic.fetch_and_add c_breaker_opens 1)
-let breaker_probe () = ignore (Atomic.fetch_and_add c_breaker_probes 1)
-let breaker_close () = ignore (Atomic.fetch_and_add c_breaker_closes 1)
-
-let breaker_shortcircuit () =
-  ignore (Atomic.fetch_and_add c_breaker_shortcircuits 1)
-
-let bucket_compile () = ignore (Atomic.fetch_and_add c_bucket_compiles 1)
-let bucket_cache_hit () = ignore (Atomic.fetch_and_add c_bucket_cache_hits 1)
-let pad_waste_rows n = ignore (Atomic.fetch_and_add c_pad_waste_rows n)
-
-let rec atomic_max a v =
-  let cur = Atomic.get a in
-  if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
-
-let coalesced_batch ~tickets =
-  ignore (Atomic.fetch_and_add c_coalesced_batches 1);
-  ignore (Atomic.fetch_and_add c_coalesced_tickets tickets);
-  atomic_max c_coalesced_max_tickets tickets
-
-let window_deadline_violation () =
-  ignore (Atomic.fetch_and_add c_window_deadline_violations 1)
-
-let worker_restarted () = ignore (Atomic.fetch_and_add c_workers_restarted 1)
-let worker_superseded () = ignore (Atomic.fetch_and_add c_workers_superseded 1)
-let pool_reincarnated () = ignore (Atomic.fetch_and_add c_pools_reincarnated 1)
-let pool_inline_run () = ignore (Atomic.fetch_and_add c_pool_inline_runs 1)
-let heartbeat_missed () = ignore (Atomic.fetch_and_add c_heartbeats_missed 1)
-let model_loaded () = ignore (Atomic.fetch_and_add c_models_loaded 1)
-let model_retired () = ignore (Atomic.fetch_and_add c_models_retired 1)
-let hot_swap () = ignore (Atomic.fetch_and_add c_hot_swaps 1)
-let model_parked () = ignore (Atomic.fetch_and_add c_models_parked 1)
-let model_reloaded () = ignore (Atomic.fetch_and_add c_models_reloaded 1)
-let quota_shed () = ignore (Atomic.fetch_and_add c_quota_sheds 1)
-
-let cache_bytes_evicted n =
-  if n > 0 then ignore (Atomic.fetch_and_add c_cache_bytes_evicted n)
-
-let cache_overcommit () = ignore (Atomic.fetch_and_add c_cache_overcommits 1)
+(* Each counter is one [declare] line below. [reset], the snapshot JSON
+   and the CLI's schema check all walk [all], so the declaration order is
+   the JSON order. The snapshot record and its constructor are the only
+   other places a counter is named: the compiler checks every field is
+   filled, and test_observe checks each is filled from its own counter. *)
 
 type snapshot = {
   kernel_invocations : int;
@@ -242,142 +52,159 @@ type snapshot = {
   cache_overcommits : int;
 }
 
+type t = {
+  name : string;
+  gate : bool Atomic.t;  (* [on] for a gated counter, [always] otherwise *)
+  cell : int Atomic.t;
+  field : snapshot -> int;  (* the counter's field in a snapshot *)
+}
+
+let on = Atomic.make false
+let always = Atomic.make true
+let enable () = Atomic.set on true
+let disable () = Atomic.set on false
+let enabled () = Atomic.get on
+let declared = ref []
+
+let declare ?(gated = false) name field =
+  let gate = if gated then on else always in
+  let c = { name; gate; cell = Atomic.make 0; field } in
+  declared := c :: !declared;
+  c
+
+(* Execution hot path (per kernel, section or [Alloc]): gated. *)
+let kernel_invocations =
+  declare ~gated:true "kernel_invocations" (fun s -> s.kernel_invocations)
+let parallel_sections =
+  declare ~gated:true "parallel_sections" (fun s -> s.parallel_sections)
+let barriers = declare ~gated:true "barriers" (fun s -> s.barriers)
+let task_launches = declare ~gated:true "task_launches" (fun s -> s.task_launches)
+let bytes_allocated =
+  declare ~gated:true "bytes_allocated" (fun s -> s.bytes_allocated)
+let tasks_stolen = declare ~gated:true "tasks_stolen" (fun s -> s.tasks_stolen)
+let envs_reused = declare ~gated:true "envs_reused" (fun s -> s.envs_reused)
+let arena_hits = declare ~gated:true "arena_hits" (fun s -> s.arena_hits)
+let arena_bytes_saved =
+  declare ~gated:true "arena_bytes_saved" (fun s -> s.arena_bytes_saved)
+
+(* Error, serving, supervision and tenancy paths: always counted. *)
+let validation_rejects = declare "validation_rejects" (fun s -> s.validation_rejects)
+let worker_faults = declare "worker_faults" (fun s -> s.worker_faults)
+let runtime_faults = declare "runtime_faults" (fun s -> s.runtime_faults)
+let timeouts = declare "timeouts" (fun s -> s.timeouts)
+let resource_exhausted = declare "resource_exhausted" (fun s -> s.resource_exhausted)
+let exec_retries = declare "exec_retries" (fun s -> s.exec_retries)
+let fallback_interp = declare "fallback_interp" (fun s -> s.fallback_interp)
+let sanitizer_hits = declare "sanitizer_hits" (fun s -> s.sanitizer_hits)
+let serve_admitted = declare "serve_admitted" (fun s -> s.serve_admitted)
+let serve_overloaded = declare "serve_overloaded" (fun s -> s.serve_overloaded)
+let serve_shed_expired = declare "serve_shed_expired" (fun s -> s.serve_shed_expired)
+let serve_budget_rejects =
+  declare "serve_budget_rejects" (fun s -> s.serve_budget_rejects)
+let breaker_opens = declare "breaker_opens" (fun s -> s.breaker_opens)
+let breaker_probes = declare "breaker_probes" (fun s -> s.breaker_probes)
+let breaker_closes = declare "breaker_closes" (fun s -> s.breaker_closes)
+let breaker_shortcircuits =
+  declare "breaker_shortcircuits" (fun s -> s.breaker_shortcircuits)
+let bucket_compiles = declare "bucket_compiles" (fun s -> s.bucket_compiles)
+let bucket_cache_hits = declare "bucket_cache_hits" (fun s -> s.bucket_cache_hits)
+let pad_waste_rows = declare "pad_waste_rows" (fun s -> s.pad_waste_rows)
+let coalesced_batches = declare "coalesced_batches" (fun s -> s.coalesced_batches)
+let coalesced_tickets = declare "coalesced_tickets" (fun s -> s.coalesced_tickets)
+let coalesced_max_tickets =
+  declare "coalesced_max_tickets" (fun s -> s.coalesced_max_tickets)
+let window_deadline_violations =
+  declare "window_deadline_violations" (fun s -> s.window_deadline_violations)
+let workers_restarted = declare "workers_restarted" (fun s -> s.workers_restarted)
+let workers_superseded = declare "workers_superseded" (fun s -> s.workers_superseded)
+let pools_reincarnated = declare "pools_reincarnated" (fun s -> s.pools_reincarnated)
+let pool_inline_runs = declare "pool_inline_runs" (fun s -> s.pool_inline_runs)
+let heartbeats_missed = declare "heartbeats_missed" (fun s -> s.heartbeats_missed)
+let models_loaded = declare "models_loaded" (fun s -> s.models_loaded)
+let models_retired = declare "models_retired" (fun s -> s.models_retired)
+let hot_swaps = declare "hot_swaps" (fun s -> s.hot_swaps)
+let models_parked = declare "models_parked" (fun s -> s.models_parked)
+let models_reloaded = declare "models_reloaded" (fun s -> s.models_reloaded)
+let quota_sheds = declare "quota_sheds" (fun s -> s.quota_sheds)
+let cache_bytes_evicted = declare "cache_bytes_evicted" (fun s -> s.cache_bytes_evicted)
+let cache_overcommits = declare "cache_overcommits" (fun s -> s.cache_overcommits)
+
+let all = List.rev !declared
+let name c = c.name
+let gated c = c.gate == on
+let get c = Atomic.get c.cell
+
+(* The [if] on one atomic load is the entire disabled-path cost. *)
+let add c n = if Atomic.get c.gate then ignore (Atomic.fetch_and_add c.cell n)
+let incr c = add c 1
+
+let record_max c v =
+  let rec raise_to () =
+    let cur = Atomic.get c.cell in
+    if v > cur && not (Atomic.compare_and_set c.cell cur v) then raise_to ()
+  in
+  if Atomic.get c.gate then raise_to ()
+
+let reset () = List.iter (fun c -> Atomic.set c.cell 0) all
+
 let snapshot () =
   {
-    kernel_invocations = Atomic.get c_kernels;
-    parallel_sections = Atomic.get c_sections;
-    barriers = Atomic.get c_barriers;
-    task_launches = Atomic.get c_tasks;
-    bytes_allocated = Atomic.get c_alloc;
-    tasks_stolen = Atomic.get c_steals;
-    envs_reused = Atomic.get c_env_reuse;
-    arena_hits = Atomic.get c_arena_hits;
-    arena_bytes_saved = Atomic.get c_arena_saved;
-    validation_rejects = Atomic.get c_validation_rejects;
-    worker_faults = Atomic.get c_worker_faults;
-    runtime_faults = Atomic.get c_runtime_faults;
-    timeouts = Atomic.get c_timeouts;
-    resource_exhausted = Atomic.get c_resource_exhausted;
-    exec_retries = Atomic.get c_exec_retries;
-    fallback_interp = Atomic.get c_fallback_interp;
-    sanitizer_hits = Atomic.get c_sanitizer_hits;
-    serve_admitted = Atomic.get c_serve_admitted;
-    serve_overloaded = Atomic.get c_serve_overloaded;
-    serve_shed_expired = Atomic.get c_serve_shed_expired;
-    serve_budget_rejects = Atomic.get c_serve_budget_rejects;
-    breaker_opens = Atomic.get c_breaker_opens;
-    breaker_probes = Atomic.get c_breaker_probes;
-    breaker_closes = Atomic.get c_breaker_closes;
-    breaker_shortcircuits = Atomic.get c_breaker_shortcircuits;
-    bucket_compiles = Atomic.get c_bucket_compiles;
-    bucket_cache_hits = Atomic.get c_bucket_cache_hits;
-    pad_waste_rows = Atomic.get c_pad_waste_rows;
-    coalesced_batches = Atomic.get c_coalesced_batches;
-    coalesced_tickets = Atomic.get c_coalesced_tickets;
-    coalesced_max_tickets = Atomic.get c_coalesced_max_tickets;
-    window_deadline_violations = Atomic.get c_window_deadline_violations;
-    workers_restarted = Atomic.get c_workers_restarted;
-    workers_superseded = Atomic.get c_workers_superseded;
-    pools_reincarnated = Atomic.get c_pools_reincarnated;
-    pool_inline_runs = Atomic.get c_pool_inline_runs;
-    heartbeats_missed = Atomic.get c_heartbeats_missed;
-    models_loaded = Atomic.get c_models_loaded;
-    models_retired = Atomic.get c_models_retired;
-    hot_swaps = Atomic.get c_hot_swaps;
-    models_parked = Atomic.get c_models_parked;
-    models_reloaded = Atomic.get c_models_reloaded;
-    quota_sheds = Atomic.get c_quota_sheds;
-    cache_bytes_evicted = Atomic.get c_cache_bytes_evicted;
-    cache_overcommits = Atomic.get c_cache_overcommits;
+    kernel_invocations = get kernel_invocations;
+    parallel_sections = get parallel_sections;
+    barriers = get barriers;
+    task_launches = get task_launches;
+    bytes_allocated = get bytes_allocated;
+    tasks_stolen = get tasks_stolen;
+    envs_reused = get envs_reused;
+    arena_hits = get arena_hits;
+    arena_bytes_saved = get arena_bytes_saved;
+    validation_rejects = get validation_rejects;
+    worker_faults = get worker_faults;
+    runtime_faults = get runtime_faults;
+    timeouts = get timeouts;
+    resource_exhausted = get resource_exhausted;
+    exec_retries = get exec_retries;
+    fallback_interp = get fallback_interp;
+    sanitizer_hits = get sanitizer_hits;
+    serve_admitted = get serve_admitted;
+    serve_overloaded = get serve_overloaded;
+    serve_shed_expired = get serve_shed_expired;
+    serve_budget_rejects = get serve_budget_rejects;
+    breaker_opens = get breaker_opens;
+    breaker_probes = get breaker_probes;
+    breaker_closes = get breaker_closes;
+    breaker_shortcircuits = get breaker_shortcircuits;
+    bucket_compiles = get bucket_compiles;
+    bucket_cache_hits = get bucket_cache_hits;
+    pad_waste_rows = get pad_waste_rows;
+    coalesced_batches = get coalesced_batches;
+    coalesced_tickets = get coalesced_tickets;
+    coalesced_max_tickets = get coalesced_max_tickets;
+    window_deadline_violations = get window_deadline_violations;
+    workers_restarted = get workers_restarted;
+    workers_superseded = get workers_superseded;
+    pools_reincarnated = get pools_reincarnated;
+    pool_inline_runs = get pool_inline_runs;
+    heartbeats_missed = get heartbeats_missed;
+    models_loaded = get models_loaded;
+    models_retired = get models_retired;
+    hot_swaps = get hot_swaps;
+    models_parked = get models_parked;
+    models_reloaded = get models_reloaded;
+    quota_sheds = get quota_sheds;
+    cache_bytes_evicted = get cache_bytes_evicted;
+    cache_overcommits = get cache_overcommits;
   }
 
 let snapshot_to_json s =
-  Json.Obj
-    [
-      ("kernel_invocations", Json.Int s.kernel_invocations);
-      ("parallel_sections", Json.Int s.parallel_sections);
-      ("barriers", Json.Int s.barriers);
-      ("task_launches", Json.Int s.task_launches);
-      ("bytes_allocated", Json.Int s.bytes_allocated);
-      ("tasks_stolen", Json.Int s.tasks_stolen);
-      ("envs_reused", Json.Int s.envs_reused);
-      ("arena_hits", Json.Int s.arena_hits);
-      ("arena_bytes_saved", Json.Int s.arena_bytes_saved);
-      ("validation_rejects", Json.Int s.validation_rejects);
-      ("worker_faults", Json.Int s.worker_faults);
-      ("runtime_faults", Json.Int s.runtime_faults);
-      ("timeouts", Json.Int s.timeouts);
-      ("resource_exhausted", Json.Int s.resource_exhausted);
-      ("exec_retries", Json.Int s.exec_retries);
-      ("fallback_interp", Json.Int s.fallback_interp);
-      ("sanitizer_hits", Json.Int s.sanitizer_hits);
-      ("serve_admitted", Json.Int s.serve_admitted);
-      ("serve_overloaded", Json.Int s.serve_overloaded);
-      ("serve_shed_expired", Json.Int s.serve_shed_expired);
-      ("serve_budget_rejects", Json.Int s.serve_budget_rejects);
-      ("breaker_opens", Json.Int s.breaker_opens);
-      ("breaker_probes", Json.Int s.breaker_probes);
-      ("breaker_closes", Json.Int s.breaker_closes);
-      ("breaker_shortcircuits", Json.Int s.breaker_shortcircuits);
-      ("bucket_compiles", Json.Int s.bucket_compiles);
-      ("bucket_cache_hits", Json.Int s.bucket_cache_hits);
-      ("pad_waste_rows", Json.Int s.pad_waste_rows);
-      ("coalesced_batches", Json.Int s.coalesced_batches);
-      ("coalesced_tickets", Json.Int s.coalesced_tickets);
-      ("coalesced_max_tickets", Json.Int s.coalesced_max_tickets);
-      ("window_deadline_violations", Json.Int s.window_deadline_violations);
-      ("workers_restarted", Json.Int s.workers_restarted);
-      ("workers_superseded", Json.Int s.workers_superseded);
-      ("pools_reincarnated", Json.Int s.pools_reincarnated);
-      ("pool_inline_runs", Json.Int s.pool_inline_runs);
-      ("heartbeats_missed", Json.Int s.heartbeats_missed);
-      ("models_loaded", Json.Int s.models_loaded);
-      ("models_retired", Json.Int s.models_retired);
-      ("hot_swaps", Json.Int s.hot_swaps);
-      ("models_parked", Json.Int s.models_parked);
-      ("models_reloaded", Json.Int s.models_reloaded);
-      ("quota_sheds", Json.Int s.quota_sheds);
-      ("cache_bytes_evicted", Json.Int s.cache_bytes_evicted);
-      ("cache_overcommits", Json.Int s.cache_overcommits);
-    ]
-
-let pp_snapshot fmt s =
-  Format.fprintf fmt
-    "kernels=%d sections=%d barriers=%d tasks=%d alloc_bytes=%d stolen=%d \
-     env_reuse=%d arena_hits=%d arena_saved=%d rejects=%d worker_faults=%d \
-     faults=%d timeouts=%d oom=%d retries=%d fallbacks=%d sanitizer=%d \
-     admitted=%d overloaded=%d shed_expired=%d budget_rejects=%d \
-     breaker_opens=%d breaker_probes=%d breaker_closes=%d breaker_short=%d \
-     bucket_compiles=%d bucket_hits=%d pad_waste=%d coalesced=%d \
-     coalesced_tickets=%d coalesced_max=%d window_violations=%d \
-     restarts=%d superseded=%d reincarnations=%d inline_runs=%d \
-     hb_missed=%d \
-     models_loaded=%d models_retired=%d hot_swaps=%d parked=%d reloaded=%d \
-     quota_sheds=%d cache_evicted_bytes=%d cache_overcommits=%d"
-    s.kernel_invocations s.parallel_sections s.barriers s.task_launches
-    s.bytes_allocated s.tasks_stolen s.envs_reused s.arena_hits
-    s.arena_bytes_saved s.validation_rejects s.worker_faults s.runtime_faults
-    s.timeouts s.resource_exhausted s.exec_retries s.fallback_interp
-    s.sanitizer_hits s.serve_admitted s.serve_overloaded s.serve_shed_expired
-    s.serve_budget_rejects s.breaker_opens s.breaker_probes s.breaker_closes
-    s.breaker_shortcircuits s.bucket_compiles s.bucket_cache_hits
-    s.pad_waste_rows s.coalesced_batches s.coalesced_tickets
-    s.coalesced_max_tickets s.window_deadline_violations s.workers_restarted
-    s.workers_superseded s.pools_reincarnated s.pool_inline_runs
-    s.heartbeats_missed s.models_loaded
-    s.models_retired s.hot_swaps s.models_parked s.models_reloaded
-    s.quota_sheds s.cache_bytes_evicted s.cache_overcommits
+  Json.Obj (List.map (fun c -> (c.name, Json.Int (c.field s))) all)
 
 let with_counters f =
   let was = enabled () in
   reset ();
   enable ();
-  let finish () = if not was then disable () in
-  match f () with
-  | v ->
-      let snap = snapshot () in
-      finish ();
-      (v, snap)
-  | exception e ->
-      finish ();
-      raise e
+  Fun.protect
+    ~finally:(fun () -> if not was then disable ())
+    (fun () ->
+      let v = f () in
+      (v, snapshot ()))

@@ -1,196 +1,221 @@
-(** Global runtime counters, incremented by the execution substrate
-    ({!Gc_runtime.Parallel} and {!Gc_runtime.Engine}) at coarse events:
-    kernel invocations, parallel-section launches, barriers, temporary
-    allocations. Disabled by default; when disabled every hook is a single
-    atomic load and branch, so the hot path cost is negligible (the events
-    are per-kernel/per-section, never per-element).
+(** Process-global runtime counters, each declared once and documented
+    once, below. A counter's OCaml name is its key in the JSON snapshot
+    ({!snapshot_to_json}, the ["counters"] object of [gc-health/1] and
+    [gc-trace/1] documents), and {!all} lists them in that order.
 
-    Counters are process-global because the engine's compiled closures run
-    on worker domains — all mutation is via [Atomic]. *)
+    Two kinds:
+    - {b gated} counters sit on the execution hot path (per kernel, per
+      parallel section, per [Alloc] statement) and count only while
+      {!enabled}, which is off by default. Disabled, a bump costs one
+      atomic load and a branch, with no allocation.
+    - every other counter sits on an error, serving, supervision or
+      tenancy path and is {b always} counted, so a serving process keeps
+      its history without paying for the hot-path counters.
 
+    All mutation is via [Atomic]: the engine's compiled closures and the
+    serve workers run on separate domains. *)
+
+type t
+
+val incr : t -> unit
+val add : t -> int -> unit
+
+(** [record_max c n] raises [c] to [n] if [n] is larger: a high-water
+    mark rather than a sum. *)
+val record_max : t -> int -> unit
+
+val get : t -> int
+val name : t -> string
+val gated : t -> bool
+
+(** Every counter, in declaration (= JSON) order. *)
+val all : t list
+
+(** Start counting the gated counters (the others always count). *)
 val enable : unit -> unit
+
 val disable : unit -> unit
 val enabled : unit -> bool
 
-(** Reset all counters to zero (does not change enablement). *)
+(** Zero every counter (does not change enablement). *)
 val reset : unit -> unit
 
-(** Hooks for the runtime (no-ops when disabled). *)
+(** {1 Execution (gated)} *)
 
-val kernel_invocation : unit -> unit
-(** one microkernel/intrinsic dispatch (brgemm, zero, copy) *)
+val kernel_invocations : t
+(** microkernel/intrinsic dispatches (brgemm, zero, copy) *)
 
-val parallel_section : unit -> unit
-(** one pool dispatch (a parallel loop or task batch) *)
+val parallel_sections : t
+(** pool dispatches (a parallel loop or task batch) *)
 
-val barrier : unit -> unit
-(** one synchronization point (end-of-section join, explicit barrier) *)
+val barriers : t
+(** synchronization points (end-of-section join, explicit barrier) *)
 
-val tasks : int -> unit
-(** [tasks n]: [n] worker tasks launched *)
+val task_launches : t
+(** worker tasks launched by parallel sections *)
 
-val alloc_bytes : int -> unit
-(** bytes allocated for a runtime temporary *)
+val bytes_allocated : t
+(** bytes allocated for runtime temporaries *)
 
-val task_stolen : unit -> unit
-(** one grain executed by a pool worker other than the section's submitter
-    (the self-scheduling queue balanced load across domains) *)
+val tasks_stolen : t
+(** grains run by a pool worker other than the section's submitter (the
+    self-scheduling queue balanced load across domains) *)
 
-val env_reused : unit -> unit
-(** one execution environment (a call's or a parallel grain's) taken
-    from an engine pool instead of being freshly allocated *)
+val envs_reused : t
+(** execution environments (a call's or a parallel grain's) taken from an
+    engine pool instead of freshly allocated *)
 
-val arena_hit : unit -> unit
-(** one [Alloc] statement served from an execution environment's
-    pre-sized arena slot instead of a fresh buffer allocation *)
+val arena_hits : t
+(** [Alloc] statements served from an environment's pre-sized arena slot
+    instead of a fresh buffer *)
 
-val arena_bytes_saved : int -> unit
-(** [arena_bytes_saved n]: [n] bytes of buffer allocation avoided because
-    the arena already held a correctly-sized buffer *)
+val arena_bytes_saved : t
+(** buffer bytes not allocated because the arena already held a buffer of
+    the right size *)
 
-(** Resilience hooks (PR 4). Unlike the hot-path hooks above, these sit on
-    error paths only and are {b always} counted, independent of
-    {!enabled} — a serving process keeps its fault history without paying
-    for per-kernel counters. [reset] zeroes them like everything else. *)
+(** {1 Faults and recovery} *)
 
-val validation_reject : unit -> unit
-(** one binding set rejected at the execute boundary (bad shape/dtype/
-    arity/missing input) before any engine work *)
+val validation_rejects : t
+(** binding sets rejected at the execute boundary (bad shape, dtype or
+    arity, missing input) before any engine work *)
 
-val worker_fault : unit -> unit
-(** one exception contained in a parallel-pool worker (wrapped into a
+val worker_faults : t
+(** exceptions contained in a parallel-pool worker (wrapped into a
     [Runtime_fault] after the barrier drained) *)
 
-val runtime_fault : unit -> unit
-(** one execute classified as [Runtime_fault] at the API boundary *)
+val runtime_faults : t
+(** executes classified as [Runtime_fault] at the API boundary *)
 
-val timeout : unit -> unit
-(** one guarded execute that exceeded its deadline *)
+val timeouts : t
+(** guarded executes that exceeded their deadline *)
 
-val resource_exhausted : unit -> unit
-(** one execute classified as [Resource_exhausted] *)
+val resource_exhausted : t
+(** executes classified as [Resource_exhausted] *)
 
-val exec_retry : unit -> unit
-(** one engine retry after a [Runtime_fault] *)
+val exec_retries : t
+(** engine retries after a [Runtime_fault] *)
 
-val fallback_interp : unit -> unit
-(** one execute served by the reference interpreter after the engine
-    faulted (slow-but-correct degradation) *)
+val fallback_interp : t
+(** executes served by the reference interpreter after the engine faulted
+    (slow-but-correct degradation) *)
 
-val sanitizer_hit : unit -> unit
-(** one non-finite value caught by the output sanitizer *)
+val sanitizer_hits : t
+(** non-finite values caught by the output sanitizer *)
 
-(** Serving hooks (PR 5): admission, shedding and circuit-breaker
-    transitions in {!Gc_serve}. Always counted, like the resilience
-    hooks. *)
+(** {1 Serving: admission, shedding, circuit breaker} *)
 
-val serve_admitted : unit -> unit
-(** one request admitted into the bounded serving queue *)
+val serve_admitted : t
+(** requests admitted into the bounded serving queue *)
 
-val serve_overloaded : unit -> unit
-(** one request shed with [Overloaded] (queue full, unmeetable deadline,
-    expired in queue, or draining) *)
+val serve_overloaded : t
+(** requests shed with [Overloaded] (queue full, unmeetable deadline,
+    over quota, expired in queue, draining or stranded at the drain
+    deadline) *)
 
-val serve_shed_expired : unit -> unit
-(** one queued request whose deadline expired before dispatch (subset of
+val serve_shed_expired : t
+(** queued requests whose deadline expired before dispatch (a subset of
     [serve_overloaded]) *)
 
-val serve_budget_reject : unit -> unit
-(** one request failed by the memory-budget governor
-    ([Resource_exhausted] from {!Gc_tensor.Memgov}) *)
+val serve_budget_rejects : t
+(** requests failed by the memory-budget governor ([Resource_exhausted]
+    from {!Gc_tensor.Memgov}) *)
 
-val breaker_open : unit -> unit
-(** one per-partition circuit breaker tripped open (too many consecutive
-    fallbacks-to-interpreter) *)
+val breaker_opens : t
+(** circuit breakers tripped open (too many consecutive fallbacks to the
+    interpreter, or a failed half-open probe) *)
 
-val breaker_probe : unit -> unit
-(** one half-open probe of the compiled path after the breaker cooldown *)
+val breaker_probes : t
+(** half-open probes of the compiled path after the breaker cooldown *)
 
-val breaker_close : unit -> unit
-(** one breaker closed again after a successful half-open probe *)
+val breaker_closes : t
+(** breakers closed again by a successful half-open probe *)
 
-val breaker_shortcircuit : unit -> unit
-(** one request routed straight to the reference interpreter because the
-    breaker was open *)
+val breaker_shortcircuits : t
+(** requests routed straight to the interpreter because the breaker was
+    open *)
 
-(** Batching hooks (PR 7): bucketed shape-class specialization in
-    {!module-Core} and request coalescing in {!Gc_serve}. Always counted,
-    like the serving hooks. *)
+(** {1 Batching: shape buckets and request coalescing} *)
 
-val bucket_compile : unit -> unit
-(** one concrete specialization compiled for a (shape class, bucket) pair *)
+val bucket_compiles : t
+(** concrete specializations compiled for a (shape class, bucket) pair *)
 
-val bucket_cache_hit : unit -> unit
-(** one polymorphic execute served by an already-compiled bucket *)
+val bucket_cache_hits : t
+(** polymorphic executes served by an already-compiled bucket *)
 
-val pad_waste_rows : int -> unit
-(** [pad_waste_rows n]: [n] padding rows executed because the request was
-    rounded up to its bucket (wasted work, the price of specialization) *)
+val pad_waste_rows : t
+(** padding rows executed because a request was rounded up to its bucket
+    (the price of specialization) *)
 
-val coalesced_batch : tickets:int -> unit
-(** one batched execution packing [tickets] (>= 2) coalesced requests *)
+val coalesced_batches : t
+(** batched executions packing two or more coalesced requests *)
 
-val window_deadline_violation : unit -> unit
-(** one ticket whose deadline expired during the coalescing gather window
-    — must stay zero; the window is sized to never outwait the tightest
-    admitted deadline *)
+val coalesced_tickets : t
+(** tickets across all coalesced batches *)
 
-(** Supervision hooks (PR 9): self-healing actions taken by
-    [Gc_supervise] and the degraded-mode tells they react to. Always
-    counted, like the serving hooks. *)
+val coalesced_max_tickets : t
+(** the largest single coalesced batch (a high-water mark, see
+    {!record_max}) *)
 
-val worker_restarted : unit -> unit
-(** one dead worker domain (serve or pool) respawned by supervision *)
+val window_deadline_violations : t
+(** tickets whose deadline expired during the coalescing gather window.
+    Must stay zero: the window is sized never to outwait the tightest
+    admitted deadline. *)
 
-val worker_superseded : unit -> unit
-(** one stuck-but-alive worker replaced (its slot re-spawned; the old
-    domain exits on its next epoch check) *)
+(** {1 Supervision} *)
 
-val pool_reincarnated : unit -> unit
-(** one poisoned/dead parallel pool replaced by a fresh incarnation
+val workers_restarted : t
+(** dead worker domains (serve or pool) respawned by supervision *)
+
+val workers_superseded : t
+(** stuck-but-alive workers replaced (the slot re-spawned; the old domain
+    exits at its next epoch check) *)
+
+val pools_reincarnated : t
+(** poisoned or dead parallel pools replaced by a fresh incarnation
     behind the same handle *)
 
-val pool_inline_run : unit -> unit
-(** one parallel section executed inline because the pool was poisoned —
-    the degraded-throughput tell supervision exists to heal *)
+val pool_inline_runs : t
+(** parallel sections run inline because the pool was poisoned: the
+    degraded-throughput tell supervision exists to heal *)
 
-val heartbeat_missed : unit -> unit
-(** one monitor tick that found a busy worker's heartbeat older than the
-    configured staleness threshold *)
+val heartbeats_missed : t
+(** monitor ticks that found a busy worker's heartbeat older than the
+    staleness threshold (once per stuck episode) *)
 
-(** Multi-model hooks (PR 10): registry lifecycle, per-model quota sheds
-    and budget-aware cache residency churn in [Gc_registry], {!Gc_serve}
-    and [Core.Compile_cache]. Always counted, like the serving hooks. *)
+(** {1 Multi-model tenancy} *)
 
-val model_loaded : unit -> unit
-(** one named model registered (first load or a new version) *)
+val models_loaded : t
+(** named models registered (a first load or a new version) *)
 
-val model_retired : unit -> unit
-(** one named model retired from the registry *)
+val models_retired : t
+(** named models retired from the registry *)
 
-val hot_swap : unit -> unit
-(** one atomic weight/artifact swap behind a registered name *)
+val hot_swaps : t
+(** atomic weight/artifact swaps behind a registered name *)
 
-val model_parked : unit -> unit
-(** one resident model evicted to [Parked] under memory-budget pressure
-    (its compiled artifact released; the name stays registered) *)
+val models_parked : t
+(** resident models evicted to [Parked] under memory-budget pressure (the
+    artifact released; the name stays registered) *)
 
-val model_reloaded : unit -> unit
-(** one parked model re-admitted via lazy recompile through the cache *)
+val models_reloaded : t
+(** parked models re-admitted via lazy recompile through the cache *)
 
-val quota_shed : unit -> unit
-(** one request shed because its model exceeded its weighted-fair share
-    of the admission queue (subset of [serve_overloaded]) *)
+val quota_sheds : t
+(** requests shed because their model exceeded its weighted-fair share
+    of the admission queue (a subset of [serve_overloaded]) *)
 
-val cache_bytes_evicted : int -> unit
-(** [cache_bytes_evicted n]: [n] estimated bytes released by evicting
-    compile-cache entries (accumulated) *)
+val cache_bytes_evicted : t
+(** estimated bytes released by evicting compile-cache entries *)
 
-val cache_overcommit : unit -> unit
-(** one compile-cache insert admitted uncharged because the memory
-    governor refused the charge even after LRU eviction — the cache
-    layer never originates [Resource_exhausted] *)
+val cache_overcommits : t
+(** compile-cache inserts admitted uncharged because the memory governor
+    refused the charge even after LRU eviction (the cache never originates
+    [Resource_exhausted]) *)
 
+(** {1 Snapshots} *)
+
+(** Every counter's value at one moment, one field per counter, named
+    like it. *)
 type snapshot = {
   kernel_invocations : int;
   parallel_sections : int;
@@ -221,8 +246,8 @@ type snapshot = {
   bucket_cache_hits : int;
   pad_waste_rows : int;
   coalesced_batches : int;
-  coalesced_tickets : int;  (** total tickets across coalesced batches *)
-  coalesced_max_tickets : int;  (** largest single coalesced batch *)
+  coalesced_tickets : int;
+  coalesced_max_tickets : int;
   window_deadline_violations : int;
   workers_restarted : int;
   workers_superseded : int;
@@ -235,13 +260,14 @@ type snapshot = {
   models_parked : int;
   models_reloaded : int;
   quota_sheds : int;
-  cache_bytes_evicted : int;  (** estimated bytes released by cache eviction *)
+  cache_bytes_evicted : int;
   cache_overcommits : int;
 }
 
 val snapshot : unit -> snapshot
+
+(** One [Int] member per counter, in {!all} order. *)
 val snapshot_to_json : snapshot -> Json.t
-val pp_snapshot : Format.formatter -> snapshot -> unit
 
 (** [with_counters f] enables and resets the counters, runs [f], returns
     its result with the snapshot, and restores the previous enablement. *)

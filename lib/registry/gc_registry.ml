@@ -53,6 +53,13 @@ let locked mu f =
 
 let now () = Unix.gettimeofday ()
 
+(* One model lifecycle event: its global counter, the model's [Labels]
+   family and an [Events] record move together. *)
+let note counter ~label ~kind name detail =
+  Counters.incr counter;
+  Labels.incr ~label:name label;
+  Events.record ~kind ~component:name detail
+
 let server t = t.rg_server
 
 (* {2 Supervision: fold per-model health into one component} *)
@@ -169,9 +176,7 @@ let park_victim t ~excluding =
                   Core.Compile_cache.unpin m.md_key;
                   ignore (Core.Compile_cache.evict_key m.md_key);
                   locked t.rg_mu (fun () -> m.md_status <- Parked);
-                  Counters.model_parked ();
-                  Labels.incr ~label:m.md_name "parked";
-                  Events.record ~kind:"model_park" ~component:m.md_name
+                  note Counters.models_parked ~label:"parked" ~kind:"model_park" m.md_name
                     "evicted from residency under memory-budget pressure";
                   true
                 end
@@ -228,12 +233,10 @@ let ensure_resident_flight t m =
   | Parked -> (
       match compile_into_residency t m with
       | core ->
-          Gc_serve.rebind t.rg_server m.md_handle core;
+          Gc_serve.rebind t.rg_server m.md_handle (Core.Fixed core);
           m.md_core <- Some core;
           locked t.rg_mu (fun () -> m.md_status <- Resident);
-          Counters.model_reloaded ();
-          Labels.incr ~label:m.md_name "reloaded";
-          Events.record ~kind:"model_reload" ~component:m.md_name
+          note Counters.models_reloaded ~label:"reloaded" ~kind:"model_reload" m.md_name
             "re-admitted via lazy recompile through the compile cache";
           enforce_cache_bound t ~excluding:m.md_name;
           Ok ()
@@ -269,7 +272,9 @@ let load ?(weight = 1.) ?config t ~name graph =
          is revived under a fresh record (new handle, version restarts) *)
       match compile_pinned t ~excluding:name ~config graph with
       | core ->
-          let handle = Gc_serve.register ~name ~weight t.rg_server core in
+          let handle =
+            Gc_serve.register ~name ~weight t.rg_server (Core.Fixed core)
+          in
           let m =
             {
               md_name = name;
@@ -286,9 +291,7 @@ let load ?(weight = 1.) ?config t ~name graph =
             }
           in
           locked t.rg_mu (fun () -> Hashtbl.replace t.rg_models name m);
-          Counters.model_loaded ();
-          Labels.incr ~label:name "loaded";
-          Events.record ~kind:"model_load" ~component:name
+          note Counters.models_loaded ~label:"loaded" ~kind:"model_load" name
             (Printf.sprintf "version 1, weight %.2f" weight);
           enforce_cache_bound t ~excluding:name;
           Ok ()
@@ -318,9 +321,7 @@ let retire t name =
               ignore (Core.Compile_cache.evict_key m.md_key)
             end;
             Gc_serve.unregister t.rg_server m.md_handle;
-            Counters.model_retired ();
-            Labels.incr ~label:name "retired";
-            Events.record ~kind:"model_retire" ~component:name
+            note Counters.models_retired ~label:"retired" ~kind:"model_retire" name
               (Printf.sprintf "version %d retired" m.md_version);
             true
           end)
@@ -353,14 +354,12 @@ let hot_swap ?config t ~name graph =
               let core = Core.compile_cached ~config ~pin:true graph in
               Core.Compile_cache.unpin m.md_key;
               Core.invalidate_constants core;
-              Gc_serve.rebind t.rg_server m.md_handle core;
+              Gc_serve.rebind t.rg_server m.md_handle (Core.Fixed core);
               m.md_core <- Some core;
               m.md_graph <- graph;
               locked t.rg_mu (fun () ->
                   m.md_version <- m.md_version + 1);
-              Counters.hot_swap ();
-              Labels.incr ~label:name "hot_swap";
-              Events.record ~kind:"hot_swap" ~component:name
+              note Counters.hot_swaps ~label:"hot_swap" ~kind:"hot_swap" name
                 (Printf.sprintf
                    "version %d: constants invalidated behind the live handle"
                    m.md_version);
@@ -375,7 +374,7 @@ let hot_swap ?config t ~name graph =
               in
               match compile_pinned t ~excluding:name ~config graph with
               | core ->
-                  Gc_serve.rebind t.rg_server m.md_handle core;
+                  Gc_serve.rebind t.rg_server m.md_handle (Core.Fixed core);
                   m.md_core <- Some core;
                   m.md_graph <- graph;
                   m.md_key <- new_key;
@@ -386,9 +385,7 @@ let hot_swap ?config t ~name graph =
                   locked t.rg_mu (fun () ->
                       m.md_status <- Resident;
                       m.md_version <- m.md_version + 1);
-                  Counters.hot_swap ();
-                  Labels.incr ~label:name "hot_swap";
-                  Events.record ~kind:"hot_swap" ~component:name
+                  note Counters.hot_swaps ~label:"hot_swap" ~kind:"hot_swap" name
                     (Printf.sprintf "version %d: new artifact bound"
                        m.md_version);
                   enforce_cache_bound t ~excluding:name;
@@ -443,9 +440,7 @@ let park t name =
               Core.Compile_cache.unpin m.md_key;
               ignore (Core.Compile_cache.evict_key m.md_key);
               locked t.rg_mu (fun () -> m.md_status <- Parked);
-              Counters.model_parked ();
-              Labels.incr ~label:name "parked";
-              Events.record ~kind:"model_park" ~component:name
+              note Counters.models_parked ~label:"parked" ~kind:"model_park" name
                 "parked on request";
               true
             end

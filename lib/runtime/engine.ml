@@ -75,7 +75,7 @@ let rec take_from slots i =
     let slot = Array.unsafe_get slots i in
     let e = Atomic.get slot in
     if e != no_env && Atomic.compare_and_set slot e no_env then begin
-      Gc_observe.Counters.env_reused ();
+      Gc_observe.Counters.(incr envs_reused);
       e
     end
     else take_from slots (i + 1)
@@ -674,20 +674,20 @@ let rec cstmt_leaf ctx sites (s : stmt) : env -> unit =
         let b = Array.unsafe_get env.arena site in
         let b =
           if b != dummy_buf then begin
-            Gc_observe.Counters.arena_hit ();
-            Gc_observe.Counters.arena_bytes_saved a_bytes;
+            Gc_observe.Counters.(incr arena_hits);
+            Gc_observe.Counters.(add arena_bytes_saved a_bytes);
             Buffer.fill_range b 0 a_numel 0.;
             b
           end
           else begin
-            Gc_observe.Counters.alloc_bytes a_bytes;
+            Gc_observe.Counters.(add bytes_allocated a_bytes);
             let b = Buffer.create ~name:t.tname a_dtype a_numel in
             env.arena.(site) <- b;
             b
           end
         in
         env.bufs.(slot) <- b
-  | Barrier -> fun _ -> Gc_observe.Counters.barrier ()
+  | Barrier -> fun _ -> Gc_observe.Counters.(incr barriers)
   | Call (name, args) -> ccall ctx name args
   | For _ | If _ -> assert false
 
@@ -706,7 +706,7 @@ and ccall ctx name args : env -> unit =
           and cbstride = cint ctx bstride
           and cslot, coff = addr_arg ctx c in
           fun env ->
-            Gc_observe.Counters.kernel_invocation ();
+            Gc_observe.Counters.(incr kernel_invocations);
             Guard.check ();
             let batch = cbatch env in
             let a0 = aoff env and b0 = boff env in
@@ -736,7 +736,7 @@ and ccall ctx name args : env -> unit =
           let slot, off = addr_arg ctx addr in
           let ccount = cint ctx count in
           fun env ->
-            Gc_observe.Counters.kernel_invocation ();
+            Gc_observe.Counters.(incr kernel_invocations);
             Guard.check ();
             Buffer.fill_range
               (Array.unsafe_get env.bufs slot)
@@ -751,7 +751,7 @@ and ccall ctx name args : env -> unit =
           let dname = match dst with Addr (t, _) -> t.tname | _ -> "" in
           let ccount = cint ctx count in
           fun env ->
-            Gc_observe.Counters.kernel_invocation ();
+            Gc_observe.Counters.(incr kernel_invocations);
             Guard.check ();
             Buffer.copy_range ~name:dname
               ~src:(Array.unsafe_get env.bufs sslot)

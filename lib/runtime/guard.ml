@@ -150,13 +150,13 @@ let with_deadline ~timeout_ms ~site f =
       let late = expired d in
       finish ();
       if late then begin
-        Gc_observe.Counters.timeout ();
+        Gc_observe.Counters.(incr timeouts);
         raise_timeout d
       end;
       v
   | exception Gc_errors.Error (Gc_errors.Timeout _) ->
       finish ();
-      Gc_observe.Counters.timeout ();
+      Gc_observe.Counters.(incr timeouts);
       raise_timeout d
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in

@@ -96,13 +96,13 @@ let work_off ~stealing t job =
            Gc_faultinject.worker_check ~task:i;
            Guard.check ();
            job.tasks.(i) ();
-           if stealing then Gc_observe.Counters.task_stolen ()
+           if stealing then Gc_observe.Counters.(incr tasks_stolen)
          with e ->
            let bt = Printexc.get_raw_backtrace () in
            if
              Atomic.compare_and_set job.failure None
                (Some { f_exn = e; f_bt = bt; f_task = i })
-           then Gc_observe.Counters.worker_fault ());
+           then Gc_observe.Counters.(incr worker_faults));
       (if Atomic.fetch_and_add job.pending (-1) = 1 then begin
          (* last grain: recover an abandoned pool, wake the submitter if
             it is still parked *)
@@ -219,7 +219,7 @@ let reincarnate t =
       t.current <- None;
       (* count before clearing the poison flag: an observer that reads
          the pool as healed must already see the reincarnation counted *)
-      Gc_observe.Counters.pool_reincarnated ();
+      Gc_observe.Counters.(incr pools_reincarnated);
       Atomic.set t.poisoned false;
       t.poisoned_since <- 0.;
       Atomic.set t.dead 0;
@@ -248,7 +248,7 @@ let reraise_failure t { f_exn; f_bt; f_task } =
   match f_exn with
   | Gc_errors.Error _ -> Printexc.raise_with_backtrace f_exn f_bt
   | e ->
-      Gc_observe.Counters.runtime_fault ();
+      Gc_observe.Counters.(incr runtime_faults);
       Gc_errors.runtime_fault ~site:"parallel" ~task:f_task
         ~backtrace:(Printexc.raw_backtrace_to_string f_bt)
         ~ctx:[ ("tasks", "pool") ]
@@ -268,13 +268,13 @@ let run_inline t tasks =
       with
       | Gc_errors.Error _ as e ->
           Atomic.incr t.faults;
-          Gc_observe.Counters.worker_fault ();
+          Gc_observe.Counters.(incr worker_faults);
           raise e
       | e ->
           let bt = Printexc.get_raw_backtrace () in
           Atomic.incr t.faults;
-          Gc_observe.Counters.worker_fault ();
-          Gc_observe.Counters.runtime_fault ();
+          Gc_observe.Counters.(incr worker_faults);
+          Gc_observe.Counters.(incr runtime_faults);
           Gc_errors.runtime_fault ~site:"parallel(inline)" ~task:i
             ~backtrace:(Printexc.raw_backtrace_to_string bt)
             (Printexc.to_string e))
@@ -289,15 +289,15 @@ let barrier_spins = 2_000
 let run t tasks =
   if Array.length tasks = 0 then ()
   else begin
-  Gc_observe.Counters.parallel_section ();
-  Gc_observe.Counters.tasks (Array.length tasks);
+  Gc_observe.Counters.(incr parallel_sections);
+  Gc_observe.Counters.(add task_launches (Array.length tasks));
   if t.n = 1 || not (Atomic.compare_and_set t.in_run false true) then begin
     (* sequential pool, nested run from inside a task, or a poisoned pool
        still draining an abandoned job: execute inline *)
     (if Atomic.get t.poisoned then begin
        (* the poisoned-pool perf cliff must be diagnosable from counters
           and the event ring alone, not just visible as low throughput *)
-       Gc_observe.Counters.pool_inline_run ();
+       Gc_observe.Counters.(incr pool_inline_runs);
        Gc_observe.Events.record ~kind:"pool_inline_run" ~component:"pool"
          (Printf.sprintf "%d tasks ran inline on a poisoned pool"
             (Array.length tasks))
@@ -364,7 +364,7 @@ let run t tasks =
       if Atomic.get job.pending = 0 then
         (* drained in the same instant; nothing left to recover *)
         release_pool t job;
-      Gc_observe.Counters.barrier ();
+      Gc_observe.Counters.(incr barriers);
       Atomic.incr t.faults;
       match deadline with
       | Some d ->
@@ -376,7 +376,7 @@ let run t tasks =
     end
     else begin
       release_pool t job;
-      Gc_observe.Counters.barrier ();
+      Gc_observe.Counters.(incr barriers);
       match Atomic.get job.failure with
       | Some f -> reraise_failure t f
       | None -> ()

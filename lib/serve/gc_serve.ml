@@ -209,15 +209,65 @@ let await tk =
 
 let peek tk = locked tk.tk_mu (fun () -> tk.tk_result)
 
-(* {2 Outcome accounting (server stats + global counters)} *)
-
 (* The handle's current target, read under its lock (rebind/park mutate
    it concurrently). *)
 let target_of h = locked h.h_mu (fun () -> h.h_target)
 
 let is_bound h = Option.is_some (target_of h)
 
-let record_outcome t h (outcome : outcome) ~used_fallback =
+(* {2 Tallies}
+
+   Each serve event is counted by exactly one function below: a submit,
+   an admit, a shed, a coalesced batch, and the completion of an admitted
+   request ([record_outcome], which takes [t.mu]; the others run under
+   it). Each moves the server stats, the handle's tallies, the handle's
+   [Labels] family and the global [Counters] together, so the four views
+   cannot drift apart. *)
+
+let label h name = Gc_observe.Labels.incr ~label:h.h_name name
+
+let tally_submitted t h =
+  t.s_submitted <- t.s_submitted + 1;
+  h.h_submitted <- h.h_submitted + 1;
+  label h "submitted"
+
+let tally_admitted t h =
+  t.s_admitted <- t.s_admitted + 1;
+  h.h_admitted <- h.h_admitted + 1;
+  label h "admitted";
+  Counters.(incr serve_admitted)
+
+(* Why a request was shed: over its model's quota, expired while queued,
+   or any other overload (a full queue, an unmeetable deadline, draining,
+   the drain deadline). *)
+type shed_cause = Overload | Over_quota | Expired
+
+let tally_shed t h cause =
+  t.s_overloaded <- t.s_overloaded + 1;
+  h.h_shed <- h.h_shed + 1;
+  label h "shed";
+  Counters.(incr serve_overloaded);
+  match cause with
+  | Overload -> ()
+  | Over_quota ->
+      t.s_quota_shed <- t.s_quota_shed + 1;
+      h.h_quota_shed <- h.h_quota_shed + 1;
+      label h "quota_shed";
+      Counters.(incr quota_sheds)
+  | Expired ->
+      t.s_shed_expired <- t.s_shed_expired + 1;
+      Counters.(incr serve_shed_expired)
+
+let tally_coalesced t n =
+  t.s_coalesced_batches <- t.s_coalesced_batches + 1;
+  t.s_coalesced_tickets <- t.s_coalesced_tickets + n;
+  Counters.(incr coalesced_batches);
+  Counters.(add coalesced_tickets n);
+  Counters.(record_max coalesced_max_tickets n)
+
+(* The end of an admitted request: it leaves the server exactly once,
+   here. [shed] says why, when the outcome is [Overloaded]. *)
+let record_outcome ?(shed = Overload) t h (outcome : outcome) ~used_fallback =
   locked t.mu (fun () ->
       t.s_completed <- t.s_completed + 1;
       if used_fallback then t.s_fallbacks <- t.s_fallbacks + 1;
@@ -225,21 +275,18 @@ let record_outcome t h (outcome : outcome) ~used_fallback =
       | Ok _ ->
           t.s_ok <- t.s_ok + 1;
           h.h_ok <- h.h_ok + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "ok"
-      | Error (Errors.Overloaded _) ->
-          t.s_overloaded <- t.s_overloaded + 1;
-          h.h_shed <- h.h_shed + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "shed"
+          label h "ok"
+      | Error (Errors.Overloaded _) -> tally_shed t h shed
       | Error (Errors.Timeout _) ->
           t.s_timeouts <- t.s_timeouts + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "timeout"
+          label h "timeout"
       | Error (Errors.Runtime_fault _) ->
           t.s_faults <- t.s_faults + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "fault"
+          label h "fault"
       | Error (Errors.Resource_exhausted _) ->
           t.s_budget_rejects <- t.s_budget_rejects + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "budget_reject";
-          Counters.serve_budget_reject ()
+          label h "budget_reject";
+          Counters.(incr serve_budget_rejects)
       | Error (Errors.Invalid_input _ | Errors.Compile_error _) -> ())
 
 (* {2 Deadlines} *)
@@ -282,7 +329,7 @@ let route_of cfg h =
           if (now () -. h.h_opened_at) *. 1000. >= cfg.breaker_cooldown_ms
           then begin
             h.h_state <- Half_open;
-            Counters.breaker_probe ();
+            Counters.(incr breaker_probes);
             Probe
           end
           else Shortcircuit)
@@ -293,7 +340,7 @@ let note_compiled_success h =
         h.h_consec_fb <- 0;
         if h.h_state = Half_open then begin
           h.h_state <- Closed;
-          Counters.breaker_close ();
+          Counters.(incr breaker_closes);
           true
         end
         else false)
@@ -317,7 +364,7 @@ let note_fallback cfg h =
         if trip then begin
           h.h_state <- Open;
           h.h_opened_at <- now ();
-          Counters.breaker_open ()
+          Counters.(incr breaker_opens)
         end;
         trip)
   in
@@ -393,7 +440,7 @@ let on_artifact h f =
 let run_fallback_path t rq ~via =
   let h = rq.rq_handle in
   (match via with
-  | `Breaker_open -> Counters.breaker_shortcircuit ()
+  | `Breaker_open -> Counters.(incr breaker_shortcircuits)
   | `Degraded -> note_fallback t.cfg h);
   ( on_artifact h (fun art ->
         Core.execute_fallback ?deadline_ms:(remaining_ms rq) art
@@ -422,7 +469,7 @@ let process t rq =
               note_compiled_success h;
               (Ok outs, false)
           | Error (Errors.Runtime_fault _) when tries < cfg.max_retries ->
-              Counters.exec_retry ();
+              Counters.(incr exec_retries);
               let slept =
                 backoff_sleep cfg rng ~prev_ms ~remaining:(remaining_ms rq)
               in
@@ -438,27 +485,22 @@ let process t rq =
       | _ -> ());
       outcome
 
-let shed rq reason extra_ctx =
-  Counters.serve_overloaded ();
-  let ctx =
-    [ ("handle", rq.rq_handle.h_name) ]
-    @ extra_ctx
-    @
+let overloaded ~site rq reason extra_ctx =
+  let deadline =
     match rq.rq_deadline_ms with
     | Some ms -> [ ("deadline_ms", string_of_int ms) ]
     | None -> []
   in
-  resolve rq.rq_ticket (Error (Errors.Overloaded { site = "serve"; what = reason; ctx }))
+  let ctx = (("handle", rq.rq_handle.h_name) :: extra_ctx) @ deadline in
+  Error (Errors.Overloaded { site; what = reason; ctx })
 
-let shed_expired_in_queue t rq =
-  locked t.mu (fun () ->
-      t.s_overloaded <- t.s_overloaded + 1;
-      t.s_shed_expired <- t.s_shed_expired + 1;
-      t.s_completed <- t.s_completed + 1;
-      rq.rq_handle.h_shed <- rq.rq_handle.h_shed + 1;
-      Gc_observe.Labels.incr ~label:rq.rq_handle.h_name "shed");
-  Counters.serve_shed_expired ();
-  shed rq "deadline expired in queue" []
+(* Shed a dequeued request. *)
+let shed t rq cause reason extra_ctx =
+  let outcome = overloaded ~site:"serve" rq reason extra_ctx in
+  record_outcome ~shed:cause t rq.rq_handle outcome ~used_fallback:false;
+  resolve rq.rq_ticket outcome
+
+let shed_expired_in_queue t rq = shed t rq Expired "deadline expired in queue" []
 
 (* Solo dispatch of one request (the non-coalesced path). *)
 let run_solo t rq =
@@ -483,7 +525,7 @@ let run_solo t rq =
    (deadline minus the EWMA execute estimate times the safety factor), so
    gathering itself cannot cause a deadline miss; a ticket that still
    expires between gather and dispatch is counted as a
-   [window_deadline_violation] — the invariant tests pin that count to
+   [window_deadline_violations] — the invariant tests pin that count to
    zero. A failed batch falls back to per-ticket solo execution so one
    poisoned request cannot sink its batchmates. *)
 
@@ -606,7 +648,7 @@ let run_coalesced t p ~sym base env =
   let live, dead = List.partition (fun rq -> not (expired rq)) taken in
   List.iter
     (fun rq ->
-      Counters.window_deadline_violation ();
+      Counters.(incr window_deadline_violations);
       shed_expired_in_queue t rq)
     dead;
   match live with
@@ -636,10 +678,7 @@ let run_coalesced t p ~sym base env =
       in
       match result with
       | Ok outs ->
-          Counters.coalesced_batch ~tickets:n;
-          locked t.mu (fun () ->
-              t.s_coalesced_batches <- t.s_coalesced_batches + 1;
-              t.s_coalesced_tickets <- t.s_coalesced_tickets + n);
+          locked t.mu (fun () -> tally_coalesced t n);
           (* split each output along the coalescing axis, ticket order *)
           let splits = List.map (fun o -> Core.Tensor.split0 o sizes) outs in
           List.iteri
@@ -800,7 +839,7 @@ let heal_dead_slot t pol slot =
     slot.ws_next_respawn <- t_now +. (slot.ws_backoff_ms /. 1000.);
     (* count before the slot reads live again: an observer that sees the
        tier back at capacity must already see the restart counted *)
-    Counters.worker_restarted ();
+    Counters.(incr workers_restarted);
     Atomic.set slot.ws_dead false;
     spawn_into_slot t slot;
     Mutex.unlock t.mu;
@@ -831,7 +870,7 @@ let supersede_stuck_slot t slot =
     (* the superseded domain may be parked on cv_work (raced the pop):
        wake it so it observes the epoch bump and exits *)
     locked t.mu (fun () -> Condition.broadcast t.cv_work);
-    Counters.worker_superseded ();
+    Counters.(incr workers_superseded);
     Events.record ~kind:"worker_supersede"
       ~component:(Printf.sprintf "serve:w%d" slot.ws_idx)
       "stale heartbeat while busy; slot re-spawned, old domain exits at \
@@ -850,7 +889,7 @@ let tick_serve t =
           if age_ms > pol.Supervise.stale_ms then begin
             if not slot.ws_stuck_logged then begin
               slot.ws_stuck_logged <- true;
-              Counters.heartbeat_missed ()
+              Counters.(incr heartbeats_missed)
             end;
             supersede_stuck_slot t slot
           end
@@ -917,12 +956,73 @@ let effective_depth cfg =
     in
     max 0 (min cfg.queue_depth d)
 
-let reject tk ~handle ~reason ~ctx =
-  Counters.serve_overloaded ();
-  resolve tk
-    (Error
-       (Errors.Overloaded
-          { site = "serve.admission"; what = reason; ctx = ("handle", handle) :: ctx }))
+(* The admission verdict on a request for [h], under [t.mu]. *)
+let admission t h ~deadline_ms =
+  if not t.accepting then `Reject (Overload, "server is draining", [])
+  else if Gc_faultinject.queue_full_check () then
+    `Reject (Overload, "queue full", [ ("injected", "true") ])
+  else
+    let eff = effective_depth t.cfg in
+    let qlen = Queue.length t.queue in
+    if qlen >= eff then
+      `Reject
+        ( Overload,
+          "queue full",
+          [
+            ("queue_len", string_of_int qlen);
+            ("depth", string_of_int t.cfg.queue_depth);
+            ("effective_depth", string_of_int eff);
+            ("budget_fill", Printf.sprintf "%.2f" (Memgov.fill_fraction ()));
+          ] )
+    else
+      (* Weighted-fair quota: a model may queue up to its share of the
+         effective depth (eff * weight / total weight, at least one slot).
+         Past its share it may still borrow while the whole queue is under
+         [quota_borrow * eff] — slack capacity belongs to whoever shows up
+         — but once the queue is that full, over-share traffic is shed so
+         a flooding tenant cannot starve the others' slots. *)
+      let over_quota =
+        t.total_weight > 0. && h.h_registered
+        &&
+        let share = float_of_int eff *. h.h_weight /. t.total_weight in
+        let share = max 1 (int_of_float (floor share)) in
+        h.h_queued >= share
+        && float_of_int qlen >= t.cfg.quota_borrow *. float_of_int eff
+      in
+      if over_quota then
+        `Reject
+          ( Over_quota,
+            "model over admission quota",
+            [
+              ("model_queued", string_of_int h.h_queued);
+              ("queue_len", string_of_int qlen);
+              ("effective_depth", string_of_int eff);
+              ("weight", Printf.sprintf "%.2f" h.h_weight);
+            ] )
+      else
+        (* Deadline feasibility: with a latency estimate in hand, refuse
+           work we can predict we cannot finish in time. *)
+        let infeasible =
+          match (deadline_ms, ewma_ms h) with
+          | Some ms, Some ewma ->
+              let predicted =
+                ewma *. float_of_int (qlen + 1) *. t.cfg.safety_factor
+              in
+              if float_of_int ms < predicted then Some (ewma, predicted)
+              else None
+          | _ -> None
+        in
+        match infeasible with
+        | Some (ewma, predicted) ->
+            `Reject
+              ( Overload,
+                "deadline unmeetable",
+                [
+                  ("ewma_ms", Printf.sprintf "%.2f" ewma);
+                  ("predicted_ms", Printf.sprintf "%.2f" predicted);
+                  ("queue_len", string_of_int qlen);
+                ] )
+        | None -> `Admit
 
 let submit ?deadline_ms t h bindings =
   let tk = new_ticket () in
@@ -948,122 +1048,21 @@ let submit ?deadline_ms t h bindings =
   in
   let verdict =
     locked t.mu (fun () ->
-        t.s_submitted <- t.s_submitted + 1;
-        h.h_submitted <- h.h_submitted + 1;
-        Gc_observe.Labels.incr ~label:h.h_name "submitted";
-        if not t.accepting then
-          `Reject ("server is draining", [])
-        else if Gc_faultinject.queue_full_check () then begin
-          t.s_overloaded <- t.s_overloaded + 1;
-          h.h_shed <- h.h_shed + 1;
-          Gc_observe.Labels.incr ~label:h.h_name "shed";
-          `Reject ("queue full", [ ("injected", "true") ])
-        end
-        else begin
-          let eff = effective_depth t.cfg in
-          let qlen = Queue.length t.queue in
-          if qlen >= eff then begin
-            t.s_overloaded <- t.s_overloaded + 1;
-            h.h_shed <- h.h_shed + 1;
-            Gc_observe.Labels.incr ~label:h.h_name "shed";
-            `Reject
-              ( "queue full",
-                [
-                  ("queue_len", string_of_int qlen);
-                  ("depth", string_of_int t.cfg.queue_depth);
-                  ("effective_depth", string_of_int eff);
-                  ( "budget_fill",
-                    Printf.sprintf "%.2f" (Memgov.fill_fraction ()) );
-                ] )
-          end
-          else
-            (* Weighted-fair quota: a model may queue up to its share of
-               the effective depth (eff * weight / total weight, at least
-               one slot). Past its share it may still borrow while the
-               whole queue is under [quota_borrow * eff] — slack capacity
-               belongs to whoever shows up — but once the queue is that
-               full, over-share traffic is shed so a flooding tenant
-               cannot starve the others' slots. *)
-            let over_quota =
-              t.total_weight > 0. && h.h_registered
-              &&
-              let share =
-                float_of_int eff *. h.h_weight /. t.total_weight
-              in
-              let share = max 1 (int_of_float (floor share)) in
-              h.h_queued >= share
-              && float_of_int qlen
-                 >= t.cfg.quota_borrow *. float_of_int eff
-            in
-            if over_quota then begin
-              t.s_overloaded <- t.s_overloaded + 1;
-              t.s_quota_shed <- t.s_quota_shed + 1;
-              h.h_shed <- h.h_shed + 1;
-              h.h_quota_shed <- h.h_quota_shed + 1;
-              Counters.quota_shed ();
-              Gc_observe.Labels.incr ~label:h.h_name "shed";
-              Gc_observe.Labels.incr ~label:h.h_name "quota_shed";
-              `Reject
-                ( "model over admission quota",
-                  [
-                    ("model_queued", string_of_int h.h_queued);
-                    ("queue_len", string_of_int qlen);
-                    ("effective_depth", string_of_int eff);
-                    ("weight", Printf.sprintf "%.2f" h.h_weight);
-                  ] )
-            end
-            else
-              (* Deadline feasibility: with a latency estimate in hand,
-                 refuse work we can predict we cannot finish in time. *)
-              let infeasible =
-                match (deadline_ms, ewma_ms h) with
-                | Some ms, Some ewma ->
-                    let predicted =
-                      ewma *. float_of_int (qlen + 1) *. t.cfg.safety_factor
-                    in
-                    if float_of_int ms < predicted then Some (ewma, predicted)
-                    else None
-                | _ -> None
-              in
-              match infeasible with
-              | Some (ewma, predicted) ->
-                  t.s_overloaded <- t.s_overloaded + 1;
-                  h.h_shed <- h.h_shed + 1;
-                  Gc_observe.Labels.incr ~label:h.h_name "shed";
-                  `Reject
-                    ( "deadline unmeetable",
-                      [
-                        ("ewma_ms", Printf.sprintf "%.2f" ewma);
-                        ("predicted_ms", Printf.sprintf "%.2f" predicted);
-                        ("queue_len", string_of_int qlen);
-                      ] )
-              | None ->
-                  t.s_admitted <- t.s_admitted + 1;
-                  h.h_admitted <- h.h_admitted + 1;
-                  h.h_queued <- h.h_queued + 1;
-                  Gc_observe.Labels.incr ~label:h.h_name "admitted";
-                  Queue.push rq t.queue;
-                  Condition.signal t.cv_work;
-                  `Admitted
-          end)
+        tally_submitted t h;
+        let verdict = admission t h ~deadline_ms in
+        (match verdict with
+        | `Admit ->
+            tally_admitted t h;
+            h.h_queued <- h.h_queued + 1;
+            Queue.push rq t.queue;
+            Condition.signal t.cv_work
+        | `Reject (cause, _, _) -> tally_shed t h cause);
+        verdict)
   in
   (match verdict with
-  | `Admitted -> Counters.serve_admitted ()
-  | `Reject (reason, ctx) ->
-      let ctx =
-        ctx
-        @
-        match deadline_ms with
-        | Some ms -> [ ("deadline_ms", string_of_int ms) ]
-        | None -> []
-      in
-      (* "draining" rejections are not pre-counted under the lock *)
-      if reason = "server is draining" then
-        locked t.mu (fun () ->
-            t.s_overloaded <- t.s_overloaded + 1;
-            h.h_shed <- h.h_shed + 1;
-            Gc_observe.Labels.incr ~label:h.h_name "shed");
-      reject tk ~handle:h.h_name ~reason ~ctx);
+  | `Admit -> ()
+  | `Reject (_, reason, ctx) ->
+      resolve tk (overloaded ~site:"serve.admission" rq reason ctx));
   tk
 
 let call ?deadline_ms t h bindings = await (submit ?deadline_ms t h bindings)
@@ -1171,11 +1170,6 @@ let mk_handle ?name ?(weight = 1.) t target =
       t.total_weight <- t.total_weight +. weight);
   h
 
-let fixed_target core = Some { art = Core.Fixed core; coalesce_sym = None }
-
-let register ?name ?weight t core =
-  mk_handle ?name ?weight t (fixed_target core)
-
 (* A poly handle coalesces along symbol [s] iff every output and every
    symbolic input carries [s] on axis 0 (and nowhere else), so
    concatenating inputs and splitting outputs along dim 0 is exactly a
@@ -1210,12 +1204,21 @@ let coalesce_sym_of p =
       then Some s
       else None
 
-let register_poly ?name ?weight t p =
-  mk_handle ?name ?weight t
-    (Some { art = Core.Poly p; coalesce_sym = coalesce_sym_of p })
+let target_of_artifact art =
+  let coalesce_sym =
+    match art with Core.Fixed _ -> None | Core.Poly p -> coalesce_sym_of p
+  in
+  Some { art; coalesce_sym }
+
+let register ?name ?weight t art =
+  mk_handle ?name ?weight t (target_of_artifact art)
+
+let register_poly ?name ?weight t p = register ?name ?weight t (Core.Poly p)
 
 let compile_and_register ?config ?name ?weight t g =
-  Result.map (register ?name ?weight t) (Core.compile_checked ?config g)
+  Result.map
+    (fun c -> register ?name ?weight t (Core.Fixed c))
+    (Core.compile_checked ?config g)
 
 (* {2 Rebinding (the registry's hot-swap / park / re-admit lever)} *)
 
@@ -1225,15 +1228,14 @@ let compile_and_register ?config ?name ?weight t g =
    one wrong estimate self-corrects in a few completions either way.
    Queued requests execute against the new target: the registry swaps
    like-for-like (same graph I/O), so bindings stay valid. *)
-let set_target t h target =
-  ignore t;
+let set_target h target =
   locked h.h_mu (fun () ->
       h.h_target <- target;
       h.h_consec_fb <- 0;
       h.h_state <- Closed)
 
-let rebind t h core = set_target t h (fixed_target core)
-let unbind t h = set_target t h None
+let rebind _ h art = set_target h (target_of_artifact art)
+let unbind _ h = set_target h None
 
 (* Drop the handle from the tier's health count and the fair-share
    total. The handle itself stays usable by anyone still holding it
@@ -1358,19 +1360,12 @@ let drain ?(deadline_ms = 1000) t =
         locked t.mu (fun () ->
             let rqs = List.of_seq (Queue.to_seq t.queue) in
             Queue.clear t.queue;
-            List.iter
-              (fun rq ->
-                rq.rq_handle.h_queued <- rq.rq_handle.h_queued - 1;
-                rq.rq_handle.h_shed <- rq.rq_handle.h_shed + 1;
-                Gc_observe.Labels.incr ~label:rq.rq_handle.h_name "shed")
-              rqs;
-            t.s_overloaded <- t.s_overloaded + List.length rqs;
-            t.s_completed <- t.s_completed + List.length rqs;
+            List.iter (fun rq -> rq.rq_handle.h_queued <- rq.rq_handle.h_queued - 1) rqs;
             rqs)
       in
       List.iter
         (fun rq ->
-          shed rq "shed at drain deadline"
+          shed t rq Overload "shed at drain deadline"
             [ ("drain_deadline_ms", string_of_int deadline_ms) ])
         stranded
     end

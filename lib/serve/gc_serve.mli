@@ -53,10 +53,10 @@
 
     {2 Request coalescing (continuous batching)}
 
-    A handle registered from a shape-polymorphic compilation
-    ({!register_poly}) whose graph is batch-shaped — every output and
-    every symbolic input carries one bucketable symbol on axis 0 and
-    nowhere else — participates in {e coalescing} when
+    A handle registered with a shape-polymorphic artifact ([Core.Poly],
+    see {!register}) whose graph is batch-shaped — every output and every
+    symbolic input carries one bucketable symbol on axis 0 and nowhere
+    else — participates in {e coalescing} when
     [coalesce_window_ms > 0]: a worker that dequeues such a request holds
     it for at most the window, pulls compatible queued requests (same
     handle, same symbol environment apart from the batch symbol,
@@ -145,17 +145,19 @@ type handle
     non-positive queue depth or worker count. *)
 val create : ?config:config -> unit -> t
 
-(** Register an already-compiled partition. [name] appears in error
+(** Register an already-compiled artifact. [name] appears in error
     context and stats; [weight] (default 1, must be positive) is the
     model's weighted-fair admission share — see [quota_borrow]. Raises
-    [Invalid_input] on a non-positive weight. *)
-val register : ?name:string -> ?weight:float -> t -> Core.t -> handle
+    [Invalid_input] on a non-positive weight.
 
-(** Register a shape-polymorphic compilation ({!Core.compile_poly}):
-    requests may then bind any concrete sizes for the graph's symbolic
-    dims, served by bucketed specializations, and — when the graph is
-    batch-shaped and [coalesce_window_ms > 0] — compatible requests are
-    coalesced into batched executions. *)
+    A [Poly] artifact ({!Core.compile_poly}) takes requests binding any
+    concrete sizes for the graph's symbolic dims, served by bucketed
+    specializations, and — when the graph is batch-shaped and
+    [coalesce_window_ms > 0] — compatible requests are coalesced into
+    batched executions. *)
+val register : ?name:string -> ?weight:float -> t -> Core.artifact -> handle
+
+(** [register_poly t p] is [register t (Core.Poly p)]. *)
 val register_poly : ?name:string -> ?weight:float -> t -> Core.poly -> handle
 
 (** Compile (through {!Core.compile_checked}) and register. *)
@@ -177,8 +179,8 @@ val compile_and_register :
     signature): queued requests execute against the new target with
     their original bindings. *)
 
-(** Atomically point the handle at a new compiled partition. *)
-val rebind : t -> handle -> Core.t -> unit
+(** Atomically point the handle at a new compiled artifact. *)
+val rebind : t -> handle -> Core.artifact -> unit
 
 (** Park the handle: requests reaching execution resolve
     [Invalid_input] ("model is not resident") — callers are expected to

@@ -203,8 +203,7 @@ let supervise_pool ?(policy = default_policy ()) ?(name = "pool") pool =
         Events.record ~kind:"pool_heal" ~component:name
           (Printf.sprintf "reincarnated: dead=%d poisoned_ms=%.1f" dead
              poisoned_ms);
-        if dead > 0 then
-          for _ = 1 to dead do Counters.worker_restarted () done
+        Counters.(add workers_restarted dead)
       end
     end
   in

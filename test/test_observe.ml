@@ -98,11 +98,11 @@ let test_json_member () =
 let test_counters_disabled_are_noops () =
   Counters.disable ();
   Counters.reset ();
-  Counters.kernel_invocation ();
-  Counters.parallel_section ();
-  Counters.barrier ();
-  Counters.tasks 7;
-  Counters.alloc_bytes 1024;
+  Counters.(incr kernel_invocations);
+  Counters.(incr parallel_sections);
+  Counters.(incr barriers);
+  Counters.(add task_launches 7);
+  Counters.(add bytes_allocated 1024);
   let s = Counters.snapshot () in
   Alcotest.(check int) "kernels" 0 s.Counters.kernel_invocations;
   Alcotest.(check int) "sections" 0 s.Counters.parallel_sections;
@@ -111,13 +111,13 @@ let test_counters_disabled_are_noops () =
 let test_counters_enabled_count () =
   let (), s =
     Counters.with_counters (fun () ->
-        Counters.kernel_invocation ();
-        Counters.kernel_invocation ();
-        Counters.parallel_section ();
-        Counters.barrier ();
-        Counters.tasks 5;
-        Counters.alloc_bytes 100;
-        Counters.alloc_bytes 28)
+        Counters.(incr kernel_invocations);
+        Counters.(incr kernel_invocations);
+        Counters.(incr parallel_sections);
+        Counters.(incr barriers);
+        Counters.(add task_launches 5);
+        Counters.(add bytes_allocated 100);
+        Counters.(add bytes_allocated 28))
   in
   Alcotest.(check int) "kernels" 2 s.Counters.kernel_invocations;
   Alcotest.(check int) "sections" 1 s.Counters.parallel_sections;
@@ -151,6 +151,62 @@ let test_counters_count_real_execution () =
   Alcotest.(check bool) "kernels fired" true (s.Counters.kernel_invocations > 0);
   Alcotest.(check bool) "snapshot serializes" true
     (match Counters.snapshot_to_json s with Json.Obj _ -> true | _ -> false)
+
+(* The counter table oracle: bump every declared counter by a distinct
+   amount (its index + 1). The JSON snapshot must then carry exactly the
+   declared names, in declaration order, each with its own amount — a
+   snapshot field wired to the wrong counter shows up as a swapped
+   amount. *)
+let test_counter_table_oracle () =
+  let was = Counters.enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Counters.reset ();
+      if was then Counters.enable () else Counters.disable ())
+    (fun () ->
+      Counters.enable ();
+      Counters.reset ();
+      List.iteri (fun i c -> Counters.add c (i + 1)) Counters.all;
+      let want = List.mapi (fun i c -> (Counters.name c, i + 1)) Counters.all in
+      let got =
+        match Counters.snapshot_to_json (Counters.snapshot ()) with
+        | Json.Obj kvs ->
+            List.map
+              (function
+                | k, Json.Int v -> (k, v)
+                | k, _ -> Alcotest.failf "counter %s is not an Int" k)
+              kvs
+        | _ -> Alcotest.fail "snapshot JSON is not an object"
+      in
+      Alcotest.(check int) "declared counters" 45 (List.length Counters.all);
+      Alcotest.(check int) "distinct names" 45
+        (List.length (List.sort_uniq compare (List.map fst want)));
+      Alcotest.(check (list (pair string int))) "names, order, amounts" want got;
+      (* a high-water mark only ever rises *)
+      Counters.record_max Counters.coalesced_max_tickets 1000;
+      Counters.record_max Counters.coalesced_max_tickets 3;
+      Alcotest.(check int) "record_max" 1000
+        (Counters.get Counters.coalesced_max_tickets);
+      Counters.reset ();
+      List.iter
+        (fun c -> Alcotest.(check int) (Counters.name c ^ " reset") 0 (Counters.get c))
+        Counters.all;
+      (* disabled: the gated counters hold still, the others count *)
+      Counters.disable ();
+      List.iter Counters.incr Counters.all;
+      List.iter
+        (fun c ->
+          Alcotest.(check int) (Counters.name c ^ " while disabled")
+            (if Counters.gated c then 0 else 1)
+            (Counters.get c))
+        Counters.all;
+      Alcotest.(check (list string)) "the gated counters"
+        [
+          "kernel_invocations"; "parallel_sections"; "barriers"; "task_launches";
+          "bytes_allocated"; "tasks_stolen"; "envs_reused"; "arena_hits";
+          "arena_bytes_saved";
+        ]
+        (List.map Counters.name (List.filter Counters.gated Counters.all)))
 
 (* ------------------------------------------------------------------ *)
 (* Stats *)
@@ -298,6 +354,8 @@ let () =
             test_with_counters_restores_enablement;
           Alcotest.test_case "real execution fires hooks" `Quick
             test_counters_count_real_execution;
+          Alcotest.test_case "counter table oracle" `Quick
+            test_counter_table_oracle;
         ] );
       ( "stats",
         [ Alcotest.test_case "of_module" `Quick test_stats_of_module ] );

@@ -783,6 +783,136 @@ let test_served_batch_leaves_no_buffers () =
         Alcotest.failf "ledger holds %d bytes after shutdown"
           (Memgov.used () - ledger))
 
+(* ------------------------------------------------------------------ *)
+(* Accounting oracle: one server, two handles, every kind of serve event.
+   The outcomes the clients observe are the oracle; the server stats,
+   the per-handle tallies, the per-model [Labels] family and the global
+   [Counters] must all agree with them and with each other. *)
+
+let wait_until what cond =
+  let give_up = Unix.gettimeofday () +. 10. in
+  while not (cond ()) do
+    if Unix.gettimeofday () > give_up then
+      Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.001
+  done
+
+let test_accounting_oracle () =
+  let b = poly_mlp () in
+  let p = Core.compile_poly ~config:(compile_config ()) b.Mlp.graph in
+  let config =
+    {
+      (serve_config ~queue_depth:3 ~workers:1 ()) with
+      Serve.coalesce_window_ms = 30.;
+      max_coalesce = 8;
+      quota_borrow = 0.5;
+      (* a spinning worker must stay the one worker: no supersession *)
+      supervision =
+        { (Gc_supervise.default_policy ()) with Gc_supervise.sup_enabled = false };
+    }
+  in
+  (* admission depth must not shrink under an ambient memory budget *)
+  let prev_limit = Memgov.limit () in
+  Memgov.set_limit None;
+  Fun.protect ~finally:(fun () -> Memgov.set_limit prev_limit) @@ fun () ->
+  let c0 = Counters.snapshot () in
+  let server = Serve.create ~config () in
+  let a = Serve.register_poly ~name:"acct-a" server p in
+  let bh = Serve.register ~name:"acct-b" server (Core.Poly p) in
+  let tickets = ref [] in
+  let submit ?deadline_ms h n =
+    tickets := Serve.submit ?deadline_ms server h (poly_bindings b n) :: !tickets
+  in
+  (* Park the one worker in a 200 ms spin on a request of handle B. *)
+  let stall_worker () =
+    Fault.configure ~slow_ms:200 "stuck_worker:1@acct-b";
+    submit bh 2;
+    wait_until "the worker to stall" (fun () ->
+        Fault.fire_count Fault.site_stuck_worker >= 1);
+    Fault.clear ()
+  in
+  Fun.protect ~finally:Fault.clear (fun () ->
+      stall_worker ();
+      (* depth 3, two weight-1 models: each model's share is one slot,
+         borrowing stops once the queue holds 1.5 requests *)
+      submit a 1;
+      submit a 2;
+      (* A queues two (the second borrowed) and the queue is past the
+         borrow line: over quota *)
+      submit a 3;
+      (* B is under its share: admitted, and expires while queued *)
+      submit ~deadline_ms:1 bh 1;
+      (* the queue is full *)
+      submit bh 1;
+      (* the worker resumes: B's request, then A's two coalesced, then
+         B's expired one *)
+      wait_until "the queue to empty" (fun () ->
+          let s = Serve.stats server in
+          s.Serve.queue_len = 0 && s.Serve.in_flight = 0);
+      stall_worker ();
+      submit a 4;
+      (* A's request is still queued at the drain deadline *)
+      Serve.drain ~deadline_ms:20 server;
+      submit a 1);
+  Serve.shutdown server;
+  let outcomes = List.rev_map Serve.await !tickets in
+  let s = Serve.stats server in
+  let ha = Serve.handle_stats server a and hb = Serve.handle_stats server bh in
+  let c1 = Counters.snapshot () in
+  let count f = List.length (List.filter f outcomes) in
+  let shed_at ?what site = function
+    | Error (Core.Errors.Overloaded o) ->
+        o.site = site && (match what with Some w -> o.what = w | None -> true)
+    | _ -> false
+  in
+  let check = Alcotest.(check int) in
+  (* every kind of event happened *)
+  check "queue-full sheds" 1 (count (shed_at ~what:"queue full" "serve.admission"));
+  check "over-quota sheds" 1 s.Serve.quota_shed;
+  check "draining refusals" 1
+    (count (shed_at ~what:"server is draining" "serve.admission"));
+  check "queue expiries" 1 s.Serve.shed_expired;
+  check "drain-deadline sheds" 1
+    (count (shed_at ~what:"shed at drain deadline" "serve"));
+  check "coalesced batches" 1 s.Serve.coalesced_batches;
+  check "coalesced tickets" 2 s.Serve.coalesced_tickets;
+  (* the clients' outcomes are the oracle for the server's stats *)
+  check "submitted" (List.length outcomes) s.Serve.submitted;
+  check "ok" (count Result.is_ok) s.Serve.ok;
+  check "overloaded"
+    (count (function Error (Core.Errors.Overloaded _) -> true | _ -> false))
+    s.Serve.overloaded;
+  check "submitted = admitted + admission sheds" s.Serve.submitted
+    (s.Serve.admitted + count (shed_at "serve.admission"));
+  check "admitted = completed after shutdown" s.Serve.admitted s.Serve.completed;
+  (* the handles' tallies and label families sum to the server's *)
+  let both f = f ha + f hb in
+  let label h k = Gc_observe.Labels.get ~label:(Serve.handle_name h) k in
+  let labels k = label a k + label bh k in
+  List.iter
+    (fun (k, total, per_handle) ->
+      check ("handles: " ^ k) total (both per_handle);
+      check ("labels: " ^ k) total (labels k))
+    [
+      ("submitted", s.Serve.submitted, fun h -> h.Serve.hs_submitted);
+      ("admitted", s.Serve.admitted, fun h -> h.Serve.hs_admitted);
+      ("ok", s.Serve.ok, fun h -> h.Serve.hs_ok);
+      ("shed", s.Serve.overloaded, fun h -> h.Serve.hs_shed);
+      ("quota_shed", s.Serve.quota_shed, fun h -> h.Serve.hs_quota_shed);
+    ];
+  (* the global counters moved exactly as far as this server's stats *)
+  let delta f = f c1 - f c0 in
+  check "serve_admitted" s.Serve.admitted (delta (fun c -> c.Counters.serve_admitted));
+  check "serve_overloaded" s.Serve.overloaded
+    (delta (fun c -> c.Counters.serve_overloaded));
+  check "serve_shed_expired" s.Serve.shed_expired
+    (delta (fun c -> c.Counters.serve_shed_expired));
+  check "quota_sheds" s.Serve.quota_shed (delta (fun c -> c.Counters.quota_sheds));
+  check "coalesced_batches" s.Serve.coalesced_batches
+    (delta (fun c -> c.Counters.coalesced_batches));
+  check "coalesced_tickets" s.Serve.coalesced_tickets
+    (delta (fun c -> c.Counters.coalesced_tickets))
+
 let () =
   Alcotest.run "serve"
     [
@@ -793,6 +923,7 @@ let () =
           Alcotest.test_case "queue full sheds typed" `Quick
             test_queue_full_sheds_typed;
           Alcotest.test_case "draining rejects" `Quick test_draining_rejects;
+          Alcotest.test_case "accounting oracle" `Quick test_accounting_oracle;
         ] );
       ( "overload",
         [ Alcotest.test_case "soak" `Slow test_overload_soak ] );
