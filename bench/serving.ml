@@ -245,8 +245,11 @@ let cache_section mode =
      validator on full runs),
    - rejected-input latency: a wrong-shape binding bounced by
      validation before any engine state is touched,
-   - degraded-mode throughput when every kernel output is NaN-poisoned
-     and the sanitize -> retry -> reference-interpreter ladder runs. *)
+   - degraded-mode throughput when every kernel output is NaN-poisoned:
+     one sanitized [execute_checked] attempt turns the poison into a
+     Runtime_fault, and [execute_fallback] serves the reference
+     interpreter's result — the step the serve ladder takes once its
+     retries are spent. *)
 
 let latency_us f =
   f ();
@@ -264,10 +267,9 @@ let latency_us f =
 let error_path_section w =
   let compiled = Core.compile ~config:(config ()) w.graph in
   let art = Core.Fixed compiled in
-  let options = Core.default_exec_options () in
   let raw () = ignore (Core.execute ~reuse_outputs:true compiled w.data) in
   let checked () =
-    match Core.execute_checked ~options ~reuse_outputs:true art w.data with
+    match Core.execute_checked ~reuse_outputs:true art w.data with
     | Ok _ -> ()
     | Error e -> failwith (Core.Errors.to_string e)
   in
@@ -280,23 +282,24 @@ let error_path_section w =
   let bad = Core.Tensor.random Core.Dtype.F32 (Core.Shape.of_list [ 3; 5 ]) in
   let bad_bindings = (x_lt, bad) :: List.tl w.data in
   let reject () =
-    match Core.execute_checked ~options art bad_bindings with
+    match Core.execute_checked art bad_bindings with
     | Error (Core.Errors.Invalid_input _) -> ()
     | Ok _ -> failwith "bad-shape binding accepted"
     | Error e -> failwith (Core.Errors.to_string e)
   in
   let reject_p50, reject_p99 = latency_us reject in
-  (* fallback: poison every kernel output, sanitizer promotes it to a
-     Runtime_fault, retry fails the same way, reference interpreter
-     serves the result *)
+  (* fallback: poison every kernel output, the sanitizer promotes it to
+     a Runtime_fault, the reference interpreter serves the result *)
   Gc_faultinject.configure ~seed:7 "kernel_nan:1";
-  let degraded_opts = { options with Core.sanitize_outputs = true } in
   let fallback () =
     match
-      Core.execute_checked ~options:degraded_opts ~reuse_outputs:true art
-        w.data
+      Core.execute_checked ~sanitize:true ~reuse_outputs:true art w.data
     with
     | Ok _ -> ()
+    | Error (Core.Errors.Runtime_fault _) -> (
+        match Core.execute_fallback art w.data with
+        | Ok _ -> ()
+        | Error e -> failwith (Core.Errors.to_string e))
     | Error e -> failwith (Core.Errors.to_string e)
   in
   let fallback_rate = rate_of fallback in
@@ -346,12 +349,8 @@ let overload_section w =
   in
   let server = Serve.create ~config:scfg () in
   let h =
-    match
-      Serve.compile_and_register ~config:(config ()) server
-        w.graph
-    with
-    | Ok h -> h
-    | Error e -> failwith (Core.Errors.to_string e)
+    Serve.register server
+      (Core.Fixed (Core.compile ~config:(config ()) w.graph))
   in
   let call ?deadline_ms () = Serve.call ?deadline_ms server h w.data in
   let must f = match f () with
@@ -503,11 +502,8 @@ let model_section (name, graph, data) =
   in
   let server = Serve.create ~config:scfg () in
   let h =
-    match
-      Serve.compile_and_register ~config:(config ()) server graph
-    with
-    | Ok h -> h
-    | Error e -> failwith (Core.Errors.to_string e)
+    Serve.register server
+      (Core.Fixed (Core.compile ~config:(config ()) graph))
   in
   let call ?deadline_ms () = Serve.call ?deadline_ms server h data in
   (* warm-up doubles as a correctness guard (int8 pinned tolerances are
@@ -812,12 +808,8 @@ let health_section mode w =
   in
   let server = Serve.create ~config:scfg () in
   let h =
-    match
-      Serve.compile_and_register ~config:(config ()) server
-        w.graph
-    with
-    | Ok h -> h
-    | Error e -> failwith (Core.Errors.to_string e)
+    Serve.register server
+      (Core.Fixed (Core.compile ~config:(config ()) w.graph))
   in
   (match Serve.call server h w.data with
   | Ok _ -> ()

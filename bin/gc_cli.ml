@@ -408,25 +408,10 @@ let cmd_validate_trace =
     Format.eprintf "invalid trace: %s@." msg;
     exit 1
   in
-  (* A "counters" object holds exactly the declared counters, in
-     declaration order, each an integer. *)
   let check_counters j =
-    match Observe.Json.member "counters" j with
-    | None -> ()
-    | Some (Observe.Json.Obj kvs) ->
-        let want = List.map Observe.Counters.name Observe.Counters.all in
-        let got = List.map fst kvs in
-        if got <> want then
-          fail
-            (Printf.sprintf "\"counters\" keys [%s], want the %d declared [%s]"
-               (String.concat "," got) (List.length want)
-               (String.concat "," want));
-        List.iter
-          (function
-            | _, Observe.Json.Int _ -> ()
-            | k, _ -> fail (Printf.sprintf "counter %S is not an integer" k))
-          kvs
-    | Some _ -> fail "\"counters\" is not an object"
+    match Observe.Counters.check_document j with
+    | Ok () -> ()
+    | Error e -> fail e
   in
   let run file =
     let ic = open_in file in

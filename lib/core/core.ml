@@ -240,7 +240,7 @@ let fingerprint ?config (g : Graph.t) =
   in
   Digest.to_hex graph_digest ^ Digest.to_hex config_digest
 
-let compile ?config ?trace (g : Graph.t) =
+let compile_pipeline ?config ?trace (g : Graph.t) =
   let config = match config with Some c -> c | None -> default_config () in
   (* compilation refines tensor metadata (layouts, constness) in place, so
      work on a private clone of the graph *)
@@ -282,6 +282,14 @@ let compile ?config ?trace (g : Graph.t) =
     out_pools = Array.init out_pool_slots (fun _ -> Atomic.make None);
     out_clock = Atomic.make 0;
   }
+
+let compile ?config ?trace g =
+  try compile_pipeline ?config ?trace g with
+  | Gc_errors.Error _ as e -> raise e
+  | e ->
+      (* anything foreign escaping the compilation pipeline is by
+         definition a compile error, whatever its original form *)
+      Gc_errors.compile_error ~stage:"pipeline" (Printexc.to_string e)
 
 let fused_graph t = t.fused
 let tir_module t = t.module_opt
@@ -558,27 +566,10 @@ let execute ?(reuse_outputs = false) t bindings =
 
 let reference = Reference.run
 
-(* {2 Checked entry points: watchdog, retry, fallback} *)
-
-type exec_options = {
-  timeout_ms : int option;
-  retries : int;
-  fallback : bool;
-  sanitize_outputs : bool;
-}
-
-let default_exec_options () =
-  {
-    timeout_ms = Guard.env_timeout_ms ();
-    retries = 1;
-    fallback = true;
-    sanitize_outputs = false;
-  }
-
 (* Opt-in output sanitizer: a kernel that silently produced NaN/Inf into a
-   float output is promoted to a typed Runtime_fault, which the retry /
-   fallback ladder can then act on. Integer outputs cannot encode
-   non-finite values and are skipped. *)
+   float output is promoted to a typed Runtime_fault, which the serve
+   tier's retry / fallback ladder can then act on. Integer outputs cannot
+   encode non-finite values and are skipped. *)
 let sanitize_outputs outs =
   List.iter
     (fun v ->
@@ -607,17 +598,6 @@ let sanitize_outputs outs =
           end
       | _ -> ())
     outs
-
-let compile_checked ?config ?trace g =
-  match compile ?config ?trace g with
-  | t -> Ok t
-  | exception Gc_errors.Error e -> Error e
-  | exception e ->
-      (* anything foreign escaping the compilation pipeline is by
-         definition a compile error, whatever its original form *)
-      Error
-        (Gc_errors.Compile_error
-           { stage = "pipeline"; what = Printexc.to_string e; ctx = [] })
 
 (* {2 Compilation cache} *)
 
@@ -674,7 +654,6 @@ module Compile_cache = struct
      sense for (tens to hundreds of compiled modules). *)
   let stamps : (string, int) Hashtbl.t = Hashtbl.create 16
   let tick = ref 0
-  let bound : int option ref = ref None
 
   let env_max_bytes () =
     match Sys.getenv_opt "GC_CACHE_MAX_BYTES" with
@@ -717,20 +696,11 @@ module Compile_cache = struct
           | _ -> Some (key, e, stamp))
       table None
 
-  (* Enforce both bounds (entry count, resident bytes), LRU-first,
-     skipping pinned entries. When everything left is pinned the cache
-     stays over-bound — pins are hard residency guarantees. *)
+  (* Enforce the byte bound, LRU-first, skipping pinned entries. When
+     everything left is pinned the cache stays over-bound — pins are hard
+     residency guarantees. *)
   let evict_locked () =
     let continue = ref true in
-    (match !bound with
-    | None -> ()
-    | Some m ->
-        while !continue && Hashtbl.length table > max m 0 do
-          match lru_unpinned_locked () with
-          | Some (key, e, _) -> drop_locked key e
-          | None -> continue := false
-        done);
-    continue := true;
     match !byte_bound with
     | None -> ()
     | Some mb ->
@@ -761,13 +731,6 @@ module Compile_cache = struct
               false)
     in
     go ()
-
-  let set_max_entries m =
-    locked (fun () ->
-        bound := m;
-        evict_locked ())
-
-  let max_entries () = locked (fun () -> !bound)
 
   let set_max_bytes m =
     locked (fun () ->
@@ -1183,7 +1146,8 @@ let poly_slice_outputs p env_actual outs =
 
 (* Resolve a request's shape class (compiling its bucketed instance on
    first use) and return the bucketed execute: padded bindings in, outputs
-   sliced back. Retries rerun the returned closure, not the resolution. *)
+   sliced back. The checked path runs only the returned closure under the
+   watchdog, so a first-use compile never counts against the deadline. *)
 let poly_run ?reuse_outputs p bindings =
   let env_actual = poly_env p bindings in
   let env_bucket = poly_bucket_env p env_actual in
@@ -1237,20 +1201,12 @@ let with_deadline ~site timeout_ms run =
   | Some ms -> Guard.with_deadline ~timeout_ms:ms ~site run
   | None -> run ()
 
-let execute_checked ?options ?deadline_ms ?(reuse_outputs = false) art
-    bindings =
-  let options =
-    match options with Some o -> o | None -> default_exec_options ()
-  in
-  (* A per-call deadline overrides whatever the options (and hence
-     GC_EXEC_TIMEOUT_MS) said — this is the serving layer's lever for
-     propagating each request's remaining deadline into the watchdog. *)
+let execute_checked ?deadline_ms ?(sanitize = false) ?(reuse_outputs = false)
+    art bindings =
   let timeout_ms =
-    match deadline_ms with Some _ -> deadline_ms | None -> options.timeout_ms
-  in
-  let sanitized outs =
-    if options.sanitize_outputs then sanitize_outputs outs;
-    outs
+    match deadline_ms with
+    | Some _ -> deadline_ms
+    | None -> Guard.env_timeout_ms ()
   in
   boundary ~site:"core.execute" (fun () ->
       let compiled =
@@ -1258,25 +1214,10 @@ let execute_checked ?options ?deadline_ms ?(reuse_outputs = false) art
         | Fixed t -> fun () -> execute ~reuse_outputs t bindings
         | Poly p -> poly_run ~reuse_outputs p bindings
       in
-      let rec go tries =
-        match
-          with_deadline ~site:"core.execute" timeout_ms (fun () ->
-              sanitized (compiled ()))
-        with
-        | outs -> outs
-        | exception Gc_errors.Error (Gc_errors.Runtime_fault _)
-          when tries < options.retries ->
-            (* a contained execution fault: the partition is still
-               serviceable, so retry (transient faults: a poisoned kernel,
-               a worker hiccup), then degrade to the reference
-               interpreter *)
-            Gc_observe.Counters.(incr exec_retries);
-            go (tries + 1)
-        | exception (Gc_errors.Error (Gc_errors.Runtime_fault _) as fault)
-          when options.fallback -> (
-            try sanitized (interpret art bindings) with _ -> raise fault)
-      in
-      go 0)
+      with_deadline ~site:"core.execute" timeout_ms (fun () ->
+          let outs = compiled () in
+          if sanitize then sanitize_outputs outs;
+          outs))
 
 let execute_fallback ?deadline_ms art bindings =
   boundary ~site:"core.fallback" (fun () ->

@@ -22,14 +22,21 @@
     the constant-preprocessing init step and caches its results; later
     calls reuse them.
 
+    Three entry points compile: {!compile}, {!compile_cached} (through
+    the process-wide cache) and {!compile_poly} (shape-polymorphic). Each
+    raises [Errors.Error]; a foreign exception escaping the pipeline
+    surfaces as [Compile_error {stage = "pipeline"}].
+
     Four entry points execute. {!execute} and {!execute_poly} are the raw
     calls: a fixed-shape partition, or a shape-polymorphic one through
     its bucketed instances, raising [Errors.Error] on failure. Every
     resilient caller goes through one path, over an {!artifact} of either
-    kind: {!execute_checked} (watchdog, retry, reference fallback, typed
-    [result]) — the analogue of oneDNN Graph's
-    [execute_compiled_partition] — and {!execute_fallback}, its
-    reference-interpreter degraded path on its own. *)
+    kind: {!execute_checked} (one guarded attempt: validation, watchdog,
+    optional sanitizer, typed [result]) — the analogue of oneDNN Graph's
+    [execute_compiled_partition] — and {!execute_fallback}, the
+    reference-interpreter degraded path. Retrying a fault and deciding
+    when to fall back is the serving layer's job ([Gc_serve]), not
+    Core's. *)
 
 (** {1 Re-exported substrate modules} *)
 
@@ -62,7 +69,7 @@ module Observe = Gc_observe
     public API can surface is an [Errors.error] — [Invalid_input],
     [Compile_error], [Runtime_fault], [Resource_exhausted] or [Timeout] —
     raised as [Errors.Error] by the raising entry points and returned as
-    [result] by {!compile_checked} / {!execute_checked}. *)
+    [result] by {!execute_checked} / {!execute_fallback}. *)
 module Errors = Gc_errors
 
 (** The watchdog ({!Gc_runtime.Guard} re-exported): per-execute deadlines,
@@ -84,7 +91,9 @@ val default_config : ?machine:Machine.t -> unit -> config
 type t
 
 (** [compile ?config ?trace g] compiles a DNN computation graph. Raises
-    [Errors.Error] on a malformed graph. When [trace] is given, every
+    [Errors.Error] on a malformed graph; any other exception escaping the
+    pipeline is re-raised as [Compile_error {stage = "pipeline"}], so every
+    compile failure is typed. When [trace] is given, every
     Graph-IR and Tensor-IR pass (plus lowering and engine preparation) is
     timed and its before/after IR statistics are recorded into the trace. *)
 val compile : ?config:config -> ?trace:Observe.Trace.t -> Graph.t -> t
@@ -114,12 +123,6 @@ val config_of : t -> config
     re-executing. Pools are discarded by {!invalidate_constants}. *)
 val execute :
   ?reuse_outputs:bool -> t -> (Logical_tensor.t * Tensor.t) list -> Tensor.t list
-
-(** [compile_checked g] is {!compile} with every failure returned as a
-    typed [Compile_error] (or the original typed error for boundary
-    rejections). *)
-val compile_checked :
-  ?config:config -> ?trace:Observe.Trace.t -> Graph.t -> (t, Errors.error) result
 
 (** Force re-running the constant preprocessing on the next execute (e.g.
     after weights changed). Also resets engine-side cached state derived
@@ -152,13 +155,12 @@ val fingerprint : ?config:config -> Graph.t -> string
 val estimated_bytes : t -> int
 
 (** Process-wide, thread-safe compilation cache keyed by {!fingerprint}.
-    Optionally bounded two ways: [set_max_entries (Some n)] bounds the
-    entry count, [set_max_bytes (Some b)] (or [GC_CACHE_MAX_BYTES])
-    bounds the summed {!estimated_bytes}. Both evict least-recently used
-    first (use = hit or insert) and both skip {e pinned} entries — a pin
-    is a hard residency guarantee taken by a registered serve handle or
-    an in-flight poly specialization, so the cache can be over-bound
-    while everything evictable is pinned.
+    Optionally bounded by [set_max_bytes (Some b)] (or
+    [GC_CACHE_MAX_BYTES]) on the summed {!estimated_bytes}. Eviction takes
+    the least-recently used entry first (use = hit or insert) and skips
+    {e pinned} entries — a pin is a hard residency guarantee taken by a
+    registered serve handle or an in-flight poly specialization, so the
+    cache can be over-bound while everything evictable is pinned.
 
     Inserts charge their estimated bytes against {!Gc_tensor.Memgov};
     eviction releases them. The cache never originates
@@ -183,16 +185,10 @@ module Compile_cache : sig
   (** The entry's estimated bytes ([None]: not resident). *)
   val entry_bytes : string -> int option
 
-  val set_max_entries : int option -> unit
-  (** [Some n] bounds the cache to [n] entries with LRU eviction (evicts
-      immediately if over); [None] (the default) is unbounded. *)
-
-  val max_entries : unit -> int option
-
   val set_max_bytes : int option -> unit
-  (** [Some b] bounds the summed estimated bytes, LRU eviction as above;
-      [None] is unbounded unless [GC_CACHE_MAX_BYTES] armed a bound at
-      start. *)
+  (** [Some b] bounds the summed estimated bytes with LRU eviction
+      (evicts immediately if over); [None] is unbounded. The bound starts
+      at [GC_CACHE_MAX_BYTES] when set, else unbounded. *)
 
   val max_bytes : unit -> int option
 
@@ -306,66 +302,49 @@ val execute_poly :
 
 (** {1 Checked execution}
 
-    The resilient serving surface and the one execute path for both
-    artifact kinds: every failure comes back as a typed [result] instead
-    of an exception, guarded by a watchdog and backed by retry +
-    reference-interpreter fallback. *)
+    The resilient surface and the one execute path for both artifact
+    kinds: every failure comes back as a typed [result] instead of an
+    exception, guarded by a watchdog. *)
 
 (** What a checked execute runs: a fixed-shape partition, or a
     shape-polymorphic compilation (a graph without symbols is a poly with
     one instance). *)
 type artifact = Fixed of t | Poly of poly
 
-type exec_options = {
-  timeout_ms : int option;
-      (** watchdog deadline for the whole execute; default
-          [Guard.env_timeout_ms ()] (the [GC_EXEC_TIMEOUT_MS] variable),
-          [None] = no deadline *)
-  retries : int;
-      (** how many times a [Runtime_fault] execute is retried before
-          falling back (default 1) *)
-  fallback : bool;
-      (** after retries are exhausted, run the artifact through the
-          reference interpreter as {!execute_fallback} does (default
-          [true]; counted as [fallback_interp] in [Observe.Counters]) *)
-  sanitize_outputs : bool;
-      (** scan float outputs for NaN/Inf and promote a hit to a
-          [Runtime_fault] — making silent kernel poisoning visible to the
-          retry/fallback ladder (default [false]; it reads every output
-          element) *)
-}
+(** [execute_checked art bindings] is one guarded attempt at {!execute}
+    (a [Fixed] artifact) or {!execute_poly} (a [Poly] one): bindings are
+    validated (arity, shape, dtype, layout) before any engine state is
+    touched; a [Poly] request's bucket is resolved (and compiled on first
+    use) before the watchdog starts; execution runs under the watchdog
+    deadline; every failure class maps to exactly one [Errors.error], and
+    a [Resource_exhausted] is counted in [Observe.Counters] whichever kind
+    raised it. Nothing is retried and nothing falls back: the serving
+    layer ([Gc_serve]) owns that ladder, calling {!execute_fallback} once
+    its retries are spent.
 
-val default_exec_options : unit -> exec_options
+    [deadline_ms] is the watchdog deadline for this call; without it the
+    deadline is [Guard.env_timeout_ms ()] (the [GC_EXEC_TIMEOUT_MS]
+    variable, none when unset). The serving layer passes each request's
+    remaining deadline here.
 
-(** [execute_checked art bindings] is {!execute} (a [Fixed] artifact) or
-    {!execute_poly} (a [Poly] one) with the full containment ladder:
-    bindings are validated (arity, shape, dtype, layout) before any
-    engine state is touched; a [Poly] request's bucket is resolved (and
-    compiled on first use) before the watchdog starts; execution runs
-    under the watchdog deadline; a [Runtime_fault] is retried and then
-    degraded to the reference interpreter; every failure class maps to
-    exactly one [Errors.error], and a [Resource_exhausted] is counted in
-    [Observe.Counters] whichever kind raised it. [Invalid_input],
-    [Compile_error], [Timeout] and [Resource_exhausted] are never retried
-    — they are deterministic or resource-bound, so a retry cannot help.
-
-    [deadline_ms] overrides [options.timeout_ms] (and hence
-    [GC_EXEC_TIMEOUT_MS]) for this call only: the serving layer passes
-    each request's remaining deadline here so the watchdog enforces it. *)
+    [sanitize] (default [false]) scans float outputs for NaN/Inf and
+    promotes a hit to a [Runtime_fault] (counted as [sanitizer_hits]),
+    making silent kernel poisoning visible to the caller's ladder. It
+    reads every output element. *)
 val execute_checked :
-  ?options:exec_options ->
   ?deadline_ms:int ->
+  ?sanitize:bool ->
   ?reuse_outputs:bool ->
   artifact ->
   (Logical_tensor.t * Tensor.t) list ->
   (Tensor.t list, Errors.error) result
 
-(** The degraded path on its own, skipping the compiled engine entirely
-    (counted as [fallback_interp]): a [Fixed] artifact interprets its
-    source graph, a [Poly] one its symbolic graph substituted at the
-    request's {e exact} environment (no bucket, no padding). The serving
-    layer uses it when a partition's circuit breaker is open. Errors go
-    through the same boundary as {!execute_checked}. *)
+(** The degraded path, skipping the compiled engine entirely (counted as
+    [fallback_interp]): a [Fixed] artifact interprets its source graph, a
+    [Poly] one its symbolic graph substituted at the request's {e exact}
+    environment (no bucket, no padding). The serving layer runs it when a
+    request's retries are spent or its partition's circuit breaker is
+    open. Errors go through the same boundary as {!execute_checked}. *)
 val execute_fallback :
   ?deadline_ms:int ->
   artifact ->

@@ -10,7 +10,9 @@
     The module sits below every other library so that any layer — tensor
     buffers, the graph builder, the parallel runtime, the engine — can
     raise the same exception, and the API boundary ({!Core.execute_checked}
-    / {!Core.compile_checked}) can catch, classify and count it. *)
+    / {!Core.execute_fallback}) can catch, classify and count it.
+    {!Core.compile} re-raises any foreign exception escaping its pipeline
+    as [Compile_error {stage = "pipeline"}]. *)
 
 (** Structured key/value context attached to an error: site-specific
     details ([("dtype", "f32"); ("requested", "512"); ...]). *)

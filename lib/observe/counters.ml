@@ -1,8 +1,9 @@
 (* Each counter is one [declare] line below. [reset], the snapshot JSON
-   and the CLI's schema check all walk [all], so the declaration order is
-   the JSON order. The snapshot record and its constructor are the only
-   other places a counter is named: the compiler checks every field is
-   filled, and test_observe checks each is filled from its own counter. *)
+   and the schema check ([check_document]) all walk [all], so the
+   declaration order is the JSON order. The snapshot record and its
+   constructor are the only other places a counter is named: the compiler
+   checks every field is filled, and test_observe checks each is filled
+   from its own counter. *)
 
 type snapshot = {
   kernel_invocations : int;
@@ -198,6 +199,40 @@ let snapshot () =
 
 let snapshot_to_json s =
   Json.Obj (List.map (fun c -> (c.name, Json.Int (c.field s))) all)
+
+(* [where] prefixes each message with the offending section. *)
+let check_counters where = function
+  | Json.Obj kvs -> (
+      let want = List.map name all in
+      let got = List.map fst kvs in
+      if got <> want then
+        Error
+          (Printf.sprintf "%s\"counters\" keys [%s], want the %d declared [%s]"
+             where (String.concat "," got) (List.length want)
+             (String.concat "," want))
+      else
+        let not_int = function _, Json.Int _ -> false | _ -> true in
+        match List.find_opt not_int kvs with
+        | Some (k, _) ->
+            Error (Printf.sprintf "%scounter %S is not an integer" where k)
+        | None -> Ok ())
+  | _ -> Error (where ^ "\"counters\" is not an object")
+
+let check_document doc =
+  let bench_sections =
+    match doc with
+    | Json.Obj kvs ->
+        List.filter (fun (k, _) -> String.starts_with ~prefix:"bench:" k) kvs
+    | _ -> []
+  in
+  List.fold_left
+    (fun acc (where, j) ->
+      Result.bind acc (fun () ->
+          match Json.member "counters" j with
+          | None -> Ok ()
+          | Some c -> check_counters where c))
+    (Ok ())
+    (("", doc) :: List.map (fun (k, j) -> (k ^ ": ", j)) bench_sections)
 
 let with_counters f =
   let was = enabled () in

@@ -93,11 +93,13 @@ val resource_exhausted : t
 (** executes classified as [Resource_exhausted] *)
 
 val exec_retries : t
-(** engine retries after a [Runtime_fault] *)
+(** serve-tier retries of a compiled execute after a [Runtime_fault]
+    ([Gc_serve]'s retry ladder; [Core] never retries) *)
 
 val fallback_interp : t
-(** executes served by the reference interpreter after the engine faulted
-    (slow-but-correct degradation) *)
+(** executes served by the reference interpreter ([Core.execute_fallback])
+    after the engine faulted or while a breaker is open (slow-but-correct
+    degradation) *)
 
 val sanitizer_hits : t
 (** non-finite values caught by the output sanitizer *)
@@ -268,6 +270,12 @@ val snapshot : unit -> snapshot
 
 (** One [Int] member per counter, in {!all} order. *)
 val snapshot_to_json : snapshot -> Json.t
+
+(** [check_document doc] checks every ["counters"] object of a trace or
+    health document: the top-level one and the one in each ["bench:*"]
+    section. Each must hold exactly the declared counters, in {!all}
+    order, each an [Int]. [Error] describes the first violation. *)
+val check_document : Json.t -> (unit, string) result
 
 (** [with_counters f] enables and resets the counters, runs [f], returns
     its result with the snapshot, and restores the previous enablement. *)

@@ -20,13 +20,10 @@ type config = {
   workers : int;
   default_deadline_ms : int option;
   max_retries : int;
-  backoff_base_ms : float;
-  backoff_cap_ms : float;
   breaker_threshold : int;
   breaker_cooldown_ms : float;
   ewma_alpha : float;
   safety_factor : float;
-  seed : int;
   sanitize_outputs : bool;
   coalesce_window_ms : float;
   max_coalesce : int;
@@ -55,14 +52,11 @@ let default_config () =
     workers = env_int "GC_SERVE_WORKERS" 2;
     default_deadline_ms = env_int_opt "GC_SERVE_DEADLINE_MS";
     max_retries = env_int "GC_SERVE_MAX_RETRIES" 2;
-    backoff_base_ms = 1.;
-    backoff_cap_ms = 50.;
     breaker_threshold = env_int "GC_SERVE_BREAKER_THRESHOLD" 5;
     breaker_cooldown_ms =
       float_of_int (env_int "GC_SERVE_BREAKER_COOLDOWN_MS" 100);
     ewma_alpha = 0.2;
     safety_factor = 1.5;
-    seed = 0;
     sanitize_outputs = false;
     coalesce_window_ms =
       float_of_int (env_int "GC_SERVE_COALESCE_MS" 0) (* 0 = off *);
@@ -399,30 +393,6 @@ let breaker_state_to_string = function
 
 (* {2 Request processing (worker side)} *)
 
-(* Exponential backoff with decorrelated jitter, deterministic per worker:
-   sleep_{n+1} = min(cap, uniform[base, 3 * sleep_n]). Never sleeps past
-   the request's remaining deadline. *)
-let backoff_sleep cfg rng ~prev_ms ~remaining =
-  let span = (3. *. prev_ms) -. cfg.backoff_base_ms in
-  let ms =
-    cfg.backoff_base_ms +. (if span > 0. then Random.State.float rng span else 0.)
-  in
-  let ms = Float.min ms cfg.backoff_cap_ms in
-  let ms =
-    match remaining with
-    | None -> ms
-    | Some r -> Float.min ms (float_of_int r /. 2.)
-  in
-  if ms > 0. then Unix.sleepf (ms /. 1000.);
-  Float.max ms cfg.backoff_base_ms
-
-let exec_options cfg =
-  { (Core.default_exec_options ()) with
-    Core.retries = 0;
-    fallback = false;
-    sanitize_outputs = cfg.sanitize_outputs;
-  }
-
 (* Run [f] on the handle's current artifact. A request that reaches
    execution on a parked handle (the registry parks only idle models, so
    this is belt and braces) resolves typed, never raises. *)
@@ -447,22 +417,24 @@ let run_fallback_path t rq ~via =
           rq.rq_bindings),
     true )
 
+(* The one retry ladder: a [Runtime_fault] attempt is retried up to
+   [max_retries] times, spaced by the supervision policy's decorrelated
+   jitter (never sleeping past half the remaining deadline), then
+   degraded to the reference interpreter. Other errors are final. *)
 let process t rq =
   let h = rq.rq_handle in
   let cfg = t.cfg in
-  let rng = Random.State.make [| cfg.seed; Hashtbl.hash h.h_name |] in
   match route_of cfg h with
   | Shortcircuit -> run_fallback_path t rq ~via:`Breaker_open
   | (Compiled | Probe) as route ->
-      let opts = exec_options cfg in
       let rec attempt tries prev_ms =
         if expired rq then (Error (timeout_error ~site:"serve.retry" rq), false)
         else begin
           let t0 = now () in
           match
             on_artifact h (fun art ->
-                Core.execute_checked ~options:opts
-                  ?deadline_ms:(remaining_ms rq) art rq.rq_bindings)
+                Core.execute_checked ?deadline_ms:(remaining_ms rq)
+                  ~sanitize:cfg.sanitize_outputs art rq.rq_bindings)
           with
           | Ok outs ->
               note_latency cfg h ((now () -. t0) *. 1000.);
@@ -470,16 +442,22 @@ let process t rq =
               (Ok outs, false)
           | Error (Errors.Runtime_fault _) when tries < cfg.max_retries ->
               Counters.(incr exec_retries);
-              let slept =
-                backoff_sleep cfg rng ~prev_ms ~remaining:(remaining_ms rq)
+              let ms =
+                Supervise.next_backoff_ms ~policy:cfg.supervision ~prev:prev_ms
               in
-              attempt (tries + 1) slept
+              let ms =
+                match remaining_ms rq with
+                | Some r -> Float.min ms (float_of_int r /. 2.)
+                | None -> ms
+              in
+              if ms > 0. then Unix.sleepf (ms /. 1000.);
+              attempt (tries + 1) ms
           | Error (Errors.Runtime_fault _) ->
               run_fallback_path t rq ~via:`Degraded
           | Error e -> (Error e, false)
         end
       in
-      let outcome = attempt 0 cfg.backoff_base_ms in
+      let outcome = attempt 0 cfg.supervision.Supervise.backoff_base_ms in
       (match (route, outcome) with
       | Probe, (Error _, false) -> release_probe h
       | _ -> ());
@@ -665,8 +643,8 @@ let run_coalesced t p ~sym base env =
           let t0 = now () in
           let r =
             on_artifact h (fun art ->
-                Core.execute_checked ~options:(exec_options cfg)
-                  ?deadline_ms:(min_remaining_ms rqs) art bindings)
+                Core.execute_checked ?deadline_ms:(min_remaining_ms rqs)
+                  ~sanitize:cfg.sanitize_outputs art bindings)
           in
           (match r with
           | Ok _ ->
@@ -1214,11 +1192,6 @@ let register ?name ?weight t art =
   mk_handle ?name ?weight t (target_of_artifact art)
 
 let register_poly ?name ?weight t p = register ?name ?weight t (Core.Poly p)
-
-let compile_and_register ?config ?name ?weight t g =
-  Result.map
-    (fun c -> register ?name ?weight t (Core.Fixed c))
-    (Core.compile_checked ?config g)
 
 (* {2 Rebinding (the registry's hot-swap / park / re-admit lever)} *)
 

@@ -1,6 +1,6 @@
 (** Overload-protected serving layer.
 
-    Wraps {!Core.compile_checked} / {!Core.execute_checked} behind a
+    Wraps {!Core.execute_checked} / {!Core.execute_fallback} behind a
     bounded admission queue served by a fixed pool of worker domains, so a
     burst of requests degrades into {e typed, observable} rejections
     instead of unbounded queueing, memory growth or hangs. The protection
@@ -36,10 +36,14 @@
 
     {2 Circuit breaker and retries}
 
-    Transient [Runtime_fault]s are retried with exponential backoff and
-    decorrelated jitter (deterministic per worker given the config seed),
-    never sleeping past the request's deadline; exhausted retries degrade
-    to the reference interpreter. The breaker is each handle's one health
+    This is the one retry ladder: {!Core.execute_checked} makes a single
+    guarded attempt, and the serving layer decides what follows.
+    Transient [Runtime_fault]s are retried up to [max_retries] times,
+    spaced by {!Gc_supervise.next_backoff_ms} under the [supervision]
+    policy (the same decorrelated jitter as worker respawn), never
+    sleeping past half the request's remaining deadline; exhausted
+    retries degrade to the reference interpreter
+    ({!Core.execute_fallback}). The breaker is each handle's one health
     ladder, [Closed -> Open -> Half_open]: [breaker_threshold]
     {e consecutive} fallbacks trip it open, and requests then
     short-circuit straight to the interpreter (counted, visible in
@@ -95,8 +99,6 @@ type config = {
   max_retries : int;
       (** serving-level retries of a [Runtime_fault] execute before
           degrading to the interpreter ([GC_SERVE_MAX_RETRIES], 2) *)
-  backoff_base_ms : float;  (** first backoff sleep (1 ms) *)
-  backoff_cap_ms : float;  (** backoff ceiling (50 ms) *)
   breaker_threshold : int;
       (** consecutive fallbacks that trip a handle's breaker
           ([GC_SERVE_BREAKER_THRESHOLD], 5) *)
@@ -106,9 +108,10 @@ type config = {
   ewma_alpha : float;  (** latency EWMA smoothing (0.2) *)
   safety_factor : float;
       (** admission feasibility margin on the EWMA estimate (1.5) *)
-  seed : int;  (** backoff-jitter determinism (0) *)
   sanitize_outputs : bool;
-      (** scan float outputs for NaN/Inf (see {!Core.exec_options}) *)
+      (** scan float outputs for NaN/Inf, promoting a hit to a retried
+          [Runtime_fault] (see [?sanitize] on {!Core.execute_checked};
+          [false]) *)
   coalesce_window_ms : float;
       (** gather window for request coalescing on poly handles
           ([GC_SERVE_COALESCE_MS]; 0 = coalescing off) *)
@@ -124,7 +127,8 @@ type config = {
           fills ([GC_SERVE_QUOTA_BORROW], 0.5) *)
   supervision : Gc_supervise.policy;
       (** self-healing policy: worker heartbeat staleness, restart budget
-          and backoff (defaults from {!Gc_supervise.default_policy}, i.e.
+          and the backoff shared by worker respawn and request retries
+          (defaults from {!Gc_supervise.default_policy}, i.e.
           the [GC_SUPERVISE_*] environment). With [sup_enabled = false]
           the server registers no monitor and respawns no worker; the
           breaker still runs. *)
@@ -145,8 +149,9 @@ type handle
     non-positive queue depth or worker count. *)
 val create : ?config:config -> unit -> t
 
-(** Register an already-compiled artifact. [name] appears in error
-    context and stats; [weight] (default 1, must be positive) is the
+(** Register a compiled artifact, e.g.
+    [register t (Core.Fixed (Core.compile ~config g))]. [name] appears in
+    error context and stats; [weight] (default 1, must be positive) is the
     model's weighted-fair admission share — see [quota_borrow]. Raises
     [Invalid_input] on a non-positive weight.
 
@@ -159,15 +164,6 @@ val register : ?name:string -> ?weight:float -> t -> Core.artifact -> handle
 
 (** [register_poly t p] is [register t (Core.Poly p)]. *)
 val register_poly : ?name:string -> ?weight:float -> t -> Core.poly -> handle
-
-(** Compile (through {!Core.compile_checked}) and register. *)
-val compile_and_register :
-  ?config:Core.config ->
-  ?name:string ->
-  ?weight:float ->
-  t ->
-  Core.Graph.t ->
-  (handle, Core.Errors.error) result
 
 (** {1 Rebinding — the registry's hot-swap / park / re-admit lever}
 

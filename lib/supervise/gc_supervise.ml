@@ -238,7 +238,7 @@ let supervise_pool ?(policy = default_policy ()) ?(name = "pool") pool =
 
 (* ---- respawn backoff --------------------------------------------------- *)
 
-(* Decorrelated jitter (same family as the serve retry ladder): each delay
+(* Decorrelated jitter (also the serve retry ladder's spacing): each delay
    is uniform in [base, 3 * previous], capped — consecutive respawns of a
    flapping worker spread out instead of synchronizing into a storm. *)
 let next_backoff_ms ~policy ~prev =

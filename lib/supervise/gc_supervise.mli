@@ -38,10 +38,11 @@ type policy = {
       (** the sliding window for the restart budget,
           [GC_SUPERVISE_RESTART_WINDOW_MS] (default 10000) *)
   backoff_base_ms : float;
-      (** respawn backoff floor, [GC_SUPERVISE_BACKOFF_BASE_MS] (default 1) *)
+      (** respawn (and serve retry) backoff floor,
+          [GC_SUPERVISE_BACKOFF_BASE_MS] (default 1) *)
   backoff_cap_ms : float;
-      (** respawn backoff ceiling, [GC_SUPERVISE_BACKOFF_CAP_MS]
-          (default 50) *)
+      (** respawn (and serve retry) backoff ceiling,
+          [GC_SUPERVISE_BACKOFF_CAP_MS] (default 50) *)
 }
 
 (** Policy from the environment (defaults above). Re-read on each call. *)
@@ -105,5 +106,8 @@ val supervise_pool :
 
 (** [next_backoff_ms ~policy ~prev] — decorrelated jitter: uniform in
     [[base, min cap (3 * prev)]]. Consecutive respawns of a flapping
-    worker spread out instead of synchronizing into a spawn storm. *)
+    worker spread out instead of synchronizing into a spawn storm, and
+    [Gc_serve] spaces its [Runtime_fault] retries with the same call under
+    its [supervision] policy. Draws from the calling domain's default
+    [Random] state. *)
 val next_backoff_ms : policy:policy -> prev:float -> float

@@ -154,13 +154,22 @@ let test_tensor_concat_split () =
 
 let test_compile_cache_lru () =
   Core.Compile_cache.clear ();
-  Core.Compile_cache.set_max_entries (Some 2);
+  let prev = Core.Compile_cache.max_bytes () in
   Fun.protect
     ~finally:(fun () ->
-      Core.Compile_cache.set_max_entries None;
+      Core.Compile_cache.set_max_bytes prev;
       Core.Compile_cache.clear ())
     (fun () ->
+      Core.Compile_cache.set_max_bytes None;
       let g m = (Gc_workloads.Mlp.build_f32 ~batch:m ~hidden:[ 8; 4 ] ()).graph in
+      let bytes m =
+        Option.get (Core.Compile_cache.entry_bytes (Core.fingerprint (g m)))
+      in
+      List.iter (fun m -> ignore (Core.compile_cached (g m))) [ 1; 2; 3 ];
+      (* room for 1 beside either of 2 and 3, never for all three *)
+      let bound = bytes 1 + max (bytes 2) (bytes 3) in
+      Core.Compile_cache.clear ();
+      Core.Compile_cache.set_max_bytes (Some bound);
       let c1 = Core.compile_cached (g 1) in
       ignore (Core.compile_cached (g 2));
       (* touch 1 so 2 is the LRU victim when 3 arrives *)
@@ -170,6 +179,8 @@ let test_compile_cache_lru () =
       Alcotest.(check int) "bounded" 2 (Core.Compile_cache.size ());
       let s = Core.Compile_cache.stats () in
       Alcotest.(check bool) "evicted" true (s.evictions >= 1);
+      Alcotest.(check bool) "within the byte bound" true
+        (s.resident_bytes <= bound);
       (* 1 must still be cached (recently used), 2 must have been evicted *)
       let misses_before = (Core.Compile_cache.stats ()).misses in
       ignore (Core.compile_cached (g 1));

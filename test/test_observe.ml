@@ -208,6 +208,46 @@ let test_counter_table_oracle () =
         ]
         (List.map Counters.name (List.filter Counters.gated Counters.all)))
 
+(* The schema check covers the top-level "counters" object and the one in
+   every "bench:*" section, as [bench/main.exe --trace] nests them. *)
+let test_check_document_nested_counters () =
+  let counters = Counters.snapshot_to_json (Counters.snapshot ()) in
+  let kvs = match counters with Json.Obj kvs -> kvs | _ -> assert false in
+  let doc nested =
+    Json.Obj
+      [
+        ("schema", Json.String "gc-trace/1");
+        ("counters", counters);
+        ("bench:harness", Json.Obj [ ("threads", Json.Int 1) ]);
+        ("bench:MLP", Json.Obj [ ("counters", nested) ]);
+      ]
+  in
+  let accepted what d =
+    match Counters.check_document d with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s rejected: %s" what e
+  in
+  let rejected what d =
+    match Counters.check_document d with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        Alcotest.(check bool) (what ^ " names the section") true
+          (String.starts_with ~prefix:"bench:MLP" e)
+  in
+  accepted "conforming document" (doc counters);
+  rejected "dropped counter" (doc (Json.Obj (List.tl kvs)));
+  let swapped = match kvs with a :: b :: rest -> b :: a :: rest | l -> l in
+  rejected "reordered counters" (doc (Json.Obj swapped));
+  let as_float (k, v) = if k = "barriers" then (k, Json.Float 1.) else (k, v) in
+  rejected "non-integer counter" (doc (Json.Obj (List.map as_float kvs)));
+  (* the top-level object is still checked *)
+  match
+    Counters.check_document
+      (Json.Obj [ ("counters", Json.Obj (List.tl kvs)) ])
+  with
+  | Ok () -> Alcotest.fail "top-level dropped counter accepted"
+  | Error _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -356,6 +396,8 @@ let () =
             test_counters_count_real_execution;
           Alcotest.test_case "counter table oracle" `Quick
             test_counter_table_oracle;
+          Alcotest.test_case "schema check covers bench sections" `Quick
+            test_check_document_nested_counters;
         ] );
       ( "stats",
         [ Alcotest.test_case "of_module" `Quick test_stats_of_module ] );

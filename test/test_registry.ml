@@ -28,8 +28,12 @@ let serve_config ?(queue_depth = 8) ?(workers = 2) ?(max_retries = 1) () =
     workers;
     max_retries;
     default_deadline_ms = None;
-    backoff_base_ms = 0.5;
-    backoff_cap_ms = 2.;
+    supervision =
+      {
+        (Gc_supervise.default_policy ()) with
+        Gc_supervise.backoff_base_ms = 0.5;
+        backoff_cap_ms = 2.;
+      };
   }
 
 let mlp ?(seed = 7) ?(batch = 4) ?(hidden = [ 6; 5 ]) () =

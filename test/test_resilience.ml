@@ -31,9 +31,31 @@ let check_serviceable ?(msg = "clean execute matches reference") compiled
   Alcotest.(check bool) msg true
     (List.for_all2 Tensor.equal out ref_out)
 
-let opts ?timeout_ms ?(retries = 1) ?(fallback = true) ?(sanitize = false) ()
-    =
-  { timeout_ms; retries; fallback; sanitize_outputs = sanitize }
+(* Serve one request through a one-worker server: the serve tier's retry
+   ladder (one retry, then the interpreter) with the output sanitizer on. *)
+let serve_sanitized compiled data =
+  let config =
+    {
+      (Gc_serve.default_config ()) with
+      Gc_serve.workers = 1;
+      max_retries = 1;
+      default_deadline_ms = None;
+      sanitize_outputs = true;
+    }
+  in
+  let server = Gc_serve.create ~config () in
+  Fun.protect
+    ~finally:(fun () -> Gc_serve.shutdown ~drain_deadline_ms:2000 server)
+    (fun () ->
+      Gc_serve.call server (Gc_serve.register server (Fixed compiled)) data)
+
+(* One chaos request as the serve tier ends it once its retries are spent:
+   a guarded compiled attempt with the sanitizer on, then the reference
+   interpreter on a typed Runtime_fault. *)
+let checked_or_fallback ~deadline_ms art data =
+  match execute_checked ~deadline_ms ~sanitize:true art data with
+  | Error (Errors.Runtime_fault _) -> execute_fallback ~deadline_ms art data
+  | r -> r
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic fault schedule *)
@@ -139,7 +161,32 @@ let test_worker_fault_contained () =
   Alcotest.(check bool) "wrapped fault counted" true
     (snap.runtime_faults >= 1)
 
-(* Through the full stack: engine fault -> retry -> reference fallback *)
+(* Core makes one guarded attempt: a Runtime_fault comes straight back,
+   with no retry and no interpreter fallback (the serve tier owns both) *)
+let test_one_guarded_attempt () =
+  let pool = Parallel.create 4 in
+  Fun.protect
+    ~finally:(fun () -> Parallel.shutdown pool)
+    (fun () ->
+      let config = { (default_config ()) with pool = Some pool } in
+      let built = Gc_workloads.Mlp.build_f32 ~batch:16 ~hidden:[ 16; 16 ] () in
+      let compiled = compile ~config built.graph in
+      check_serviceable ~msg:"warm-up execute" compiled built;
+      let c0 = Observe.Counters.snapshot () in
+      let f0 = Parallel.faults_survived pool in
+      with_faults "worker:1" (fun () ->
+          match execute_checked (Fixed compiled) built.data with
+          | Error (Errors.Runtime_fault _) -> ()
+          | Ok _ -> Alcotest.fail "faulted execute returned Ok"
+          | Error e -> Alcotest.fail ("wrong class: " ^ Errors.to_string e));
+      let c1 = Observe.Counters.snapshot () in
+      Alcotest.(check int) "one attempt" 1 (Parallel.faults_survived pool - f0);
+      Alcotest.(check int) "no retry" c0.exec_retries c1.exec_retries;
+      Alcotest.(check int) "no fallback" c0.fallback_interp c1.fallback_interp;
+      check_serviceable compiled built)
+
+(* Through the full stack: engine fault -> serve retry -> reference
+   fallback *)
 let test_worker_fault_falls_back_to_interp () =
   Observe.Counters.reset ();
   let pool = Parallel.create 4 in
@@ -152,9 +199,7 @@ let test_worker_fault_falls_back_to_interp () =
       check_serviceable ~msg:"warm-up execute" compiled built;
       let ref_out = reference built.graph built.data in
       with_faults "worker:1" (fun () ->
-          match
-            execute_checked ~options:(opts ()) (Fixed compiled) built.data
-          with
+          match serve_sanitized compiled built.data with
           | Ok out ->
               Alcotest.(check bool) "fallback output matches reference" true
                 (List.for_all2 Tensor.equal out ref_out)
@@ -179,20 +224,14 @@ let test_kernel_nan_sanitized_and_recovered () =
   let ref_out = reference built.graph built.data in
   with_faults "kernel_nan:1" (fun () ->
       (* without the sanitizer the poisoned output is silent *)
-      (match
-         execute_checked ~options:(opts ~sanitize:false ()) (Fixed compiled)
-           built.data
-       with
+      (match execute_checked (Fixed compiled) built.data with
       | Ok [ out ] ->
           Alcotest.(check bool) "NaN present, undetected" true
             (Array.exists Float.is_nan (Tensor.to_float_array out))
       | Ok _ -> Alcotest.fail "expected one output"
       | Error e -> Alcotest.fail ("unexpected " ^ Errors.to_string e));
-      (* with the sanitizer: detect, retry, degrade to the interpreter *)
-      match
-        execute_checked ~options:(opts ~sanitize:true ()) (Fixed compiled)
-          built.data
-      with
+      (* a sanitizing server: detect, retry, degrade to the interpreter *)
+      match serve_sanitized compiled built.data with
       | Ok out ->
           Alcotest.(check bool) "recovered output matches reference" true
             (List.for_all2 Tensor.equal out ref_out)
@@ -244,11 +283,7 @@ let test_timeout_through_execute_checked () =
       let compiled = compile ~config built.graph in
       check_serviceable ~msg:"warm-up execute" compiled built;
       with_faults ~slow_ms:200 "slow:1" (fun () ->
-          match
-            execute_checked
-              ~options:(opts ~timeout_ms:40 ())
-              (Fixed compiled) built.data
-          with
+          match execute_checked ~deadline_ms:40 (Fixed compiled) built.data with
           | Error (Errors.Timeout _) -> ()
           | Ok _ -> Alcotest.fail "expected Timeout"
           | Error e -> Alcotest.fail ("wrong class: " ^ Errors.to_string e));
@@ -382,9 +417,7 @@ let test_chaos_soak () =
   Fun.protect ~finally:Fault.clear (fun () ->
       for _ = 1 to 30 do
         match
-          execute_checked
-            ~options:(opts ~timeout_ms:2000 ~sanitize:true ())
-            (Fixed compiled) built.data
+          checked_or_fallback ~deadline_ms:2000 (Fixed compiled) built.data
         with
         | Ok _ -> ()
         | Error
@@ -417,11 +450,7 @@ let model_chaos ~what ~rtol ~atol (graph : Gc_graph_ir.Graph.t) data =
     Fault.configure "worker:3,kernel_nan:5,alloc:7";
   Fun.protect ~finally:Fault.clear (fun () ->
       for _ = 1 to 10 do
-        match
-          execute_checked
-            ~options:(opts ~timeout_ms:5000 ~sanitize:true ())
-            (Fixed compiled) data
-        with
+        match checked_or_fallback ~deadline_ms:5000 (Fixed compiled) data with
         | Ok out ->
             Alcotest.(check bool)
               (what ^ ": chaos output finite and reference-close")
@@ -492,11 +521,7 @@ let test_chaos_poly () =
       for _ = 1 to 10 do
         List.iter
           (fun (n, data, ref_out) ->
-            match
-              execute_checked
-                ~options:(opts ~timeout_ms:5000 ~sanitize:true ())
-                (Poly p) data
-            with
+            match checked_or_fallback ~deadline_ms:5000 (Poly p) data with
             | Ok out ->
                 Alcotest.(check bool)
                   (Printf.sprintf
@@ -550,6 +575,8 @@ let () =
         [
           Alcotest.test_case "worker fault contained" `Quick
             test_worker_fault_contained;
+          Alcotest.test_case "one guarded attempt" `Quick
+            test_one_guarded_attempt;
           Alcotest.test_case "fallback to interpreter" `Quick
             test_worker_fault_falls_back_to_interp;
           Alcotest.test_case "kernel NaN sanitized" `Quick

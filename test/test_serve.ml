@@ -33,19 +33,21 @@ let serve_config ?(queue_depth = 8) ?(workers = 2) ?(max_retries = 0)
     breaker_threshold;
     breaker_cooldown_ms;
     default_deadline_ms;
-    backoff_base_ms = 0.5;
-    backoff_cap_ms = 2.;
+    supervision =
+      {
+        (Gc_supervise.default_policy ()) with
+        Gc_supervise.backoff_base_ms = 0.5;
+        backoff_cap_ms = 2.;
+      };
   }
 
 let mlp ?(seed = 7) ?(batch = 4) ?(hidden = [ 6; 5 ]) () =
   Mlp.build_f32 ~seed ~batch ~hidden ()
 
-let register server (b : Mlp.built) =
-  match
-    Serve.compile_and_register ~config:(compile_config ()) server b.Mlp.graph
-  with
-  | Ok h -> h
-  | Error e -> Alcotest.failf "compile failed: %s" (Core.Errors.to_string e)
+let register_graph ?(config = compile_config ()) server graph =
+  Serve.register server (Core.Fixed (Core.compile ~config graph))
+
+let register server (b : Mlp.built) = register_graph server b.Mlp.graph
 
 let with_server ?config f =
   let server = Serve.create ?config () in
@@ -197,23 +199,17 @@ let test_execute_deadline_param () =
   let config = { (Core.default_config ()) with Core.pool = Some pool } in
   let compiled = Core.compile ~config b.Mlp.graph in
   ignore (Core.execute compiled b.Mlp.data);
-  (* options say 10 s; the per-call deadline of 30 ms must win *)
-  let options =
-    { (Core.default_exec_options ()) with
-      Core.timeout_ms = Some 10_000;
-      retries = 0;
-      fallback = false;
-    }
-  in
+  (* a 30 ms per-call deadline trips on a 300 ms task *)
   with_faults ~slow_ms:300 "slow:1" (fun () ->
       match
-        Core.execute_checked ~options ~deadline_ms:30 (Core.Fixed compiled)
-          b.Mlp.data
+        Core.execute_checked ~deadline_ms:30 (Core.Fixed compiled) b.Mlp.data
       with
       | Error (Core.Errors.Timeout _) -> ()
       | o -> Alcotest.failf "expected Timeout, got %s" (err_class o));
-  (* and without the override the generous options deadline passes *)
-  (match Core.execute_checked ~options (Core.Fixed compiled) b.Mlp.data with
+  (* a generous per-call deadline overrides any GC_EXEC_TIMEOUT_MS *)
+  (match
+     Core.execute_checked ~deadline_ms:10_000 (Core.Fixed compiled) b.Mlp.data
+   with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "clean run failed: %s" (Core.Errors.to_string e));
   Parallel.shutdown pool
@@ -348,11 +344,7 @@ let test_breaker_opens_and_recovers () =
       (serve_config ~workers:1 ~breaker_threshold:threshold
          ~breaker_cooldown_ms:50. ())
     (fun server ->
-      let h =
-        match Serve.compile_and_register ~config:compile_config server b.Mlp.graph with
-        | Ok h -> h
-        | Error e -> Alcotest.failf "compile failed: %s" (Core.Errors.to_string e)
-      in
+      let h = register_graph ~config:compile_config server b.Mlp.graph in
       (match Serve.call server h b.Mlp.data with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "warmup failed: %s" (Core.Errors.to_string e));
@@ -408,11 +400,7 @@ let test_unjudged_probe_handed_back () =
     ~config:
       (serve_config ~workers:1 ~breaker_threshold:2 ~breaker_cooldown_ms:50. ())
     (fun server ->
-      let h =
-        match Serve.compile_and_register ~config:compile_config server b.Mlp.graph with
-        | Ok h -> h
-        | Error e -> Alcotest.failf "compile failed: %s" (Core.Errors.to_string e)
-      in
+      let h = register_graph ~config:compile_config server b.Mlp.graph in
       ignore (Serve.call server h b.Mlp.data);
       with_faults "worker:1" (fun () ->
           for _ = 1 to 2 do
@@ -437,14 +425,41 @@ let test_unjudged_probe_handed_back () =
       Alcotest.(check bool) "closed by the next probe" true
         (Serve.breaker_state h = Serve.Closed))
 
+(* The serve tier runs the one retry ladder: under a persistent fault a
+   request makes [max_retries + 1] compiled attempts, counts
+   [max_retries] retries, then falls back to the interpreter once. *)
+let test_retries_then_one_fallback () =
+  let b = mlp ~batch:64 ~hidden:[ 32; 32 ] () in
+  let pool = Parallel.create 4 in
+  let compile_config =
+    { (Core.default_config ()) with Core.pool = Some pool }
+  in
+  let max_retries = 3 in
+  Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+  with_server ~config:(serve_config ~workers:1 ~max_retries ()) (fun server ->
+      let h = register_graph ~config:compile_config server b.Mlp.graph in
+      ignore (Serve.call server h b.Mlp.data);
+      let ref_out = Core.reference b.Mlp.graph b.Mlp.data in
+      let c0 = Counters.snapshot () and f0 = Parallel.faults_survived pool in
+      with_faults "worker:1" (fun () ->
+          match Serve.call server h b.Mlp.data with
+          | Ok out ->
+              Alcotest.(check bool) "fallback output matches reference" true
+                (List.for_all2 Core.Tensor.equal out ref_out)
+          | Error e ->
+              Alcotest.failf "expected fallback, got %s"
+                (Core.Errors.to_string e));
+      let c1 = Counters.snapshot () in
+      Alcotest.(check int) "exec_retries moved by max_retries" max_retries
+        (c1.Counters.exec_retries - c0.Counters.exec_retries);
+      Alcotest.(check int) "fallback_interp moved by one" 1
+        (c1.Counters.fallback_interp - c0.Counters.fallback_interp);
+      Alcotest.(check int) "compiled attempts" (max_retries + 1)
+        (Parallel.faults_survived pool - f0))
+
 (* ------------------------------------------------------------------ *)
 (* Whole-model serving: BERT and DLRM, f32 and int8, through the same
    admission-controlled path as the unit workloads *)
-
-let register_graph server graph =
-  match Serve.compile_and_register ~config:(compile_config ()) server graph with
-  | Ok h -> h
-  | Error e -> Alcotest.failf "compile failed: %s" (Core.Errors.to_string e)
 
 let bert_built ~quantized =
   let build = if quantized then Bert.build_int8 else Bert.build_f32 in
@@ -571,14 +586,14 @@ let test_verifier_passes_pipeline () =
   let b = mlp ~batch:3 ~hidden:[ 5; 4 ] () in
   Fun.protect ~finally:(fun () -> Verify.set_enabled None) (fun () ->
       Verify.set_enabled (Some true);
-      match Core.compile_checked ~config:(compile_config ()) b.Mlp.graph with
-      | Ok compiled -> (
+      match Core.compile ~config:(compile_config ()) b.Mlp.graph with
+      | compiled -> (
           match Core.execute_checked (Core.Fixed compiled) b.Mlp.data with
           | Ok _ -> ()
           | Error e ->
               Alcotest.failf "execute under verifier failed: %s"
                 (Core.Errors.to_string e))
-      | Error e ->
+      | exception Core.Errors.Error e ->
           Alcotest.failf "compile under verifier failed: %s"
             (Core.Errors.to_string e))
 
@@ -946,6 +961,8 @@ let () =
             test_breaker_opens_and_recovers;
           Alcotest.test_case "unjudged probe handed back" `Quick
             test_unjudged_probe_handed_back;
+          Alcotest.test_case "retries then one fallback" `Quick
+            test_retries_then_one_fallback;
         ] );
       ( "models",
         [

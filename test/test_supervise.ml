@@ -48,8 +48,6 @@ let serve_config ?(queue_depth = 16) ?(workers = 2)
     breaker_threshold;
     breaker_cooldown_ms;
     default_deadline_ms = None;
-    backoff_base_ms = 0.5;
-    backoff_cap_ms = 2.;
     supervision;
   }
 
@@ -57,11 +55,8 @@ let mlp ?(seed = 7) ?(batch = 4) ?(hidden = [ 6; 5 ]) () =
   Mlp.build_f32 ~seed ~batch ~hidden ()
 
 let register server (b : Mlp.built) =
-  match
-    Serve.compile_and_register ~config:(compile_config ()) server b.Mlp.graph
-  with
-  | Ok h -> h
-  | Error e -> Alcotest.failf "compile failed: %s" (Errors.to_string e)
+  Serve.register server
+    (Core.Fixed (Core.compile ~config:(compile_config ()) b.Mlp.graph))
 
 let with_server ?config f =
   let server = Serve.create ?config () in
@@ -234,11 +229,8 @@ let breaker_ladder (b : Mlp.built) f =
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
   with_server ~config:cfg (fun server ->
       let h =
-        match
-          Serve.compile_and_register ~config:pool_config server b.Mlp.graph
-        with
-        | Ok h -> h
-        | Error e -> Alcotest.failf "compile failed: %s" (Errors.to_string e)
+        Serve.register server
+          (Core.Fixed (Core.compile ~config:pool_config b.Mlp.graph))
       in
       let warm = call_ok server h b "warmup" in
       let s0 = Counters.snapshot () in
