@@ -16,7 +16,9 @@
    - pool: fork-join overhead of one parallel section and the number of
      grains the self-scheduler migrated off the submitting domain.
    - mlp: wallclock of one fused-MLP execution through the full compiler,
-     with the env-reuse and steal counters of a counted run. *)
+     with the env-reuse and steal counters of a counted run, plus what
+     constant init (the first execute's weight prepack) costs on top of
+     it in time and minor-heap words per weight element. *)
 
 open Gc_tensor
 
@@ -213,18 +215,46 @@ let mlp_section mode =
     Core.Observe.Counters.with_counters (fun () ->
         ignore (Core.execute compiled built.Gc_workloads.Mlp.data))
   in
+  (* Constant init: an execute that re-runs the init function (weight
+     prepack through the reference evaluator) less a steady execute, in
+     time and in minor-heap words per constant element. *)
+  let steady () = ignore (Core.execute compiled built.Gc_workloads.Mlp.data) in
+  let first () =
+    Core.invalidate_constants compiled;
+    steady ()
+  in
+  let init_ms = (seconds_per_call first *. 1e3) -. ms in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let weights =
+    List.fold_left
+      (fun acc ((lt : Core.Logical_tensor.t), v) ->
+        if Core.Logical_tensor.is_constant lt then acc + Core.Tensor.numel v
+        else acc)
+      0 built.Gc_workloads.Mlp.data
+  in
+  let init_words_per_weight =
+    (words first -. words steady) /. float_of_int weights
+  in
   Printf.printf "  MLP batch=%d hidden=%s: %.3f ms/run   envs reused %d/%d sections stolen %d\n%!"
     batch
     (String.concat "-" (List.map string_of_int hidden))
     ms snap.Core.Observe.Counters.envs_reused
     snap.Core.Observe.Counters.parallel_sections
     snap.Core.Observe.Counters.tasks_stolen;
+  Printf.printf "  constant init: %.3f ms, %.3f minor words per weight element (%d)\n%!"
+    init_ms init_words_per_weight weights;
   let open Core.Observe.Json in
   Obj
     [
       ("batch", Int batch);
       ("hidden", List (List.map (fun h -> Int h) hidden));
       ("wallclock_ms", Float ms);
+      ("init_ms", Float init_ms);
+      ("init_words_per_weight", Float init_words_per_weight);
       ("envs_reused", Int snap.Core.Observe.Counters.envs_reused);
       ("tasks_stolen", Int snap.Core.Observe.Counters.tasks_stolen);
       ("parallel_sections", Int snap.Core.Observe.Counters.parallel_sections);
@@ -267,6 +297,19 @@ let validate file =
       (match Option.bind (member "mlp" j) (member "wallclock_ms") with
       | Some (Float _) -> ()
       | _ -> fail "missing mlp.wallclock_ms");
+      (match Option.bind (member "mlp" j) (member "init_ms") with
+      | Some (Float _) -> ()
+      | _ -> fail "missing mlp.init_ms");
+      (* the constant-init pin: weight prepack walks per-axis offset
+         tables and allocates (almost) nothing per weight element; the
+         per-element [Layout.offset] loop it replaced cost ~91 words *)
+      (match Option.bind (member "mlp" j) (member "init_words_per_weight") with
+      | Some (Float w) when w < 4. -> ()
+      | Some (Float w) ->
+          fail
+            (Printf.sprintf
+               "mlp.init_words_per_weight %.2f breaches the < 4 words pin" w)
+      | _ -> fail "missing mlp.init_words_per_weight");
       Printf.printf "%s: valid gc-bench-micro/1 document\n" file)
 
 (* ------------------------------------------------------------------ *)

@@ -273,9 +273,41 @@ let error_path_section w =
     | Ok _ -> ()
     | Error e -> failwith (Core.Errors.to_string e)
   in
-  let raw_rate = rate_of raw in
-  let checked_rate = rate_of checked in
-  let overhead_pct = (raw_rate -. checked_rate) /. raw_rate *. 100. in
+  (* Raw and checked run in alternating short bursts, first one then the
+     other, and the overhead is the median of the per-round rate ratios:
+     two long back-to-back measurements let host drift between them land
+     in the figure (it read -20% on one full run). *)
+  let burst f =
+    let t0 = Unix.gettimeofday () in
+    let iters = ref 0 in
+    while Unix.gettimeofday () -. t0 < !quota /. 4. do
+      f ();
+      incr iters
+    done;
+    float_of_int !iters /. (Unix.gettimeofday () -. t0)
+  in
+  raw ();
+  checked ();
+  let rounds =
+    Array.init 10 (fun r ->
+        if r mod 2 = 0 then
+          let rr = burst raw in
+          (rr, burst checked)
+        else
+          let cr = burst checked in
+          (burst raw, cr))
+  in
+  let median xs =
+    let xs = Array.copy xs in
+    Array.sort compare xs;
+    let n = Array.length xs in
+    (xs.((n - 1) / 2) +. xs.(n / 2)) /. 2.
+  in
+  let raw_rate = median (Array.map fst rounds) in
+  let checked_rate = median (Array.map snd rounds) in
+  let overhead_pct =
+    (1. -. median (Array.map (fun (rr, cr) -> cr /. rr) rounds)) *. 100.
+  in
   (* rejected input: first binding replaced by a wrong-shape tensor;
      validation bounces it before touching arena/env state *)
   let x_lt, _ = List.hd w.data in

@@ -29,10 +29,7 @@ let eval_op (op : Op.t) ~inputs =
             Ref_ops.conv2d ~out_dtype:out_lt.Logical_tensor.dtype ~strides
               ~pads ~dilations x w)
     | Reshape, [ a ] ->
-        let target = Shape.of_list (Attrs.ints_exn attrs "shape") in
-        Tensor.init (Tensor.dtype a) target (fun idx ->
-            Tensor.get a
-              (Shape.unoffset (Tensor.shape a) (Shape.offset target idx)))
+        Reorder.reshape a (Shape.of_list (Attrs.ints_exn attrs "shape"))
     | Gather, [ data; indices ] ->
         let dshape = Tensor.shape data in
         let drank = Shape.rank dshape in
@@ -69,10 +66,7 @@ let eval_op (op : Op.t) ~inputs =
     | Reorder, [ a ] -> Reorder.to_layout ~name:out_lt.name a out_lt.layout
     | Transpose, [ a ] ->
         Reorder.transpose a (Array.of_list (Attrs.ints_exn attrs "perm"))
-    | Broadcast, [ a ] ->
-        let target = out_lt.shape in
-        Tensor.init (Tensor.dtype a) target (fun idx ->
-            Tensor.get a (Shape.broadcast_index ~from:(Tensor.shape a) idx))
+    | Broadcast, [ a ] -> Reorder.broadcast a out_lt.shape
     | Reduce k, [ a ] ->
         Ref_ops.reduce (reduce_kind_of k)
           ~axis:(Attrs.int_exn attrs "axis")

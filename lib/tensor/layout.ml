@@ -71,6 +71,31 @@ let offset t shape idx =
       done;
       Shape.offset phys pidx
 
+(* Each physical dimension belongs to exactly one logical axis, so the
+   offset is a sum of per-axis terms: peel an index's block digits exactly
+   as [offset] does, but once per (axis, index) rather than per element. *)
+let axis_offsets t shape =
+  let rank = Shape.rank shape in
+  match t with
+  | Plain ->
+      let strides = Shape.row_major_strides shape in
+      Array.init rank (fun a ->
+          Array.init (Shape.dim shape a) (fun i -> i * strides.(a)))
+  | Blocked bs ->
+      let strides = Shape.row_major_strides (physical_dims t shape) in
+      let bs = Array.of_list bs in
+      Array.init rank (fun a ->
+          Array.init (Shape.dim shape a) (fun i ->
+              let residual = ref i and off = ref 0 in
+              for j = Array.length bs - 1 downto 0 do
+                let ax, s = bs.(j) in
+                if ax = a then begin
+                  off := !off + (!residual mod s * strides.(rank + j));
+                  residual := !residual / s
+                end
+              done;
+              !off + (!residual * strides.(a))))
+
 let blocked_2d ~outer_block ~inner_block = Blocked [ (0, outer_block); (1, inner_block) ]
 let blocked_2d_swapped ~outer_block ~inner_block = Blocked [ (1, inner_block); (0, outer_block) ]
 let vnni ~kb ~nb =

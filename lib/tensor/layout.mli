@@ -35,6 +35,14 @@ val physical_numel : t -> Shape.t -> int
     offset. For [Plain] this is the row-major offset. *)
 val offset : t -> Shape.t -> int array -> int
 
+(** [axis_offsets t shape] splits {!offset} into one table per logical
+    axis: [offset t shape idx] is the sum over axes [a] of
+    [tab.(a).(idx.(a))], and [tab.(a)] has [dim shape a] entries, the
+    first of them 0. Blocked layouts are affine per axis — block
+    digits of one axis never mix with another's — so a whole tensor's
+    offsets come from [sum (dims)] precomputed integers. *)
+val axis_offsets : t -> Shape.t -> int array array
+
 (** Standard layouts used by the matmul template (Figure 2/6):
     - [blocked_2d ~outer_block ~inner_block] blocks axis 0 by [outer_block]
       and axis 1 by [inner_block]: X[d0/b0, d1/b1, b0, b1].

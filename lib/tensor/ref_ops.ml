@@ -1,4 +1,12 @@
-let map f t = Tensor.init (Tensor.dtype t) (Tensor.shape t) (fun idx -> f (Tensor.get t idx))
+(* [f] of every element of [t] into a fresh plain [dtype] tensor. *)
+let map_to dtype f t =
+  let out = Tensor.create dtype (Tensor.shape t) in
+  let src = Tensor.buffer t and dst = Tensor.buffer out in
+  Walk.iter2 (Tensor.shape t) (Tensor.axis_offsets t) (Tensor.axis_offsets out)
+    (fun i j -> Buffer.unsafe_set dst j (f (Buffer.unsafe_get src i)));
+  out
+
+let map f t = map_to (Tensor.dtype t) f t
 
 let relu = map (fun x -> Float.max x 0.)
 let exp = map Stdlib.exp
@@ -52,10 +60,17 @@ let map2 f a b =
         else if Dtype.size_bytes da >= Dtype.size_bytes db then da
         else db
       in
-      Tensor.init dt out_shape (fun idx ->
-          let ia = Shape.broadcast_index ~from:(Tensor.shape a) idx in
-          let ib = Shape.broadcast_index ~from:(Tensor.shape b) idx in
-          f (Tensor.get a ia) (Tensor.get b ib))
+      let out = Tensor.create dt out_shape in
+      let ba = Tensor.buffer a and bb = Tensor.buffer b in
+      let dst = Tensor.buffer out in
+      Walk.iter3 out_shape
+        (Walk.broadcast (Tensor.axis_offsets a) ~from:(Tensor.shape a) out_shape)
+        (Walk.broadcast (Tensor.axis_offsets b) ~from:(Tensor.shape b) out_shape)
+        (Tensor.axis_offsets out)
+        (fun i j o ->
+          Buffer.unsafe_set dst o
+            (f (Buffer.unsafe_get ba i) (Buffer.unsafe_get bb j)));
+      out
 
 let add = map2 ( +. )
 let sub = map2 ( -. )
@@ -72,45 +87,43 @@ let reduce kind ~axis ~keepdims t =
   let axis = if axis < 0 then axis + rank else axis in
   if axis < 0 || axis >= rank then invalid_arg "Ref_ops.reduce: bad axis";
   let n = Shape.dim shape axis in
+  let kept =
+    Shape.of_list
+      (List.mapi (fun i d -> if i = axis then 1 else d) (Shape.to_list shape))
+  in
   let out_shape =
-    if keepdims then
-      Shape.of_list
-        (List.mapi
-           (fun i d -> if i = axis then 1 else d)
-           (Shape.to_list shape))
+    if keepdims then kept
     else Shape.of_list (List.filteri (fun i _ -> i <> axis) (Shape.to_list shape))
   in
   let dt = Tensor.dtype t in
   let out_dt = if Dtype.is_float dt then dt else Dtype.S32 in
-  Tensor.init out_dt out_shape (fun oidx ->
-      let iidx =
-        if keepdims then Array.copy oidx
-        else begin
-          let a = Array.make rank 0 in
-          let j = ref 0 in
-          for i = 0 to rank - 1 do
-            if i <> axis then begin
-              a.(i) <- oidx.(!j);
-              incr j
-            end
-          done;
-          a
-        end
-      in
-      let acc = ref None in
-      for k = 0 to n - 1 do
-        iidx.(axis) <- k;
-        let v = Tensor.get t iidx in
+  let out = Tensor.create out_dt out_shape in
+  (* Walk the input with the reduced axis pinned at 0; the output walks
+     the same index space, with a zero table at the axis when it is
+     dropped. The axis itself is the inner loop, seeded from element 0. *)
+  let tin = Tensor.axis_offsets t and tout = Tensor.axis_offsets out in
+  let taxis = tin.(axis) in
+  let tin = Array.mapi (fun a x -> if a = axis then [| 0 |] else x) tin in
+  let tout =
+    if keepdims then tout
+    else
+      Array.init rank (fun a ->
+          if a < axis then tout.(a) else if a = axis then [| 0 |] else tout.(a - 1))
+  in
+  let src = Tensor.buffer t and dst = Tensor.buffer out in
+  Walk.iter2 kept tin tout (fun i o ->
+      let acc = ref (if n = 0 then 0. else Buffer.unsafe_get src (i + taxis.(0))) in
+      for k = 1 to n - 1 do
+        let v = Buffer.unsafe_get src (i + taxis.(k)) in
         acc :=
-          Some
-            (match (!acc, kind) with
-            | None, _ -> v
-            | Some a, (Sum | Mean) -> a +. v
-            | Some a, Max -> Float.max a v
-            | Some a, Min -> Float.min a v)
+          match kind with
+          | Sum | Mean -> !acc +. v
+          | Max -> Float.max !acc v
+          | Min -> Float.min !acc v
       done;
-      let v = Option.value !acc ~default:0. in
-      match kind with Mean -> v /. float_of_int n | _ -> v)
+      Buffer.unsafe_set dst o
+        (match kind with Mean -> !acc /. float_of_int n | _ -> !acc));
+  out
 
 let is_int8 dt = match (dt : Dtype.t) with S8 | U8 -> true | _ -> false
 
@@ -140,41 +153,41 @@ let matmul ?out_dtype a b =
   in
   let out_shape = Shape.concat batch (Shape.of_list [ m; n ]) in
   let out = Tensor.create out_dt out_shape in
-  Shape.iter batch (fun bidx ->
-      let aidx = Array.append (Shape.broadcast_index ~from:batch_a bidx) [| 0; 0 |] in
-      let bidx' = Array.append (Shape.broadcast_index ~from:batch_b bidx) [| 0; 0 |] in
-      let oidx = Array.append bidx [| 0; 0 |] in
+  (* Batch offsets come from a walk over the batch shape; rows, k and
+     columns from the matrix axes' own tables. Per batch, A is read once
+     into a float row block and each column of B once into a float column,
+     so the K loop runs on unboxed floats while the extra memory stays one
+     A slice. k runs 0..K-1 into one double accumulator; for int8
+     operands every partial sum is an integer far below 2^53, so the
+     double is the exact s32 accumulation. *)
+  let ta = Tensor.axis_offsets a and tb = Tensor.axis_offsets b in
+  let tout = Tensor.axis_offsets out in
+  let rows = ta.(ra - 2) and ak = ta.(ra - 1) in
+  let bk = tb.(rb - 2) and cols = tb.(rb - 1) in
+  let ro = Shape.rank out_shape in
+  let orows = tout.(ro - 2) and ocols = tout.(ro - 1) in
+  let x = Tensor.buffer a and y = Tensor.buffer b and dst = Tensor.buffer out in
+  let arows = Array.make (m * ka) 0. and col = Array.make ka 0. in
+  Walk.iter3 batch
+    (Walk.broadcast (Array.sub ta 0 (ra - 2)) ~from:batch_a batch)
+    (Walk.broadcast (Array.sub tb 0 (rb - 2)) ~from:batch_b batch)
+    (Array.sub tout 0 (ro - 2))
+    (fun oa ob oo ->
       for i = 0 to m - 1 do
-        for j = 0 to n - 1 do
-          if int_path then begin
-            let acc = ref 0 in
-            for k = 0 to ka - 1 do
-              aidx.(ra - 2) <- i;
-              aidx.(ra - 1) <- k;
-              bidx'.(rb - 2) <- k;
-              bidx'.(rb - 1) <- j;
-              acc :=
-                !acc
-                + (int_of_float (Tensor.get a aidx)
-                  * int_of_float (Tensor.get b bidx'))
-            done;
-            oidx.(Array.length oidx - 2) <- i;
-            oidx.(Array.length oidx - 1) <- j;
-            Tensor.set out oidx (float_of_int !acc)
-          end
-          else begin
-            let acc = ref 0. in
-            for k = 0 to ka - 1 do
-              aidx.(ra - 2) <- i;
-              aidx.(ra - 1) <- k;
-              bidx'.(rb - 2) <- k;
-              bidx'.(rb - 1) <- j;
-              acc := !acc +. (Tensor.get a aidx *. Tensor.get b bidx')
-            done;
-            oidx.(Array.length oidx - 2) <- i;
-            oidx.(Array.length oidx - 1) <- j;
-            Tensor.set out oidx !acc
-          end
+        for k = 0 to ka - 1 do
+          arows.((i * ka) + k) <- Buffer.unsafe_get x (oa + rows.(i) + ak.(k))
+        done
+      done;
+      for j = 0 to n - 1 do
+        for k = 0 to ka - 1 do
+          col.(k) <- Buffer.unsafe_get y (ob + bk.(k) + cols.(j))
+        done;
+        for i = 0 to m - 1 do
+          let acc = ref 0. in
+          for k = 0 to ka - 1 do
+            acc := !acc +. (arows.((i * ka) + k) *. col.(k))
+          done;
+          Buffer.unsafe_set dst (oo + orows.(i) + ocols.(j)) !acc
         done
       done);
   out
@@ -256,9 +269,7 @@ let softmax ~axis t =
 
 let quantize ~scale ~zp dtype t =
   if not (is_int8 dtype) then invalid_arg "Ref_ops.quantize: dtype must be u8/s8";
-  Tensor.init dtype (Tensor.shape t) (fun idx ->
-      Float.round (Tensor.get t idx /. scale) +. float_of_int zp)
+  map_to dtype (fun x -> Float.round (x /. scale) +. float_of_int zp) t
 
 let dequantize ~scale ~zp t =
-  Tensor.init Dtype.F32 (Tensor.shape t) (fun idx ->
-      (Tensor.get t idx -. float_of_int zp) *. scale)
+  map_to Dtype.F32 (fun x -> (x -. float_of_int zp) *. scale) t

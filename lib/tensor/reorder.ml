@@ -1,14 +1,17 @@
-let to_layout ?name t layout =
-  let out = Tensor.create ?name ~layout (Tensor.dtype t) (Tensor.shape t) in
-  Shape.iter (Tensor.shape t) (fun idx -> Tensor.set out idx (Tensor.get t idx));
+(* Fresh tensor [out] holding [t]'s elements, [t]'s axis [a] read through
+   [src_tabs.(a)]: every op below is one walk over [out]'s logical shape. *)
+let fill_from ~src_tabs t out =
+  Walk.copy (Tensor.shape out) ~src:(Tensor.buffer t) src_tabs
+    ~dst:(Tensor.buffer out) (Tensor.axis_offsets out);
   out
 
+let to_layout ?name t layout =
+  fill_from ~src_tabs:(Tensor.axis_offsets t) t
+    (Tensor.create ?name ~layout (Tensor.dtype t) (Tensor.shape t))
+
 let cast ?name t dtype =
-  let out =
-    Tensor.create ?name ~layout:(Tensor.layout t) dtype (Tensor.shape t)
-  in
-  Shape.iter (Tensor.shape t) (fun idx -> Tensor.set out idx (Tensor.get t idx));
-  out
+  fill_from ~src_tabs:(Tensor.axis_offsets t) t
+    (Tensor.create ?name ~layout:(Tensor.layout t) dtype (Tensor.shape t))
 
 let transpose t perm =
   let shape = Tensor.shape t in
@@ -22,35 +25,21 @@ let transpose t perm =
       seen.(p) <- true)
     perm;
   let out_shape = Shape.of_array (Array.map (Shape.dim shape) perm) in
-  let out = Tensor.create (Tensor.dtype t) out_shape in
-  Shape.iter out_shape (fun oidx ->
-      let iidx = Array.make rank 0 in
-      Array.iteri (fun i p -> iidx.(p) <- oidx.(i)) perm;
-      Tensor.set out oidx (Tensor.get t iidx));
-  out
+  let src = Tensor.axis_offsets t in
+  fill_from ~src_tabs:(Array.map (fun p -> src.(p)) perm) t
+    (Tensor.create (Tensor.dtype t) out_shape)
 
-let pad t target =
+let broadcast t target =
+  fill_from
+    ~src_tabs:(Walk.broadcast (Tensor.axis_offsets t) ~from:(Tensor.shape t) target)
+    t
+    (Tensor.create (Tensor.dtype t) target)
+
+let reshape t target =
   let shape = Tensor.shape t in
-  if Shape.rank target <> Shape.rank shape then
-    invalid_arg "Reorder.pad: rank mismatch";
-  for i = 0 to Shape.rank shape - 1 do
-    if Shape.dim target i < Shape.dim shape i then
-      invalid_arg "Reorder.pad: target smaller than source"
-  done;
-  let out = Tensor.create (Tensor.dtype t) target in
-  Shape.iter shape (fun idx -> Tensor.set out idx (Tensor.get t idx));
-  out
-
-let unpad t target =
-  let shape = Tensor.shape t in
-  if Shape.rank target <> Shape.rank shape then
-    invalid_arg "Reorder.unpad: rank mismatch";
-  for i = 0 to Shape.rank shape - 1 do
-    if Shape.dim target i > Shape.dim shape i then
-      invalid_arg "Reorder.unpad: target larger than source"
-  done;
-  let out = Tensor.create (Tensor.dtype t) target in
-  Shape.iter target (fun idx -> Tensor.set out idx (Tensor.get t idx));
-  out
-
-let moved_elements shape = 2 * Shape.numel shape
+  if Shape.numel target <> Shape.numel shape then
+    invalid_arg
+      (Printf.sprintf "Reorder.reshape: %s has %d elements, %s has %d"
+         (Shape.to_string shape) (Shape.numel shape) (Shape.to_string target)
+         (Shape.numel target));
+  Tensor.of_buffer target (Tensor.buffer (to_layout t Layout.Plain))

@@ -1,6 +1,7 @@
-(** Layout conversion, dtype casts and padding — the data-movement
-    operations the compiler inserts at graph boundaries and between Tunable
-    OPs with mismatched blocked layouts. *)
+(** Layout conversion, dtype casts, transposes, broadcasts and reshapes —
+    the data-movement operations the compiler inserts at graph boundaries
+    and between Tunable OPs with mismatched blocked layouts. Each is one
+    {!Walk} over the logical shape. *)
 
 (** [to_layout t layout] copies [t] into a fresh tensor with the same
     logical contents under [layout]. Block padding is zero-filled. [name]
@@ -13,13 +14,11 @@ val cast : ?name:string -> Tensor.t -> Dtype.t -> Tensor.t
 (** [transpose t perm] permutes logical dimensions; result is plain. *)
 val transpose : Tensor.t -> int array -> Tensor.t
 
-(** [pad t target] zero-pads each dimension of [t] up to [target]
-    (dimension-wise ≥ check). Result is plain. *)
-val pad : Tensor.t -> Shape.t -> Tensor.t
+(** [broadcast t target] expands [t] to the NumPy-broadcast shape
+    [target]; result is plain. *)
+val broadcast : Tensor.t -> Shape.t -> Tensor.t
 
-(** [unpad t target] crops each dimension down to [target]. *)
-val unpad : Tensor.t -> Shape.t -> Tensor.t
-
-(** Number of elements moved by a reorder between two layouts of the same
-    logical shape — the cost-model quantity. *)
-val moved_elements : Shape.t -> int
+(** [reshape t target] reads [t] in row-major logical order into a plain
+    tensor of shape [target]. Raises [Invalid_argument] when the element
+    counts differ. *)
+val reshape : Tensor.t -> Shape.t -> Tensor.t

@@ -69,12 +69,6 @@ let broadcast a b =
   done;
   if !ok then Some out else None
 
-let broadcast_index ~from idx =
-  let rf = Array.length from and ri = Array.length idx in
-  Array.init rf (fun i ->
-      let j = i + (ri - rf) in
-      if j < 0 then 0 else if from.(i) = 1 then 0 else idx.(j))
-
 let iter t f =
   let n = numel t in
   if Array.length t = 0 then (if n > 0 then f [||])

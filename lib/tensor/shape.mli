@@ -40,10 +40,6 @@ val unoffset : t -> int -> int array
     leading dimensions are treated as 1. *)
 val broadcast : t -> t -> t option
 
-(** [broadcast_index ~from idx] maps an index in the broadcast shape back to
-    an index into [from] (dimensions of size 1 clamp to 0). *)
-val broadcast_index : from:t -> int array -> int array
-
 (** [iter t f] calls [f] on every multi-index of [t] in row-major order. *)
 val iter : t -> (int array -> unit) -> unit
 

@@ -20,6 +20,7 @@ let shape t = t.shape
 let layout t = t.layout
 let buffer t = t.buffer
 let numel t = Shape.numel t.shape
+let axis_offsets t = Layout.axis_offsets t.layout t.shape
 let get t idx = Buffer.get t.buffer (Layout.offset t.layout t.shape idx)
 let set t idx v = Buffer.set t.buffer (Layout.offset t.layout t.shape idx) v
 
@@ -73,12 +74,9 @@ let fill t v = Buffer.fill t.buffer v
 let copy t = { t with buffer = Buffer.copy t.buffer }
 
 let to_float_array t =
-  let n = numel t in
-  let out = Array.make (max n 0) 0. in
-  let i = ref 0 in
-  Shape.iter t.shape (fun idx ->
-      out.(!i) <- get t idx;
-      incr i);
+  let out = Array.make (numel t) 0. in
+  Walk.iter2 t.shape (axis_offsets t) (Layout.axis_offsets Plain t.shape)
+    (fun i j -> out.(j) <- Buffer.unsafe_get t.buffer i);
   out
 
 let iter t f = Shape.iter t.shape (fun idx -> f idx (get t idx))
@@ -131,6 +129,11 @@ let same_suffix a b =
   done;
   !ok
 
+(* Copy the origin-anchored [region] of [src] into [dst]. *)
+let walk_region region src dst =
+  Walk.copy region ~src:src.buffer (axis_offsets src) ~dst:dst.buffer
+    (axis_offsets dst)
+
 let pad_to t target =
   require_plain "Tensor.pad_to" t;
   if Shape.equal t.shape target then t
@@ -146,7 +149,7 @@ let pad_to t target =
     let out = create t.dtype target in
     if same_suffix t.shape target then
       Buffer.copy_range ~src:t.buffer ~soff:0 ~dst:out.buffer ~doff:0 (numel t)
-    else Shape.iter t.shape (fun idx -> set out idx (get t idx));
+    else walk_region t.shape t out;
     out
   end
 
@@ -166,7 +169,7 @@ let slice_to t target =
     if same_suffix t.shape target then
       Buffer.copy_range ~src:t.buffer ~soff:0 ~dst:out.buffer ~doff:0
         (Shape.numel target)
-    else Shape.iter target (fun idx -> set out idx (get t idx));
+    else walk_region target t out;
     out
   end
 

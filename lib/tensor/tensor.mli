@@ -21,6 +21,10 @@ val layout : t -> Layout.t
 val buffer : t -> Buffer.t
 val numel : t -> int
 
+(** Per-axis offset tables of [t]'s storage,
+    [Layout.axis_offsets (layout t) (shape t)], for {!Walk}. *)
+val axis_offsets : t -> int array array
+
 (** [get t idx] / [set t idx v]: logical multi-index access through the
     layout. *)
 val get : t -> int array -> float

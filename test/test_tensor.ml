@@ -279,10 +279,10 @@ let test_reorder_transpose () =
 
 let test_reorder_pad_unpad () =
   let t = Tensor.random ~seed:2 Dtype.F32 (sh [ 3; 5 ]) in
-  let p = Reorder.pad t (sh [ 4; 8 ]) in
+  let p = Tensor.pad_to t (sh [ 4; 8 ]) in
   Alcotest.(check (float 0.)) "pad zero" 0. (Tensor.get p [| 3; 7 |]);
   Alcotest.(check (float 0.)) "pad keep" (Tensor.get t [| 2; 4 |]) (Tensor.get p [| 2; 4 |]);
-  let u = Reorder.unpad p (sh [ 3; 5 ]) in
+  let u = Tensor.slice_to p (sh [ 3; 5 ]) in
   Alcotest.(check bool) "unpad" true (Tensor.equal t u)
 
 (* ------------------------------------------------------------------ *)
@@ -454,6 +454,288 @@ let prop_matmul_distributes_over_add =
       let rhs = Ref_ops.add (Ref_ops.matmul a b) (Ref_ops.matmul a c) in
       Tensor.allclose ~rtol:1e-4 ~atol:1e-5 lhs rhs)
 
+(* ------------------------------------------------------------------ *)
+(* Walker oracle: the per-element data movement the reference evaluator
+   ran before its ops moved onto [Walk] — one [Layout.offset] per access
+   over [Shape.iter]. The walked ops must match it bit for bit, block
+   padding included, since the reference is every other test's oracle. *)
+
+module Oracle = struct
+  let fill t out =
+    Shape.iter (Tensor.shape t) (fun idx -> Tensor.set out idx (Tensor.get t idx));
+    out
+
+  let to_layout t layout =
+    fill t (Tensor.create ~layout (Tensor.dtype t) (Tensor.shape t))
+
+  let cast t dtype =
+    fill t (Tensor.create ~layout:(Tensor.layout t) dtype (Tensor.shape t))
+
+  let transpose t perm =
+    let shape = Tensor.shape t in
+    let out_shape = Shape.of_array (Array.map (Shape.dim shape) perm) in
+    let out = Tensor.create (Tensor.dtype t) out_shape in
+    Shape.iter out_shape (fun oidx ->
+        let iidx = Array.make (Array.length perm) 0 in
+        Array.iteri (fun i p -> iidx.(p) <- oidx.(i)) perm;
+        Tensor.set out oidx (Tensor.get t iidx));
+    out
+
+  let broadcast_index ~from idx =
+    let from = Shape.to_array from in
+    let rf = Array.length from and ri = Array.length idx in
+    Array.init rf (fun i ->
+        let j = i + (ri - rf) in
+        if j < 0 then 0 else if from.(i) = 1 then 0 else idx.(j))
+
+  let broadcast t target =
+    Tensor.init (Tensor.dtype t) target (fun idx ->
+        Tensor.get t (broadcast_index ~from:(Tensor.shape t) idx))
+
+  let reshape t target =
+    Tensor.init (Tensor.dtype t) target (fun idx ->
+        Tensor.get t (Shape.unoffset (Tensor.shape t) (Shape.offset target idx)))
+
+  let map2 dt f a b out_shape =
+    Tensor.init dt out_shape (fun idx ->
+        f
+          (Tensor.get a (broadcast_index ~from:(Tensor.shape a) idx))
+          (Tensor.get b (broadcast_index ~from:(Tensor.shape b) idx)))
+
+  let reduce (kind : Ref_ops.reduce_kind) ~axis ~keepdims t =
+    let shape = Tensor.shape t in
+    let rank = Shape.rank shape in
+    let n = Shape.dim shape axis in
+    let out_shape =
+      if keepdims then
+        Shape.of_list (List.mapi (fun i d -> if i = axis then 1 else d) (Shape.to_list shape))
+      else Shape.of_list (List.filteri (fun i _ -> i <> axis) (Shape.to_list shape))
+    in
+    let dt = Tensor.dtype t in
+    let out_dt = if Dtype.is_float dt then dt else Dtype.S32 in
+    Tensor.init out_dt out_shape (fun oidx ->
+        let iidx =
+          if keepdims then Array.copy oidx
+          else begin
+            let a = Array.make rank 0 and j = ref 0 in
+            for i = 0 to rank - 1 do
+              if i <> axis then begin
+                a.(i) <- oidx.(!j);
+                incr j
+              end
+            done;
+            a
+          end
+        in
+        let acc = ref None in
+        for k = 0 to n - 1 do
+          iidx.(axis) <- k;
+          let v = Tensor.get t iidx in
+          acc :=
+            Some
+              (match (!acc, kind) with
+              | None, _ -> v
+              | Some a, (Sum | Mean) -> a +. v
+              | Some a, Max -> Float.max a v
+              | Some a, Min -> Float.min a v)
+        done;
+        let v = Option.value !acc ~default:0. in
+        match kind with Mean -> v /. float_of_int n | _ -> v)
+
+  let matmul ~int_path out_dt a b =
+    let sa = Tensor.shape a and sb = Tensor.shape b in
+    let ra = Shape.rank sa and rb = Shape.rank sb in
+    let m = Shape.dim sa (ra - 2) and ka = Shape.dim sa (ra - 1) in
+    let n = Shape.dim sb (rb - 1) in
+    let batch_a = Shape.sub sa 0 (ra - 2) and batch_b = Shape.sub sb 0 (rb - 2) in
+    let batch = Option.get (Shape.broadcast batch_a batch_b) in
+    let out = Tensor.create out_dt (Shape.concat batch (sh [ m; n ])) in
+    Shape.iter batch (fun bidx ->
+        let aidx = Array.append (broadcast_index ~from:batch_a bidx) [| 0; 0 |] in
+        let bidx' = Array.append (broadcast_index ~from:batch_b bidx) [| 0; 0 |] in
+        let oidx = Array.append bidx [| 0; 0 |] in
+        let ro = Array.length oidx in
+        for i = 0 to m - 1 do
+          for j = 0 to n - 1 do
+            aidx.(ra - 2) <- i;
+            bidx'.(rb - 1) <- j;
+            oidx.(ro - 2) <- i;
+            oidx.(ro - 1) <- j;
+            let iacc = ref 0 and facc = ref 0. in
+            for k = 0 to ka - 1 do
+              aidx.(ra - 1) <- k;
+              bidx'.(rb - 2) <- k;
+              let x = Tensor.get a aidx and y = Tensor.get b bidx' in
+              if int_path then iacc := !iacc + (int_of_float x * int_of_float y)
+              else facc := !facc +. (x *. y)
+            done;
+            Tensor.set out oidx (if int_path then float_of_int !iacc else !facc)
+          done
+        done);
+    out
+end
+
+(* Same dtype, shape, layout and stored bits in every physical slot. *)
+let same_bits a b =
+  let x = Tensor.buffer a and y = Tensor.buffer b in
+  Dtype.equal (Tensor.dtype a) (Tensor.dtype b)
+  && Shape.equal (Tensor.shape a) (Tensor.shape b)
+  && Layout.equal (Tensor.layout a) (Tensor.layout b)
+  && Buffer.length x = Buffer.length y
+  &&
+  let ok = ref true in
+  for i = 0 to Buffer.length x - 1 do
+    if Int64.bits_of_float (Buffer.get x i) <> Int64.bits_of_float (Buffer.get y i)
+    then ok := false
+  done;
+  !ok
+
+(* Shapes of rank 1-4 whose dims rarely divide the blocks below. *)
+let gen_shape st =
+  Array.init (1 + Random.State.int st 4) (fun _ -> 1 + Random.State.int st 7)
+
+(* Plain, one or two random blocks on random axes (an axis may repeat),
+   or the matmul template layouts (swapped inner blocks, VNNI) on the last
+   two axes. *)
+let gen_layout st dims =
+  let rank = Array.length dims in
+  let block () = (Random.State.int st rank, 1 + Random.State.int st 5) in
+  match Random.State.int st 5 with
+  | 0 -> Layout.Plain
+  | 1 -> Layout.Blocked [ block () ]
+  | 2 -> Layout.Blocked [ block (); block (); block () ]
+  | 3 when rank >= 2 ->
+      Layout.batched ~rank
+        (Layout.blocked_2d_swapped ~outer_block:(1 + Random.State.int st 4)
+           ~inner_block:(1 + Random.State.int st 4))
+  | _ when rank >= 2 ->
+      Layout.batched ~rank
+        (Layout.vnni ~kb:(4 * (1 + Random.State.int st 2)) ~nb:(1 + Random.State.int st 4))
+  | _ -> Layout.Blocked [ block (); block () ]
+
+(* Magnitudes beyond int8 (saturation), half of them eighths (rounding
+   ties) and half full-mantissa floats, whose sums round differently in
+   another order; integer dtypes round and saturate them on store. *)
+let gen_tensor st dtype dims =
+  let layout = gen_layout st dims in
+  Tensor.init ~layout dtype (Shape.of_array dims) (fun _ ->
+      if Random.State.bool st then float_of_int (Random.State.int st 2400 - 1200) /. 8.
+      else Random.State.float st 300. -. 150.)
+
+let gen_dtype st = List.nth Dtype.all (Random.State.int st (List.length Dtype.all))
+
+let prop_axis_offsets_sum =
+  QCheck.Test.make ~name:"axis_offsets sum to Layout.offset" ~count:300
+    QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let dims = gen_shape st in
+      let shape = Shape.of_array dims and l = gen_layout st dims in
+      let tabs = Layout.axis_offsets l shape in
+      let ok = ref true in
+      Shape.iter shape (fun idx ->
+          let s = ref 0 in
+          Array.iteri (fun a i -> s := !s + tabs.(a).(i)) idx;
+          if !s <> Layout.offset l shape idx then ok := false);
+      !ok)
+
+let prop_moves_match_oracle =
+  QCheck.Test.make ~name:"to_layout/cast/transpose/broadcast/reshape = oracle"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let dims = gen_shape st in
+      let t = gen_tensor st (gen_dtype st) dims in
+      let target = gen_layout st dims in
+      let dt = gen_dtype st in
+      let perm = Array.init (Array.length dims) Fun.id in
+      for i = Array.length perm - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- x
+      done;
+      let wide = Shape.of_array (Array.append [| 2 |] dims) in
+      let flat = sh [ Array.fold_left ( * ) 1 dims ] in
+      same_bits (Reorder.to_layout t target) (Oracle.to_layout t target)
+      && same_bits (Reorder.cast t dt) (Oracle.cast t dt)
+      && same_bits (Reorder.transpose t perm) (Oracle.transpose t perm)
+      && same_bits (Reorder.broadcast t wide) (Oracle.broadcast t wide)
+      && same_bits (Reorder.reshape t flat) (Oracle.reshape t flat))
+
+let prop_ref_ops_match_oracle =
+  QCheck.Test.make ~name:"map2/reduce/matmul = oracle" ~count:200
+    QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let dims = gen_shape st in
+      let rank = Array.length dims in
+      let a = gen_tensor st (gen_dtype st) dims in
+      (* b broadcasts into a: a suffix of a's dims, some forced to 1 *)
+      let drop = Random.State.int st rank in
+      let bdims =
+        Array.map
+          (fun d -> if Random.State.bool st then 1 else d)
+          (Array.sub dims drop (rank - drop))
+      in
+      let b = gen_tensor st (gen_dtype st) bdims in
+      let a, b = if Random.State.bool st then (a, b) else (b, a) in
+      let out_shape = Option.get (Shape.broadcast (Tensor.shape a) (Tensor.shape b)) in
+      let sum = Ref_ops.add a b in
+      let map2_ok =
+        same_bits sum (Oracle.map2 (Tensor.dtype sum) ( +. ) a b out_shape)
+      in
+      let reduce_ok =
+        List.for_all
+          (fun kind ->
+            List.for_all
+              (fun keepdims ->
+                let axis = Random.State.int st (Shape.rank (Tensor.shape a)) in
+                same_bits
+                  (Ref_ops.reduce kind ~axis ~keepdims a)
+                  (Oracle.reduce kind ~axis ~keepdims a))
+              [ true; false ])
+          [ Ref_ops.Sum; Max; Min; Mean ]
+      in
+      (* [batch?; m; k] x [k; n] (or batched both sides) *)
+      let m = 1 + Random.State.int st 6 and k = 1 + Random.State.int st 9 in
+      let n = 1 + Random.State.int st 6 in
+      let bt = if Random.State.bool st then [| 1 + Random.State.int st 3 |] else [||] in
+      let xdims = Array.append bt [| m; k |] in
+      let ydims = Array.append (if Random.State.bool st then bt else [||]) [| k; n |] in
+      let matmul_ok (dx, dy, out_dt, int_path) =
+        let x = gen_tensor st dx xdims and y = gen_tensor st dy ydims in
+        same_bits
+          (Ref_ops.matmul ~out_dtype:out_dt x y)
+          (Oracle.matmul ~int_path out_dt x y)
+      in
+      map2_ok && reduce_ok
+      && List.for_all matmul_ok
+           [
+             (Dtype.U8, Dtype.S8, Dtype.S32, true);
+             (Dtype.S8, Dtype.S8, Dtype.S32, true);
+             (Dtype.F32, Dtype.F32, Dtype.F32, false);
+             (Dtype.F32, Dtype.F32, Dtype.Bf16, false);
+           ])
+
+(* Allocation pins, in minor-heap words per element: deterministic where
+   a timing pin is not. The walk allocates its tables (sum of the dims)
+   and nothing per element; per-element [Layout.offset] cost ~91. *)
+let words_per_elem n f =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_walk_allocation () =
+  let shape = sh [ 512; 256 ] in
+  let n = Shape.numel shape in
+  let w = Tensor.random ~seed:3 Dtype.F32 shape in
+  let blocked = Layout.Blocked [ (1, 16); (0, 64) ] in
+  let per = words_per_elem n (fun () -> Reorder.to_layout w blocked) in
+  if per >= 0.05 then Alcotest.failf "to_layout: %.3f words/element" per;
+  let q = Tensor.random ~seed:4 ~lo:(-128.) ~hi:127. Dtype.S8 shape in
+  let per = words_per_elem n (fun () -> Reorder.cast q Dtype.F32) in
+  if per > 3. then Alcotest.failf "cast s8->f32: %.3f words/element" per;
+  let per = words_per_elem n (fun () -> Ref_ops.reduce Sum ~axis:0 ~keepdims:false q) in
+  if per > 3. then Alcotest.failf "reduce sum: %.3f words/element" per
+
 let () =
   Alcotest.run "gc_tensor"
     [
@@ -504,6 +786,7 @@ let () =
           Alcotest.test_case "cast" `Quick test_reorder_cast;
           Alcotest.test_case "transpose" `Quick test_reorder_transpose;
           Alcotest.test_case "pad/unpad" `Quick test_reorder_pad_unpad;
+          Alcotest.test_case "walk allocation" `Quick test_walk_allocation;
         ] );
       ( "ref_ops",
         [
@@ -526,5 +809,8 @@ let () =
             prop_blocked_layout_roundtrip;
             prop_softmax_rows_sum_to_one;
             prop_matmul_distributes_over_add;
+            prop_axis_offsets_sum;
+            prop_moves_match_oracle;
+            prop_ref_ops_match_oracle;
           ] );
     ]
