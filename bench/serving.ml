@@ -264,6 +264,12 @@ let latency_us f =
   let pct q = lat.(min (n - 1) (int_of_float (q *. float_of_int n))) *. 1e6 in
   (pct 0.50, pct 0.99)
 
+let median xs =
+  let xs = Array.copy xs in
+  Array.sort compare xs;
+  let n = Array.length xs in
+  (xs.((n - 1) / 2) +. xs.(n / 2)) /. 2.
+
 let error_path_section w =
   let compiled = Core.compile ~config:(config ()) w.graph in
   let art = Core.Fixed compiled in
@@ -296,12 +302,6 @@ let error_path_section w =
         else
           let cr = burst checked in
           (burst raw, cr))
-  in
-  let median xs =
-    let xs = Array.copy xs in
-    Array.sort compare xs;
-    let n = Array.length xs in
-    (xs.((n - 1) / 2) +. xs.(n / 2)) /. 2.
   in
   let raw_rate = median (Array.map fst rounds) in
   let checked_rate = median (Array.map snd rounds) in
@@ -1174,41 +1174,65 @@ let multimodel_section mode =
     List.iter Thread.join threads;
     (rps, calls, Atomic.get submitted, Atomic.get resolved)
   in
+  let heal () =
+    let deadline = Unix.gettimeofday () +. 10. in
+    while
+      ((Serve.stats server).Serve.workers_live < workers
+      || (Serve.tier_health server).Supervise.ch_level <> Supervise.Healthy)
+      && Unix.gettimeofday () < deadline
+    do
+      Thread.delay 0.001
+    done
+  in
   let dr0 = Serve.double_resolve_count () in
-  let rps_a, _, _, _ = burst () in
-  let rps_b, _, _, _ = burst () in
-  let baseline = Array.map2 Float.max rps_a rps_b in
-  Fault.configure ~seed:11 ~slow_ms:10
-    (Printf.sprintf "worker_death:25@%s,stuck_worker:40@%s" hot_name hot_name);
-  (* best-of-2 under chaos too: the baseline is a max of two windows, so a
-     single chaos window would eat measurement noise twice — once as noise,
-     once as the max-vs-sample bias. Faults stay armed across both windows
-     and the ticket accounting sums them, so the zero-lost pin still covers
-     every submitted request. *)
-  let chaos_a, calls_a, sub_a, res_a = burst () in
-  let chaos_b, calls_b, sub_b, res_b = burst () in
-  let chaos = Array.map2 Float.max chaos_a chaos_b in
-  let chaos_calls = Array.map2 ( + ) calls_a calls_b in
-  let chaos_sub = sub_a + sub_b and chaos_res = res_a + res_b in
-  let deaths = Fault.fire_count Fault.site_worker_death in
-  let stucks = Fault.fire_count Fault.site_stuck_worker in
-  Fault.clear ();
-  (* heal before the next phase *)
-  let deadline = Unix.gettimeofday () +. 10. in
-  while
-    ((Serve.stats server).Serve.workers_live < workers
-    || (Serve.tier_health server).Supervise.ch_level <> Supervise.Healthy)
-    && Unix.gettimeofday () < deadline
-  do
-    Thread.delay 0.001
-  done;
+  (* Calm and chaos bursts alternate, first one then the other, and each
+     tenant's chaos_ratio is the median of its per-round ratios: with every
+     calm burst ahead of every chaos burst, host drift between the two
+     halves landed in the ratio (a cold tenant read 0.83 on unchanged
+     code). Faults are armed for the chaos burst only, the tier heals
+     before the next burst, and the ticket accounting sums every chaos
+     burst, so the zero-lost pin still covers every submitted request. *)
+  let n = List.length workloads in
+  let deaths = ref 0 and stucks = ref 0 in
+  let chaos_calls = Array.make n 0 in
+  let chaos_sub = ref 0 and chaos_res = ref 0 in
+  let calm () =
+    let rps, _, _, _ = burst () in
+    rps
+  in
+  let chaos r =
+    Fault.configure ~seed:(11 + r) ~slow_ms:10
+      (Printf.sprintf "worker_death:25@%s,stuck_worker:40@%s" hot_name hot_name);
+    let rps, calls, sub, res = burst () in
+    deaths := !deaths + Fault.fire_count Fault.site_worker_death;
+    stucks := !stucks + Fault.fire_count Fault.site_stuck_worker;
+    Fault.clear ();
+    Array.iteri (fun i c -> chaos_calls.(i) <- chaos_calls.(i) + c) calls;
+    chaos_sub := !chaos_sub + sub;
+    chaos_res := !chaos_res + res;
+    heal ();
+    rps
+  in
+  let rounds =
+    Array.init 5 (fun r ->
+        if r mod 2 = 0 then
+          let c = calm () in
+          (c, chaos r)
+        else
+          let x = chaos r in
+          (calm (), x))
+  in
+  let per_tenant f = Array.init n (fun i -> median (Array.map (f i) rounds)) in
+  let baseline = per_tenant (fun i (c, _) -> c.(i)) in
+  let chaos = per_tenant (fun i (_, x) -> x.(i)) in
+  let ratio = per_tenant (fun i (c, x) -> if c.(i) > 0. then x.(i) /. c.(i) else 0.) in
+  let deaths = !deaths and stucks = !stucks in
+  let chaos_sub = !chaos_sub and chaos_res = !chaos_res in
   let double_resolves = Serve.double_resolve_count () - dr0 in
   let tenant_json =
     List.mapi
       (fun rank (name, _, _) ->
-        let ratio =
-          if baseline.(rank) > 0. then chaos.(rank) /. baseline.(rank) else 0.
-        in
+        let ratio = ratio.(rank) in
         let role = if name = hot_name then "hot" else "cold" in
         Printf.printf
           "  %-9s %-4s baseline %7.1f req/s  under hot-scoped chaos %7.1f \

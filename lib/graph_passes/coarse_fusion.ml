@@ -143,39 +143,33 @@ let run ?(retune_tolerance = 1.2) ~machine (g : Fused_op.graph) =
                           { f with Fused_op.merge_tag = Some tag; params = Some p })
                         chain tuned
                     in
-    (* re-publish the connecting activations and the prepacked
-                       constant weights in the re-tuned blocked layouts
+                    (* re-publish the prepacked constant weights and the
+                       activation chains in the re-tuned blocked layouts
                        (the init-graph reorders follow the logical
-                       tensors' layouts) *)
+                       tensors' layouts); every blocked tensor a member
+                       produces — its matmul output and post-op outputs —
+                       is on a chain layout propagation published *)
                     List.iter
                       (fun (f : Fused_op.t) ->
                         match (f.params, f.tunable) with
-                        | Some p, Some tun -> (
-                            match tun.inputs with
+                        | Some p, Some tun ->
+                            (match tun.inputs with
                             | [ _; b ]
                               when Logical_tensor.is_constant b
                                    && Gc_tensor.Layout.is_blocked b.layout ->
                                 b.layout <- Params.b_layout p
-                            | _ -> ())
+                            | _ -> ());
+                            List.iter
+                              (fun (op : Op.t) ->
+                                let o = Op.output op in
+                                if Gc_tensor.Layout.is_blocked o.layout then
+                                  o.layout <- Params.c_layout p)
+                              (tun
+                              :: List.concat_map
+                                   (fun (g : Fused_op.post_group) -> g.g_ops)
+                                   f.post_groups)
                         | _ -> ())
                       chain';
-                    let rec relayout = function
-                      | (f1 : Fused_op.t) :: ((f2 : Fused_op.t) :: _ as rest) ->
-                          (match f1.params with
-                          | Some p1 ->
-                              List.iter
-                                (fun (o : Logical_tensor.t) ->
-                                  if
-                                    Gc_tensor.Layout.is_blocked o.layout
-                                    && List.exists (Logical_tensor.equal o)
-                                         f2.f_inputs
-                                  then o.layout <- Params.c_layout p1)
-                                f1.f_outputs
-                          | None -> ());
-                          relayout rest
-                      | _ -> ()
-                    in
-                    relayout chain';
                     chain'
                 | None -> chain))
       (chains g.fused)

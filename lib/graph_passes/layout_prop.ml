@@ -37,9 +37,39 @@ let choose_params ~machine (mm : Op.t) =
       let m, n, k, batch = problem_of mm in
       Heuristic.choose ~machine ~dtype:(dtype_of mm) ~batch ~m ~n ~k ()
 
+(* The activation chain published from a 2-D matmul's output [c]: walk
+   single-consumer, same-shape elementwise ops (eltwise unary/binary,
+   casts — the dequant→relu→requant post-ops) up to a fan-out or a graph
+   output. [Some chain] when the walk ends at a tensor that only 2-D
+   matmuls read as their A operand; a matmul reading [c] directly is the
+   zero-length walk. *)
+let activation_chain g (c : Logical_tensor.t) =
+  let elementwise (op : Op.t) =
+    match Op_kind.category op.kind with
+    | Fusible (Eltwise_unary | Eltwise_binary) ->
+        Shape.equal (Op.output op).shape c.shape
+    | _ -> false
+  in
+  let reads_as_a t (op : Op.t) =
+    op.kind = Op_kind.Matmul
+    && Shape.rank (Op.output op).shape = 2
+    && Logical_tensor.equal (List.hd op.inputs) t
+  in
+  let rec walk chain (t : Logical_tensor.t) =
+    if Graph.is_output g t then None
+    else
+      match Graph.consumers g t with
+      | [ op ] when elementwise op -> walk (t :: chain) (Op.output op)
+      | [] -> None
+      | ops -> if List.for_all (reads_as_a t) ops then Some (t :: chain) else None
+  in
+  walk [] c
+
 let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
     (g : Graph.t) =
   let params : (int, Params.t) Hashtbl.t = Hashtbl.create 16 in
+  (* published chains by the id of the tensor the next matmuls read *)
+  let chains : (int, Logical_tensor.t list) Hashtbl.t = Hashtbl.create 8 in
   let g = match Graph.topo_sort g with Ok g -> g | Error e -> invalid_arg e in
   let current = ref g in
   List.iter
@@ -59,21 +89,33 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
           Option.value (Attrs.get_bool mm.attrs "transpose_b") ~default:false
         in
         let best = Heuristic.choose ~machine ~dtype ~batch ~m ~n ~k () in
-        (* try to align with an already-blocked A input *)
+        (* align with an already-blocked A input; the consumer owns the
+           decision: when the aligned tiles cost too much, the chain that
+           published A goes back to plain and this matmul packs it *)
         let p =
           match a.layout with
-          | Layout.Blocked [ (0, mba); (1, kba) ] when batch = 1 && not transpose_b
-            -> (
-              match
-                Heuristic.choose ~machine ~dtype ~batch ~mb_fixed:mba
-                  ~kb_fixed:kba ~m ~n ~k ()
-              with
-              | aligned
-                when Heuristic.cost ~machine aligned
-                     <= align_tolerance *. Heuristic.cost ~machine best ->
-                  aligned
-              | _ -> best
-              | exception Invalid_argument _ -> best)
+          | Layout.Blocked [ (0, mba); (1, kba) ] when batch = 1 -> (
+              let aligned =
+                if transpose_b then None
+                else
+                  match
+                    Heuristic.choose ~machine ~dtype ~batch ~mb_fixed:mba
+                      ~kb_fixed:kba ~m ~n ~k ()
+                  with
+                  | aligned
+                    when Heuristic.cost ~machine aligned
+                         <= align_tolerance *. Heuristic.cost ~machine best ->
+                      Some aligned
+                  | _ -> None
+                  | exception Invalid_argument _ -> None
+              in
+              match aligned with
+              | Some aligned -> aligned
+              | None ->
+                  Option.iter
+                    (List.iter (fun (t : Logical_tensor.t) -> t.layout <- Layout.Plain))
+                    (Hashtbl.find_opt chains a.id);
+                  best)
           | _ -> best
         in
         Hashtbl.replace params mm.id p;
@@ -92,22 +134,16 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
           let mm' = Op.with_ mm ~inputs:[ a; bp ] in
           current := Graph.replace_ops g ~remove:[ mm ] ~add:[ reorder; mm' ]
         end;
-        (* publish a blocked output when every consumer is a 2-D matmul
-           reading it as the A operand *)
-        let g = !current in
-        let consumers = Graph.consumers g c in
-        let all_matmul_a =
-          consumers <> []
-          && (not (Graph.is_output g c))
-          && List.for_all
-               (fun (op : Op.t) ->
-                 op.kind = Op_kind.Matmul
-                 && Shape.rank (Op.output op).shape = 2
-                 && Logical_tensor.equal (List.hd op.inputs) c)
-               consumers
-        in
-        if propagate_activations && batch = 1 && all_matmul_a then
-          c.layout <- Params.c_layout p
+        (* publish the output chain in the blocked layout the template
+           produces, so the next matmuls read it with no packing *)
+        if propagate_activations && batch = 1 then
+          match activation_chain !current c with
+          | Some chain ->
+              List.iter
+                (fun (t : Logical_tensor.t) -> t.layout <- Params.c_layout p)
+                chain;
+              Hashtbl.replace chains (List.hd chain).id chain
+          | None -> ()
       end)
     g.ops;
   { graph = !current; params }

@@ -7,12 +7,17 @@ open Gc_lowering
     the lowering), and propagates blocked layouts through chains of
     Tunable OPs:
 
-    - a 2-D matmul whose consumers are all matmuls publishes its output in
-      the blocked layout its template produces, so the next layer reads it
-      directly with no reorder;
+    - a 2-D matmul publishes its output in the blocked layout its
+      template produces when the output reaches only 2-D matmuls' A
+      operands, directly or through single-consumer, same-shape
+      elementwise ops (bias, relu, casts, requantization) — every tensor
+      on that chain takes the blocked layout, so the next layer's BRGEMM
+      reads its A in place with no packing;
     - when an input arrives already blocked, the heuristic is re-run
       constrained to matching tiles and the aligned choice is kept when
       its modelled cost is within [align_tolerance] of the optimum;
+      otherwise the consumer sends the chain that published it back to
+      plain;
     - constant weights that want a different layout get an explicit
       [Reorder] op, which is a runtime constant and is folded into the
       init function by constant-weight preprocessing;

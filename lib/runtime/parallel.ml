@@ -160,7 +160,11 @@ let worker t ~slot ~epoch =
    supervision to react to. *)
 let spawn_worker t ~slot ~epoch =
   Domain.spawn (fun () ->
-      try worker t ~slot ~epoch
+      try
+        worker t ~slot ~epoch;
+        (* release this domain's dead buffers while it still runs their
+           finalisers (see [Buffer.create]) *)
+        Gc.full_major ()
       with e ->
         Atomic.incr t.dead;
         Gc_observe.Events.record ~kind:"pool_worker_death"

@@ -761,7 +761,11 @@ let spawn_into_slot t slot =
   slot.ws_domain <-
     Some
       (Domain.spawn (fun () ->
-           try worker_loop t ~slot ~my_epoch
+           try
+             worker_loop t ~slot ~my_epoch;
+             (* release this domain's dead buffers while it still runs
+                their finalisers (see [Buffer.create]) *)
+             Gc.full_major ()
            with e ->
              Atomic.set slot.ws_busy false;
              Atomic.set slot.ws_dead true;

@@ -37,9 +37,21 @@ let create ?name dtype n =
   let bytes = elem_bytes dtype * n in
   let charged = Memgov.charge ?name bytes in
   (* Release exactly what was charged when the bigarray (a custom block,
-     hence finalisable) is collected, so the ledger tracks live bytes. *)
+     hence finalisable) is collected, so the ledger tracks live bytes. The
+     finaliser never reads the buffer, so off the main domain
+     [finalise_last] lets a buffer that dies young be freed at the minor GC
+     that finds it; [finalise] would promote it and hold it for a major
+     cycle, which on a serving domain between rare minor GCs piles up
+     megabytes of dead outputs. The main domain keeps [finalise]: there
+     [Gc.full_major] runs its finalisers before returning, which ledger
+     reads after a collection rely on. Spawned domains collect before they
+     exit, since the runtime runs a finished domain's [finalise_last]
+     finalisers late. *)
   let rel : 'a 'b 'c. ('a, 'b, 'c) Array1.t -> unit =
-   fun a -> if charged then Gc.finalise (fun _ -> Memgov.release bytes) a
+   fun a ->
+    if charged then
+      if Domain.is_main_domain () then Gc.finalise (fun _ -> Memgov.release bytes) a
+      else Gc.finalise_last (fun () -> Memgov.release bytes) a
   in
   match (dtype : Dtype.t) with
   | F32 ->

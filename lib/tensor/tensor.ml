@@ -79,36 +79,45 @@ let to_float_array t =
     (fun i j -> out.(j) <- Buffer.unsafe_get t.buffer i);
   out
 
-let iter t f = Shape.iter t.shape (fun idx -> f idx (get t idx))
+let iter t f =
+  let dims = Shape.to_array t.shape in
+  let idx = Array.make (Array.length dims) 0 in
+  let rec bump a =
+    if a >= 0 then begin
+      idx.(a) <- idx.(a) + 1;
+      if idx.(a) = dims.(a) then begin
+        idx.(a) <- 0;
+        bump (a - 1)
+      end
+    end
+  in
+  let tabs = axis_offsets t in
+  Walk.iter2 t.shape tabs tabs (fun o _ ->
+      f idx (Buffer.unsafe_get t.buffer o);
+      bump (Array.length dims - 1))
 
 let map2 f a b =
   if not (Shape.equal a.shape b.shape) then
     invalid_arg "Tensor.map2: shape mismatch";
-  init a.dtype a.shape (fun idx -> f (get a idx) (get b idx))
+  let out = create a.dtype a.shape in
+  Walk.iter3 a.shape (axis_offsets a) (axis_offsets b) (axis_offsets out)
+    (fun i j o ->
+      Buffer.set out.buffer o
+        (f (Buffer.unsafe_get a.buffer i) (Buffer.unsafe_get b.buffer j)));
+  out
 
-let equal a b =
-  Shape.equal a.shape b.shape
-  &&
-  let ok = ref true in
-  Shape.iter a.shape (fun idx -> if get a idx <> get b idx then ok := false);
-  !ok
+let diff ?(rtol = 0.) ?(atol = 0.) a b =
+  Walk.diff a.shape ~rtol ~atol a.buffer (axis_offsets a) b.buffer (axis_offsets b)
+
+let equal a b = Shape.equal a.shape b.shape && (diff a b).unequal = 0
 
 let max_abs_diff a b =
   if not (Shape.equal a.shape b.shape) then
     invalid_arg "Tensor.max_abs_diff: shape mismatch";
-  let m = ref 0. in
-  Shape.iter a.shape (fun idx ->
-      m := Float.max !m (Float.abs (get a idx -. get b idx)));
-  !m
+  (diff a b).max_abs
 
 let allclose ?(rtol = 1e-5) ?(atol = 1e-6) a b =
-  Shape.equal a.shape b.shape
-  &&
-  let ok = ref true in
-  Shape.iter a.shape (fun idx ->
-      let x = get a idx and y = get b idx in
-      if Float.abs (x -. y) > atol +. (rtol *. Float.abs y) then ok := false);
-  !ok
+  Shape.equal a.shape b.shape && (diff ~rtol ~atol a b).far = 0
 
 (* {2 Batch-dim surgery} — pad/slice/concat/split for bucketed
    specialization and request coalescing. Plain layouts only: row-major

@@ -53,7 +53,9 @@ val copy : t -> t
 (** Row-major logical contents as a float array (layout-independent). *)
 val to_float_array : t -> float array
 
-(** [iter t f] calls [f idx value] for every logical element. *)
+(** [iter t f] calls [f idx value] for every logical element in row-major
+    order. [idx] is one array updated in place between calls: copy it to
+    keep it. *)
 val iter : t -> (int array -> float -> unit) -> unit
 
 (** [map2 f a b] elementwise on same-shape tensors, result dtype of [a]. *)

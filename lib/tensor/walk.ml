@@ -61,3 +61,16 @@ let copy shape ~src ts ~dst td =
   | S64 a, S64 b -> move (fun i j -> Array1.set b j (Array1.get a i))
   | _, F32 b -> move (fun i j -> Array1.set b j (get src i))
   | _ -> move (fun i j -> Buffer.set dst j (get src i))
+
+type diff = { max_abs : float; unequal : int; far : int }
+
+let diff shape ~rtol ~atol a ta b tb =
+  let m = [| 0. |] and unequal = ref 0 and far = ref 0 in
+  iter2 shape ta tb (fun i j ->
+      let x = get a i and y = get b j in
+      let d = Float.abs (x -. y) in
+      if x <> y then incr unequal;
+      if d > atol +. (rtol *. Float.abs y) then incr far;
+      (* NaN sticks, as with [Float.max] *)
+      if d > m.(0) || d <> d then m.(0) <- d);
+  { max_abs = m.(0); unequal = !unequal; far = !far }

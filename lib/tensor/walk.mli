@@ -38,3 +38,16 @@ val iter3 :
     re-rounds, as a store always has). *)
 val copy :
   Shape.t -> src:Buffer.t -> tables -> dst:Buffer.t -> tables -> unit
+
+(** One pass comparing two tensors of [shape] element by element. *)
+type diff = {
+  max_abs : float;  (** the largest |x − y|; NaN once any difference is NaN *)
+  unequal : int;  (** pairs with x ≠ y *)
+  far : int;  (** pairs with |x − y| > atol + rtol·|y| *)
+}
+
+(** [diff shape ~rtol ~atol a ta b tb] compares every element of [a] (at
+    its offset in [ta]) with the same index of [b]; it allocates nothing
+    per element. *)
+val diff :
+  Shape.t -> rtol:float -> atol:float -> Buffer.t -> tables -> Buffer.t -> tables -> diff

@@ -40,13 +40,95 @@ and simplify_node (e : Ir.expr) =
   | Cast (dt, Float f) -> Float (Gc_tensor.Dtype.round_to dt f)
   | e -> e
 
+module Int_map = Map.Make (Int)
+
+(* Sign facts of one function: [nonneg] holds the variables every
+   definition of which is provably ≥ 0 (a greatest fixpoint: loop
+   variables counting up from a non-negative start, index arithmetic over
+   such variables); [assigned] the variables some [Assign] writes, whose
+   loop bounds therefore do not bound them. *)
+type facts = {
+  nonneg : (int, unit) Hashtbl.t;
+  assigned : (int, unit) Hashtbl.t;
+}
+
+let rec nonneg set (e : expr) =
+  match e with
+  | Int a -> a >= 0
+  | Var v -> Hashtbl.mem set v.vid
+  | Binop ((Add | Mul | Div | Mod | Min | Max), a, b) -> nonneg set a && nonneg set b
+  | _ -> false
+
+let facts_of body =
+  let defs = Hashtbl.create 64 and assigned = Hashtbl.create 64 in
+  let def (v : var) e =
+    Hashtbl.replace defs v.vid
+      (e :: Option.value (Hashtbl.find_opt defs v.vid) ~default:[])
+  in
+  let rec collect (s : stmt) =
+    match s with
+    | Assign (v, e) ->
+        Hashtbl.replace assigned v.vid ();
+        def v e
+    | For l ->
+        def l.v (match l.step with Int s when s > 0 -> l.lo | _ -> Int (-1));
+        List.iter collect l.body
+    | If (_, th, el) ->
+        List.iter collect th;
+        List.iter collect el
+    | Store _ | Alloc _ | Barrier | Call _ -> ()
+  in
+  List.iter collect body;
+  let set = Hashtbl.create 64 in
+  Hashtbl.iter (fun vid _ -> Hashtbl.replace set vid ()) defs;
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Hashtbl.iter
+      (fun vid es ->
+        if Hashtbl.mem set vid && not (List.for_all (nonneg set) es) then begin
+          Hashtbl.remove set vid;
+          changed := true
+        end)
+      defs
+  done;
+  { nonneg = set; assigned }
+
+(* [y] lies in [0, c) by the enclosing loops' bounds *)
+let below bounds c = function
+  | Int y -> 0 <= y && y < c
+  | Var v -> (
+      match Int_map.find_opt v.vid bounds with
+      | Some (lo, hi) -> 0 <= lo && hi <= c
+      | None -> false)
+  | _ -> false
+
+(* (x·c + y) / c → x and (x·c + y) % c → y when 0 ≤ y < c follows from
+   the enclosing loops' bounds and x ≥ 0 — exact under truncating
+   division. A blocked store t[(mpsi·MB + mbi) / MB, …, (mpsi·MB + mbi) %
+   MB, …] then indexes its block directly. *)
+let block_index facts bounds (e : expr) =
+  match e with
+  | Binop (((Div | Mod) as op), d, Int c) when c > 0 -> (
+      let block x c' y = c' = c && below bounds c y && nonneg facts.nonneg x in
+      let split =
+        match d with
+        | Binop (Add, Binop (Mul, x, Int c'), y) when block x c' y -> Some (x, y)
+        | Binop (Add, y, Binop (Mul, x, Int c')) when block x c' y -> Some (x, y)
+        | y when below bounds c y -> Some (Int 0, y)
+        | _ -> None
+      in
+      match split with Some (x, y) -> if op = Div then x else y | None -> e)
+  | e -> e
+
 (* substitute a variable with a constant expression *)
 let subst_var v value body =
   Visit.map_stmts
     ~expr:(fun e -> match e with Var v' when var_equal v' v -> value | e -> e)
     body
 
-let rec stmts (body : stmt list) : stmt list =
+let rec stmts facts bounds (body : stmt list) : stmt list =
+  let expr = Visit.map_expr (fun e -> block_index facts bounds (simplify_node e)) in
   List.concat_map
     (fun s ->
       match s with
@@ -57,19 +139,27 @@ let rec stmts (body : stmt list) : stmt list =
       | Call (n, args) -> [ Call (n, List.map expr args) ]
       | If (c, th, el) -> (
           match expr c with
-          | Int 0 -> stmts el
-          | Int _ -> stmts th
-          | c -> [ If (c, stmts th, stmts el) ])
+          | Int 0 -> stmts facts bounds el
+          | Int _ -> stmts facts bounds th
+          | c -> [ If (c, stmts facts bounds th, stmts facts bounds el) ])
       | For l -> (
           let lo = expr l.lo and hi = expr l.hi and step = expr l.step in
-          let body = stmts l.body in
+          let inner =
+            match (lo, hi, step) with
+            | Int a, Int b, Int s when s > 0 && not (Hashtbl.mem facts.assigned l.v.vid) ->
+                Int_map.add l.v.vid (a, b) bounds
+            | _ -> bounds
+          in
+          let body = stmts facts inner l.body in
           match (lo, hi, step) with
           | Int a, Int b, _ when b <= a -> []
           | Int a, Int b, Int s when s > 0 && a + s >= b ->
               (* single iteration: inline with v = lo *)
-              stmts (subst_var l.v (Int a) body)
+              stmts facts bounds (subst_var l.v (Int a) body)
           | _ -> [ For { l with lo; hi; step; body } ]))
     body
 
-let run_func (f : func) = { f with body = stmts f.body }
+let run_func (f : func) =
+  { f with body = stmts (facts_of f.body) Int_map.empty f.body }
+
 let run (m : module_) = { m with funcs = List.map run_func m.funcs }

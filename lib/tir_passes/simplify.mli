@@ -4,7 +4,11 @@ open Gc_tensor_ir
     algebraic identities (x+0, x·1, x·0, x/1, x%1), decidable selects and
     branches, removal of empty loops, and trip-count-1 loop elimination
     (the loop variable is substituted by its single value) — the NPN=1
-    inner loops and mpi·MSN arithmetic collapse away. *)
+    inner loops and mpi·MSN arithmetic collapse away. Inside loops,
+    [run_func] also splits a blocked index: [(x·c + y) / c] becomes [x]
+    and [(x·c + y) % c] becomes [y] when the enclosing loop bounds put
+    [y] in [\[0, c)] and [x] is a non-negative index. [expr] applies the
+    context-free rules only. *)
 
 val expr : Ir.expr -> Ir.expr
 val run_func : Ir.func -> Ir.func

@@ -6,6 +6,7 @@
 open Gc_tensor
 open Gc_graph_ir
 open Gc_graph_passes
+open Gc_lowering
 
 let sh = Shape.of_list
 let machine = Gc_microkernel.Machine.xeon_8358
@@ -258,11 +259,11 @@ let test_const_prop_no_consts_no_init () =
 (* ------------------------------------------------------------------ *)
 (* Layout propagation *)
 
-let two_layer_mlp () =
+let two_layer_mlp ?(n2 = 16) () =
   let b = Builder.create () in
   let x = Builder.input b Dtype.F32 (sh [ 64; 32 ]) in
   let w1 = Builder.input b ~const:true Dtype.F32 (sh [ 32; 64 ]) in
-  let w2 = Builder.input b ~const:true Dtype.F32 (sh [ 64; 16 ]) in
+  let w2 = Builder.input b ~const:true Dtype.F32 (sh [ 64; n2 ]) in
   let h = Builder.matmul b x w1 in
   let y = Builder.matmul b h w2 in
   (Builder.finalize b ~outputs:[ y ], x, w1, w2, h, y)
@@ -282,12 +283,59 @@ let test_layout_prop_prepacks_weights () =
         (Logical_tensor.is_constant (Op.output op)))
     reorders
 
+(* 64x64x64: the second matmul's tiles aligned to the first's output
+   blocking cost no more than its free choice, so it reads h blocked *)
 let test_layout_prop_blocks_intermediate () =
-  let g, _, _, _, h, y = two_layer_mlp () in
+  let g, _, _, _, h, y = two_layer_mlp ~n2:64 () in
   let g = Const_prop.mark g in
   let _ = Layout_prop.run ~machine g in
   Alcotest.(check bool) "intermediate blocked" true (Layout.is_blocked h.layout);
   Alcotest.(check bool) "graph output stays plain" true (Layout.is_plain y.layout)
+
+(* 64x16x64: tiles aligned to h's 8-row blocks leave the second matmul a
+   1x1 core grid at 1.75x its free choice's cost; the consumer owns the
+   decision, so h goes back to plain *)
+let test_layout_prop_consumer_reverts () =
+  let g, _, _, _, h, _ = two_layer_mlp () in
+  let g = Const_prop.mark g in
+  let r = Layout_prop.run ~machine g in
+  Alcotest.(check bool) "intermediate plain" true (Layout.is_plain h.layout);
+  let second =
+    List.find
+      (fun (op : Op.t) -> op.kind = Op_kind.Matmul && Logical_tensor.equal (List.hd op.inputs) h)
+      r.graph.ops
+  in
+  let p = Hashtbl.find r.params second.id in
+  let best =
+    Heuristic.choose ~machine ~dtype:Dtype.F32 ~m:p.m ~n:p.n ~k:p.k ()
+  in
+  Alcotest.(check string) "free choice kept" (Params.to_string best) (Params.to_string p)
+
+(* The published chain follows relu and a bias add to the next matmul:
+   every tensor on it carries the producer's output blocking. *)
+let test_layout_prop_follows_post_ops () =
+  let b = Builder.create () in
+  let x = Builder.input b Dtype.F32 (sh [ 64; 32 ]) in
+  let w1 = Builder.input b ~const:true Dtype.F32 (sh [ 32; 64 ]) in
+  let bias = Builder.input b ~const:true Dtype.F32 (sh [ 64 ]) in
+  let w2 = Builder.input b ~const:true Dtype.F32 (sh [ 64; 64 ]) in
+  let h = Builder.matmul b x w1 in
+  let hb = Builder.add b h bias in
+  let a = Builder.relu b hb in
+  let y = Builder.matmul b a w2 in
+  let g = Builder.finalize b ~outputs:[ y ] in
+  let g = Const_prop.mark g in
+  let r = Layout_prop.run ~machine g in
+  let first =
+    List.find (fun (op : Op.t) -> Logical_tensor.equal (Op.output op) h) r.graph.ops
+  in
+  let c_layout = Params.c_layout (Hashtbl.find r.params first.id) in
+  List.iter
+    (fun (t : Logical_tensor.t) ->
+      Alcotest.(check string) (t.name ^ " blocked") (Layout.to_string c_layout)
+        (Layout.to_string t.layout))
+    [ h; hb; a ];
+  Alcotest.(check bool) "bias stays plain" true (Layout.is_plain bias.layout)
 
 let test_layout_prop_activations_off () =
   let g, _, _, _, h, _ = two_layer_mlp () in
@@ -567,6 +615,8 @@ let () =
         [
           Alcotest.test_case "prepacks weights" `Quick test_layout_prop_prepacks_weights;
           Alcotest.test_case "blocks intermediate" `Quick test_layout_prop_blocks_intermediate;
+          Alcotest.test_case "consumer reverts" `Quick test_layout_prop_consumer_reverts;
+          Alcotest.test_case "follows post-ops" `Quick test_layout_prop_follows_post_ops;
           Alcotest.test_case "activations off" `Quick test_layout_prop_activations_off;
           Alcotest.test_case "records params" `Quick test_layout_prop_records_params;
         ] );

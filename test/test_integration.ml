@@ -94,6 +94,66 @@ let test_mlp_int8_compensation_in_init () =
       in
       Alcotest.(check bool) "colsum in init" true has_reduce
 
+(* MLP_1 f32 through the full pipeline, whose matmuls read the previous
+   layer's blocked activation in place, against the primitives baseline
+   (activations plain, A packed per block) and the reference evaluator.
+   The batches leave padded tails in the 8-row (and 4-row) blocks. *)
+let xeon () = config ~machine:Machine.xeon_8358 ()
+let primitives () =
+  { (Gc_baseline.Baseline.config ~machine:Machine.xeon_8358 ()) with pool = Some pool }
+let mlp_1 = Gc_workloads.Table1.mlp_1.hidden
+
+let test_mlp1_blocked_vs_primitives () =
+  List.iter
+    (fun batch ->
+      let built = Gc_workloads.Mlp.build_f32 ~seed:batch ~batch ~hidden:mlp_1 () in
+      let what = Printf.sprintf "mlp_1 f32 b%d" batch in
+      let _, full, expect = run_both ~cfg:(xeon ()) ~graph:built.graph ~data:built.data () in
+      let prim = execute (compile ~config:(primitives ()) built.graph) built.data in
+      check_close (what ^ " full") full expect;
+      check_close (what ^ " primitives") prim expect;
+      check_close (what ^ " full vs primitives") full prim)
+    [ 1; 3; 8; 13; 33; 64 ]
+
+(* The served path: every request size 1-64 through execute_poly, each
+   landing in its bucket's instance (rows beyond the request are padding) *)
+let test_mlp1_poly_buckets () =
+  let poly = Gc_workloads.Mlp.build_f32 ~seed:5 ~batch:64 ~batch_dim:(Gc_graph_ir.Dim.Sym "b") ~hidden:mlp_1 () in
+  let exact = Gc_workloads.Mlp.build_f32 ~seed:5 ~batch:64 ~hidden:mlp_1 () in
+  let want = List.hd (reference exact.graph exact.data) in
+  let full = compile_poly ~config:(xeon ()) poly.graph in
+  let prim = compile_poly ~config:(primitives ()) poly.graph in
+  for rows = 1 to 64 do
+    let bindings =
+      List.map
+        (fun ((lt : Logical_tensor.t), t) ->
+          if Logical_tensor.is_constant lt then (lt, t)
+          else (lt, Tensor.slice_to t (Shape.of_list [ rows; Shape.dim (Tensor.shape t) 1 ])))
+        poly.data
+    in
+    let want = Tensor.slice_to want (Shape.of_list [ rows; Shape.dim (Tensor.shape want) 1 ]) in
+    let what = Printf.sprintf "mlp_1 poly %d rows" rows in
+    check_close (what ^ " full") (execute_poly full bindings) [ want ];
+    check_close (what ^ " primitives") (execute_poly prim bindings) [ want ]
+  done
+
+(* int8 accumulates exactly in s32 and both pipelines requantize through
+   the same post-op chain, so the blocked path must match the primitives
+   bit for bit *)
+let test_mlp1_int8_bit_exact () =
+  List.iter
+    (fun seed ->
+      let built = Gc_workloads.Mlp.build_int8 ~seed ~batch:32 ~hidden:mlp_1 () in
+      let full = execute (compile ~config:(xeon ()) built.graph) built.data in
+      let prim = execute (compile ~config:(primitives ()) built.graph) built.data in
+      List.iter2
+        (fun f p ->
+          if not (Tensor.equal f p) then
+            Alcotest.failf "mlp_1 int8 seed %d: full differs from primitives by %g" seed
+              (Tensor.max_abs_diff f p))
+        full prim)
+    [ 1; 2; 3; 4 ]
+
 let test_mlp_table1_shapes () =
   (* the real MLP_1 layer dims at a small batch, through the full pipeline *)
   let built = Gc_workloads.Mlp.build_f32 ~batch:32 ~hidden:[ 13; 512; 256; 128 ] () in
@@ -450,6 +510,9 @@ let () =
           Alcotest.test_case "int8" `Quick test_mlp_int8;
           Alcotest.test_case "int8 compensation in init" `Quick test_mlp_int8_compensation_in_init;
           Alcotest.test_case "table1 dims" `Quick test_mlp_table1_shapes;
+          Alcotest.test_case "mlp_1 blocked vs primitives" `Quick test_mlp1_blocked_vs_primitives;
+          Alcotest.test_case "mlp_1 poly buckets" `Quick test_mlp1_poly_buckets;
+          Alcotest.test_case "mlp_1 int8 bit-exact" `Quick test_mlp1_int8_bit_exact;
         ] );
       ( "mha",
         [

@@ -94,7 +94,7 @@ let test_time_consistent_with_frequency () =
 
 let golden =
   [
-    ("mlp-full", `Full, `Mlp, 7075.52, 1);
+    ("mlp-full", `Full, `Mlp, 7034.56, 1);
     ("mlp-baseline", `Baseline, `Mlp, 13553.54, 2);
     ("mha-full", `Full, `Mha, 8242.84, 1);
     ("mha-baseline", `Baseline, `Mha, 23584.68, 3);

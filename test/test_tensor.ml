@@ -542,6 +542,36 @@ module Oracle = struct
         let v = Option.value !acc ~default:0. in
         match kind with Mean -> v /. float_of_int n | _ -> v)
 
+  (* the comparisons and traversals [Tensor] ran before they walked *)
+  let equal a b =
+    Shape.equal (Tensor.shape a) (Tensor.shape b)
+    &&
+    let ok = ref true in
+    Shape.iter (Tensor.shape a) (fun idx ->
+        if Tensor.get a idx <> Tensor.get b idx then ok := false);
+    !ok
+
+  let max_abs_diff a b =
+    let m = ref 0. in
+    Shape.iter (Tensor.shape a) (fun idx ->
+        m := Float.max !m (Float.abs (Tensor.get a idx -. Tensor.get b idx)));
+    !m
+
+  let allclose ~rtol ~atol a b =
+    Shape.equal (Tensor.shape a) (Tensor.shape b)
+    &&
+    let ok = ref true in
+    Shape.iter (Tensor.shape a) (fun idx ->
+        let x = Tensor.get a idx and y = Tensor.get b idx in
+        if Float.abs (x -. y) > atol +. (rtol *. Float.abs y) then ok := false);
+    !ok
+
+  let iter t f = Shape.iter (Tensor.shape t) (fun idx -> f idx (Tensor.get t idx))
+
+  let map2_same f a b =
+    Tensor.init (Tensor.dtype a) (Tensor.shape a) (fun idx ->
+        f (Tensor.get a idx) (Tensor.get b idx))
+
   let matmul ~int_path out_dt a b =
     let sa = Tensor.shape a and sb = Tensor.shape b in
     let ra = Shape.rank sa and rb = Shape.rank sb in
@@ -715,6 +745,48 @@ let prop_ref_ops_match_oracle =
              (Dtype.F32, Dtype.F32, Dtype.Bf16, false);
            ])
 
+(* Tensor's comparisons and traversals against their per-element
+   originals: two same-shape tensors in independent random layouts
+   (blocked with padding, swapped, VNNI) and dtypes; [b] is [a] re-laid
+   out, nudged, scaled or unrelated, so equal and allclose go both ways,
+   and an f32 NaN now and then checks that max_abs_diff keeps it. *)
+let prop_compare_match_oracle =
+  QCheck.Test.make ~name:"equal/allclose/max_abs_diff/iter/map2 = oracle"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let dims = gen_shape st in
+      let a = gen_tensor st (gen_dtype st) dims in
+      let b =
+        match Random.State.int st 4 with
+        | 0 -> Reorder.to_layout a (gen_layout st dims)
+        | 1 ->
+            let b = Reorder.to_layout a (gen_layout st dims) in
+            let idx = Array.map (fun d -> Random.State.int st d) dims in
+            Tensor.set b idx (Tensor.get b idx +. Random.State.float st 1e-3);
+            b
+        | 2 -> Tensor.map2 (fun x _ -> 1.75 *. x) a a
+        | _ -> gen_tensor st (gen_dtype st) dims
+      in
+      if Tensor.dtype a = Dtype.F32 && Random.State.int st 8 = 0 then
+        Tensor.set a (Array.map (fun d -> Random.State.int st d) dims) Float.nan;
+      (* a relative tolerance near 1 puts the scaled copy's pairs on either
+         side of the bound, which is relative to [b]'s value *)
+      let rtol = Random.State.float st (if Random.State.bool st then 1e-3 else 1.) in
+      let atol = Random.State.float st 1e-3 in
+      let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+      let visits t iter =
+        let acc = ref [] in
+        iter t (fun idx v -> acc := (Array.copy idx, v) :: !acc);
+        List.rev !acc
+      in
+      Tensor.equal a b = Oracle.equal a b
+      && Tensor.allclose ~rtol ~atol a b = Oracle.allclose ~rtol ~atol a b
+      && same_float (Tensor.max_abs_diff a b) (Oracle.max_abs_diff a b)
+      && List.equal
+           (fun (i, x) (j, y) -> i = j && same_float x y)
+           (visits a Tensor.iter) (visits a Oracle.iter)
+      && same_bits (Tensor.map2 ( -. ) a b) (Oracle.map2_same ( -. ) a b))
+
 (* Allocation pins, in minor-heap words per element: deterministic where
    a timing pin is not. The walk allocates its tables (sum of the dims)
    and nothing per element; per-element [Layout.offset] cost ~91. *)
@@ -735,6 +807,25 @@ let test_walk_allocation () =
   if per > 3. then Alcotest.failf "cast s8->f32: %.3f words/element" per;
   let per = words_per_elem n (fun () -> Ref_ops.reduce Sum ~axis:0 ~keepdims:false q) in
   if per > 3. then Alcotest.failf "reduce sum: %.3f words/element" per
+
+(* equal/allclose/max_abs_diff walk both tensors with one unboxed
+   comparison per element and allocate only their tables (a per-element
+   [Tensor.get] cost ~12 words); iter boxes only the value it hands its
+   callback *)
+let test_compare_allocation () =
+  let shape = sh [ 256; 256 ] in
+  let n = Shape.numel shape in
+  let a = Tensor.random ~seed:5 Dtype.F32 shape in
+  let b = Reorder.to_layout a (Layout.blocked_2d ~outer_block:8 ~inner_block:16) in
+  let pin name limit f =
+    let per = words_per_elem n f in
+    if per > limit then Alcotest.failf "%s: %.3f words/element" name per
+  in
+  pin "equal" 0.05 (fun () -> Tensor.equal a b);
+  pin "allclose" 0.05 (fun () -> Tensor.allclose a b);
+  pin "max_abs_diff" 0.05 (fun () -> Tensor.max_abs_diff a b);
+  let sum = [| 0. |] in
+  pin "iter" 3. (fun () -> Tensor.iter b (fun _ v -> sum.(0) <- sum.(0) +. v))
 
 let () =
   Alcotest.run "gc_tensor"
@@ -787,6 +878,7 @@ let () =
           Alcotest.test_case "transpose" `Quick test_reorder_transpose;
           Alcotest.test_case "pad/unpad" `Quick test_reorder_pad_unpad;
           Alcotest.test_case "walk allocation" `Quick test_walk_allocation;
+          Alcotest.test_case "compare allocation" `Quick test_compare_allocation;
         ] );
       ( "ref_ops",
         [
@@ -812,5 +904,6 @@ let () =
             prop_axis_offsets_sum;
             prop_moves_match_oracle;
             prop_ref_ops_match_oracle;
+            prop_compare_match_oracle;
           ] );
     ]

@@ -172,6 +172,57 @@ let test_simplify_decidable_if () =
   | [ Store (_, [| Int 0 |], Int 1) ] -> ()
   | _ -> Alcotest.fail "branches not decided"
 
+(* (x·c + y) / c and % c split when the loop bounds put y in [0, c) and
+   x is a non-negative index; otherwise the division stays *)
+let test_simplify_block_index () =
+  let t = fresh_tensor ~name:"t" ~storage:Param Dtype.F32 [| 4; 8 |] in
+  let i = fresh_var ~name:"i" Index and j = fresh_var ~name:"j" Index in
+  let x = fresh_var ~name:"x" Index in
+  let program ~jhi ~xdef =
+    let flat = Binop (Add, Binop (Mul, Var x, Int 8), Var j) in
+    {
+      fname = "f";
+      params = [ Ptensor t ];
+      body =
+        [
+          loop i 0 4
+            [
+              Assign (x, xdef (Var i));
+              loop j 0 jhi
+                [
+                  Store
+                    ( t,
+                      [| Binop (Div, flat, Int 8); Binop (Mod, flat, Int 8) |],
+                      Binop (Add, Var x, Float 0.5) );
+                ];
+            ];
+        ];
+    }
+  in
+  let store_index (f : func) =
+    Visit.fold_stmts
+      ~stmt:(fun acc s -> match s with Store (_, idx, _) -> Some idx | _ -> acc)
+      None f.body
+  in
+  (match store_index (Simplify.run_func (program ~jhi:8 ~xdef:Fun.id)) with
+  | Some [| Var a; Var b |] when var_equal a x && var_equal b j -> ()
+  | _ -> Alcotest.fail "t[(x*8+j)/8, (x*8+j)%8] not split to t[x, j]");
+  let kept what f =
+    match store_index (Simplify.run_func f) with
+    | Some [| Binop (Div, _, Int 8); Binop (Mod, _, Int 8) |] -> ()
+    | _ -> Alcotest.failf "%s: division rewritten" what
+  in
+  kept "j reaches 8" (program ~jhi:9 ~xdef:Fun.id);
+  kept "x may be negative" (program ~jhi:8 ~xdef:(fun e -> Binop (Sub, e, Int 1)));
+  (* the split program stores what the original stores *)
+  let f = program ~jhi:8 ~xdef:Fun.id in
+  let run f =
+    let b = Buffer.create Dtype.F32 32 in
+    run_module { funcs = [ f ]; entry = "f"; init = None; globals = [] } [| b |];
+    Array.init 32 (Buffer.get b)
+  in
+  Alcotest.(check (array (float 0.))) "same stores" (run f) (run (Simplify.run_func f))
+
 (* ------------------------------------------------------------------ *)
 (* Forward store / scalarization *)
 
@@ -316,6 +367,66 @@ let test_pipelines_leave_no_unread_assign () =
                 (String.concat ", " vs))
         m.funcs)
     (pipeline_modules ())
+
+(* Layout propagation follows MLP_1's post-op chains: in the full
+   pipeline's Tensor IR a matmul whose A arrives blocked runs BRGEMM on it
+   in place (no Apack staging), and every blocked epilogue store indexes
+   its block directly. The primitives keep activations plain and pack A
+   in every layer. At batch 8 the third layer's tiles aligned to 8-row
+   blocks cost more than its free choice, so its A stays plain and packs. *)
+let test_mlp1_reads_blocked_a () =
+  let machine = Gc_microkernel.Machine.xeon_8358 in
+  let hidden = Gc_workloads.Table1.mlp_1.hidden in
+  let modules config =
+    List.map
+      (fun (name, (built : Gc_workloads.Mlp.built), full_packs) ->
+        (name, Core.tir_module (Core.compile ~config built.graph), full_packs))
+      [
+        ("f32 b8", Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden (), 2);
+        ("f32 b64", Gc_workloads.Mlp.build_f32 ~batch:64 ~hidden (), 1);
+        ("int8 b32", Gc_workloads.Mlp.build_int8 ~batch:32 ~hidden (), 1);
+      ]
+  in
+  let packed_brgemms (m : module_) =
+    List.fold_left
+      (fun acc (f : func) ->
+        Visit.fold_stmts
+          ~stmt:(fun acc s ->
+            match s with
+            | Call ("brgemm", args) -> (
+                match List.nth args 4 with
+                | Addr (t, _) when String.starts_with ~prefix:"Apack" t.tname -> acc + 1
+                | _ -> acc)
+            | _ -> acc)
+          acc f.body)
+      0 m.funcs
+  in
+  let div_mod_stores (m : module_) =
+    let has_div_mod =
+      Visit.fold_expr
+        (fun acc e -> acc || match e with Binop ((Div | Mod), _, _) -> true | _ -> false)
+        false
+    in
+    List.concat_map
+      (fun (f : func) ->
+        Visit.fold_stmts
+          ~stmt:(fun acc s ->
+            match s with
+            | Store (t, idx, _) when Array.exists has_div_mod idx ->
+                (f.fname ^ ":" ^ t.tname) :: acc
+            | _ -> acc)
+          [] f.body)
+      m.funcs
+  in
+  List.iter
+    (fun (name, m, full_packs) ->
+      Alcotest.(check int) (name ^ ": brgemms on packed A") full_packs (packed_brgemms m);
+      Alcotest.(check (list string)) (name ^ ": div/mod store indices") [] (div_mod_stores m))
+    (modules (Core.default_config ~machine ()));
+  List.iter
+    (fun (name, m, _) ->
+      Alcotest.(check int) (name ^ " primitives: brgemms on packed A") 3 (packed_brgemms m))
+    (modules (Gc_baseline.Baseline.config ~machine ()))
 
 (* ------------------------------------------------------------------ *)
 (* Tensor shrink *)
@@ -667,6 +778,7 @@ let () =
           Alcotest.test_case "trip-1 loop" `Quick test_simplify_trip1_loop;
           Alcotest.test_case "empty loop" `Quick test_simplify_empty_loop_removed;
           Alcotest.test_case "decidable if" `Quick test_simplify_decidable_if;
+          Alcotest.test_case "block index" `Quick test_simplify_block_index;
         ] );
       ( "forward_store",
         [
@@ -676,6 +788,8 @@ let () =
             test_forward_store_keeps_direct_store;
           Alcotest.test_case "pipelines leave no unread assign" `Quick
             test_pipelines_leave_no_unread_assign;
+          Alcotest.test_case "mlp_1 reads blocked A in place" `Quick
+            test_mlp1_reads_blocked_a;
         ] );
       ( "tensor_shrink",
         [
