@@ -103,7 +103,28 @@ let chains (fused : Fused_op.t list) =
   in
   go fused
 
+(* After a retune, a member whose KB matches its producer's NB (at the
+   same MB) reads the producer's activation chain in place: re-publish the
+   chain blocked, also when layout propagation had sent it back to plain
+   because its own aligned tiles cost too much. *)
+let rec republish_aligned graph = function
+  | (f1 : Fused_op.t) :: ((f2 : Fused_op.t) :: _ as rest) ->
+      (match (f1.params, f1.tunable, f2.params, f2.tunable) with
+      | Some p1, Some t1, Some p2, Some t2 when p2.kb = p1.nb && p2.mb = p1.mb -> (
+          match Layout_prop.activation_chain graph (Op.output t1) with
+          | Some (a :: _ as ts) when Logical_tensor.equal a (List.hd t2.inputs) ->
+              List.iter (fun (t : Logical_tensor.t) -> t.layout <- Params.c_layout p1) ts
+          | _ -> ())
+      | _ -> ());
+      republish_aligned graph rest
+  | _ -> ()
+
 let run ?(retune_tolerance = 1.2) ~machine (g : Fused_op.graph) =
+  let graph =
+    lazy
+      (Graph.create ~inputs:g.g_inputs ~outputs:g.g_outputs
+         (List.concat_map Fused_op.ops g.fused))
+  in
   let fused =
     List.concat_map
       (fun chain ->
@@ -170,6 +191,7 @@ let run ?(retune_tolerance = 1.2) ~machine (g : Fused_op.graph) =
                                    f.post_groups)
                         | _ -> ())
                       chain';
+                    republish_aligned (Lazy.force graph) chain';
                     chain'
                 | None -> chain))
       (chains g.fused)

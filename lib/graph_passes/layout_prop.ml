@@ -89,33 +89,43 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
           Option.value (Attrs.get_bool mm.attrs "transpose_b") ~default:false
         in
         let best = Heuristic.choose ~machine ~dtype ~batch ~m ~n ~k () in
-        (* align with an already-blocked A input; the consumer owns the
-           decision: when the aligned tiles cost too much, the chain that
-           published A goes back to plain and this matmul packs it *)
+        (* the consumer owns the decision: a tiling aligned to how its
+           producer left A is kept when it costs at most [align_tolerance]
+           times the free choice *)
+        let aligned ?mb_fixed ~kb_fixed () =
+          match
+            Heuristic.choose ~machine ~dtype ~batch ?mb_fixed ~kb_fixed ~m ~n ~k ()
+          with
+          | p
+            when Heuristic.cost ~machine p
+                 <= align_tolerance *. Heuristic.cost ~machine best ->
+              Some p
+          | _ -> None
+          | exception Invalid_argument _ -> None
+        in
         let p =
           match a.layout with
           | Layout.Blocked [ (0, mba); (1, kba) ] when batch = 1 -> (
-              let aligned =
+              (* align with an already-blocked A; when that costs too much,
+                 the chain that published A goes back to plain and this
+                 matmul packs it *)
+              let p =
                 if transpose_b then None
-                else
-                  match
-                    Heuristic.choose ~machine ~dtype ~batch ~mb_fixed:mba
-                      ~kb_fixed:kba ~m ~n ~k ()
-                  with
-                  | aligned
-                    when Heuristic.cost ~machine aligned
-                         <= align_tolerance *. Heuristic.cost ~machine best ->
-                      Some aligned
-                  | _ -> None
-                  | exception Invalid_argument _ -> None
+                else aligned ~mb_fixed:mba ~kb_fixed:kba ()
               in
-              match aligned with
-              | Some aligned -> aligned
+              match p with
+              | Some p -> p
               | None ->
                   Option.iter
                     (List.iter (fun (t : Logical_tensor.t) -> t.layout <- Layout.Plain))
                     (Hashtbl.find_opt chains a.id);
                   best)
+          | Layout.Plain when propagate_activations && batch > 1 ->
+              (* one whole-K block makes a plain A (and a plain transposed
+                 B) byte-for-byte the template's slabs, read in place; K
+                 must itself be a KB candidate *)
+              Option.fold (aligned ~kb_fixed:k ()) ~none:best
+                ~some:(fun p -> { p with Params.read_plain = true })
           | _ -> best
         in
         Hashtbl.replace params mm.id p;

@@ -18,6 +18,11 @@ open Gc_lowering
       its modelled cost is within [align_tolerance] of the optimum;
       otherwise the consumer sends the chain that published it back to
       plain;
+    - a batched matmul whose A is plain is offered one whole-K block
+      ([kb = k], when K is a KB candidate) under the same tolerance;
+      taking it sets [Params.read_plain], and the lowering then reads
+      plain operands that are byte-for-byte its slabs (A, and a
+      transposed B) in place;
     - constant weights that want a different layout get an explicit
       [Reorder] op, which is a runtime constant and is folded into the
       init function by constant-weight preprocessing;
@@ -40,6 +45,14 @@ val run :
   machine:Machine.t ->
   Graph.t ->
   result
+
+(** [activation_chain g c]: the tensors layout propagation publishes
+    blocked from a 2-D matmul's output [c] — [c] and the outputs of the
+    single-consumer, same-shape elementwise ops after it, last first —
+    when the walk ends at a tensor that only 2-D matmuls read as their A
+    operand (before a fan-out or a graph output); [None] otherwise. *)
+val activation_chain :
+  Graph.t -> Logical_tensor.t -> Logical_tensor.t list option
 
 (** Parameter choice for one matmul op (shared with the fusion pass when
     layout propagation is disabled). *)

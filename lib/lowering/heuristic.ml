@@ -127,6 +127,7 @@ let choose ~machine ~dtype ?(batch = 1) ?force_grid ?force_tile ?mb_fixed
       kb;
       bs;
       loop_order = "msi,ksi,nsi";
+      read_plain = false;
     }
   in
   (* the k-slicing template variant: extra reduction-axis parallelism for

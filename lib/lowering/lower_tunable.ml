@@ -136,17 +136,24 @@ let lower ~tmap (f : Fused_op.t) =
   let padded = Params.m_pad p > m || Params.n_pad p > n || Params.k_pad p > k in
   let ts = { tmap; locals = Hashtbl.create 16 } in
 
-  (* Direct blocked access is possible when the source already carries the
-     template's blocked layout (layout propagation arranged it). *)
-  let a_direct =
+  (* An operand is read in place when its bytes already are the template's
+     slabs: it carries the template's blocked layout (layout propagation
+     arranged it), or — when layout propagation chose the blocking for it
+     ([read_plain]) — it is plain with K innermost, one whole-K block and
+     no padding on the blocked axis: a plain [M][K] row panel is then an
+     [MB, KB] slab and a plain [N][K] (transpose_b) one an [NB, KB] slab. *)
+  let direct (src : Logical_tensor.t) ~slab ~k_inner ~rows ~block =
     conv = None
-    && (not batched) && (not transpose_b)
-    && Layout.equal a_src.layout (Params.a_layout p)
+    &&
+    if Layout.is_plain src.layout then
+      p.read_plain && k_inner && kblocks = 1 && kb = k && rows mod block = 0
+    else (not batched) && (not transpose_b) && Layout.equal src.layout slab
+  in
+  let a_direct =
+    direct a_src ~slab:(Params.a_layout p) ~k_inner:true ~rows:m ~block:mb
   in
   let b_direct =
-    conv = None
-    && (not batched) && (not transpose_b)
-    && Layout.equal b_src.layout (Params.b_layout p)
+    direct b_src ~slab:(Params.b_layout p) ~k_inner:transpose_b ~rows:n ~block:nb
   in
 
   (* Loop variables *)
@@ -329,22 +336,30 @@ let lower ~tmap (f : Fused_op.t) =
 
   (* ---- the microkernel call ---- *)
   let kbase = Ir.v ks *: Ir.Int bs in
-  let a_addr, a_stride =
+  (* a direct operand is addressed in its own layout: blocked ones by
+     block coordinates, plain whole-K ones by the slab's first row *)
+  let in_place (src : Logical_tensor.t) blocked row =
+    if Layout.is_plain src.layout then
+      Ir.Addr (resolve ts src, operand_index src row (Ir.Int 0))
+    else Ir.Addr (resolve ts src, blocked)
+  in
+  let a_addr =
     match apack with
-    | Some ap -> (Ir.Addr (ap, [| Ir.Int 0; Ir.Int 0; Ir.Int 0 |]), mb * kb)
+    | Some ap -> Ir.Addr (ap, [| Ir.Int 0; Ir.Int 0; Ir.Int 0 |])
     | None ->
-        ( Ir.Addr (resolve ts a_src, [| Ir.v mpsi; kbase; Ir.Int 0; Ir.Int 0 |]),
-          mb * kb )
+        in_place a_src
+          [| Ir.v mpsi; kbase; Ir.Int 0; Ir.Int 0 |]
+          (Ir.v mpsi *: Ir.Int mb)
   in
-  let b_addr, b_stride =
+  let b_addr =
     match bpack with
-    | Some bp ->
-        ( Ir.Addr (bp, [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |]),
-          nblocks * nb * kb )
+    | Some bp -> Ir.Addr (bp, [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |])
     | None ->
-        ( Ir.Addr (resolve ts b_src, [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |]),
-          nblocks * nb * kb )
+        in_place b_src
+          [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |]
+          (Ir.v npsi *: Ir.Int nb)
   in
+  let a_stride = mb * kb and b_stride = nblocks * nb * kb in
   let brgemm_call =
     Ir.Call
       ( "brgemm",

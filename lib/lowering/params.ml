@@ -14,6 +14,7 @@ type t = {
   kb : int;
   bs : int;
   loop_order : string;
+  read_plain : bool;
 }
 
 let mblocks t = Shape.ceil_div t.m t.mb

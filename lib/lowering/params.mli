@@ -24,6 +24,11 @@ type t = {
   kb : int;
   bs : int;
   loop_order : string;  (** inner loop order the heuristic assumed, e.g. "msi,ksi,nsi" *)
+  read_plain : bool;
+      (** a plain operand whose bytes already are the template's slabs
+          (one whole-K block, no padding on the blocked axis) is read in
+          place instead of packed; set by layout propagation when it chose
+          the K blocking to fit plain producers *)
 }
 
 (** Derived quantities (Figure 2's table). Block counts use padded

@@ -42,57 +42,92 @@ and simplify_node (e : Ir.expr) =
 
 module Int_map = Map.Make (Int)
 
-(* Sign facts of one function: [nonneg] holds the variables every
-   definition of which is provably ≥ 0 (a greatest fixpoint: loop
-   variables counting up from a non-negative start, index arithmetic over
-   such variables); [assigned] the variables some [Assign] writes, whose
-   loop bounds therefore do not bound them. *)
+(* Value ranges of index expressions over one function body: a variable
+   ranges over the join of all its definitions (a loop variable over
+   [lo, hi - 1], an assigned one over each assigned expression); [None]
+   when a definition is unbounded or the definitions are cyclic. *)
+let ranges body =
+  let defs = Hashtbl.create 64 in
+  let def (v : var) d =
+    Hashtbl.replace defs v.vid
+      (d :: Option.value (Hashtbl.find_opt defs v.vid) ~default:[])
+  in
+  Visit.iter_stmts
+    ~stmt:(fun s ->
+      match s with
+      | Assign (v, e) -> def v (`Assign e)
+      | For l -> def l.v (`Loop l)
+      | _ -> ())
+    body;
+  let memo = Hashtbl.create 64 in
+  let ( let* ) = Option.bind in
+  let rec range (e : expr) =
+    match e with
+    | Int a -> Some (a, a)
+    | Var v -> var v.vid
+    | Binop (op, x, y) -> (
+        let* a, b = range x in
+        let* c, d = range y in
+        match op with
+        | Add -> Some (a + c, b + d)
+        | Sub -> Some (a - d, b - c)
+        | Mul ->
+            let ps = [ a * c; a * d; b * c; b * d ] in
+            Some (List.fold_left min max_int ps, List.fold_left max min_int ps)
+        | Div when c = d && c > 0 -> Some (a / c, b / c)
+        | Mod when c = d && c > 0 && a >= 0 -> Some (0, min b (c - 1))
+        | Min -> Some (min a c, min b d)
+        | Max -> Some (max a c, max b d)
+        | _ -> None)
+    | _ -> None
+  and var vid =
+    match Hashtbl.find_opt memo vid with
+    | Some r -> r
+    | None ->
+        (* a cycle reaches the [None] placed here: unbounded *)
+        Hashtbl.replace memo vid None;
+        let join acc def_ =
+          let* a, b = acc in
+          let* c, d =
+            match def_ with
+            | `Assign e -> range e
+            | `Loop l -> (
+                match l.step with
+                | Int st when st > 0 ->
+                    let* lo, _ = range l.lo in
+                    let* _, hi = range l.hi in
+                    Some (lo, hi - 1)
+                | _ -> None)
+          in
+          Some (min a c, max b d)
+        in
+        let r =
+          match Hashtbl.find_opt defs vid with
+          | Some ds -> List.fold_left join (Some (max_int, min_int)) ds
+          | None -> None
+        in
+        Hashtbl.replace memo vid r;
+        r
+  in
+  range
+
+(* Facts of one function: the value [range] of index expressions, and
+   the variables some [Assign] writes ([assigned]), whose loop bounds
+   therefore do not bound them. *)
 type facts = {
-  nonneg : (int, unit) Hashtbl.t;
+  range : expr -> (int * int) option;
   assigned : (int, unit) Hashtbl.t;
 }
 
-let rec nonneg set (e : expr) =
-  match e with
-  | Int a -> a >= 0
-  | Var v -> Hashtbl.mem set v.vid
-  | Binop ((Add | Mul | Div | Mod | Min | Max), a, b) -> nonneg set a && nonneg set b
-  | _ -> false
+let nonneg facts e =
+  match facts.range e with Some (lo, _) -> lo >= 0 | None -> false
 
 let facts_of body =
-  let defs = Hashtbl.create 64 and assigned = Hashtbl.create 64 in
-  let def (v : var) e =
-    Hashtbl.replace defs v.vid
-      (e :: Option.value (Hashtbl.find_opt defs v.vid) ~default:[])
-  in
-  let rec collect (s : stmt) =
-    match s with
-    | Assign (v, e) ->
-        Hashtbl.replace assigned v.vid ();
-        def v e
-    | For l ->
-        def l.v (match l.step with Int s when s > 0 -> l.lo | _ -> Int (-1));
-        List.iter collect l.body
-    | If (_, th, el) ->
-        List.iter collect th;
-        List.iter collect el
-    | Store _ | Alloc _ | Barrier | Call _ -> ()
-  in
-  List.iter collect body;
-  let set = Hashtbl.create 64 in
-  Hashtbl.iter (fun vid _ -> Hashtbl.replace set vid ()) defs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun vid es ->
-        if Hashtbl.mem set vid && not (List.for_all (nonneg set) es) then begin
-          Hashtbl.remove set vid;
-          changed := true
-        end)
-      defs
-  done;
-  { nonneg = set; assigned }
+  let assigned = Hashtbl.create 64 in
+  Visit.iter_stmts
+    ~stmt:(function Assign (v, _) -> Hashtbl.replace assigned v.vid () | _ -> ())
+    body;
+  { range = ranges body; assigned }
 
 (* [y] lies in [0, c) by the enclosing loops' bounds *)
 let below bounds c = function
@@ -110,7 +145,7 @@ let below bounds c = function
 let block_index facts bounds (e : expr) =
   match e with
   | Binop (((Div | Mod) as op), d, Int c) when c > 0 -> (
-      let block x c' y = c' = c && below bounds c y && nonneg facts.nonneg x in
+      let block x c' y = c' = c && below bounds c y && nonneg facts x in
       let split =
         match d with
         | Binop (Add, Binop (Mul, x, Int c'), y) when block x c' y -> Some (x, y)

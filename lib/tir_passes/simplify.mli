@@ -11,5 +11,12 @@ open Gc_tensor_ir
     context-free rules only. *)
 
 val expr : Ir.expr -> Ir.expr
+
+(** [ranges body e]: bounds on the value of index expression [e] over one
+    function body. A variable ranges over the join of all its definitions
+    (a loop variable over [\[lo, hi - 1\]], an assigned one over each
+    assigned expression); [None] when a definition is unbounded or the
+    definitions are cyclic. *)
+val ranges : Ir.stmt list -> Ir.expr -> (int * int) option
 val run_func : Ir.func -> Ir.func
 val run : Ir.module_ -> Ir.module_

@@ -90,35 +90,79 @@ let index_sites t body =
       | _ -> acc)
     [] body
 
-(* A tensor whose address is taken (passed to an intrinsic or a sibling
-   function) is accessed beyond the literal index — the index site lies
-   about the extent — so it must not be shrunk. *)
-let address_taken t body =
+(* Each [Addr] site of [t] (addresses are call operands only) with the
+   number of elements the callee may touch from there; [None] when that
+   is unknown — a sibling function's parameter. *)
+let addr_reaches upper t body =
+  let product xs =
+    List.fold_left
+      (fun acc x -> Option.bind acc (fun a -> Option.map (( * ) a) (upper x)))
+      (Some 1) xs
+  in
   Visit.fold_stmts
-    ~expr:(fun acc e ->
-      match e with Addr (t', _) when tensor_equal t t' -> true | _ -> acc)
-    false body
+    ~stmt:(fun acc s ->
+      match s with
+      | Call (name, args) ->
+          let reaches =
+            match (name, args) with
+            | "brgemm", [ bs; mb; nb; kb; _; sa; _; sb; _ ] ->
+                (* [bs] blocks [stride] apart, each rows × kb *)
+                let slab rows stride =
+                  match (product [ bs ], product [ stride ], product [ rows; kb ]) with
+                  | Some bs, Some st, Some block -> Some (((bs - 1) * st) + block)
+                  | _ -> None
+                in
+                [ None; None; None; None; slab mb sa; None; slab nb sb; None; product [ mb; nb ] ]
+            | ("zero" | "copy"), _ ->
+                let count = product [ List.nth args (List.length args - 1) ] in
+                List.map (fun _ -> count) args
+            | _ -> List.map (fun _ -> None) args
+          in
+          List.fold_left2
+            (fun acc e r ->
+              match e with Addr (t', idx) when tensor_equal t t' -> (idx, r) :: acc | _ -> acc)
+            acc args reaches
+      | _ -> acc)
+    [] body
 
-let shrink_tensor t body =
-  if address_taken t body then (t, body)
-  else
+let shrink_tensor ~range t body =
   match enclosing_vars t body [] with
   | None -> (t, body)
   | Some enclosing ->
       let sites = index_sites t body in
+      let upper e = Option.map snd (range e) in
+      let addrs = lazy (addr_reaches upper t body) in
+      (* elements of [t] per index of dimension [d] *)
+      let stride d =
+        Array.fold_left ( * ) 1 (Array.sub t.dims (d + 1) (Array.length t.dims - d - 1))
+      in
+      (* an intrinsic's slab starting at [idx] stays inside one index of
+         dimension [d]: it reaches no further than the trailing dims *)
+      let inside d (idx, reach) =
+        let rec offset e acc =
+          if e = Array.length idx then Some acc
+          else
+            match range idx.(e) with
+            | Some (lo, hi) when lo >= 0 -> offset (e + 1) (acc + (hi * stride e))
+            | _ -> None
+        in
+        match (reach, offset (d + 1) 0) with
+        | Some r, Some o -> o + r <= stride d
+        | _ -> false
+      in
       if sites = [] then (t, body)
       else begin
         let shrinkable d =
           t.dims.(d) > 1
-          &&
-          match sites with
-          | [] -> false
-          | first :: rest ->
-              let e0 = first.(d) in
-              List.for_all (fun site -> site.(d) = e0) rest
-              && List.for_all
-                   (fun v -> List.exists (var_equal v) enclosing)
-                   (free_vars e0)
+          && (match sites with
+             | [] -> false
+             | first :: rest ->
+                 let e0 = first.(d) in
+                 List.for_all (fun site -> site.(d) = e0) rest
+                 && List.for_all
+                      (fun v -> List.exists (var_equal v) enclosing)
+                      (free_vars e0))
+          && List.for_all (inside d) (Lazy.force addrs)
         in
         let dims' =
           Array.mapi (fun d x -> if shrinkable d then 1 else x) t.dims
@@ -160,11 +204,16 @@ let run_func (f : func) =
         sink_alloc t body)
       f.body locals
   in
-  (* re-collect: sinking does not change identity *)
+  (* re-collect: sinking does not change identity; shrinking rewrites
+     indices only, so the variables' ranges hold throughout *)
+  let range =
+    let r = lazy (Simplify.ranges body) in
+    fun e -> Lazy.force r e
+  in
   let body =
     List.fold_left
       (fun body t ->
-        let _, body = shrink_tensor t body in
+        let _, body = shrink_tensor ~range t body in
         body)
       body locals
   in

@@ -12,7 +12,12 @@ open Gc_tensor_ir
       for the tensor's whole lifetime (it only reads loop variables of
       enclosing loops) shrinks to extent 1 — e.g. the full-batch staging
       tensor A'[B, M, N] inside the batch loop becomes A'[1, M, N], the
-      paper's "A'[MSN, BS, MB, KB] could be reduced to A'[BS, NB, KB]". *)
+      paper's "A'[MSN, BS, MB, KB] could be reduced to A'[BS, NB, KB]".
+      An address passed to an intrinsic is one more index site, and the
+      intrinsic's reach from it (brgemm's A/B slabs and C block, the count
+      of zero/copy) must stay inside the trailing dims, bounded by the
+      ranges of the enclosing loops and assignments; an address passed to
+      a sibling function pins its tensor. *)
 
 val run_func : Ir.func -> Ir.func
 val run : Ir.module_ -> Ir.module_

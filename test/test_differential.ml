@@ -692,6 +692,87 @@ let run_exec_vs_reference ?layers ~kind seed =
   check_outputs ~what ~rtol ~atol got expect
 
 (* ------------------------------------------------------------------ *)
+(* 3a. Cross-configuration oracle: reading plain operands in place (a
+   whole-K block) and publishing blocked activations move data, not
+   arithmetic — the full pipeline must be bit-identical to the same
+   configuration with [propagate_activations = false], and both must
+   match the reference. The MHA grid covers the in-place path (head dim
+   or seq 16/32/64), a K that is no KB candidate (48) and an M the row
+   blocks do not divide (seq 33). Compiled under the inter-pass IR
+   verifier; the full module also runs on the interpreter, which
+   bounds-checks every access — a padded last block read in place would
+   run past its operand there, while its garbage rows never reach an
+   output. *)
+
+let run_cross_config ~what ~rtol ~atol graph data =
+  let config propagate_activations =
+    let d = Core.default_config () in
+    {
+      d with
+      Core.graph = { d.Core.graph with Gc_graph_passes.Pipeline.propagate_activations };
+      pool = Some pool;
+    }
+  in
+  let run propagate =
+    Core.execute (Core.compile ~config:(config propagate) graph) data
+  in
+  Gc_graph_passes.Verify.set_enabled (Some true);
+  Fun.protect
+    ~finally:(fun () -> Gc_graph_passes.Verify.set_enabled None)
+    (fun () ->
+      let full = run true and plain = run false in
+      List.iteri
+        (fun i (f, p) ->
+          let d = Tensor.max_abs_diff f p in
+          if d <> 0. then
+            Alcotest.failf "%s: output %d differs from propagate_activations=false (max abs diff %g)"
+              what i d)
+        (List.combine full plain);
+      let expect = Core.reference graph data in
+      check_outputs ~what:(what ^ " full") ~rtol ~atol full expect;
+      check_outputs ~what:(what ^ " plain") ~rtol ~atol plain expect;
+      let c = config true in
+      let unfolded = { c with Core.graph = { c.Core.graph with const_weights = false } } in
+      run_differential ~tol:5e-4 ~what:(what ^ " interp")
+        ~rs:(Random.State.make [| 0xc105 |])
+        (pipeline_module unfolded graph))
+
+let cross_config_mha =
+  List.concat_map
+    (fun d ->
+      List.map
+        (fun seq ->
+          Alcotest.test_case (Printf.sprintf "mha head %d seq %d" d seq) `Quick
+            (fun () ->
+              let b =
+                Gc_workloads.Mha.build_f32 ~seed:(d + seq) ~batch:2 ~seq
+                  ~hidden:(2 * d) ~heads:2 ()
+              in
+              (* the e2e MHA f32 pin (EXPERIMENTS.md) *)
+              run_cross_config
+                ~what:(Printf.sprintf "cross-config mha d%d s%d" d seq)
+                ~rtol:2e-3 ~atol:2e-3 b.Gc_workloads.Mha.graph
+                b.Gc_workloads.Mha.data))
+        [ 8; 33; 64 ])
+    [ 16; 32; 48; 64 ]
+
+let cross_config_bert =
+  List.map
+    (fun layers ->
+      Alcotest.test_case (Printf.sprintf "bert %d layers" layers) `Quick
+        (fun () ->
+          let b =
+            Gc_workloads.Bert.build_f32 ~seed:layers ~layers ~batch:1 ~seq:8
+              ~hidden:32 ~heads:2 ()
+          in
+          (* the random-shape BERT f32 pin (EXPERIMENTS.md) *)
+          run_cross_config
+            ~what:(Printf.sprintf "cross-config bert%d" layers)
+            ~rtol:2e-3 ~atol:2e-3 b.Gc_workloads.Bert.graph
+            b.Gc_workloads.Bert.data))
+    [ 1; 2 ]
+
+(* ------------------------------------------------------------------ *)
 (* 3b. Conv2d end-to-end, two claims per shape:
    - against the direct scalar reference (f64 accumulate, rounded once):
      a tight accumulation-order tolerance — the engine's brgemm rounds to
@@ -894,6 +975,7 @@ let () =
       cases "e2e-bert4-f32" 2 (run_exec_vs_reference ~layers:4 ~kind:`Bert_f32);
       cases "e2e-bert4-int8" 2 (run_exec_vs_reference ~layers:4 ~kind:`Bert_int8);
       cases "e2e-bert12-f32" 1 (run_exec_vs_reference ~layers:12 ~kind:`Bert_f32);
+      ("cross-config", cross_config_mha @ cross_config_bert);
       cases "e2e-dlrm-f32" 2 (run_exec_vs_reference ~kind:`Dlrm_f32);
       cases "e2e-dlrm-int8" 2 (run_exec_vs_reference ~kind:`Dlrm_int8);
       ( "coverage",

@@ -20,7 +20,7 @@ let test_params_derived () =
     {
       Params.m = 128; n = 256; k = 512; batch = 1; dtype = Dtype.F32;
       mpn = 4; npn = 2; kpn = 1; mb = 16; nb = 32; kb = 64; bs = 2;
-      loop_order = "msi,ksi,nsi";
+      loop_order = "msi,ksi,nsi"; read_plain = false;
     }
   in
   Alcotest.(check int) "mblocks" 8 (Params.mblocks p);
@@ -36,7 +36,7 @@ let test_params_padding () =
     {
       Params.m = 13; n = 479; k = 100; batch = 1; dtype = Dtype.F32;
       mpn = 1; npn = 1; kpn = 1; mb = 16; nb = 64; kb = 64; bs = 1;
-      loop_order = "msi,ksi,nsi";
+      loop_order = "msi,ksi,nsi"; read_plain = false;
     }
   in
   Alcotest.(check int) "m_pad" 16 (Params.m_pad p);
@@ -97,7 +97,7 @@ let fig3_params =
   {
     Params.m = 256; n = 512; k = 256; batch = 1; dtype = Dtype.F32;
     mpn = 4; npn = 4; kpn = 1; mb = 16; nb = 32; kb = 32; bs = 2;
-    loop_order = "msi,ksi,nsi";
+    loop_order = "msi,ksi,nsi"; read_plain = false;
   }
 
 let test_anchor_working_sets () =

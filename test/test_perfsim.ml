@@ -96,7 +96,7 @@ let golden =
   [
     ("mlp-full", `Full, `Mlp, 7034.56, 1);
     ("mlp-baseline", `Baseline, `Mlp, 13553.54, 2);
-    ("mha-full", `Full, `Mha, 8242.84, 1);
+    ("mha-full", `Full, `Mha, 8102.68, 1);
     ("mha-baseline", `Baseline, `Mha, 23584.68, 3);
   ]
 

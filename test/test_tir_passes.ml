@@ -373,7 +373,9 @@ let test_pipelines_leave_no_unread_assign () =
    in place (no Apack staging), and every blocked epilogue store indexes
    its block directly. The primitives keep activations plain and pack A
    in every layer. At batch 8 the third layer's tiles aligned to 8-row
-   blocks cost more than its free choice, so its A stays plain and packs. *)
+   blocks cost more than its free choice, so its A stays plain and packs
+   in f32; in int8 the coarse-grain retune aligns that layer's KB to its
+   producer's NB after all and re-publishes the chain blocked. *)
 let test_mlp1_reads_blocked_a () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
   let hidden = Gc_workloads.Table1.mlp_1.hidden in
@@ -385,6 +387,7 @@ let test_mlp1_reads_blocked_a () =
         ("f32 b8", Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden (), 2);
         ("f32 b64", Gc_workloads.Mlp.build_f32 ~batch:64 ~hidden (), 1);
         ("int8 b32", Gc_workloads.Mlp.build_int8 ~batch:32 ~hidden (), 1);
+        ("int8 b8", Gc_workloads.Mlp.build_int8 ~batch:8 ~hidden (), 1);
       ]
   in
   let packed_brgemms (m : module_) =
@@ -427,6 +430,63 @@ let test_mlp1_reads_blocked_a () =
     (fun (name, m, _) ->
       Alcotest.(check int) (name ^ " primitives: brgemms on packed A") 3 (packed_brgemms m))
     (modules (Gc_baseline.Baseline.config ~machine ()))
+
+(* Whole-K operand reads: in the full pipeline's Tensor IR of perfbench's
+   MHA (head dim and seq 64, one whole-K block per matmul) BRGEMM reads Q,
+   K (transposed) and the softmax output where they lie; only V, read
+   untransposed, is still packed, and the softmax temporary shrinks to one
+   head's [64][64]. The primitives pack all four operands, also at head
+   dim 16 where their own free choice is one whole-K block. *)
+let test_mha_reads_whole_k_in_place () =
+  let machine = Gc_microkernel.Machine.xeon_8358 in
+  let mha hidden = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:64 ~hidden ~heads:4 ()).graph in
+  let tir ?(g = mha 256) config = Core.tir_module (Core.compile ~config g) in
+  let is_pack (t : tensor) =
+    String.starts_with ~prefix:"Apack" t.tname || String.starts_with ~prefix:"Bpack" t.tname
+  in
+  let fold_funcs (m : module_) f =
+    List.concat_map (fun (fn : func) -> Visit.fold_stmts ~stmt:f [] fn.body) m.funcs
+  in
+  (* the tensors the pack buffers are filled from *)
+  let pack_sources m =
+    fold_funcs m (fun acc s ->
+        match s with
+        | Store (t, _, v) when is_pack t ->
+            Visit.fold_expr
+              (fun acc e -> match e with Load (src, _) -> src.tname :: acc | _ -> acc)
+              acc v
+        | _ -> acc)
+    |> List.sort_uniq compare
+  in
+  (* (A, B) operand tensors of every brgemm *)
+  let operands m =
+    fold_funcs m (fun acc s ->
+        match s with
+        | Call ("brgemm", args) -> (
+            match (List.nth args 4, List.nth args 6) with
+            | Addr (a, _), Addr (b, _) -> (a, b) :: acc
+            | _ -> acc)
+        | _ -> acc)
+  in
+  let full = tir (Core.default_config ~machine ()) in
+  Alcotest.(check (list string)) "full: packed from" [ "V" ] (pack_sources full);
+  let in_place =
+    List.filter_map
+      (fun ((a : tensor), _) -> if a.storage = Local then Some (Array.to_list a.dims) else None)
+      (operands full)
+  in
+  Alcotest.(check (list (list int))) "full: softmax output read in place, one head"
+    [ [ 1; 1; 64; 64 ] ] in_place;
+  List.iter
+    (fun hidden ->
+      let prims = operands (tir ~g:(mha hidden) (Gc_baseline.Baseline.config ~machine ())) in
+      let what = Printf.sprintf "primitives, hidden %d" hidden in
+      Alcotest.(check int) (what ^ ": brgemms") 2 (List.length prims);
+      List.iter
+        (fun (a, b) ->
+          Alcotest.(check bool) (what ^ ": A and B packed") true (is_pack a && is_pack b))
+        prims)
+    [ 256; 64 ]
 
 (* ------------------------------------------------------------------ *)
 (* Tensor shrink *)
@@ -493,6 +553,69 @@ let test_shrink_leaves_address_taken () =
       (Visit.tensors_used (List.hd m'.funcs).body)
   in
   Alcotest.(check int) "dims kept" 4 t'.dims.(0)
+
+(* A local filled by [copy] and read by brgemm as one [2 × 8] A slab per
+   parallel task [b], at [at b]; [y.(b)] gets the slab's two row sums. *)
+let brgemm_slab_module ~dims ~at =
+  let t = fresh_tensor ~name:"t" ~storage:Local Dtype.F32 dims in
+  let src = fresh_tensor ~name:"src" ~storage:Param Dtype.F32 [| 64 |] in
+  let ones = fresh_tensor ~name:"ones" ~storage:Param Dtype.F32 [| 8 |] in
+  let y = fresh_tensor ~name:"y" ~storage:Param Dtype.F32 [| 4; 2 |] in
+  let b = fresh_var ~name:"b" Index in
+  let slab = Addr (t, at (Ir.v b)) in
+  let body =
+    [
+      Alloc t;
+      loop ~parallel:true b 0 4
+        [
+          Call ("copy", [ slab; Addr (src, [| Binop (Mul, Ir.v b, Int 16) |]); Int 16 ]);
+          Call ("zero", [ Addr (y, [| Ir.v b; Int 0 |]); Int 2 ]);
+          Call
+            ( "brgemm",
+              [
+                Int 1; Int 2; Int 1; Int 8;
+                slab; Int 16;
+                Addr (ones, [| Int 0 |]); Int 8;
+                Addr (y, [| Ir.v b; Int 0 |]);
+              ] );
+        ];
+    ]
+  in
+  let f = { fname = "f"; params = [ Ptensor src; Ptensor ones; Ptensor y ]; body } in
+  { funcs = [ f ]; entry = "f"; init = None; globals = [] }
+
+(* shrink, check [t]'s dims, and run: row r of [y] sums src[8r .. 8r+7] *)
+let check_slab_shrink ~what m expect_dims =
+  let m' = Tensor_shrink.run m in
+  let t' =
+    List.find (fun (x : tensor) -> x.tname = "t")
+      (Visit.tensors_used (List.hd m'.funcs).body)
+  in
+  Alcotest.(check (list int)) what expect_dims (Array.to_list t'.dims);
+  let src = Buffer.create Dtype.F32 64 and ones = Buffer.create Dtype.F32 8 in
+  for i = 0 to 63 do Buffer.set src i (float_of_int i) done;
+  for i = 0 to 7 do Buffer.set ones i 1. done;
+  let y = Buffer.create Dtype.F32 8 in
+  run_module m' [| src; ones; y |];
+  for r = 0 to 7 do
+    Alcotest.(check (float 0.)) (Printf.sprintf "y row %d" r)
+      (float_of_int ((64 * r) + 28)) (Buffer.get y r)
+  done
+
+let test_shrink_addr_slab_inside () =
+  (* every Addr indexes dim 0 with the task variable, and the 16-element
+     slab stays inside the trailing [2][8]: dim 0 shrinks *)
+  check_slab_shrink ~what:"dim 0 shrunk"
+    (brgemm_slab_module ~dims:[| 4; 2; 8 |] ~at:(fun b -> [| b; Int 0; Int 0 |]))
+    [ 1; 2; 8 ]
+
+let test_shrink_addr_slab_crossing () =
+  (* task b owns rows 2b and 2b + 1 of [8][8]: every site indexes dim 0
+     with the same task-invariant 2b, but the slab runs on into row
+     2b + 1, so dim 0 must not shrink *)
+  check_slab_shrink ~what:"dim 0 kept"
+    (brgemm_slab_module ~dims:[| 8; 8 |] ~at:(fun b -> [| Binop (Mul, b, Int 2); Int 0 |]))
+    [ 8; 8 ]
 
 (* ------------------------------------------------------------------ *)
 (* DSE *)
@@ -790,11 +913,15 @@ let () =
             test_pipelines_leave_no_unread_assign;
           Alcotest.test_case "mlp_1 reads blocked A in place" `Quick
             test_mlp1_reads_blocked_a;
+          Alcotest.test_case "mha reads whole-K operands in place" `Quick
+            test_mha_reads_whole_k_in_place;
         ] );
       ( "tensor_shrink",
         [
           Alcotest.test_case "privatizes" `Quick test_shrink_privatizes_into_parallel_loop;
           Alcotest.test_case "address taken kept" `Quick test_shrink_leaves_address_taken;
+          Alcotest.test_case "brgemm slab inside shrinks" `Quick test_shrink_addr_slab_inside;
+          Alcotest.test_case "slab crossing a dim kept" `Quick test_shrink_addr_slab_crossing;
         ] );
       ( "dse",
         [
