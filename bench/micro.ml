@@ -74,6 +74,9 @@ let headline_name = function
   | `Full -> "f32_64x64x64_bs4"
   | `Tiny -> "f32_16x16x16_bs2"
 
+(* the int8 kernel on the full headline's shape *)
+let int8_headline_name = "u8s8s32_64x64x64_bs4"
+
 let bench_shape s =
   let { batch; mb; nb; kb; _ } = s in
   let flops = 2. *. float_of_int (batch * mb * nb * kb) in
@@ -291,6 +294,23 @@ let validate file =
       (match Option.bind (member "headline" j) (member "grid") with
       | Some (String _) -> ()
       | _ -> fail "missing headline.grid (chosen tile params)");
+      (* the int8 pin, a ratio within one full run (tiny shapes are too
+         small to rank the kernels): on the headline shape the SWAR
+         u8s8s32 core, two MACs per integer multiply, is at least as fast
+         as the f32 one; the one-MAC-per-multiply core it replaced ran at
+         ~0.8 of it *)
+      (if member "mode" j = Some (String "full") then
+         let rate name =
+           let shape = Option.bind (member "brgemm" j) (member name) in
+           match Option.bind shape (member "tiled_gflops") with
+           | Some (Float g) -> g
+           | _ -> fail (Printf.sprintf "missing brgemm.%s.tiled_gflops" name)
+         in
+         let i8 = rate int8_headline_name and f = rate (headline_name `Full) in
+         if i8 < f then
+           fail
+             (Printf.sprintf "brgemm %s %.3f GFLOP/s is below %s %.3f GFLOP/s"
+                int8_headline_name i8 (headline_name `Full) f));
       (match Option.bind (member "pool" j) (member "fork_join_ns") with
       | Some (Float _) -> ()
       | _ -> fail "missing pool.fork_join_ns");

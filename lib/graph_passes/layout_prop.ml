@@ -123,9 +123,20 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
           | Layout.Plain when propagate_activations && batch > 1 ->
               (* one whole-K block makes a plain A (and a plain transposed
                  B) byte-for-byte the template's slabs, read in place; K
-                 must itself be a KB candidate *)
-              Option.fold (aligned ~kb_fixed:k ()) ~none:best
-                ~some:(fun p -> { p with Params.read_plain = true })
+                 must itself be a KB candidate, and the tiling is taken
+                 only when the lowering then reads an operand in place
+                 (with M and N not multiples of MB and NB it packs both) *)
+              let in_place (p : Params.t) =
+                let p = { p with Params.read_plain = true } in
+                let reads = Lower_tunable.reads_plain_in_place p in
+                if
+                  reads ~k_inner:true ~rows:m ~block:p.mb
+                  || Layout.is_plain b.layout
+                     && reads ~k_inner:transpose_b ~rows:n ~block:p.nb
+                then Some p
+                else None
+              in
+              Option.value ~default:best (Option.bind (aligned ~kb_fixed:k ()) in_place)
           | _ -> best
         in
         Hashtbl.replace params mm.id p;

@@ -78,6 +78,9 @@ let reduce_combine (k : Op_kind.reduce_kind) acc v =
   | Max -> Ir.Binop (Ir.Max, acc, v)
   | Min -> Ir.Binop (Ir.Min, acc, v)
 
+let reads_plain_in_place (p : Params.t) ~k_inner ~rows ~block =
+  p.read_plain && k_inner && Params.kblocks p = 1 && p.kb = p.k && rows mod block = 0
+
 let lower ~tmap (f : Fused_op.t) =
 
   let p =
@@ -145,8 +148,7 @@ let lower ~tmap (f : Fused_op.t) =
   let direct (src : Logical_tensor.t) ~slab ~k_inner ~rows ~block =
     conv = None
     &&
-    if Layout.is_plain src.layout then
-      p.read_plain && k_inner && kblocks = 1 && kb = k && rows mod block = 0
+    if Layout.is_plain src.layout then reads_plain_in_place p ~k_inner ~rows ~block
     else (not batched) && (not transpose_b) && Layout.equal src.layout slab
   in
   let a_direct =

@@ -2,291 +2,428 @@ open Gc_tensor
 open Bigarray
 
 (* The inner loops are written as expert-tuned OCaml: monomorphic Bigarray
-   accesses, unsafe indexing, k-runs contiguous for both operands, and an
-   M×N register-tiled accumulator block. This module is the repo's
-   stand-in for LIBXSMM-style JIT kernels.
+   accesses, unsafe indexing, k-runs contiguous for both operands, and a
+   register-tiled accumulator block. This module is the repo's stand-in
+   for LIBXSMM-style JIT kernels.
 
-   Tiling scheme: the output block is walked in [tile_m × tile_n] register
-   tiles. Each tile holds tile_m*tile_n live accumulators (enough
-   independent FMA chains to hide the pipeline latency), the A/B row bases
-   are hoisted out of the k loop, every A element is reused tile_n times
-   and every B element tile_m times from registers, and C is touched
-   exactly once per output element — after the *whole* batch reduction —
-   instead of once per (batch, element) as a scalar loop would.
+   Tiling scheme: the output block is walked in register tiles (2×4 for
+   f32, 2×8 for int8). A tile's accumulators are independent chains that
+   hide the multiply-add latency, the A/B row bases are hoisted out of the
+   k loop, every A element is reused across the tile's columns and every
+   B element across its rows, and C is touched once per output element
+   after the whole batch reduction (int8: once per flush, see below).
 
-   Accumulation order is the contract the differential tests pin down:
-   every output element, full-tile or edge, is reduced by a single
-   accumulator running batch-outer/k-inner and written back once. That
-   makes the kernel bit-identical to a naive single-accumulator reference
-   GEMM for every tile decomposition, including the ragged edges.
-
-   Steady-state serving demands the kernels be allocation-free, and
-   without flambda that takes care:
-   - accumulators are flat [float array]/[int array] scratch blocks, not
-     [ref] cells — a float ref is a polymorphic record holding a *boxed*
-     float, so every [acc := !acc +. x] in the hot loop would allocate,
-     while float-array loads/stores are unboxed compiler intrinsics;
-   - the scratch block is per-domain ([Domain.DLS]), sized once, so a
-     kernel invocation allocates nothing — domains never share it and the
-     engine never calls the kernel reentrantly;
+   Steady-state serving demands the kernels be allocation-free. Without
+   flambda that takes three rules:
+   - accumulators are local [ref]s that never escape (no closure captures
+     them, none is passed on), which ocamlopt turns into mutable
+     variables: float ones live unboxed in xmm registers, int ones in
+     general registers, so [acc := !acc +. x] allocates nothing;
    - the ragged-edge helpers are top-level functions (fully applied ⇒
      direct calls), not per-invocation closures;
    - the operand types are annotated monomorphic: without the annotations
      the bodies would infer a polymorphic Bigarray kind and every
      [Array1.unsafe_get] would compile to a generic (boxing) call instead
-     of an unboxed intrinsic. *)
+     of an unboxed intrinsic. That is also why u8 and s8 A have their own
+     copies of the int8 loops: one shared body would need a per-element
+     load closure.
+
+   f32 numerics: every output element, full-tile or edge, is reduced by a
+   single accumulator running batch-outer/k-inner and written back once,
+   which makes the kernel bit-identical to a naive single-accumulator
+   reference GEMM for every tile decomposition, including the ragged
+   edges.
+
+   int8 arithmetic is SWAR: two 32-bit lanes per 63-bit int, packed with
+   [+] (brgemm.mli has the lane layout and the flush bound). The lanes are
+   exact integers and C's s32 add wraps, so any flush schedule leaves C
+   bit-identical to one write-back of the full sum, i.e. to the naive
+   integer reference. *)
 
 let tile_m = 2
 let tile_n = 4
 
-let f32_scratch : float array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make (tile_m * tile_n) 0.)
+(* ------------------------------------------------------------------ *)
+(* f32: 2×4 tiles, 1×4 strips for a ragged last row, 1×1 corners *)
 
-(* scalar 1×1 edge: accs.(0) is the single accumulator *)
 let edge_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
-    (c : Buffer.f32_arr) c_off batch kb nb (accs : float array) m n =
-  Array.unsafe_set accs 0 0.;
+    (c : Buffer.f32_arr) c_off batch kb nb m n =
+  let acc = ref 0. in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
     let brow = Array.unsafe_get b_offs bi + (n * kb) in
     for k = 0 to kb - 1 do
-      Array.unsafe_set accs 0
-        (Array.unsafe_get accs 0
-        +. (Array1.unsafe_get a (arow + k) *. Array1.unsafe_get b (brow + k)))
+      acc := !acc +. (Array1.unsafe_get a (arow + k) *. Array1.unsafe_get b (brow + k))
     done
   done;
   let ci = c_off + (m * nb) + n in
-  Array1.unsafe_set c ci (Array1.unsafe_get c ci +. Array.unsafe_get accs 0)
+  Array1.unsafe_set c ci (Array1.unsafe_get c ci +. !acc)
 
-(* 1×tile_n strip for the ragged last row(s) *)
 let strip1xn_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
-    (c : Buffer.f32_arr) c_off batch kb nb (accs : float array) m n0 =
-  Array.fill accs 0 tile_n 0.;
+    (c : Buffer.f32_arr) c_off batch kb nb m n0 =
+  let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
-    let bo = Array.unsafe_get b_offs bi in
-    let br0 = bo + (n0 * kb) in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
     let br1 = br0 + kb in
     let br2 = br1 + kb in
     let br3 = br2 + kb in
     for k = 0 to kb - 1 do
       let a0 = Array1.unsafe_get a (arow + k) in
-      Array.unsafe_set accs 0
-        (Array.unsafe_get accs 0 +. (a0 *. Array1.unsafe_get b (br0 + k)));
-      Array.unsafe_set accs 1
-        (Array.unsafe_get accs 1 +. (a0 *. Array1.unsafe_get b (br1 + k)));
-      Array.unsafe_set accs 2
-        (Array.unsafe_get accs 2 +. (a0 *. Array1.unsafe_get b (br2 + k)));
-      Array.unsafe_set accs 3
-        (Array.unsafe_get accs 3 +. (a0 *. Array1.unsafe_get b (br3 + k)))
+      s0 := !s0 +. (a0 *. Array1.unsafe_get b (br0 + k));
+      s1 := !s1 +. (a0 *. Array1.unsafe_get b (br1 + k));
+      s2 := !s2 +. (a0 *. Array1.unsafe_get b (br2 + k));
+      s3 := !s3 +. (a0 *. Array1.unsafe_get b (br3 + k))
     done
   done;
   let ci = c_off + (m * nb) + n0 in
-  Array1.unsafe_set c ci (Array1.unsafe_get c ci +. Array.unsafe_get accs 0);
-  Array1.unsafe_set c (ci + 1) (Array1.unsafe_get c (ci + 1) +. Array.unsafe_get accs 1);
-  Array1.unsafe_set c (ci + 2) (Array1.unsafe_get c (ci + 2) +. Array.unsafe_get accs 2);
-  Array1.unsafe_set c (ci + 3) (Array1.unsafe_get c (ci + 3) +. Array.unsafe_get accs 3)
+  Array1.unsafe_set c ci (Array1.unsafe_get c ci +. !s0);
+  Array1.unsafe_set c (ci + 1) (Array1.unsafe_get c (ci + 1) +. !s1);
+  Array1.unsafe_set c (ci + 2) (Array1.unsafe_get c (ci + 2) +. !s2);
+  Array1.unsafe_set c (ci + 3) (Array1.unsafe_get c (ci + 3) +. !s3)
+
+let tile_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
+    (c : Buffer.f32_arr) c_off batch kb nb m0 n0 =
+  (* row 0 in s0..s3, row 1 in t0..t3 *)
+  let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
+  let t0 = ref 0. and t1 = ref 0. and t2 = ref 0. and t3 = ref 0. in
+  for bi = 0 to batch - 1 do
+    let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
+    let ar1 = ar0 + kb in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
+    let br1 = br0 + kb in
+    let br2 = br1 + kb in
+    let br3 = br2 + kb in
+    for k = 0 to kb - 1 do
+      let a0 = Array1.unsafe_get a (ar0 + k) in
+      let a1 = Array1.unsafe_get a (ar1 + k) in
+      let b0 = Array1.unsafe_get b (br0 + k) in
+      s0 := !s0 +. (a0 *. b0);
+      t0 := !t0 +. (a1 *. b0);
+      let b1 = Array1.unsafe_get b (br1 + k) in
+      s1 := !s1 +. (a0 *. b1);
+      t1 := !t1 +. (a1 *. b1);
+      let b2 = Array1.unsafe_get b (br2 + k) in
+      s2 := !s2 +. (a0 *. b2);
+      t2 := !t2 +. (a1 *. b2);
+      let b3 = Array1.unsafe_get b (br3 + k) in
+      s3 := !s3 +. (a0 *. b3);
+      t3 := !t3 +. (a1 *. b3)
+    done
+  done;
+  let c0 = c_off + (m0 * nb) + n0 in
+  let c1 = c0 + nb in
+  Array1.unsafe_set c c0 (Array1.unsafe_get c c0 +. !s0);
+  Array1.unsafe_set c (c0 + 1) (Array1.unsafe_get c (c0 + 1) +. !s1);
+  Array1.unsafe_set c (c0 + 2) (Array1.unsafe_get c (c0 + 2) +. !s2);
+  Array1.unsafe_set c (c0 + 3) (Array1.unsafe_get c (c0 + 3) +. !s3);
+  Array1.unsafe_set c c1 (Array1.unsafe_get c c1 +. !t0);
+  Array1.unsafe_set c (c1 + 1) (Array1.unsafe_get c (c1 + 1) +. !t1);
+  Array1.unsafe_set c (c1 + 2) (Array1.unsafe_get c (c1 + 2) +. !t2);
+  Array1.unsafe_set c (c1 + 3) (Array1.unsafe_get c (c1 + 3) +. !t3)
 
 let f32 ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs ~(b : Buffer.f32_arr)
     ~b_offs ~(c : Buffer.f32_arr) ~c_off =
   let mfull = mb - (mb mod tile_m) in
   let nfull = nb - (nb mod tile_n) in
-  (* per-domain accumulator scratch: tile row r, column j at [r*tile_n + j] *)
-  let accs = Domain.DLS.get f32_scratch in
   let m = ref 0 in
   while !m < mfull do
     let m0 = !m in
     let n = ref 0 in
     while !n < nfull do
-      let n0 = !n in
-      Array.fill accs 0 (tile_m * tile_n) 0.;
-      for bi = 0 to batch - 1 do
-        let ao = Array.unsafe_get a_offs bi and bo = Array.unsafe_get b_offs bi in
-        let ar0 = ao + (m0 * kb) in
-        let ar1 = ar0 + kb in
-        let br0 = bo + (n0 * kb) in
-        let br1 = br0 + kb in
-        let br2 = br1 + kb in
-        let br3 = br2 + kb in
-        for k = 0 to kb - 1 do
-          let a0 = Array1.unsafe_get a (ar0 + k) in
-          let a1 = Array1.unsafe_get a (ar1 + k) in
-          let b0 = Array1.unsafe_get b (br0 + k) in
-          Array.unsafe_set accs 0 (Array.unsafe_get accs 0 +. (a0 *. b0));
-          Array.unsafe_set accs 4 (Array.unsafe_get accs 4 +. (a1 *. b0));
-          let b1 = Array1.unsafe_get b (br1 + k) in
-          Array.unsafe_set accs 1 (Array.unsafe_get accs 1 +. (a0 *. b1));
-          Array.unsafe_set accs 5 (Array.unsafe_get accs 5 +. (a1 *. b1));
-          let b2 = Array1.unsafe_get b (br2 + k) in
-          Array.unsafe_set accs 2 (Array.unsafe_get accs 2 +. (a0 *. b2));
-          Array.unsafe_set accs 6 (Array.unsafe_get accs 6 +. (a1 *. b2));
-          let b3 = Array1.unsafe_get b (br3 + k) in
-          Array.unsafe_set accs 3 (Array.unsafe_get accs 3 +. (a0 *. b3));
-          Array.unsafe_set accs 7 (Array.unsafe_get accs 7 +. (a1 *. b3))
-        done
-      done;
-      let c0 = c_off + (m0 * nb) + n0 in
-      let c1 = c0 + nb in
-      Array1.unsafe_set c c0 (Array1.unsafe_get c c0 +. Array.unsafe_get accs 0);
-      Array1.unsafe_set c (c0 + 1) (Array1.unsafe_get c (c0 + 1) +. Array.unsafe_get accs 1);
-      Array1.unsafe_set c (c0 + 2) (Array1.unsafe_get c (c0 + 2) +. Array.unsafe_get accs 2);
-      Array1.unsafe_set c (c0 + 3) (Array1.unsafe_get c (c0 + 3) +. Array.unsafe_get accs 3);
-      Array1.unsafe_set c c1 (Array1.unsafe_get c c1 +. Array.unsafe_get accs 4);
-      Array1.unsafe_set c (c1 + 1) (Array1.unsafe_get c (c1 + 1) +. Array.unsafe_get accs 5);
-      Array1.unsafe_set c (c1 + 2) (Array1.unsafe_get c (c1 + 2) +. Array.unsafe_get accs 6);
-      Array1.unsafe_set c (c1 + 3) (Array1.unsafe_get c (c1 + 3) +. Array.unsafe_get accs 7);
-      n := n0 + tile_n
+      tile_f32 a a_offs b b_offs c c_off batch kb nb m0 !n;
+      n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs b b_offs c c_off batch kb nb accs m0 n1;
-      edge_f32 a a_offs b b_offs c c_off batch kb nb accs (m0 + 1) n1
+      edge_f32 a a_offs b b_offs c c_off batch kb nb m0 n1;
+      edge_f32 a a_offs b b_offs c c_off batch kb nb (m0 + 1) n1
     done;
     m := m0 + tile_m
   done;
   for m1 = mfull to mb - 1 do
     let n = ref 0 in
     while !n < nfull do
-      strip1xn_f32 a a_offs b b_offs c c_off batch kb nb accs m1 !n;
+      strip1xn_f32 a a_offs b b_offs c c_off batch kb nb m1 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs b b_offs c c_off batch kb nb accs m1 n1
+      edge_f32 a a_offs b b_offs c c_off batch kb nb m1 n1
     done
   done
 
-(* Integer core, shared by u8×s8 and s8×s8 through [get_a] (A-side loads
-   are 2 per k step per tile, so the closure call amortizes over the 8
-   MACs; B stays a monomorphic s8 Bigarray access). Integer accumulation
-   is exact, so ordering is free — but the structure mirrors [f32]. Int
-   accumulators are immediate values, yet [ref] cells still allocate the
-   cell itself per tile, so they use the same per-domain scratch-array
-   discipline as [f32]. *)
+(* ------------------------------------------------------------------ *)
+(* int8: SWAR 2×8 tiles, column-packed 1×8 strips, scalar corners *)
 
-let int8_scratch : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make (tile_m * tile_n) 0)
+(* k steps between lane flushes: |Σ| ≤ 32 640 · 32 768 < 2³⁰ per lane *)
+let flush_every = 32768
 
-let edge_int8 get_a (b : Buffer.s8_arr) a_offs b_offs (c : Buffer.s32_arr)
-    c_off batch kb nb (accs : int array) m n =
-  Array.unsafe_set accs 0 0;
+(* the end of the k-run chunk starting at [k0] after [run] k steps since
+   the last flush *)
+let chunk_end k0 run kb =
+  let e = k0 + flush_every - run in
+  if e < kb then e else kb
+
+(* add a decoded lane pair to C: the low lane at [ci], the high one at
+   [ci + stride] *)
+let wb_lanes (c : Buffer.s32_arr) ci stride s =
+  let lo = (s lsl 31) asr 31 in
+  Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int lo));
+  let cj = ci + stride in
+  Array1.unsafe_set c cj
+    (Int32.add (Array1.unsafe_get c cj) (Int32.of_int ((s - lo) asr 32)))
+
+(* a 2×8 tile's accumulators: column j, rows packed (row 1 at [ci + nb]) *)
+let flush_2x8 c ci nb s0 s1 s2 s3 s4 s5 s6 s7 =
+  wb_lanes c ci nb s0;
+  wb_lanes c (ci + 1) nb s1;
+  wb_lanes c (ci + 2) nb s2;
+  wb_lanes c (ci + 3) nb s3;
+  wb_lanes c (ci + 4) nb s4;
+  wb_lanes c (ci + 5) nb s5;
+  wb_lanes c (ci + 6) nb s6;
+  wb_lanes c (ci + 7) nb s7
+
+(* a 1×8 strip's accumulators: columns 2j and 2j+1 packed *)
+let flush_1x8 c ci s0 s1 s2 s3 =
+  wb_lanes c ci 1 s0;
+  wb_lanes c (ci + 2) 1 s1;
+  wb_lanes c (ci + 4) 1 s2;
+  wb_lanes c (ci + 6) 1 s3
+
+(* The three loops below come twice, for u8 and for s8 A; the copies
+   differ only in the annotated type of [a]. *)
+
+let tile_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
+    (c : Buffer.s32_arr) c_off batch kb nb m0 n0 =
+  let ci = c_off + (m0 * nb) + n0 in
+  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
+  let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
+  let run = ref 0 in
+  for bi = 0 to batch - 1 do
+    let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
+    let ar1 = ar0 + kb in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
+    let br1 = br0 + kb in
+    let br2 = br1 + kb in
+    let br3 = br2 + kb in
+    let br4 = br3 + kb in
+    let br5 = br4 + kb in
+    let br6 = br5 + kb in
+    let br7 = br6 + kb in
+    let k0 = ref 0 in
+    while !k0 < kb do
+      if !run = flush_every then begin
+        flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7;
+        s0 := 0; s1 := 0; s2 := 0; s3 := 0;
+        s4 := 0; s5 := 0; s6 := 0; s7 := 0;
+        run := 0
+      end;
+      let k1 = chunk_end !k0 !run kb in
+      for k = !k0 to k1 - 1 do
+        let p =
+          Array1.unsafe_get a (ar0 + k) + (Array1.unsafe_get a (ar1 + k) lsl 32)
+        in
+        s0 := !s0 + (p * Array1.unsafe_get b (br0 + k));
+        s1 := !s1 + (p * Array1.unsafe_get b (br1 + k));
+        s2 := !s2 + (p * Array1.unsafe_get b (br2 + k));
+        s3 := !s3 + (p * Array1.unsafe_get b (br3 + k));
+        s4 := !s4 + (p * Array1.unsafe_get b (br4 + k));
+        s5 := !s5 + (p * Array1.unsafe_get b (br5 + k));
+        s6 := !s6 + (p * Array1.unsafe_get b (br6 + k));
+        s7 := !s7 + (p * Array1.unsafe_get b (br7 + k))
+      done;
+      run := !run + (k1 - !k0);
+      k0 := k1
+    done
+  done;
+  flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
+
+let strip_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
+    (c : Buffer.s32_arr) c_off batch kb nb m n0 =
+  let ci = c_off + (m * nb) + n0 in
+  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
+  let run = ref 0 in
+  for bi = 0 to batch - 1 do
+    let ar = Array.unsafe_get a_offs bi + (m * kb) in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
+    let br1 = br0 + kb in
+    let br2 = br1 + kb in
+    let br3 = br2 + kb in
+    let br4 = br3 + kb in
+    let br5 = br4 + kb in
+    let br6 = br5 + kb in
+    let br7 = br6 + kb in
+    let k0 = ref 0 in
+    while !k0 < kb do
+      if !run = flush_every then begin
+        flush_1x8 c ci !s0 !s1 !s2 !s3;
+        s0 := 0; s1 := 0; s2 := 0; s3 := 0;
+        run := 0
+      end;
+      let k1 = chunk_end !k0 !run kb in
+      for k = !k0 to k1 - 1 do
+        let x = Array1.unsafe_get a (ar + k) in
+        let p0 = Array1.unsafe_get b (br0 + k) + (Array1.unsafe_get b (br1 + k) lsl 32) in
+        s0 := !s0 + (x * p0);
+        let p1 = Array1.unsafe_get b (br2 + k) + (Array1.unsafe_get b (br3 + k) lsl 32) in
+        s1 := !s1 + (x * p1);
+        let p2 = Array1.unsafe_get b (br4 + k) + (Array1.unsafe_get b (br5 + k) lsl 32) in
+        s2 := !s2 + (x * p2);
+        let p3 = Array1.unsafe_get b (br6 + k) + (Array1.unsafe_get b (br7 + k) lsl 32) in
+        s3 := !s3 + (x * p3)
+      done;
+      run := !run + (k1 - !k0);
+      k0 := k1
+    done
+  done;
+  flush_1x8 c ci !s0 !s1 !s2 !s3
+
+(* scalar corner: one plain int accumulator cannot overflow 63 bits *)
+let edge_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
+    (c : Buffer.s32_arr) c_off batch kb nb m n =
+  let acc = ref 0 in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
     let brow = Array.unsafe_get b_offs bi + (n * kb) in
     for k = 0 to kb - 1 do
-      Array.unsafe_set accs 0
-        (Array.unsafe_get accs 0 + (get_a (arow + k) * Array1.unsafe_get b (brow + k)))
+      acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
     done
   done;
   let ci = c_off + (m * nb) + n in
-  Array1.unsafe_set c ci
-    (Int32.add (Array1.unsafe_get c ci) (Int32.of_int (Array.unsafe_get accs 0)))
+  Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
 
-let strip1xn_int8 get_a (b : Buffer.s8_arr) a_offs b_offs (c : Buffer.s32_arr)
-    c_off batch kb nb (accs : int array) m n0 =
-  Array.fill accs 0 tile_n 0;
+let tile_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
+    (c : Buffer.s32_arr) c_off batch kb nb m0 n0 =
+  let ci = c_off + (m0 * nb) + n0 in
+  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
+  let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
+  let run = ref 0 in
   for bi = 0 to batch - 1 do
-    let arow = Array.unsafe_get a_offs bi + (m * kb) in
-    let bo = Array.unsafe_get b_offs bi in
-    let br0 = bo + (n0 * kb) in
+    let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
+    let ar1 = ar0 + kb in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
     let br1 = br0 + kb in
     let br2 = br1 + kb in
     let br3 = br2 + kb in
-    for k = 0 to kb - 1 do
-      let a0 = get_a (arow + k) in
-      Array.unsafe_set accs 0
-        (Array.unsafe_get accs 0 + (a0 * Array1.unsafe_get b (br0 + k)));
-      Array.unsafe_set accs 1
-        (Array.unsafe_get accs 1 + (a0 * Array1.unsafe_get b (br1 + k)));
-      Array.unsafe_set accs 2
-        (Array.unsafe_get accs 2 + (a0 * Array1.unsafe_get b (br2 + k)));
-      Array.unsafe_set accs 3
-        (Array.unsafe_get accs 3 + (a0 * Array1.unsafe_get b (br3 + k)))
-    done
-  done;
-  let ci = c_off + (m * nb) + n0 in
-  let wb ci acc =
-    Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int acc))
-  in
-  wb ci (Array.unsafe_get accs 0);
-  wb (ci + 1) (Array.unsafe_get accs 1);
-  wb (ci + 2) (Array.unsafe_get accs 2);
-  wb (ci + 3) (Array.unsafe_get accs 3)
-
-let int8_core ~get_a ~batch ~mb ~nb ~kb ~a_offs ~(b : Buffer.s8_arr) ~b_offs
-    ~(c : Buffer.s32_arr) ~c_off =
-  let mfull = mb - (mb mod tile_m) in
-  let nfull = nb - (nb mod tile_n) in
-  let accs = Domain.DLS.get int8_scratch in
-  let wb ci (acc : int) =
-    Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int acc))
-  in
-  let m = ref 0 in
-  while !m < mfull do
-    let m0 = !m in
-    let n = ref 0 in
-    while !n < nfull do
-      let n0 = !n in
-      Array.fill accs 0 (tile_m * tile_n) 0;
-      for bi = 0 to batch - 1 do
-        let ao = Array.unsafe_get a_offs bi and bo = Array.unsafe_get b_offs bi in
-        let ar0 = ao + (m0 * kb) in
-        let ar1 = ar0 + kb in
-        let br0 = bo + (n0 * kb) in
-        let br1 = br0 + kb in
-        let br2 = br1 + kb in
-        let br3 = br2 + kb in
-        for k = 0 to kb - 1 do
-          let a0 = get_a (ar0 + k) in
-          let a1 = get_a (ar1 + k) in
-          let b0 = Array1.unsafe_get b (br0 + k) in
-          Array.unsafe_set accs 0 (Array.unsafe_get accs 0 + (a0 * b0));
-          Array.unsafe_set accs 4 (Array.unsafe_get accs 4 + (a1 * b0));
-          let b1 = Array1.unsafe_get b (br1 + k) in
-          Array.unsafe_set accs 1 (Array.unsafe_get accs 1 + (a0 * b1));
-          Array.unsafe_set accs 5 (Array.unsafe_get accs 5 + (a1 * b1));
-          let b2 = Array1.unsafe_get b (br2 + k) in
-          Array.unsafe_set accs 2 (Array.unsafe_get accs 2 + (a0 * b2));
-          Array.unsafe_set accs 6 (Array.unsafe_get accs 6 + (a1 * b2));
-          let b3 = Array1.unsafe_get b (br3 + k) in
-          Array.unsafe_set accs 3 (Array.unsafe_get accs 3 + (a0 * b3));
-          Array.unsafe_set accs 7 (Array.unsafe_get accs 7 + (a1 * b3))
-        done
+    let br4 = br3 + kb in
+    let br5 = br4 + kb in
+    let br6 = br5 + kb in
+    let br7 = br6 + kb in
+    let k0 = ref 0 in
+    while !k0 < kb do
+      if !run = flush_every then begin
+        flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7;
+        s0 := 0; s1 := 0; s2 := 0; s3 := 0;
+        s4 := 0; s5 := 0; s6 := 0; s7 := 0;
+        run := 0
+      end;
+      let k1 = chunk_end !k0 !run kb in
+      for k = !k0 to k1 - 1 do
+        let p =
+          Array1.unsafe_get a (ar0 + k) + (Array1.unsafe_get a (ar1 + k) lsl 32)
+        in
+        s0 := !s0 + (p * Array1.unsafe_get b (br0 + k));
+        s1 := !s1 + (p * Array1.unsafe_get b (br1 + k));
+        s2 := !s2 + (p * Array1.unsafe_get b (br2 + k));
+        s3 := !s3 + (p * Array1.unsafe_get b (br3 + k));
+        s4 := !s4 + (p * Array1.unsafe_get b (br4 + k));
+        s5 := !s5 + (p * Array1.unsafe_get b (br5 + k));
+        s6 := !s6 + (p * Array1.unsafe_get b (br6 + k));
+        s7 := !s7 + (p * Array1.unsafe_get b (br7 + k))
       done;
-      let c0 = c_off + (m0 * nb) + n0 in
-      let c1 = c0 + nb in
-      wb c0 (Array.unsafe_get accs 0);
-      wb (c0 + 1) (Array.unsafe_get accs 1);
-      wb (c0 + 2) (Array.unsafe_get accs 2);
-      wb (c0 + 3) (Array.unsafe_get accs 3);
-      wb c1 (Array.unsafe_get accs 4);
-      wb (c1 + 1) (Array.unsafe_get accs 5);
-      wb (c1 + 2) (Array.unsafe_get accs 6);
-      wb (c1 + 3) (Array.unsafe_get accs 7);
-      n := n0 + tile_n
-    done;
-    for n1 = nfull to nb - 1 do
-      edge_int8 get_a b a_offs b_offs c c_off batch kb nb accs m0 n1;
-      edge_int8 get_a b a_offs b_offs c c_off batch kb nb accs (m0 + 1) n1
-    done;
-    m := m0 + tile_m
-  done;
-  for m1 = mfull to mb - 1 do
-    let n = ref 0 in
-    while !n < nfull do
-      strip1xn_int8 get_a b a_offs b_offs c c_off batch kb nb accs m1 !n;
-      n := !n + tile_n
-    done;
-    for n1 = nfull to nb - 1 do
-      edge_int8 get_a b a_offs b_offs c c_off batch kb nb accs m1 n1
+      run := !run + (k1 - !k0);
+      k0 := k1
     done
-  done
+  done;
+  flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
-let u8s8s32 ~batch ~mb ~nb ~kb ~(a : Buffer.u8_arr) ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core ~get_a:(fun i -> Array1.unsafe_get a i) ~batch ~mb ~nb ~kb ~a_offs
-    ~b ~b_offs ~c ~c_off
+let strip_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
+    (c : Buffer.s32_arr) c_off batch kb nb m n0 =
+  let ci = c_off + (m * nb) + n0 in
+  let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
+  let run = ref 0 in
+  for bi = 0 to batch - 1 do
+    let ar = Array.unsafe_get a_offs bi + (m * kb) in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
+    let br1 = br0 + kb in
+    let br2 = br1 + kb in
+    let br3 = br2 + kb in
+    let br4 = br3 + kb in
+    let br5 = br4 + kb in
+    let br6 = br5 + kb in
+    let br7 = br6 + kb in
+    let k0 = ref 0 in
+    while !k0 < kb do
+      if !run = flush_every then begin
+        flush_1x8 c ci !s0 !s1 !s2 !s3;
+        s0 := 0; s1 := 0; s2 := 0; s3 := 0;
+        run := 0
+      end;
+      let k1 = chunk_end !k0 !run kb in
+      for k = !k0 to k1 - 1 do
+        let x = Array1.unsafe_get a (ar + k) in
+        let p0 = Array1.unsafe_get b (br0 + k) + (Array1.unsafe_get b (br1 + k) lsl 32) in
+        s0 := !s0 + (x * p0);
+        let p1 = Array1.unsafe_get b (br2 + k) + (Array1.unsafe_get b (br3 + k) lsl 32) in
+        s1 := !s1 + (x * p1);
+        let p2 = Array1.unsafe_get b (br4 + k) + (Array1.unsafe_get b (br5 + k) lsl 32) in
+        s2 := !s2 + (x * p2);
+        let p3 = Array1.unsafe_get b (br6 + k) + (Array1.unsafe_get b (br7 + k) lsl 32) in
+        s3 := !s3 + (x * p3)
+      done;
+      run := !run + (k1 - !k0);
+      k0 := k1
+    done
+  done;
+  flush_1x8 c ci !s0 !s1 !s2 !s3
 
-let s8s8s32 ~batch ~mb ~nb ~kb ~(a : Buffer.s8_arr) ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core ~get_a:(fun i -> Array1.unsafe_get a i) ~batch ~mb ~nb ~kb ~a_offs
-    ~b ~b_offs ~c ~c_off
+let edge_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
+    (c : Buffer.s32_arr) c_off batch kb nb m n =
+  let acc = ref 0 in
+  for bi = 0 to batch - 1 do
+    let arow = Array.unsafe_get a_offs bi + (m * kb) in
+    let brow = Array.unsafe_get b_offs bi + (n * kb) in
+    for k = 0 to kb - 1 do
+      acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
+    done
+  done;
+  let ci = c_off + (m * nb) + n in
+  Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
+
+(* The driver is shared: it calls the dtype's loops once per tile, strip
+   or corner, never per element. *)
+let int8_core tile strip edge batch mb nb kb a a_offs b b_offs c c_off =
+  let nfull = nb - (nb mod 8) in
+  let m0 = ref 0 in
+  while !m0 + 1 < mb do
+    let n0 = ref 0 in
+    while !n0 < nfull do
+      tile a a_offs b b_offs c c_off batch kb nb !m0 !n0;
+      n0 := !n0 + 8
+    done;
+    for n = nfull to nb - 1 do
+      edge a a_offs b b_offs c c_off batch kb nb !m0 n;
+      edge a a_offs b b_offs c c_off batch kb nb (!m0 + 1) n
+    done;
+    m0 := !m0 + 2
+  done;
+  if mb land 1 = 1 then begin
+    let m = mb - 1 in
+    let n0 = ref 0 in
+    while !n0 < nfull do
+      strip a a_offs b b_offs c c_off batch kb nb m !n0;
+      n0 := !n0 + 8
+    done;
+    for n = nfull to nb - 1 do
+      edge a a_offs b b_offs c c_off batch kb nb m n
+    done
+  end
+
+let u8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs b b_offs c c_off
+
+let s8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs b b_offs c c_off
 
 let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
   (match ((a : Buffer.t), (b : Buffer.t), (c : Buffer.t)) with

@@ -18,19 +18,36 @@ open Gc_tensor
     This is the expert-tuned leaf: monomorphic Bigarray loops with no
     bounds checks, standing in for the paper's JIT-generated AVX-512/AMX
     kernel (see DESIGN.md substitutions). The output block is computed in
-    [tile_m × tile_n] register tiles (independent accumulator chains, A/B
-    row bases hoisted, one C write-back per output element after the whole
-    batch reduction) with scalar-remainder edges, so any (mb, nb) is
-    accepted at full rate for the tile-aligned interior.
+    register tiles (independent accumulator chains held in registers, A/B
+    row bases hoisted, C written after the whole batch reduction) with
+    ragged-edge strips and corners, so any (mb, nb) is accepted at full
+    rate for the tile-aligned interior. A call allocates nothing.
 
-    Numerics contract: every output element is reduced by a single
-    accumulator running batch-outer/k-inner and written back exactly once,
-    which makes all three kernels bit-identical to a naive
-    single-accumulator reference GEMM — the differential suite pins this
-    down. *)
+    - f32: [tile_m × tile_n] = 2×4 tiles, 1×4 strips for an odd last row,
+      1×1 corners. Every output element is reduced by a single
+      accumulator running batch-outer/k-inner and written back once, so
+      the kernel is bit-identical to a naive single-accumulator reference
+      GEMM for any shape.
+    - int8 (SWAR, "SIMD within a register"): 2×8 tiles. One 63-bit OCaml
+      int carries two 32-bit lanes: a tile packs A rows m and m+1 of one
+      k step as [a0 + a1·2³²] (added, not or-ed, so a negative s8 [a0]
+      borrows correctly), and one integer multiply by an s8 B element then
+      does both rows' multiply-adds. Each of the 8 packed accumulators
+      covers one column. An odd last row runs 1×8 strips that pack two B
+      columns instead ([b_j + b_j+1·2³²] times the A element); columns
+      past the last multiple of 8 run 1×1 scalar corners. A lane is
+      decoded by sign-extending the low 32 bits (low lane) and shifting
+      the remainder down (high lane), which is exact while |Σ| < 2³⁰ per
+      lane. A product is at most 255·128 = 32 640 in magnitude, so a
+      tile decodes its lanes into C and restarts every 32 768 k steps
+      (32 640·32 768 < 2³⁰). Integer sums are exact and C's s32 addition
+      wraps, so the flushes leave C bit-identical to the naive integer
+      reference. u8 and s8 A have separate monomorphic loops; no
+      per-element closure is called. *)
 
-(** Register-tile shape of the implementation. {!Ukernel_cost} mirrors
-    these constants; a unit test asserts they cannot drift apart. *)
+(** The f32 register tile (2×4). {!Ukernel_cost} mirrors these constants
+    to model the kernel it ranks; a unit test asserts they cannot drift
+    apart. *)
 val tile_m : int
 
 val tile_n : int
@@ -51,7 +68,7 @@ val f32 :
   unit
 
 (** int8 with VNNI semantics: A is u8, B is s8, C accumulates exactly in
-    s32. *)
+    s32 (wrapping). *)
 val u8s8s32 :
   batch:int ->
   mb:int ->

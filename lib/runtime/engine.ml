@@ -221,6 +221,22 @@ let strides_of dims =
   done;
   s
 
+(* [Dtype.saturate], inlined for the integer stores and casts, where a
+   cross-module call would box its float argument and result per element.
+   Bit-identical to it: round half away from zero, NaN to 0, then clamp;
+   [x <= lo] also maps -0. to the u8 bound +0., as [Float.max 0. (-0.)]
+   does. *)
+let[@inline] saturate lo hi x =
+  let x = Float.round x in
+  if x <> x then 0. else if x >= hi then hi else if x <= lo then lo else x
+
+let s32_lo = Dtype.min_value S32
+let s32_hi = Dtype.max_value S32
+let s8_lo = Dtype.min_value S8
+let s8_hi = Dtype.max_value S8
+let u8_lo = Dtype.min_value U8
+let u8_hi = Dtype.max_value U8
+
 let rec cint ctx (e : expr) : env -> int =
   match e with
   | Int i -> fun _ -> i
@@ -448,16 +464,15 @@ and cflt_into ctx (e : expr) (dst : int) : env -> unit =
   | Load (t, idx) ->
       let slot = tensor_slot ctx t in
       let off = coffset ctx t idx in
-      (* f32/bf16 reads go through the Bigarray primitive directly —
-         [Buffer.unsafe_get] is a cross-module call whose float result
-         would be boxed per element. s8/u8 elements are immediate ints, so
-         their loads are boxing-free too (same [float_of_int] widening as
-         [Buffer.unsafe_get]). *)
+      (* reads go through the Bigarray primitive directly, with the same
+         widening as [Buffer.unsafe_get]: that is a cross-module call whose
+         float result would be boxed per element *)
       fun env ->
         let x =
           match Array.unsafe_get env.bufs slot with
           | Buffer.F32 a | Buffer.Bf16 a ->
               Bigarray.Array1.unsafe_get a (off env)
+          | Buffer.S32 a -> Int32.to_float (Bigarray.Array1.unsafe_get a (off env))
           | Buffer.S8 a -> float_of_int (Bigarray.Array1.unsafe_get a (off env))
           | Buffer.U8 a -> float_of_int (Bigarray.Array1.unsafe_get a (off env))
           | b -> Buffer.unsafe_get b (off env)
@@ -583,12 +598,21 @@ and cflt_into ctx (e : expr) (dst : int) : env -> unit =
                 Array.unsafe_set env.floats dst
                   (1. /. Array.unsafe_get env.floats dst)
           | _ -> assert false))
-  | Cast (dt, a) ->
+  | Cast (dt, a) -> (
       let ea = cflt_into ctx a dst in
-      fun env ->
-        ea env;
-        Array.unsafe_set env.floats dst
-          (Dtype.round_to dt (Array.unsafe_get env.floats dst))
+      match dt with
+      | Dtype.F32 -> ea
+      | S32 | S8 | U8 ->
+          let lo = Dtype.min_value dt and hi = Dtype.max_value dt in
+          fun env ->
+            ea env;
+            Array.unsafe_set env.floats dst
+              (saturate lo hi (Array.unsafe_get env.floats dst))
+      | Bf16 | S64 ->
+          fun env ->
+            ea env;
+            Array.unsafe_set env.floats dst
+              (Dtype.round_to dt (Array.unsafe_get env.floats dst)))
   | Select (c, a, b) ->
       let cc = cint ctx c in
       let ea = cflt_into ctx a dst and eb = cflt_into ctx b dst in
@@ -659,10 +683,20 @@ let rec cstmt_leaf ctx sites (s : stmt) : env -> unit =
       fun env ->
         ce env;
         let v = Array.unsafe_get env.floats dst in
-        (* f32 stores through the Bigarray primitive: [Buffer.unsafe_set]
-           is a cross-module call that would box the float argument *)
+        (* stores through the Bigarray primitive, saturating like
+           [Buffer.unsafe_set]: that is a cross-module call that would box
+           the float argument *)
         (match Array.unsafe_get env.bufs slot with
         | Buffer.F32 a -> Bigarray.Array1.unsafe_set a (off env) v
+        | Buffer.S32 a ->
+            Bigarray.Array1.unsafe_set a (off env)
+              (Int32.of_float (saturate s32_lo s32_hi v))
+        | Buffer.S8 a ->
+            Bigarray.Array1.unsafe_set a (off env)
+              (int_of_float (saturate s8_lo s8_hi v))
+        | Buffer.U8 a ->
+            Bigarray.Array1.unsafe_set a (off env)
+              (int_of_float (saturate u8_lo u8_hi v))
         | b -> Buffer.unsafe_set b (off env) v)
   | Alloc t ->
       let slot = tensor_slot ctx t in

@@ -190,6 +190,24 @@ let as_s8 = function S8 a -> a | _ -> invalid_arg "Buffer.as_s8"
 let as_u8 = function U8 a -> a | _ -> invalid_arg "Buffer.as_u8"
 let as_s64 = function S64 a -> a | _ -> invalid_arg "Buffer.as_s64"
 
+(* s32/s64 spans take their fill value boxed, as [Array1.fill] wants it;
+   never inlined, so a zero fill passes the static [0l]/[0L] and
+   allocates nothing (inlined, the value would be unboxed and re-boxed
+   per call) *)
+let[@inline never] fill_s32 (a : s32_arr) off len whole v =
+  if whole then Array1.fill a v
+  else
+    for i = off to off + len - 1 do
+      Array1.unsafe_set a i v
+    done
+
+let[@inline never] fill_s64 (a : s64_arr) off len whole v =
+  if whole then Array1.fill a v
+  else
+    for i = off to off + len - 1 do
+      Array1.unsafe_set a i v
+    done
+
 let fill_range ?name t off len v =
   if len < 0 || off < 0 || off + len > length t then
     bad ?name "Buffer.fill_range: out of bounds"
@@ -206,7 +224,9 @@ let fill_range ?name t off len v =
      (allocation-free) execute path. The whole-buffer case matters: arena
      reuse zero-fills every served buffer, and a scalar loop over a large
      intermediate (e.g. attention scores) costs more than the allocation
-     it replaces. *)
+     it replaces. Zero, what those fills store, is already exact in every
+     integer dtype, so it skips [Dtype.round_to], whose boxed float result
+     would allocate on each call. *)
   let whole = off = 0 && len = length t in
   match t with
   | F32 a ->
@@ -223,33 +243,25 @@ let fill_range ?name t off len v =
           Array1.unsafe_set a i v
         done
   | S32 a ->
-      let v = Int32.of_float (Dtype.round_to S32 v) in
-      if whole then Array1.fill a v
-      else
-        for i = off to off + len - 1 do
-          Array1.unsafe_set a i v
-        done
+      fill_s32 a off len whole
+        (if v = 0. then 0l else Int32.of_float (Dtype.round_to S32 v))
   | S8 a ->
-      let v = int_of_float (Dtype.round_to S8 v) in
+      let v = if v = 0. then 0 else int_of_float (Dtype.round_to S8 v) in
       if whole then Array1.fill a v
       else
         for i = off to off + len - 1 do
           Array1.unsafe_set a i v
         done
   | U8 a ->
-      let v = int_of_float (Dtype.round_to U8 v) in
+      let v = if v = 0. then 0 else int_of_float (Dtype.round_to U8 v) in
       if whole then Array1.fill a v
       else
         for i = off to off + len - 1 do
           Array1.unsafe_set a i v
         done
   | S64 a ->
-      let v = Int64.of_float (Dtype.round_to S64 v) in
-      if whole then Array1.fill a v
-      else
-        for i = off to off + len - 1 do
-          Array1.unsafe_set a i v
-        done
+      fill_s64 a off len whole
+        (if v = 0. then 0L else Int64.of_float (Dtype.round_to S64 v))
 
 let copy_range ?name ~src ~soff ~dst ~doff len =
   if soff < 0 || doff < 0 || len < 0 || soff + len > length src

@@ -257,6 +257,80 @@ let prop_tiled_int8_exact ~signed =
         (fun i -> Buffer.get_int c i = init.(i) + expect.(i))
         (Array.init (mb * nb) (fun i -> i)))
 
+(* Extreme operands for the SWAR int8 core. Each case runs every pairing
+   of a saturated A (u8 all 255, s8 all -128) or a patterned A with a B of
+   all -128, all +127 or a pattern, so the largest products of both signs
+   reach every lane. [mb] is 1 or 3 (the column-packed 1-row strip, alone
+   and after a row-packed pair) and [nb] is never a multiple of 8 (tiles,
+   then scalar corners). The long-k cases run batch·kb past one or two
+   32 768-step lane flushes; there the exact sum leaves the s32 range, so
+   C is compared modulo 2^32, which is what its s32 accumulation does. *)
+let extreme_case ~signed (batch, mb, nb, kb) =
+  let adt = if signed then Dtype.S8 else Dtype.U8 in
+  let a_fills =
+    [ (fun _ -> if signed then -128 else 255);
+      (fun i -> if signed then ((i * 41) mod 255) - 128 else (i * 37) mod 256) ]
+  in
+  let b_fills = [ (fun _ -> -128); (fun _ -> 127); (fun i -> ((i * 23) mod 255) - 128) ] in
+  let a = Buffer.create adt (batch * mb * kb) in
+  let b = Buffer.create Dtype.S8 (batch * nb * kb) in
+  let c = Buffer.create Dtype.S32 (mb * nb) in
+  let a_offs = Array.init batch (fun i -> i * mb * kb) in
+  let b_offs = Array.init batch (fun i -> i * nb * kb) in
+  List.for_all
+    (fun fa ->
+      List.for_all
+        (fun fb ->
+          for i = 0 to Buffer.length a - 1 do Buffer.set_int a i (fa i) done;
+          for i = 0 to Buffer.length b - 1 do Buffer.set_int b i (fb i) done;
+          for i = 0 to (mb * nb) - 1 do Buffer.set_int c i (7 * i) done;
+          (if signed then
+             Brgemm.s8s8s32 ~batch ~mb ~nb ~kb ~a:(Buffer.as_s8 a) ~a_offs
+               ~b:(Buffer.as_s8 b) ~b_offs ~c:(Buffer.as_s32 c) ~c_off:0
+           else
+             Brgemm.u8s8s32 ~batch ~mb ~nb ~kb ~a:(Buffer.as_u8 a) ~a_offs
+               ~b:(Buffer.as_s8 b) ~b_offs ~c:(Buffer.as_s32 c) ~c_off:0);
+          let expect = int8_ref ~batch ~mb ~nb ~kb a b in
+          let cs = Buffer.as_s32 c in
+          Array.for_all Fun.id
+            (Array.init (mb * nb) (fun i ->
+                 Int32.equal (Bigarray.Array1.get cs i)
+                   (Int32.of_int ((7 * i) + expect.(i))))))
+        b_fills)
+    a_fills
+
+(* nb = 8q + r with r in 1..7 *)
+let ragged_nb_gen = QCheck.Gen.(map2 (fun q r -> (8 * q) + r) (int_range 0 2) (int_range 1 7))
+
+let prop_int8_extreme_short ~signed =
+  let name =
+    Printf.sprintf "%s extreme operands, mb 1|3, ragged nb"
+      (if signed then "s8s8s32" else "u8s8s32")
+  in
+  QCheck.Test.make ~name ~count:60
+    (QCheck.make ~print:QCheck.Print.(quad int int int int)
+       QCheck.Gen.(quad (int_range 1 4) (oneofl [ 1; 3 ]) ragged_nb_gen (int_range 1 40)))
+    (extreme_case ~signed)
+
+let prop_int8_extreme_flush ~signed =
+  let name =
+    Printf.sprintf "%s extreme operands across the lane flush"
+      (if signed then "s8s8s32" else "u8s8s32")
+  in
+  (* batch·kb in (32 768, 70 000]: one or two flushes, landing inside a
+     k-run or on a batch boundary *)
+  let gen =
+    QCheck.Gen.(
+      map3
+        (fun batch (mb, nb) total -> (batch, mb, nb, (total + batch - 1) / batch))
+        (int_range 1 4)
+        (pair (oneofl [ 1; 3 ]) (oneofl [ 3; 9; 11 ]))
+        (int_range 32_769 70_000))
+  in
+  QCheck.Test.make ~name ~count:8
+    (QCheck.make ~print:QCheck.Print.(quad int int int int) gen)
+    (extreme_case ~signed)
+
 (* ------------------------------------------------------------------ *)
 (* Machine model *)
 
@@ -346,6 +420,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_tiled_f32_bit_exact;
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:false);
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:true);
+          QCheck_alcotest.to_alcotest (prop_int8_extreme_short ~signed:false);
+          QCheck_alcotest.to_alcotest (prop_int8_extreme_short ~signed:true);
+          QCheck_alcotest.to_alcotest (prop_int8_extreme_flush ~signed:false);
+          QCheck_alcotest.to_alcotest (prop_int8_extreme_flush ~signed:true);
         ] );
       ( "machine",
         [ Alcotest.test_case "rates" `Quick test_machine_rates ] );

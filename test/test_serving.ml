@@ -136,6 +136,41 @@ let test_allocation_regression () =
   if per_iter > 500. then
     Alcotest.failf "steady-state execute allocates %.0f minor words/iter" per_iter
 
+(* The same bound on the paired perfbench workloads, through plain
+   [Core.execute] (fresh outputs each call): MLP_1 int8 at batch 32 under
+   the full pipeline and under the primitives configuration (int8 loads,
+   stores, casts and requant chains), and the f32 MHA (softmax, mask and
+   batch-matmul loops). Each warm execute may allocate at most 1 k minor
+   words: a boxed value per loaded, stored or cast element would cost
+   hundreds of thousands. *)
+let minor_words_per_execute t data =
+  for _ = 1 to 3 do
+    ignore (Core.execute t data)
+  done;
+  let iters = 5 in
+  let m0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Core.execute t data)
+  done;
+  (Gc.minor_words () -. m0) /. float_of_int iters
+
+let test_workload_allocation () =
+  let mlp = Mlp.build_int8 ~seed:3 ~batch:32 ~hidden:Table1.mlp_1.hidden () in
+  let mha = Mha.build_f32 ~seed:3 ~batch:2 ~seq:64 ~hidden:256 ~heads:4 () in
+  let primitives =
+    { (Gc_baseline.Baseline.config ()) with Core.pool = Some seq_pool }
+  in
+  List.iter
+    (fun (what, t, data) ->
+      let words = minor_words_per_execute t data in
+      if words > 1000. then
+        Alcotest.failf "%s: a warm execute allocates %.0f minor words" what words)
+    [
+      ("mlp1 int8 full", compile mlp.Mlp.graph, mlp.Mlp.data);
+      ("mlp1 int8 primitives", Core.compile ~config:primitives mlp.Mlp.graph, mlp.Mlp.data);
+      ("mha f32 full", compile mha.Mha.graph, mha.Mha.data);
+    ]
+
 let test_arena_counters_fire () =
   let b = Mlp.build_f32 ~seed:17 ~batch:4 ~hidden:[ 5; 7 ] () in
   let t = compile b.Mlp.graph in
@@ -369,6 +404,7 @@ let () =
             test_concurrent_execute_stress;
           Alcotest.test_case "allocation regression" `Quick
             test_allocation_regression;
+          Alcotest.test_case "workload allocation" `Quick test_workload_allocation;
           Alcotest.test_case "arena counters" `Quick test_arena_counters_fire;
           Alcotest.test_case "wide pool warm execute" `Quick
             test_wide_pool_warm_execute;

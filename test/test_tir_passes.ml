@@ -488,6 +488,42 @@ let test_mha_reads_whole_k_in_place () =
         prims)
     [ 256; 64 ]
 
+(* Whole-K is offered only where it buys an in-place read: at seq 33 and
+   head dim 32 no MB divides M = 33 and no NB divides N = 33, so the
+   lowering would pack Q and K (and the softmax output and V) whatever K
+   blocking it gets. Layout propagation then keeps the free tiling, not a
+   whole-K one with [read_plain] set. *)
+let test_mha_whole_k_only_in_place () =
+  let g = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:33 ~hidden:128 ~heads:4 ()).graph in
+  let c = Core.compile ~config:(Core.default_config ~machine:Gc_microkernel.Machine.xeon_8358 ()) g in
+  let read_plain =
+    List.filter
+      (fun (f : Gc_lowering.Fused_op.t) ->
+        match f.params with Some p -> p.Gc_lowering.Params.read_plain | None -> false)
+      (Core.fused_graph c).fused
+  in
+  Alcotest.(check int) "fused ops with read_plain" 0 (List.length read_plain);
+  let operands =
+    List.concat_map
+      (fun (fn : func) ->
+        Visit.fold_stmts
+          ~stmt:(fun acc s ->
+            match s with
+            | Call ("brgemm", args) -> (
+                match (List.nth args 4, List.nth args 6) with
+                | Addr (a, _), Addr (b, _) -> a.tname :: b.tname :: acc
+                | _ -> acc)
+            | _ -> acc)
+          [] fn.body)
+      (Core.tir_module c).funcs
+  in
+  Alcotest.(check int) "brgemm operands" 4 (List.length operands);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is a pack buffer") true
+        (String.starts_with ~prefix:"Apack" name || String.starts_with ~prefix:"Bpack" name))
+    operands
+
 (* ------------------------------------------------------------------ *)
 (* Tensor shrink *)
 
@@ -915,6 +951,8 @@ let () =
             test_mlp1_reads_blocked_a;
           Alcotest.test_case "mha reads whole-K operands in place" `Quick
             test_mha_reads_whole_k_in_place;
+          Alcotest.test_case "mha whole-K only when read in place" `Quick
+            test_mha_whole_k_only_in_place;
         ] );
       ( "tensor_shrink",
         [
