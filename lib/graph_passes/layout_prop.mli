@@ -22,7 +22,8 @@ open Gc_lowering
       ([kb = k], when K is a KB candidate) under the same tolerance;
       taking it sets [Params.read_plain], and the lowering then reads
       plain operands that are byte-for-byte its slabs (A, and a
-      transposed B) in place;
+      transposed B) in place, and an untransposed f32 B as the kernel's
+      K×N rows;
     - constant weights that want a different layout get an explicit
       [Reorder] op, which is a runtime constant and is folded into the
       init function by constant-weight preprocessing;

@@ -79,7 +79,10 @@ let reduce_combine (k : Op_kind.reduce_kind) acc v =
   | Min -> Ir.Binop (Ir.Min, acc, v)
 
 let reads_plain_in_place (p : Params.t) ~k_inner ~rows ~block =
-  p.read_plain && k_inner && Params.kblocks p = 1 && p.kb = p.k && rows mod block = 0
+  p.read_plain && rows mod block = 0
+  &&
+  if k_inner then Params.kblocks p = 1 && p.kb = p.k
+  else (* K×N rows: the f32 kernel only *) Dtype.is_float p.dtype && p.k mod p.kb = 0
 
 let lower ~tmap (f : Fused_op.t) =
 
@@ -142,9 +145,11 @@ let lower ~tmap (f : Fused_op.t) =
   (* An operand is read in place when its bytes already are the template's
      slabs: it carries the template's blocked layout (layout propagation
      arranged it), or — when layout propagation chose the blocking for it
-     ([read_plain]) — it is plain with K innermost, one whole-K block and
-     no padding on the blocked axis: a plain [M][K] row panel is then an
-     [MB, KB] slab and a plain [N][K] (transpose_b) one an [NB, KB] slab. *)
+     ([read_plain]) — it is plain and unpadded on the blocked axis with
+     either K innermost and one whole-K block (a plain [M][K] row panel is
+     then an [MB, KB] slab and a plain [N][K] (transpose_b) one an
+     [NB, KB] slab), or, for B, N innermost: KB rows of a plain [K][N]
+     are the kernel's K×N form, [ldb = N] apart. *)
   let direct (src : Logical_tensor.t) ~slab ~k_inner ~rows ~block =
     conv = None
     &&
@@ -156,6 +161,15 @@ let lower ~tmap (f : Fused_op.t) =
   in
   let b_direct =
     direct b_src ~slab:(Params.b_layout p) ~k_inner:transpose_b ~rows:n ~block:nb
+  in
+  let b_rows = b_direct && (not transpose_b) && Layout.is_plain b_src.layout in
+  (* C is accumulated straight into a plain output tile when nothing runs
+     between the kernel and the store: no post-op groups, no dtype change,
+     no k-slice partials, and no padded rows or columns to drop. *)
+  let acc_dt = acc_dtype a_src.dtype in
+  let c_direct =
+    conv = None && f.post_groups = [] && p.kpn = 1 && Dtype.equal acc_dt c_lt.dtype
+    && Layout.is_plain c_lt.layout && m mod mb = 0 && n mod nb = 0
   in
 
   (* Loop variables *)
@@ -198,7 +212,6 @@ let lower ~tmap (f : Fused_op.t) =
   in
 
   (* Local buffers of the single-core kernel *)
-  let acc_dt = acc_dtype a_src.dtype in
   let cacc = Ir.fresh_tensor ~name:"Cacc" ~storage:Ir.Local acc_dt [| nsn; mb; nb |] in
   let apack =
     if a_direct then None
@@ -356,21 +369,65 @@ let lower ~tmap (f : Fused_op.t) =
   let b_addr =
     match bpack with
     | Some bp -> Ir.Addr (bp, [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |])
+    | None when b_rows ->
+        Ir.Addr (resolve ts b_src, operand_index b_src (kbase *: Ir.Int kb) (Ir.v npsi *: Ir.Int nb))
     | None ->
         in_place b_src
           [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |]
           (Ir.v npsi *: Ir.Int nb)
   in
-  let a_stride = mb * kb and b_stride = nblocks * nb * kb in
+  let a_stride = mb * kb in
+  let b_stride = if b_rows then kb * n else nblocks * nb * kb in
+  (* the output tile at (row, col) of a direct C *)
+  let c_at row col =
+    Ir.Addr (resolve ts c_lt, Array.append out_batch [| row; col |])
+  in
+  let row0 = Ir.v mpsi *: Ir.Int mb in
   let brgemm_call =
+    let c_addr =
+      if c_direct then c_at row0 (Ir.v npsi *: Ir.Int nb)
+      else Ir.Addr (cacc, [| Ir.v nsi; Ir.Int 0; Ir.Int 0 |])
+    in
+    (* [ldb; ldc] only where an operand needs them, so templates that pack
+       B and stage C keep the slab form *)
+    let ld =
+      if c_direct || b_rows then
+        [ Ir.Int (if b_rows then n else 0); Ir.Int (if c_direct then n else nb) ]
+      else []
+    in
     Ir.Call
       ( "brgemm",
         [
           bs_eff; Ir.Int mb; Ir.Int nb; Ir.Int kb;
           a_addr; Ir.Int a_stride;
           b_addr; Ir.Int b_stride;
-          Ir.Addr (cacc, [| Ir.v nsi; Ir.Int 0; Ir.Int 0 |]);
-        ] )
+          c_addr;
+        ]
+        @ ld )
+  in
+  (* C' = 0 before the reduction: the accumulator, or this task's part of
+     the output rows — one run when it owns whole rows ([npn = 1]) *)
+  let zero_c =
+    if not c_direct then
+      [ Ir.Call ("zero", [ Ir.Addr (cacc, [| Ir.Int 0; Ir.Int 0; Ir.Int 0 |]); Ir.Int (nsn * mb * nb) ]) ]
+    else if p.npn = 1 then [ Ir.Call ("zero", [ c_at row0 (Ir.Int 0); Ir.Int (mb * n) ]) ]
+    else
+      [
+        for_ nsi (Ir.Int 0) (Ir.Int nsn)
+          [
+            Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
+            Ir.If
+              ( Ir.v npsi <: Ir.Int nblocks,
+                [
+                  for_ mbi (Ir.Int 0) (Ir.Int mb)
+                    [
+                      Ir.Call
+                        ("zero", [ c_at (row0 +: Ir.v mbi) (Ir.v npsi *: Ir.Int nb); Ir.Int nb ]);
+                    ];
+                ],
+                [] );
+          ];
+      ]
   in
 
   (* ---- post groups ---- *)
@@ -524,9 +581,7 @@ let lower ~tmap (f : Fused_op.t) =
 
   (* ---- the single-core kernel ---- *)
   let kernel =
-    [
-      Ir.Alloc cacc;
-    ]
+    (if c_direct then [] else [ Ir.Alloc cacc ])
     @ (match apack with Some ap -> [ Ir.Alloc ap ] | None -> [])
     @ (match bpack with Some bp -> [ Ir.Alloc bp ] | None -> [])
     @ pack_b
@@ -536,24 +591,19 @@ let lower ~tmap (f : Fused_op.t) =
             Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
             Ir.If
               ( Ir.v mpsi <: Ir.Int mblocks,
-                [
-                  Ir.Call
-                    ( "zero",
-                      [
-                        Ir.Addr (cacc, [| Ir.Int 0; Ir.Int 0; Ir.Int 0 |]);
-                        Ir.Int (nsn * mb * nb);
-                      ] );
-                  for_ ks (Ir.Int 0) (Ir.Int ksteps)
-                    (pack_a
-                    @ [
-                        for_ nsi (Ir.Int 0) (Ir.Int nsn)
-                          [
-                            Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-                            Ir.If (Ir.v npsi <: Ir.Int nblocks, [ brgemm_call ], []);
-                          ];
-                      ]);
-                ]
-                @ anchor1,
+                zero_c
+                @ [
+                    for_ ks (Ir.Int 0) (Ir.Int ksteps)
+                      (pack_a
+                      @ [
+                          for_ nsi (Ir.Int 0) (Ir.Int nsn)
+                            [
+                              Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
+                              Ir.If (Ir.v npsi <: Ir.Int nblocks, [ brgemm_call ], []);
+                            ];
+                        ]);
+                  ]
+                @ (if c_direct then [] else anchor1),
                 [] );
           ];
       ]
@@ -593,13 +643,8 @@ let lower ~tmap (f : Fused_op.t) =
               Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
               Ir.If
                 ( Ir.v mpsi <: Ir.Int mblocks,
-                  [
-                    Ir.Call
-                      ( "zero",
-                        [
-                          Ir.Addr (cacc, [| Ir.Int 0; Ir.Int 0; Ir.Int 0 |]);
-                          Ir.Int (nsn * mb * nb);
-                        ] );
+                  zero_c
+                  @ [
                     Ir.For
                       {
                         v = ks; lo = ks_lo; hi = ks_hi; step = Ir.Int 1;

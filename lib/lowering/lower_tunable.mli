@@ -22,10 +22,12 @@ val lower :
 
 (** [reads_plain_in_place p ~k_inner ~rows ~block]: whether the template
     under [p] reads a plain operand in place instead of packing it. It
-    must be allowed to ([p.read_plain]), the operand's K must be its
-    innermost axis ([k_inner]: always for A, for B under [transpose_b]),
-    K must be one whole block, and the operand's [rows] (M for A, N for
-    B) must be a multiple of their [block] (MB or NB). {!lower} decides
-    with it, and layout propagation asks it before it offers a whole-K
-    tiling. *)
+    must be allowed to ([p.read_plain]), and the operand's [rows] (M for
+    A, N for B) must be a multiple of their [block] (MB or NB). When K is
+    the operand's innermost axis ([k_inner]: always for A, for B under
+    [transpose_b]) K must be one whole block: the operand is then the
+    kernel's slab. Otherwise B is N-innermost and is read as the f32
+    kernel's K×N rows, which needs only K to be a multiple of KB. {!lower}
+    decides with it, and layout propagation asks it before it offers a
+    whole-K tiling. *)
 val reads_plain_in_place : Params.t -> k_inner:bool -> rows:int -> block:int -> bool

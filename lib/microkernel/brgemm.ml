@@ -2,9 +2,9 @@ open Gc_tensor
 open Bigarray
 
 (* The inner loops are written as expert-tuned OCaml: monomorphic Bigarray
-   accesses, unsafe indexing, k-runs contiguous for both operands, and a
-   register-tiled accumulator block. This module is the repo's stand-in
-   for LIBXSMM-style JIT kernels.
+   accesses, unsafe indexing, k-runs contiguous for A and for slab B
+   (K×N B steps one row per k), and a register-tiled accumulator block.
+   This module is the repo's stand-in for LIBXSMM-style JIT kernels.
 
    Tiling scheme: the output block is walked in register tiles (2×4 for
    f32, 2×8 for int8). A tile's accumulators are independent chains that
@@ -44,75 +44,89 @@ let tile_m = 2
 let tile_n = 4
 
 (* ------------------------------------------------------------------ *)
-(* f32: 2×4 tiles, 1×4 strips for a ragged last row, 1×1 corners *)
+(* f32: 2×4 tiles, 1×4 strips for a ragged last row, 1×1 corners.
 
-let edge_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
-    (c : Buffer.f32_arr) c_off batch kb nb m n =
+   B is addressed by two strides: element (n, k) of batch block [bi] is
+   at [b_offs.(bi) + n·bn + k·bk], so an [NB, KB] slab is (bn, bk) =
+   (kb, 1) and row-major K×N rows with pitch [ldb] are (1, ldb). The k
+   loops walk B by a running offset [o] that steps by [bk]. C's rows are
+   [ldc] apart. *)
+
+let edge_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
+    (c : Buffer.f32_arr) c_off ldc batch kb m n =
   let acc = ref 0. in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
-    let brow = Array.unsafe_get b_offs bi + (n * kb) in
+    let brow = Array.unsafe_get b_offs bi + (n * bn) in
+    let o = ref brow in
     for k = 0 to kb - 1 do
-      acc := !acc +. (Array1.unsafe_get a (arow + k) *. Array1.unsafe_get b (brow + k))
+      acc := !acc +. (Array1.unsafe_get a (arow + k) *. Array1.unsafe_get b !o);
+      o := !o + bk
     done
   done;
-  let ci = c_off + (m * nb) + n in
+  let ci = c_off + (m * ldc) + n in
   Array1.unsafe_set c ci (Array1.unsafe_get c ci +. !acc)
 
-let strip1xn_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
-    (c : Buffer.f32_arr) c_off batch kb nb m n0 =
+let strip1xn_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
+    (c : Buffer.f32_arr) c_off ldc batch kb m n0 =
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
-    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
-    let br1 = br0 + kb in
-    let br2 = br1 + kb in
-    let br3 = br2 + kb in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
+    let br1 = br0 + bn in
+    let br2 = br1 + bn in
+    let br3 = br2 + bn in
+    let o = ref 0 in
     for k = 0 to kb - 1 do
       let a0 = Array1.unsafe_get a (arow + k) in
-      s0 := !s0 +. (a0 *. Array1.unsafe_get b (br0 + k));
-      s1 := !s1 +. (a0 *. Array1.unsafe_get b (br1 + k));
-      s2 := !s2 +. (a0 *. Array1.unsafe_get b (br2 + k));
-      s3 := !s3 +. (a0 *. Array1.unsafe_get b (br3 + k))
+      let ok = !o in
+      s0 := !s0 +. (a0 *. Array1.unsafe_get b (br0 + ok));
+      s1 := !s1 +. (a0 *. Array1.unsafe_get b (br1 + ok));
+      s2 := !s2 +. (a0 *. Array1.unsafe_get b (br2 + ok));
+      s3 := !s3 +. (a0 *. Array1.unsafe_get b (br3 + ok));
+      o := ok + bk
     done
   done;
-  let ci = c_off + (m * nb) + n0 in
+  let ci = c_off + (m * ldc) + n0 in
   Array1.unsafe_set c ci (Array1.unsafe_get c ci +. !s0);
   Array1.unsafe_set c (ci + 1) (Array1.unsafe_get c (ci + 1) +. !s1);
   Array1.unsafe_set c (ci + 2) (Array1.unsafe_get c (ci + 2) +. !s2);
   Array1.unsafe_set c (ci + 3) (Array1.unsafe_get c (ci + 3) +. !s3)
 
-let tile_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
-    (c : Buffer.f32_arr) c_off batch kb nb m0 n0 =
+let tile_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
+    (c : Buffer.f32_arr) c_off ldc batch kb m0 n0 =
   (* row 0 in s0..s3, row 1 in t0..t3 *)
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   let t0 = ref 0. and t1 = ref 0. and t2 = ref 0. and t3 = ref 0. in
   for bi = 0 to batch - 1 do
     let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
     let ar1 = ar0 + kb in
-    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
-    let br1 = br0 + kb in
-    let br2 = br1 + kb in
-    let br3 = br2 + kb in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
+    let br1 = br0 + bn in
+    let br2 = br1 + bn in
+    let br3 = br2 + bn in
+    let o = ref 0 in
     for k = 0 to kb - 1 do
       let a0 = Array1.unsafe_get a (ar0 + k) in
       let a1 = Array1.unsafe_get a (ar1 + k) in
-      let b0 = Array1.unsafe_get b (br0 + k) in
+      let ok = !o in
+      let b0 = Array1.unsafe_get b (br0 + ok) in
       s0 := !s0 +. (a0 *. b0);
       t0 := !t0 +. (a1 *. b0);
-      let b1 = Array1.unsafe_get b (br1 + k) in
+      let b1 = Array1.unsafe_get b (br1 + ok) in
       s1 := !s1 +. (a0 *. b1);
       t1 := !t1 +. (a1 *. b1);
-      let b2 = Array1.unsafe_get b (br2 + k) in
+      let b2 = Array1.unsafe_get b (br2 + ok) in
       s2 := !s2 +. (a0 *. b2);
       t2 := !t2 +. (a1 *. b2);
-      let b3 = Array1.unsafe_get b (br3 + k) in
+      let b3 = Array1.unsafe_get b (br3 + ok) in
       s3 := !s3 +. (a0 *. b3);
-      t3 := !t3 +. (a1 *. b3)
+      t3 := !t3 +. (a1 *. b3);
+      o := ok + bk
     done
   done;
-  let c0 = c_off + (m0 * nb) + n0 in
-  let c1 = c0 + nb in
+  let c0 = c_off + (m0 * ldc) + n0 in
+  let c1 = c0 + ldc in
   Array1.unsafe_set c c0 (Array1.unsafe_get c c0 +. !s0);
   Array1.unsafe_set c (c0 + 1) (Array1.unsafe_get c (c0 + 1) +. !s1);
   Array1.unsafe_set c (c0 + 2) (Array1.unsafe_get c (c0 + 2) +. !s2);
@@ -122,8 +136,9 @@ let tile_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs
   Array1.unsafe_set c (c1 + 2) (Array1.unsafe_get c (c1 + 2) +. !t2);
   Array1.unsafe_set c (c1 + 3) (Array1.unsafe_get c (c1 + 3) +. !t3)
 
-let f32 ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs ~(b : Buffer.f32_arr)
-    ~b_offs ~(c : Buffer.f32_arr) ~c_off =
+let f32_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
+    ~(b : Buffer.f32_arr) ~b_offs ~(c : Buffer.f32_arr) ~c_off =
+  let bn, bk = if ldb = 0 then (kb, 1) else (1, ldb) in
   let mfull = mb - (mb mod tile_m) in
   let nfull = nb - (nb mod tile_n) in
   let m = ref 0 in
@@ -131,25 +146,28 @@ let f32 ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs ~(b : Buffer.f32_arr)
     let m0 = !m in
     let n = ref 0 in
     while !n < nfull do
-      tile_f32 a a_offs b b_offs c c_off batch kb nb m0 !n;
+      tile_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m0 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs b b_offs c c_off batch kb nb m0 n1;
-      edge_f32 a a_offs b b_offs c c_off batch kb nb (m0 + 1) n1
+      edge_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m0 n1;
+      edge_f32 a a_offs b b_offs bn bk c c_off ldc batch kb (m0 + 1) n1
     done;
     m := m0 + tile_m
   done;
   for m1 = mfull to mb - 1 do
     let n = ref 0 in
     while !n < nfull do
-      strip1xn_f32 a a_offs b b_offs c c_off batch kb nb m1 !n;
+      strip1xn_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m1 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs b b_offs c c_off batch kb nb m1 n1
+      edge_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m1 n1
     done
   done
+
+let f32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+  f32_ld ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
 
 (* ------------------------------------------------------------------ *)
 (* int8: SWAR 2×8 tiles, column-packed 1×8 strips, scalar corners *)
@@ -172,16 +190,16 @@ let wb_lanes (c : Buffer.s32_arr) ci stride s =
   Array1.unsafe_set c cj
     (Int32.add (Array1.unsafe_get c cj) (Int32.of_int ((s - lo) asr 32)))
 
-(* a 2×8 tile's accumulators: column j, rows packed (row 1 at [ci + nb]) *)
-let flush_2x8 c ci nb s0 s1 s2 s3 s4 s5 s6 s7 =
-  wb_lanes c ci nb s0;
-  wb_lanes c (ci + 1) nb s1;
-  wb_lanes c (ci + 2) nb s2;
-  wb_lanes c (ci + 3) nb s3;
-  wb_lanes c (ci + 4) nb s4;
-  wb_lanes c (ci + 5) nb s5;
-  wb_lanes c (ci + 6) nb s6;
-  wb_lanes c (ci + 7) nb s7
+(* a 2×8 tile's accumulators: column j, rows packed (row 1 at [ci + ldc]) *)
+let flush_2x8 c ci ldc s0 s1 s2 s3 s4 s5 s6 s7 =
+  wb_lanes c ci ldc s0;
+  wb_lanes c (ci + 1) ldc s1;
+  wb_lanes c (ci + 2) ldc s2;
+  wb_lanes c (ci + 3) ldc s3;
+  wb_lanes c (ci + 4) ldc s4;
+  wb_lanes c (ci + 5) ldc s5;
+  wb_lanes c (ci + 6) ldc s6;
+  wb_lanes c (ci + 7) ldc s7
 
 (* a 1×8 strip's accumulators: columns 2j and 2j+1 packed *)
 let flush_1x8 c ci s0 s1 s2 s3 =
@@ -194,8 +212,8 @@ let flush_1x8 c ci s0 s1 s2 s3 =
    differ only in the annotated type of [a]. *)
 
 let tile_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb nb m0 n0 =
-  let ci = c_off + (m0 * nb) + n0 in
+    (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
+  let ci = c_off + (m0 * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
   let run = ref 0 in
@@ -213,7 +231,7 @@ let tile_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
     let k0 = ref 0 in
     while !k0 < kb do
       if !run = flush_every then begin
-        flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7;
+        flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7;
         s0 := 0; s1 := 0; s2 := 0; s3 := 0;
         s4 := 0; s5 := 0; s6 := 0; s7 := 0;
         run := 0
@@ -236,11 +254,11 @@ let tile_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
       k0 := k1
     done
   done;
-  flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
+  flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
 let strip_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb nb m n0 =
-  let ci = c_off + (m * nb) + n0 in
+    (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
+  let ci = c_off + (m * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
@@ -280,7 +298,7 @@ let strip_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
 
 (* scalar corner: one plain int accumulator cannot overflow 63 bits *)
 let edge_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb nb m n =
+    (c : Buffer.s32_arr) c_off batch kb ldc m n =
   let acc = ref 0 in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
@@ -289,12 +307,12 @@ let edge_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
       acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
     done
   done;
-  let ci = c_off + (m * nb) + n in
+  let ci = c_off + (m * ldc) + n in
   Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
 
 let tile_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb nb m0 n0 =
-  let ci = c_off + (m0 * nb) + n0 in
+    (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
+  let ci = c_off + (m0 * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
   let run = ref 0 in
@@ -312,7 +330,7 @@ let tile_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
     let k0 = ref 0 in
     while !k0 < kb do
       if !run = flush_every then begin
-        flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7;
+        flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7;
         s0 := 0; s1 := 0; s2 := 0; s3 := 0;
         s4 := 0; s5 := 0; s6 := 0; s7 := 0;
         run := 0
@@ -335,11 +353,11 @@ let tile_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
       k0 := k1
     done
   done;
-  flush_2x8 c ci nb !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
+  flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
 let strip_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb nb m n0 =
-  let ci = c_off + (m * nb) + n0 in
+    (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
+  let ci = c_off + (m * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
@@ -378,7 +396,7 @@ let strip_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
   flush_1x8 c ci !s0 !s1 !s2 !s3
 
 let edge_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb nb m n =
+    (c : Buffer.s32_arr) c_off batch kb ldc m n =
   let acc = ref 0 in
   for bi = 0 to batch - 1 do
     let arow = Array.unsafe_get a_offs bi + (m * kb) in
@@ -387,23 +405,23 @@ let edge_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
       acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
     done
   done;
-  let ci = c_off + (m * nb) + n in
+  let ci = c_off + (m * ldc) + n in
   Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
 
 (* The driver is shared: it calls the dtype's loops once per tile, strip
    or corner, never per element. *)
-let int8_core tile strip edge batch mb nb kb a a_offs b b_offs c c_off =
+let int8_core tile strip edge batch mb nb kb a a_offs b b_offs c c_off ldc =
   let nfull = nb - (nb mod 8) in
   let m0 = ref 0 in
   while !m0 + 1 < mb do
     let n0 = ref 0 in
     while !n0 < nfull do
-      tile a a_offs b b_offs c c_off batch kb nb !m0 !n0;
+      tile a a_offs b b_offs c c_off batch kb ldc !m0 !n0;
       n0 := !n0 + 8
     done;
     for n = nfull to nb - 1 do
-      edge a a_offs b b_offs c c_off batch kb nb !m0 n;
-      edge a a_offs b b_offs c c_off batch kb nb (!m0 + 1) n
+      edge a a_offs b b_offs c c_off batch kb ldc !m0 n;
+      edge a a_offs b b_offs c c_off batch kb ldc (!m0 + 1) n
     done;
     m0 := !m0 + 2
   done;
@@ -411,26 +429,28 @@ let int8_core tile strip edge batch mb nb kb a a_offs b b_offs c c_off =
     let m = mb - 1 in
     let n0 = ref 0 in
     while !n0 < nfull do
-      strip a a_offs b b_offs c c_off batch kb nb m !n0;
+      strip a a_offs b b_offs c c_off batch kb ldc m !n0;
       n0 := !n0 + 8
     done;
     for n = nfull to nb - 1 do
-      edge a a_offs b b_offs c c_off batch kb nb m n
+      edge a a_offs b b_offs c c_off batch kb ldc m n
     done
   end
 
 let u8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs b b_offs c c_off
+  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs b b_offs c c_off nb
 
 let s8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs b b_offs c c_off
+  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs b b_offs c c_off nb
 
-let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+let dispatch_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
   (match ((a : Buffer.t), (b : Buffer.t), (c : Buffer.t)) with
   | (F32 a | Bf16 a), (F32 b | Bf16 b), (F32 c | Bf16 c) ->
-      f32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
-  | U8 a, S8 b, S32 c -> u8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
-  | S8 a, S8 b, S32 c -> s8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+      f32_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+  | U8 a, S8 b, S32 c when ldb = 0 ->
+      int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs b b_offs c c_off ldc
+  | S8 a, S8 b, S32 c when ldb = 0 ->
+      int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs b b_offs c c_off ldc
   | _ ->
       Gc_errors.compile_error ~stage:"microkernel"
         ~ctx:
@@ -438,8 +458,9 @@ let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
             ("a", Dtype.to_string (Buffer.dtype a));
             ("b", Dtype.to_string (Buffer.dtype b));
             ("c", Dtype.to_string (Buffer.dtype c));
+            ("ldb", string_of_int ldb);
           ]
-        "Brgemm.dispatch: unsupported dtype combination");
+        "Brgemm.dispatch: unsupported dtype combination or operand form");
   (* chaos hook: a fired "kernel_nan" fault poisons one output element
      after the (correct) computation — the cheapest faithful model of a
      miscompiled kernel, which produces wrong numbers rather than raising.
@@ -452,3 +473,6 @@ let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
         (* integer accumulators cannot hold NaN; poison with a saturated
            sentinel instead *)
         Buffer.set_int c c_off max_int
+
+let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+  dispatch_ld ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off

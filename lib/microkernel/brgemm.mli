@@ -3,17 +3,25 @@ open Gc_tensor
 (** Batch-reduce GEMM microkernel (the paper's [8][24]): given a batch of
     A and B sub-matrix blocks, compute C += Σ_b A_b · B_bᵀ-block.
 
-    Block memory conventions (matching the blocked layouts the lowering
-    chooses, Figure 2/6):
+    Operand forms (the [NB, KB] slab matches the blocked layouts the
+    lowering chooses, Figure 2/6; the leading-dimension forms let a
+    template point the kernel at tensors in place, as oneDNN's BRGEMM
+    does with its [ldb]/[ldc]):
     - an A block is a row-major [MB, KB] slab;
-    - a B block is a row-major [NB, KB] slab (the paper's B[K/KB, N/NB, NB,
-      KB] layout — each output column's K-run is contiguous);
-    - the C block is a row-major [MB, NB] slab, accumulated in place.
+    - a B block is either a row-major [NB, KB] slab (the paper's B[K/KB,
+      N/NB, NB, KB] layout — each output column's K-run is contiguous;
+      [ldb = 0]) or KB row-major K×N rows [ldb] elements apart, element
+      (k, n) at [b_offs.(b) + k·ldb + n] ([ldb > 0]: a plain N-innermost
+      tensor read where it lies; f32 only);
+    - the C block is MB row-major rows of NB elements, [ldc] apart
+      ([ldc = nb]: an [MB, NB] slab; [ldc > nb]: a tile of a wider
+      row-major output), accumulated in place.
 
     Blocks are addressed by element offsets into flat buffers ([a_offs] /
     [b_offs] play the role of the template's A_addr/B_addr pointer
     arrays). The caller zero-fills C before the first reduction step,
-    exactly as the template does ([C' = 0]).
+    exactly as the template does ([C' = 0]). Elements of the C buffer
+    outside the MB×NB tile are never touched.
 
     This is the expert-tuned leaf: monomorphic Bigarray loops with no
     bounds checks, standing in for the paper's JIT-generated AVX-512/AMX
@@ -27,7 +35,9 @@ open Gc_tensor
       1×1 corners. Every output element is reduced by a single
       accumulator running batch-outer/k-inner and written back once, so
       the kernel is bit-identical to a naive single-accumulator reference
-      GEMM for any shape.
+      GEMM for any shape, in either B form. One driver serves both: B is
+      addressed by an (n, k) stride pair, (kb, 1) for the slab and
+      (1, ldb) for K×N rows.
     - int8 (SWAR, "SIMD within a register"): 2×8 tiles. One 63-bit OCaml
       int carries two 32-bit lanes: a tile packs A rows m and m+1 of one
       k step as [a0 + a1·2³²] (added, not or-ed, so a negative s8 [a0]
@@ -53,7 +63,7 @@ val tile_m : int
 val tile_n : int
 
 (** f32 (also used for bf16, whose storage is widened f32):
-    C[MB,NB] += Σ_b A_b[MB,KB] · B_b[NB,KB]ᵀ. *)
+    C[MB,NB] += Σ_b A_b[MB,KB] · B_b[NB,KB]ᵀ, on slabs. *)
 val f32 :
   batch:int ->
   mb:int ->
@@ -96,9 +106,26 @@ val s8s8s32 :
   c_off:int ->
   unit
 
-(** Dynamic dispatch over generic buffers, used by the Tensor IR engine's
-    intrinsic call. Dtype combination is derived from the buffers; raises
-    [Invalid_argument] for unsupported combinations. *)
+(** Dynamic dispatch over generic buffers in the leading-dimension forms,
+    used by the Tensor IR engine's intrinsic call. The dtype combination
+    is derived from the buffers. The int8 kernels take any [ldc] but only
+    slab B ([ldb = 0]); other combinations raise a compile error. *)
+val dispatch_ld :
+  ldb:int ->
+  ldc:int ->
+  batch:int ->
+  mb:int ->
+  nb:int ->
+  kb:int ->
+  a:Buffer.t ->
+  a_offs:int array ->
+  b:Buffer.t ->
+  b_offs:int array ->
+  c:Buffer.t ->
+  c_off:int ->
+  unit
+
+(** {!dispatch_ld} on slabs ([~ldb:0 ~ldc:nb]). *)
 val dispatch :
   batch:int ->
   mb:int ->

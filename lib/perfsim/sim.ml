@@ -184,7 +184,9 @@ and stmt_cost ctx ~cores (s : stmt) : cost =
       end
   | Call ("brgemm", args) -> (
       match args with
-      | [ batch; mb; nb; kb; a; _; _; _; _ ] ->
+      (* either form: the modelled kernel reads slab and K×N B (and
+         writes a C tile at any ldc) at the same rate *)
+      | batch :: mb :: nb :: kb :: a :: _ ->
           let dtype =
             match tensor_of_addr a with Some t -> t.tdtype | None -> Dtype.F32
           in

@@ -12,7 +12,9 @@ open Gc_tensor_ir
     off) reproduce the paper's shapes machine-independently.
 
     Cost rules:
-    - [brgemm] intrinsics are costed by {!Ukernel_cost};
+    - [brgemm] intrinsics are costed by {!Ukernel_cost}, in either operand
+      form (slab or K×N B, any [ldc]: oneDNN's kernel takes leading
+      dimensions natively);
     - loads/stores cost latency-per-element of the cache level the
       accessed tensor's working set fits in (int8 moves 4× more elements
       per line than f32);

@@ -729,7 +729,7 @@ and ccall ctx name args : env -> unit =
   match name with
   | "brgemm" -> (
       match args with
-      | [ batch; mb; nb; kb; a; astride; b; bstride; c ] ->
+      | batch :: mb :: nb :: kb :: a :: astride :: b :: bstride :: c :: ld ->
           let cbatch = cint ctx batch
           and cmb = cint ctx mb
           and cnb = cint ctx nb
@@ -739,6 +739,15 @@ and ccall ctx name args : env -> unit =
           and bslot, boff = addr_arg ctx b
           and cbstride = cint ctx bstride
           and cslot, coff = addr_arg ctx c in
+          (* the 9-operand form is the slab form: ldb = 0, ldc = nb *)
+          let cldb, cldc =
+            match ld with
+            | [] -> ((fun _ -> 0), cnb)
+            | [ ldb; ldc ] -> (cint ctx ldb, cint ctx ldc)
+            | _ ->
+                Gc_errors.compile_error ~stage:"engine"
+                  "Engine: brgemm expects 9 or 11 args"
+          in
           fun env ->
             Gc_observe.Counters.(incr kernel_invocations);
             Guard.check ();
@@ -754,8 +763,8 @@ and ccall ctx name args : env -> unit =
               Array.unsafe_set a_offs i (a0 + (i * sa));
               Array.unsafe_set b_offs i (b0 + (i * sb))
             done;
-            Gc_microkernel.Brgemm.dispatch ~batch ~mb:(cmb env) ~nb:(cnb env)
-              ~kb:(ckb env)
+            Gc_microkernel.Brgemm.dispatch_ld ~ldb:(cldb env) ~ldc:(cldc env)
+              ~batch ~mb:(cmb env) ~nb:(cnb env) ~kb:(ckb env)
               ~a:(Array.unsafe_get env.bufs aslot)
               ~a_offs
               ~b:(Array.unsafe_get env.bufs bslot)
@@ -763,7 +772,7 @@ and ccall ctx name args : env -> unit =
               ~c:(Array.unsafe_get env.bufs cslot)
               ~c_off:(coff env)
       | _ ->
-          Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 args")
+          Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 or 11 args")
   | "zero" -> (
       match args with
       | [ addr; count ] ->

@@ -161,28 +161,33 @@ and exec_call t frame name args =
     | _ -> invalid_arg "Interp: intrinsic operand must be an address"
   in
   match (name, args) with
-  | "brgemm", [ batch; mb; nb; kb; a; astride; b; bstride; c ] ->
-      let batch = as_int (eval t frame batch)
-      and mb = as_int (eval t frame mb)
-      and nb = as_int (eval t frame nb)
-      and kb = as_int (eval t frame kb) in
+  | "brgemm", batch :: mb :: nb :: kb :: a :: astride :: b :: bstride :: c :: ld ->
+      let int e = as_int (eval t frame e) in
+      let batch = int batch and mb = int mb and nb = int nb and kb = int kb in
       let abuf, a0 = addr a and bbuf, b0 = addr b and cbuf, c0 = addr c in
-      let sa = as_int (eval t frame astride) and sb = as_int (eval t frame bstride) in
-      (* reference brgemm: element loops through generic accessors *)
-      for bi = 0 to batch - 1 do
-        let ao = a0 + (bi * sa) and bo = b0 + (bi * sb) in
-        for m = 0 to mb - 1 do
-          for n = 0 to nb - 1 do
-            let acc = ref 0. in
+      let sa = int astride and sb = int bstride in
+      let ldb, ldc =
+        match ld with
+        | [] -> (0, nb)
+        | [ ldb; ldc ] -> (int ldb, int ldc)
+        | _ -> invalid_arg "Interp: brgemm expects 9 or 11 args"
+      in
+      (* B element (n, k) of block [bi]: an [nb, kb] slab, or K×N rows *)
+      let b_at bi n k = b0 + (bi * sb) + if ldb = 0 then (n * kb) + k else (k * ldb) + n in
+      (* reference brgemm: element loops through generic accessors, one
+         accumulator per output element running batch-outer/k-inner (the
+         microkernel's order) *)
+      for m = 0 to mb - 1 do
+        for n = 0 to nb - 1 do
+          let acc = ref 0. in
+          for bi = 0 to batch - 1 do
+            let ao = a0 + (bi * sa) + (m * kb) in
             for k = 0 to kb - 1 do
-              acc :=
-                !acc
-                +. (Buffer.get abuf (ao + (m * kb) + k)
-                   *. Buffer.get bbuf (bo + (n * kb) + k))
-            done;
-            let ci = c0 + (m * nb) + n in
-            Buffer.set cbuf ci (Buffer.get cbuf ci +. !acc)
-          done
+              acc := !acc +. (Buffer.get abuf (ao + k) *. Buffer.get bbuf (b_at bi n k))
+            done
+          done;
+          let ci = c0 + (m * ldc) + n in
+          Buffer.set cbuf ci (Buffer.get cbuf ci +. !acc)
         done
       done
   | "zero", [ a; count ] ->

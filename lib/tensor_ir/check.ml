@@ -66,9 +66,9 @@ let check_func ~known_funcs (f : func) =
         List.iter check_expr args;
         match Intrinsic.lookup name with
         | Some intr ->
-            if List.length args <> intr.arity then
-              failf "%s: intrinsic %s expects %d args, got %d" f.fname name
-                intr.arity (List.length args)
+            if not (Intrinsic.accepts intr (List.length args)) then
+              failf "%s: intrinsic %s cannot take %d args" f.fname name
+                (List.length args)
         | None -> (
             match List.assoc_opt name known_funcs with
             | Some arity ->

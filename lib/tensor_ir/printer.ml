@@ -96,11 +96,17 @@ let rec pp_stmt_n name fmt s =
       Format.fprintf fmt "@[<v 2>if (%a) {@,%a@]@,} else {@;<0 2>@[<v>%a@]@,}"
         pp_expr c pp_body t pp_body e
   | Call (name, args) ->
+      (* brgemm's trailing leading dimensions print with their names *)
+      let label i =
+        if name <> Intrinsic.brgemm.name || i < Intrinsic.brgemm.arity then ""
+        else if i = Intrinsic.brgemm.arity then "ldb="
+        else "ldc="
+      in
       Format.fprintf fmt "@[<h>%s(%a);@]" name
         (Format.pp_print_list
            ~pp_sep:(fun f () -> Format.fprintf f ", ")
-           pp_expr)
-        args
+           (fun f (i, a) -> Format.fprintf f "%s%a" (label i) pp_expr a))
+        (List.mapi (fun i a -> (i, a)) args)
   | Barrier -> Format.pp_print_string fmt "barrier();"
 
 and pp_body_n name fmt body =

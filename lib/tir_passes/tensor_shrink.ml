@@ -105,14 +105,30 @@ let addr_reaches upper t body =
       | Call (name, args) ->
           let reaches =
             match (name, args) with
-            | "brgemm", [ bs; mb; nb; kb; _; sa; _; sb; _ ] ->
-                (* [bs] blocks [stride] apart, each rows × kb *)
-                let slab rows stride =
-                  match (product [ bs ], product [ stride ], product [ rows; kb ]) with
+            | "brgemm", bs :: mb :: nb :: kb :: _ :: sa :: _ :: sb :: _ :: ld ->
+                (* [bs] blocks [stride] apart, each reaching [block] *)
+                let blocks stride block =
+                  match (product [ bs ], product [ stride ], block) with
                   | Some bs, Some st, Some block -> Some (((bs - 1) * st) + block)
                   | _ -> None
                 in
-                [ None; None; None; None; slab mb sa; None; slab nb sb; None; product [ mb; nb ] ]
+                (* [rows] rows of [cols], [ld] apart *)
+                let rows_of rows ld cols =
+                  match (product [ rows ], product [ ld ], product [ cols ]) with
+                  | Some r, Some l, Some c -> Some ((max 0 (r - 1) * l) + c)
+                  | _ -> None
+                in
+                (* the 9-operand form is the slab form: ldb = 0, ldc = nb *)
+                let ldb, ldc = match ld with [ ldb; ldc ] -> (ldb, ldc) | _ -> (Int 0, nb) in
+                let b_block =
+                  match ldb with
+                  | Int 0 -> product [ nb; kb ]
+                  | Int l when l > 0 -> rows_of kb ldb nb
+                  | _ -> None
+                in
+                [ None; None; None; None; blocks sa (product [ mb; kb ]); None;
+                  blocks sb b_block; None; rows_of mb ldc nb ]
+                @ List.map (fun _ -> None) ld
             | ("zero" | "copy"), _ ->
                 let count = product [ List.nth args (List.length args - 1) ] in
                 List.map (fun _ -> count) args

@@ -14,8 +14,9 @@ open Gc_tensor_ir
       tensor A'[B, M, N] inside the batch loop becomes A'[1, M, N], the
       paper's "A'[MSN, BS, MB, KB] could be reduced to A'[BS, NB, KB]".
       An address passed to an intrinsic is one more index site, and the
-      intrinsic's reach from it (brgemm's A/B slabs and C block, the count
-      of zero/copy) must stay inside the trailing dims, bounded by the
+      intrinsic's reach from it (brgemm's A slabs, its B slabs or K×N rows
+      [ldb] apart, its C tile of rows [ldc] apart, the count of
+      zero/copy) must stay inside the trailing dims, bounded by the
       ranges of the enclosing loops and assignments; an address passed to
       a sibling function pins its tensor. *)
 

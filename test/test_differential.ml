@@ -52,9 +52,7 @@ let fill_random ?(s32_range = (-1000, 1000)) rs buf =
       done
 
 (* Integer dtypes must agree bit-exactly; float dtypes within [tol]
-   scaled by the data's magnitude (the engine's brgemm microkernel uses a
-   different accumulation order than the interpreter's sequential
-   reference, so reassociation noise is expected and bounded). *)
+   scaled by the data's magnitude ([tol = 0.] demands equal bits). *)
 let buffer_close ~what ~tol a b =
   let n = Buffer.length a in
   Alcotest.(check int) (what ^ ": length") n (Buffer.length b);
@@ -392,10 +390,11 @@ let run_brgemm ~int8 seed =
   let what =
     Printf.sprintf "brgemm %s seed %d" (if int8 then "int8" else "f32") seed
   in
-  (* f32: microkernel accumulation order differs from the sequential
-     reference, so allow reassociation noise; int8 accumulates exactly in
-     integers — buffer_close enforces bit-exactness on the S32 output *)
-  run_differential ~tol:1e-5 ~what ~rs (gen_brgemm_module ~int8 seed)
+  (* both executors reduce an output element with one accumulator running
+     batch-outer/k-inner, so f32 agrees to the bit; int8 accumulates
+     exactly in integers — buffer_close enforces bit-exactness on the S32
+     output *)
+  run_differential ~tol:0. ~what ~rs (gen_brgemm_module ~int8 seed)
 
 (* ------------------------------------------------------------------ *)
 (* 2. Full-pipeline modules under randomized pass configurations *)
@@ -772,6 +771,86 @@ let cross_config_bert =
             b.Gc_workloads.Bert.data))
     [ 1; 2 ]
 
+(* Bit-exact Interp vs Engine on whole compiled modules, full pipeline
+   and primitives, with the graph verifier on. Both executors reduce a
+   brgemm output element with one accumulator running batch-outer/k-inner
+   and store it once, so wherever the kernel reads V as K×N rows or
+   accumulates straight into the output tile the two agree to the bit:
+   perfbench's MHA (V read in place, both P·V outputs written in place),
+   MHA at seq 33 (ragged: V and the output tile still go through Bpack and
+   Cacc), MHA at head dim 96 (P·V writes 32-column tiles of 96-wide rows)
+   and a 1-layer BERT (projections written in place). Both executors run
+   the same Tensor IR, so each module also executes twice through
+   [Core.execute] into the same pooled outputs: a template that stopped
+   zero-filling its output tile would add the second run onto the
+   first. *)
+
+(* brgemm calls reading B as K×N rows, and calls in the leading-dimension
+   form at all *)
+let brgemm_forms (m : Ir.module_) =
+  List.fold_left
+    (fun acc (f : Ir.func) ->
+      Visit.fold_stmts
+        ~stmt:(fun (kxn, ld) s ->
+          match s with
+          | Ir.Call ("brgemm", args) when List.length args = 11 ->
+              ((if List.nth args 9 <> Ir.Int 0 then kxn + 1 else kxn), ld + 1)
+          | _ -> (kxn, ld))
+        acc f.body)
+    (0, 0) m.funcs
+
+let run_bit_exact ~what ~forms graph data =
+  Gc_graph_passes.Verify.set_enabled (Some true);
+  Fun.protect
+    ~finally:(fun () -> Gc_graph_passes.Verify.set_enabled None)
+    (fun () ->
+      List.iter2
+        (fun (setting, (c : Core.config)) expect ->
+          let c =
+            { c with Core.graph = { c.Core.graph with const_weights = false }; pool = Some pool }
+          in
+          let what = what ^ " " ^ setting in
+          let m = pipeline_module c graph in
+          Alcotest.(check (pair int int))
+            (what ^ ": (K×N, leading-dimension) brgemms")
+            expect (brgemm_forms m);
+          run_differential ~tol:0. ~what ~rs:(Random.State.make [| 0xb17 |]) m;
+          let t = Core.compile ~config:c graph in
+          let first = List.map Tensor.copy (Core.execute ~reuse_outputs:true t data) in
+          List.iter2
+            (fun a b ->
+              if not (Tensor.equal a b) then
+                Alcotest.failf "%s: a second execute into the same outputs differs" what)
+            first
+            (Core.execute ~reuse_outputs:true t data))
+        [
+          ("full", Core.default_config ());
+          ("primitives", Gc_baseline.Baseline.config ());
+        ]
+        forms)
+
+let bit_exact_cases =
+  let mha ~seq ~hidden () =
+    let b = Gc_workloads.Mha.build_f32 ~batch:2 ~seq ~hidden ~heads:4 () in
+    (b.Gc_workloads.Mha.graph, b.Gc_workloads.Mha.data)
+  in
+  (* forms: (K×N, leading-dimension) brgemm counts, full then primitives *)
+  List.map
+    (fun (name, forms, build) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let graph, data = build () in
+          run_bit_exact ~what:name ~forms graph data))
+    [
+      ("mha perfbench shape", [ (1, 1); (0, 1) ], mha ~seq:64 ~hidden:256);
+      ("mha seq 33", [ (0, 0); (0, 0) ], mha ~seq:33 ~hidden:128);
+      ("mha head 96", [ (1, 1); (0, 1) ], mha ~seq:16 ~hidden:384);
+      ( "bert 1 layer",
+        [ (0, 5); (0, 5) ],
+        fun () ->
+          let b = Gc_workloads.Bert.build_f32 ~layers:1 ~batch:1 ~seq:8 ~hidden:32 ~heads:2 () in
+          (b.Gc_workloads.Bert.graph, b.Gc_workloads.Bert.data) );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* 3b. Conv2d end-to-end, two claims per shape:
    - against the direct scalar reference (f64 accumulate, rounded once):
@@ -976,6 +1055,7 @@ let () =
       cases "e2e-bert4-int8" 2 (run_exec_vs_reference ~layers:4 ~kind:`Bert_int8);
       cases "e2e-bert12-f32" 1 (run_exec_vs_reference ~layers:12 ~kind:`Bert_f32);
       ("cross-config", cross_config_mha @ cross_config_bert);
+      ("bit-exact", bit_exact_cases);
       cases "e2e-dlrm-f32" 2 (run_exec_vs_reference ~kind:`Dlrm_f32);
       cases "e2e-dlrm-int8" 2 (run_exec_vs_reference ~kind:`Dlrm_int8);
       ( "coverage",

@@ -210,6 +210,102 @@ let prop_tiled_f32_bit_exact =
         true
       with Exit -> false)
 
+(* The leading-dimension forms against the slab path: B given as K×N
+   rows [ldb > nb] apart (or as [NB][KB] slabs, [ldb = 0]) at irregular
+   batch offsets, C a tile at [ldc > nb] inside a wider buffer. Packing B
+   into [NB][KB] and running {!Brgemm.f32} on an [MB][NB] slab must give
+   bit-identical tile elements, and every element outside the tile must
+   keep its bits. *)
+let ld_gen =
+  QCheck.Gen.(
+    pair shape_gen
+      (quad bool (int_range 1 5) (int_range 1 5) (pair (int_range 0 3) (int_range 0 4))))
+
+let print_ld =
+  QCheck.Print.(
+    pair (quad int int int int) (quad bool int int (pair int int)))
+
+let prop_ld_forms_bit_exact =
+  QCheck.Test.make ~name:"f32 K×N B and strided C bit-match the slab path" ~count:150
+    (QCheck.make ~print:print_ld ld_gen)
+    (fun ((batch, mb, nb, kb), (kxn, extra_b, extra_c, (gap, col0))) ->
+      let ldb = if kxn then nb + extra_b else 0 in
+      let block = if kxn then kb * ldb else nb * kb in
+      (* batch blocks [block + gap] apart, after a [gap]-element prefix *)
+      let b_offs = Array.init batch (fun i -> gap + (i * (block + gap))) in
+      let nbuf = gap + (batch * (block + gap)) in
+      let b = Buffer.create Dtype.F32 nbuf in
+      for i = 0 to nbuf - 1 do Buffer.set b i (cos (float_of_int ((3 * i) + kb))) done;
+      let b_at bi n k = b_offs.(bi) + if kxn then (k * ldb) + n else (n * kb) + k in
+      let na = batch * mb * kb in
+      let a = Buffer.create Dtype.F32 na in
+      for i = 0 to na - 1 do Buffer.set a i (sin (float_of_int (i + (7 * mb)))) done;
+      let a_offs = Array.init batch (fun i -> i * mb * kb) in
+      (* the slab path: pack B, accumulate into an [MB][NB] slab *)
+      let packed = Buffer.create Dtype.F32 (batch * nb * kb) in
+      for bi = 0 to batch - 1 do
+        for n = 0 to nb - 1 do
+          for k = 0 to kb - 1 do
+            Buffer.set packed ((((bi * nb) + n) * kb) + k) (Buffer.get b (b_at bi n k))
+          done
+        done
+      done;
+      let init i = 0.25 +. (0.125 *. float_of_int (i mod 5)) in
+      let slab = Buffer.create Dtype.F32 (mb * nb) in
+      for i = 0 to (mb * nb) - 1 do Buffer.set slab i (init i) done;
+      Brgemm.f32 ~batch ~mb ~nb ~kb ~a:(Buffer.as_f32 a) ~a_offs ~b:(Buffer.as_f32 packed)
+        ~b_offs:(Array.init batch (fun i -> i * nb * kb))
+        ~c:(Buffer.as_f32 slab) ~c_off:0;
+      (* the tile path: rows [ldc] apart, starting at row 1, column [col0] *)
+      let ldc = nb + extra_c in
+      let col0 = min col0 extra_c in
+      let c_off = ldc + col0 in
+      let wide = Buffer.create Dtype.F32 ((mb + 2) * ldc) in
+      let wide_init i = -1.5 -. float_of_int i in
+      for i = 0 to Buffer.length wide - 1 do Buffer.set wide i (wide_init i) done;
+      for m = 0 to mb - 1 do
+        for n = 0 to nb - 1 do
+          Buffer.set wide (c_off + (m * ldc) + n) (init ((m * nb) + n))
+        done
+      done;
+      Brgemm.dispatch_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a:(F32 (Buffer.as_f32 a)) ~a_offs ~b
+        ~b_offs ~c:wide ~c_off;
+      let bits buf i = Int32.bits_of_float (Buffer.get buf i) in
+      let tmp = Buffer.create Dtype.F32 1 in
+      let ok = ref true in
+      for i = 0 to Buffer.length wide - 1 do
+        let r = (i - c_off) / ldc and col = (i - c_off) mod ldc in
+        let expect =
+          if i >= c_off && r < mb && col < nb then bits slab ((r * nb) + col)
+          else begin
+            Buffer.set tmp 0 (wide_init i);
+            bits tmp 0
+          end
+        in
+        if not (Int32.equal (bits wide i) expect) then ok := false
+      done;
+      !ok)
+
+(* The leading-dimension path allocates nothing per call, like the slab
+   path the engine used before. *)
+let test_ld_forms_allocate_nothing () =
+  let mb = 2 and nb = 64 and kb = 64 in
+  let a = Buffer.create Dtype.F32 (mb * kb) and b = Buffer.create Dtype.F32 (kb * nb) in
+  let c = Buffer.create Dtype.F32 (mb * nb) in
+  let a_offs = [| 0 |] and b_offs = [| 0 |] in
+  let call ldb =
+    Brgemm.dispatch_ld ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off:0
+  in
+  call 0;
+  call nb;
+  let calls = 200 in
+  let m0 = Gc.minor_words () in
+  for i = 1 to calls do
+    call (if i land 1 = 0 then nb else 0)
+  done;
+  let words = Gc.minor_words () -. m0 in
+  if words > 16. then Alcotest.failf "%d brgemm calls allocated %.0f minor words" calls words
+
 let int8_ref ~batch ~mb ~nb ~kb a b =
   (* naive integer reference over raw buffer reads (get_int is sign-aware) *)
   Array.init (mb * nb) (fun idx ->
@@ -418,6 +514,8 @@ let () =
           Alcotest.test_case "dispatch rejects" `Quick test_brgemm_dispatch_rejects;
           Alcotest.test_case "blocked equals matmul" `Quick test_brgemm_matches_ref_matmul;
           QCheck_alcotest.to_alcotest prop_tiled_f32_bit_exact;
+          QCheck_alcotest.to_alcotest prop_ld_forms_bit_exact;
+          Alcotest.test_case "ld forms allocate nothing" `Quick test_ld_forms_allocate_nothing;
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:false);
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:true);
           QCheck_alcotest.to_alcotest (prop_int8_extreme_short ~signed:false);

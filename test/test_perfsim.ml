@@ -94,10 +94,10 @@ let test_time_consistent_with_frequency () =
 
 let golden =
   [
-    ("mlp-full", `Full, `Mlp, 7034.56, 1);
-    ("mlp-baseline", `Baseline, `Mlp, 13553.54, 2);
-    ("mha-full", `Full, `Mha, 8102.68, 1);
-    ("mha-baseline", `Baseline, `Mha, 23584.68, 3);
+    ("mlp-full", `Full, `Mlp, 7018.70, 1);
+    ("mlp-baseline", `Baseline, `Mlp, 13545.94, 2);
+    ("mha-full", `Full, `Mha, 7979.76, 1);
+    ("mha-baseline", `Baseline, `Mha, 23501.44, 3);
   ]
 
 let test_golden_cycles () =

@@ -139,8 +139,10 @@ let test_allocation_regression () =
 (* The same bound on the paired perfbench workloads, through plain
    [Core.execute] (fresh outputs each call): MLP_1 int8 at batch 32 under
    the full pipeline and under the primitives configuration (int8 loads,
-   stores, casts and requant chains), and the f32 MHA (softmax, mask and
-   batch-matmul loops). Each warm execute may allocate at most 1 k minor
+   stores, casts and requant chains), and the f32 MHA under both (softmax,
+   mask and batch-matmul loops; brgemm in its leading-dimension form,
+   reading V as K×N rows and writing the output tile in place). Each warm
+   execute may allocate at most 1 k minor
    words: a boxed value per loaded, stored or cast element would cost
    hundreds of thousands. *)
 let minor_words_per_execute t data =
@@ -169,6 +171,7 @@ let test_workload_allocation () =
       ("mlp1 int8 full", compile mlp.Mlp.graph, mlp.Mlp.data);
       ("mlp1 int8 primitives", Core.compile ~config:primitives mlp.Mlp.graph, mlp.Mlp.data);
       ("mha f32 full", compile mha.Mha.graph, mha.Mha.data);
+      ("mha f32 primitives", Core.compile ~config:primitives mha.Mha.graph, mha.Mha.data);
     ]
 
 let test_arena_counters_fire () =

@@ -433,10 +433,10 @@ let test_mlp1_reads_blocked_a () =
 
 (* Whole-K operand reads: in the full pipeline's Tensor IR of perfbench's
    MHA (head dim and seq 64, one whole-K block per matmul) BRGEMM reads Q,
-   K (transposed) and the softmax output where they lie; only V, read
-   untransposed, is still packed, and the softmax temporary shrinks to one
-   head's [64][64]. The primitives pack all four operands, also at head
-   dim 16 where their own free choice is one whole-K block. *)
+   K (transposed), the softmax output and V (as K×N rows) where they lie,
+   so nothing is packed, and the softmax temporary shrinks to one head's
+   [64][64]. The primitives pack all four operands, also at head dim 16
+   where their own free choice is one whole-K block. *)
 let test_mha_reads_whole_k_in_place () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
   let mha hidden = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:64 ~hidden ~heads:4 ()).graph in
@@ -469,7 +469,7 @@ let test_mha_reads_whole_k_in_place () =
         | _ -> acc)
   in
   let full = tir (Core.default_config ~machine ()) in
-  Alcotest.(check (list string)) "full: packed from" [ "V" ] (pack_sources full);
+  Alcotest.(check (list string)) "full: packed from" [] (pack_sources full);
   let in_place =
     List.filter_map
       (fun ((a : tensor), _) -> if a.storage = Local then Some (Array.to_list a.dims) else None)
@@ -487,6 +487,69 @@ let test_mha_reads_whole_k_in_place () =
           Alcotest.(check bool) (what ^ ": A and B packed") true (is_pack a && is_pack b))
         prims)
     [ 256; 64 ]
+
+(* Pack-free P·V: in perfbench's MHA the fused kernel's second BRGEMM
+   reads V as K×N rows (ldb = 64) and accumulates straight into the
+   output t9 (ldc = 64), so neither a [Bpack] nor a [Cacc] write-back copy
+   is left; the one [Cacc] is Q·Kᵀ's, read by its scale-and-mask
+   post-ops. The primitives keep packing K and V and lose only P·V's
+   write-back (it has no post-ops); int8 MHA keeps the slab form. *)
+let test_mha_pv_in_place () =
+  let machine = Gc_microkernel.Machine.xeon_8358 in
+  let tir config g = Core.tir_module (Core.compile ~config g) in
+  let f32 = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:64 ~hidden:256 ~heads:4 ()).graph in
+  let fold (m : module_) f =
+    List.concat_map (fun (fn : func) -> Visit.fold_stmts ~stmt:f [] fn.body) m.funcs
+  in
+  let prefixed pre (t : tensor) = String.starts_with ~prefix:pre t.tname in
+  let allocs pre m =
+    fold m (fun acc s -> match s with Alloc t when prefixed pre t -> t.tname :: acc | _ -> acc)
+  in
+  (* stores that only copy an accumulator element out *)
+  let write_backs m =
+    fold m (fun acc s ->
+        match s with
+        | Store (t, _, Load (src, _)) when prefixed "Cacc" src -> t.tname :: acc
+        | _ -> acc)
+  in
+  (* (B tensor, ldb, C tensor, ldc) of every brgemm, a C parameter named
+     "out"; ldc = -1 marks the slab form *)
+  let brgemms m =
+    fold m (fun acc s ->
+        match s with
+        | Call ("brgemm", args) -> (
+            match (List.nth args 6, List.nth args 8, List.filteri (fun i _ -> i >= 9) args) with
+            | Addr (b, _), Addr (c, _), ld -> (
+                let c = if c.storage = Param then "out" else c.tname in
+                match ld with
+                | [ Int ldb; Int ldc ] -> (b.tname, ldb, c, ldc) :: acc
+                | _ -> (b.tname, 0, c, -1) :: acc)
+            | _ -> Alcotest.fail "brgemm with non-address or non-literal operands")
+        | _ -> acc)
+    |> List.sort compare
+  in
+  let brgemm = Alcotest.(list (pair (pair string int) (pair string int))) in
+  let pairs = List.map (fun (b, ldb, c, ldc) -> ((b, ldb), (c, ldc))) in
+  let full = tir (Core.default_config ~machine ()) f32 in
+  Alcotest.(check (list string)) "full: Bpack allocations" [] (allocs "Bpack" full);
+  Alcotest.(check (list string)) "full: one Cacc" [ "Cacc" ] (allocs "Cacc" full);
+  Alcotest.(check (list string)) "full: write-back copies" [] (write_backs full);
+  Alcotest.check brgemm "full: brgemm operand forms"
+    [ (("K", 0), ("Cacc", -1)); (("V", 64), ("out", 64)) ]
+    (pairs (brgemms full));
+  let prims = tir (Gc_baseline.Baseline.config ~machine ()) f32 in
+  Alcotest.(check int) "primitives: Bpack allocations" 2 (List.length (allocs "Bpack" prims));
+  Alcotest.(check (list string)) "primitives: write-back copies" [] (write_backs prims);
+  Alcotest.check brgemm "primitives: brgemm operand forms"
+    [ (("Bpack", 0), ("Cacc", -1)); (("Bpack", 0), ("out", 64)) ]
+    (pairs (brgemms prims));
+  let int8 = (Gc_workloads.Mha.build_int8 ~batch:2 ~seq:64 ~hidden:256 ~heads:4 ()).graph in
+  List.iter
+    (fun (what, config) ->
+      List.iter
+        (fun (_, _, _, ldc) -> Alcotest.(check int) (what ^ ": int8 slab form") (-1) ldc)
+        (brgemms (tir config int8)))
+    [ ("full", Core.default_config ~machine ()); ("primitives", Gc_baseline.Baseline.config ~machine ()) ]
 
 (* Whole-K is offered only where it buys an in-place read: at seq 33 and
    head dim 32 no MB divides M = 33 and no NB divides N = 33, so the
@@ -644,6 +707,112 @@ let test_shrink_addr_slab_inside () =
   check_slab_shrink ~what:"dim 0 shrunk"
     (brgemm_slab_module ~dims:[| 4; 2; 8 |] ~at:(fun b -> [| b; Int 0; Int 0 |]))
     [ 1; 2; 8 ]
+
+(* A local [t : [4][2][8]] filled by task [b] with src[16b ..] and read
+   by brgemm as B in K×N form: two rows of eight columns, [ldb] apart, from
+   &t[b, 0, 0], against a ones A ([1 × 2]). At [ldb = 8] the rows are
+   t[b]'s own and dim 0 shrinks; at [ldb = 16] the second row is t[b + 1]'s
+   first (zero in the task's own sunk copy), so the reach
+   [(kb - 1)·ldb + nb = 24] crosses the trailing [2][8] and dim 0 stays. *)
+let check_kxn_shrink ~ldb expect_dims =
+  let t = fresh_tensor ~name:"t" ~storage:Local Dtype.F32 [| 4; 2; 8 |] in
+  let src = fresh_tensor ~name:"src" ~storage:Param Dtype.F32 [| 64 |] in
+  let ones = fresh_tensor ~name:"ones" ~storage:Param Dtype.F32 [| 2 |] in
+  let y = fresh_tensor ~name:"y" ~storage:Param Dtype.F32 [| 3; 8 |] in
+  let b = fresh_var ~name:"b" Index in
+  let at = Addr (t, [| Ir.v b; Int 0; Int 0 |]) in
+  let body =
+    [
+      Alloc t;
+      loop ~parallel:true b 0 3
+        [
+          Call ("copy", [ at; Addr (src, [| Binop (Mul, Ir.v b, Int 16) |]); Int 16 ]);
+          Call ("zero", [ Addr (y, [| Ir.v b; Int 0 |]); Int 8 ]);
+          Call
+            ( "brgemm",
+              [
+                Int 1; Int 1; Int 8; Int 2;
+                Addr (ones, [| Int 0 |]); Int 2;
+                at; Int 16;
+                Addr (y, [| Ir.v b; Int 0 |]); Int ldb; Int 8;
+              ] );
+        ];
+    ]
+  in
+  let f = { fname = "f"; params = [ Ptensor src; Ptensor ones; Ptensor y ]; body } in
+  let m' = Tensor_shrink.run { funcs = [ f ]; entry = "f"; init = None; globals = [] } in
+  let t' =
+    List.find (fun (x : tensor) -> x.tname = "t") (Visit.tensors_used (List.hd m'.funcs).body)
+  in
+  Alcotest.(check (list int)) "t dims" expect_dims (Array.to_list t'.dims);
+  let srcb = Buffer.create Dtype.F32 64 and onesb = Buffer.create Dtype.F32 2 in
+  for i = 0 to 63 do Buffer.set srcb i (float_of_int i) done;
+  for i = 0 to 1 do Buffer.set onesb i 1. done;
+  let yb = Buffer.create Dtype.F32 24 in
+  run_module m' [| srcb; onesb; yb |];
+  for r = 0 to 2 do
+    for n = 0 to 7 do
+      let expect = (16 * r) + n + if ldb = 8 then (16 * r) + 8 + n else 0 in
+      Alcotest.(check (float 0.)) (Printf.sprintf "y[%d, %d]" r n) (float_of_int expect)
+        (Buffer.get yb ((8 * r) + n))
+    done
+  done
+
+(* The C side: task [b] accumulates a [2 × 4] tile (each row src[0..3],
+   from a ones A) into a local [c : [4][2][8]] at &c[b, 0, 0] with rows
+   [ldc] apart, then copies c[b] out. At [ldc = 8] the tile's reach
+   [(mb - 1)·ldc + nb = 12] stays in the trailing [2][8] and dim 0
+   shrinks; at [ldc = 16] it is 20, so dim 0 stays (row 1 lands in
+   c[b + 1] and y's second row reads zeros). *)
+let check_ldc_shrink ~ldc expect_dims =
+  let c = fresh_tensor ~name:"c" ~storage:Local Dtype.F32 [| 4; 2; 8 |] in
+  let src = fresh_tensor ~name:"src" ~storage:Param Dtype.F32 [| 4 |] in
+  let ones = fresh_tensor ~name:"ones" ~storage:Param Dtype.F32 [| 2 |] in
+  let y = fresh_tensor ~name:"y" ~storage:Param Dtype.F32 [| 3; 16 |] in
+  let b = fresh_var ~name:"b" Index in
+  let at = Addr (c, [| Ir.v b; Int 0; Int 0 |]) in
+  let body =
+    [
+      Alloc c;
+      loop ~parallel:true b 0 3
+        [
+          Call
+            ( "brgemm",
+              [
+                Int 1; Int 2; Int 4; Int 1;
+                Addr (ones, [| Int 0 |]); Int 2;
+                Addr (src, [| Int 0 |]); Int 4;
+                at; Int 0; Int ldc;
+              ] );
+          Call ("copy", [ Addr (y, [| Ir.v b; Int 0 |]); at; Int 16 ]);
+        ];
+    ]
+  in
+  let f = { fname = "f"; params = [ Ptensor src; Ptensor ones; Ptensor y ]; body } in
+  let m' = Tensor_shrink.run { funcs = [ f ]; entry = "f"; init = None; globals = [] } in
+  let c' =
+    List.find (fun (x : tensor) -> x.tname = "c") (Visit.tensors_used (List.hd m'.funcs).body)
+  in
+  Alcotest.(check (list int)) "c dims" expect_dims (Array.to_list c'.dims);
+  let srcb = Buffer.create Dtype.F32 4 and onesb = Buffer.create Dtype.F32 2 in
+  for i = 0 to 3 do Buffer.set srcb i (float_of_int (i + 1)) done;
+  for i = 0 to 1 do Buffer.set onesb i 1. done;
+  let yb = Buffer.create Dtype.F32 48 in
+  run_module m' [| srcb; onesb; yb |];
+  for r = 0 to 2 do
+    for i = 0 to 15 do
+      let col = i mod 8 in
+      let expect = if col < 4 && (i < 8 || ldc = 8) then col + 1 else 0 in
+      Alcotest.(check (float 0.)) (Printf.sprintf "y[%d, %d]" r i) (float_of_int expect)
+        (Buffer.get yb ((16 * r) + i))
+    done
+  done
+
+let test_shrink_kxn_rows () =
+  check_kxn_shrink ~ldb:8 [ 1; 2; 8 ];
+  check_kxn_shrink ~ldb:16 [ 4; 2; 8 ];
+  check_ldc_shrink ~ldc:8 [ 1; 2; 8 ];
+  check_ldc_shrink ~ldc:16 [ 4; 2; 8 ]
 
 let test_shrink_addr_slab_crossing () =
   (* task b owns rows 2b and 2b + 1 of [8][8]: every site indexes dim 0
@@ -953,12 +1122,15 @@ let () =
             test_mha_reads_whole_k_in_place;
           Alcotest.test_case "mha whole-K only when read in place" `Quick
             test_mha_whole_k_only_in_place;
+          Alcotest.test_case "mha P·V reads V and writes C in place" `Quick
+            test_mha_pv_in_place;
         ] );
       ( "tensor_shrink",
         [
           Alcotest.test_case "privatizes" `Quick test_shrink_privatizes_into_parallel_loop;
           Alcotest.test_case "address taken kept" `Quick test_shrink_leaves_address_taken;
           Alcotest.test_case "brgemm slab inside shrinks" `Quick test_shrink_addr_slab_inside;
+          Alcotest.test_case "brgemm K×N rows and C tile reach" `Quick test_shrink_kxn_rows;
           Alcotest.test_case "slab crossing a dim kept" `Quick test_shrink_addr_slab_crossing;
         ] );
       ( "dse",
