@@ -12,9 +12,10 @@
    Sections:
    - brgemm: single-thread GFLOP/s of the register-tiled BRGEMM kernel
      over paper-relevant tile shapes, plus the tile/grid parameters the
-     heuristic picks for each shape's GEMM view; and at the fused MHA's
-     P·V tile (2×64×64) the f32 rate with B read as K×N rows beside the
-     rate on an [NB][KB] slab, timed in alternating bursts.
+     heuristic picks for each shape's GEMM view; and on a 2×64×64 tile
+     the f32 rate with B read as K×N rows, and with A read in place with
+     rows 256 apart, each beside the rate on slabs, timed in alternating
+     bursts.
    - pool: fork-join overhead of one parallel section and the number of
      grains the self-scheduler migrated off the submitting domain.
    - mlp: wallclock of one fused-MLP execution through the full compiler,
@@ -153,21 +154,11 @@ let brgemm_section shapes =
           @ params_fields p) ))
     shapes
 
-(* The f32 kernel's two B forms at the MHA P·V tile (mb 2, nb = kb = 64,
-   V's rows [ldb = 64] apart): bursts alternate between the forms so both
-   see the same machine state, and each keeps its best burst. *)
-let kxn_name = "f32_2x64x64_kxn"
-
-let kxn_entry () =
-  let mb = 2 and nb = 64 and kb = 64 in
-  let a = Buffer.create Dtype.F32 (mb * kb) and b = Buffer.create Dtype.F32 (kb * nb) in
-  let c = Buffer.create Dtype.F32 (mb * nb) in
-  for i = 0 to Buffer.length a - 1 do Buffer.set a i (sin (float_of_int i)) done;
-  for i = 0 to Buffer.length b - 1 do Buffer.set b i (cos (float_of_int i)) done;
-  let call ldb () =
-    Gc_microkernel.Brgemm.dispatch_ld ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
-      ~b_offs:[| 0 |] ~c ~c_off:0
-  in
+(* Two operand forms of the f32 kernel on one 2×64×64 tile (the fused
+   MHA's and the served MLP's MB = 2): bursts alternate between the forms
+   so both see the same machine state, and each keeps its best burst.
+   Returns the GFLOP/s of [form] and of [slab]. *)
+let paired_rates ~mb ~nb ~kb form slab =
   let flops = 2. *. float_of_int (mb * nb * kb) in
   let burst f =
     let t0 = Unix.gettimeofday () in
@@ -179,29 +170,72 @@ let kxn_entry () =
     done;
     flops *. float_of_int !iters /. !elapsed /. 1e9
   in
-  let nxk = ref 0. and kxn = ref 0. in
-  call 0 ();
-  call nb ();
+  let r_form = ref 0. and r_slab = ref 0. in
+  slab ();
+  form ();
   for _ = 1 to 6 do
-    nxk := Float.max !nxk (burst (call 0));
-    kxn := Float.max !kxn (burst (call nb))
+    r_slab := Float.max !r_slab (burst slab);
+    r_form := Float.max !r_form (burst form)
   done;
-  let ratio = !kxn /. !nxk in
+  (!r_form, !r_slab)
+
+let f32_buffers ~na ~nb ~nc =
+  let a = Buffer.create Dtype.F32 na and b = Buffer.create Dtype.F32 nb in
+  for i = 0 to na - 1 do Buffer.set a i (sin (float_of_int i)) done;
+  for i = 0 to nb - 1 do Buffer.set b i (cos (float_of_int i)) done;
+  (a, b, Buffer.create Dtype.F32 nc)
+
+let tile_fields ~mb ~nb ~kb rate =
+  let open Core.Observe.Json in
+  [
+    ("dtype", String "f32");
+    ("batch", Int 1);
+    ("mb", Int mb);
+    ("nb", Int nb);
+    ("kb", Int kb);
+    ("tiled_gflops", Float rate);
+  ]
+
+(* B read as K×N rows at the MHA P·V tile (V's rows [ldb = 64] apart)
+   against an [NB][KB] slab. *)
+let kxn_name = "f32_2x64x64_kxn"
+
+let kxn_entry () =
+  let mb = 2 and nb = 64 and kb = 64 in
+  let a, b, c = f32_buffers ~na:(mb * kb) ~nb:(kb * nb) ~nc:(mb * nb) in
+  let call ldb () =
+    Gc_microkernel.Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
+      ~b_offs:[| 0 |] ~c ~c_off:0
+  in
+  let kxn, nxk = paired_rates ~mb ~nb ~kb (call nb) (call 0) in
+  let ratio = kxn /. nxk in
   Printf.printf "  %-24s %8.3f GFLOP/s   N×K slab %.3f GFLOP/s   K×N/N×K %.3f\n%!" kxn_name
-    !kxn !nxk ratio;
+    kxn nxk ratio;
   let open Core.Observe.Json in
   ( kxn_name,
     Obj
-      [
-        ("dtype", String "f32");
-        ("batch", Int 1);
-        ("mb", Int mb);
-        ("nb", Int nb);
-        ("kb", Int kb);
-        ("tiled_gflops", Float !kxn);
-        ("nxk_gflops", Float !nxk);
-        ("kxn_over_nxk", Float ratio);
-      ] )
+      (tile_fields ~mb ~nb ~kb kxn @ [ ("nxk_gflops", Float nxk); ("kxn_over_nxk", Float ratio) ]) )
+
+(* A read in place, its rows [lda = 256] apart as in a plain [M][256]
+   activation (the served MLP_1's third layer), against an [MB][KB] slab. *)
+let lda_name = "f32_2x64x64_lda"
+
+let lda_entry () =
+  let mb = 2 and nb = 64 and kb = 64 and lda = 256 in
+  let a, b, c = f32_buffers ~na:(mb * lda) ~nb:(nb * kb) ~nc:(mb * nb) in
+  let call lda () =
+    Gc_microkernel.Brgemm.dispatch_ld ~lda ~ldb:0 ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
+      ~b_offs:[| 0 |] ~c ~c_off:0
+  in
+  let pitched, slab = paired_rates ~mb ~nb ~kb (call lda) (call kb) in
+  let ratio = pitched /. slab in
+  Printf.printf "  %-24s %8.3f GFLOP/s   A slab %.3f GFLOP/s   lda/slab %.3f\n%!" lda_name
+    pitched slab ratio;
+  let open Core.Observe.Json in
+  ( lda_name,
+    Obj
+      (tile_fields ~mb ~nb ~kb pitched
+      @ [ ("lda", Int lda); ("slab_gflops", Float slab); ("lda_over_slab", Float ratio) ]) )
 
 (* ------------------------------------------------------------------ *)
 (* Pool section: fork-join overhead and grain migration *)
@@ -367,11 +401,16 @@ let validate file =
          kernel one strided row per k step, and must keep at least 0.8 of
          the slab rate at the MHA tile (the fused P·V reads V this way
          instead of packing it) *)
-      (match Option.bind (Option.bind (member "brgemm" j) (member kxn_name)) (member "kxn_over_nxk") with
-      | Some (Float r) when r >= 0.8 -> ()
-      | Some (Float r) ->
-          fail (Printf.sprintf "brgemm %s K×N/N×K %.3f is below 0.8" kxn_name r)
-      | _ -> fail (Printf.sprintf "missing brgemm.%s.kxn_over_nxk" kxn_name));
+      let min_ratio (name, field) =
+        match Option.bind (Option.bind (member "brgemm" j) (member name)) (member field) with
+        | Some (Float r) when r >= 0.8 -> ()
+        | Some (Float r) -> fail (Printf.sprintf "brgemm %s %s %.3f is below 0.8" name field r)
+        | _ -> fail (Printf.sprintf "missing brgemm.%s.%s" name field)
+      in
+      min_ratio (kxn_name, "kxn_over_nxk");
+      (* the same pin for A read in place, rows [lda] apart (a compiled
+         matmul reads a plain activation this way instead of packing it) *)
+      min_ratio (lda_name, "lda_over_slab");
       (match Option.bind (member "pool" j) (member "fork_join_ns") with
       | Some (Float _) -> ()
       | _ -> fail "missing pool.fork_join_ns");
@@ -418,7 +457,7 @@ let () =
   let shapes = match !mode with `Full -> full_shapes | `Tiny -> tiny_shapes in
   Bench_util.header "BRGEMM microkernel (single thread)";
   let brgemm = brgemm_section shapes in
-  let brgemm = brgemm @ [ kxn_entry () ] in
+  let brgemm = brgemm @ [ kxn_entry (); lda_entry () ] in
   let headline =
     let open Core.Observe.Json in
     match List.assoc_opt (headline_name !mode) brgemm with

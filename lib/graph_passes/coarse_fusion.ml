@@ -12,11 +12,15 @@ let consumes (f1 : Fused_op.t) (f2 : Fused_op.t) =
 let mergeable_batched (p1 : Params.t) (p2 : Params.t) =
   p1.batch > 1 && p1.batch = p2.batch
 
+(* a re-tuned member keeps layout propagation's permission to read plain
+   operands in place *)
 let attempt ?kb_fixed ~machine ~mpn (p : Params.t) mb =
   try
-    Some
-      (Heuristic.choose ~machine ~dtype:p.dtype ~batch:p.batch
-         ~force_grid:(mpn, 1) ~mb_fixed:mb ?kb_fixed ~m:p.m ~n:p.n ~k:p.k ())
+    let p' =
+      Heuristic.choose ~machine ~dtype:p.dtype ~batch:p.batch ~force_grid:(mpn, 1)
+        ~mb_fixed:mb ?kb_fixed ~m:p.m ~n:p.n ~k:p.k ()
+    in
+    Some { p' with read_plain = p.read_plain }
   with Invalid_argument _ -> None
 
 (* Joint re-tuning of a chain of 2-D fused matmuls that feed one another:

@@ -92,10 +92,8 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
         (* the consumer owns the decision: a tiling aligned to how its
            producer left A is kept when it costs at most [align_tolerance]
            times the free choice *)
-        let aligned ?mb_fixed ~kb_fixed () =
-          match
-            Heuristic.choose ~machine ~dtype ~batch ?mb_fixed ~kb_fixed ~m ~n ~k ()
-          with
+        let aligned ~mb_fixed ~kb_fixed =
+          match Heuristic.choose ~machine ~dtype ~batch ~mb_fixed ~kb_fixed ~m ~n ~k () with
           | p
             when Heuristic.cost ~machine p
                  <= align_tolerance *. Heuristic.cost ~machine best ->
@@ -103,40 +101,33 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
           | _ -> None
           | exception Invalid_argument _ -> None
         in
+        (* a plain A (and a plain B) is read in place under any tiling
+           without a tail; [read_plain] is set where that happens *)
+        let read_plain (p : Params.t) =
+          let p' = { p with Params.read_plain = true } in
+          let reads = Lower_tunable.reads_plain_in_place p' in
+          if
+            propagate_activations
+            && (reads ~k_inner:true ~rows:m ~block:p.mb
+               || Layout.is_plain b.layout && reads ~k_inner:transpose_b ~rows:n ~block:p.nb)
+          then p'
+          else p
+        in
         let p =
           match a.layout with
           | Layout.Blocked [ (0, mba); (1, kba) ] when batch = 1 -> (
               (* align with an already-blocked A; when that costs too much,
                  the chain that published A goes back to plain and this
-                 matmul packs it *)
-              let p =
-                if transpose_b then None
-                else aligned ~mb_fixed:mba ~kb_fixed:kba ()
-              in
+                 matmul reads it plain *)
+              let p = if transpose_b then None else aligned ~mb_fixed:mba ~kb_fixed:kba in
               match p with
               | Some p -> p
               | None ->
                   Option.iter
                     (List.iter (fun (t : Logical_tensor.t) -> t.layout <- Layout.Plain))
                     (Hashtbl.find_opt chains a.id);
-                  best)
-          | Layout.Plain when propagate_activations && batch > 1 ->
-              (* one whole-K block makes a plain A (and a plain transposed
-                 B) byte-for-byte the template's slabs, read in place; K
-                 must itself be a KB candidate, and the tiling is taken
-                 only when the lowering then reads an operand in place
-                 (with M and N not multiples of MB and NB it packs both) *)
-              let in_place (p : Params.t) =
-                let p = { p with Params.read_plain = true } in
-                let reads = Lower_tunable.reads_plain_in_place p in
-                if
-                  reads ~k_inner:true ~rows:m ~block:p.mb
-                  || Layout.is_plain b.layout
-                     && reads ~k_inner:transpose_b ~rows:n ~block:p.nb
-                then Some p
-                else None
-              in
-              Option.value ~default:best (Option.bind (aligned ~kb_fixed:k ()) in_place)
+                  read_plain best)
+          | Layout.Plain -> read_plain best
           | _ -> best
         in
         Hashtbl.replace params mm.id p;

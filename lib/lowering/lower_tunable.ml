@@ -79,10 +79,8 @@ let reduce_combine (k : Op_kind.reduce_kind) acc v =
   | Min -> Ir.Binop (Ir.Min, acc, v)
 
 let reads_plain_in_place (p : Params.t) ~k_inner ~rows ~block =
-  p.read_plain && rows mod block = 0
-  &&
-  if k_inner then Params.kblocks p = 1 && p.kb = p.k
-  else (* K×N rows: the f32 kernel only *) Dtype.is_float p.dtype && p.k mod p.kb = 0
+  p.read_plain && rows mod block = 0 && p.k mod p.kb = 0
+  && (k_inner || (* K×N rows: the f32 kernel only *) Dtype.is_float p.dtype)
 
 let lower ~tmap (f : Fused_op.t) =
 
@@ -142,14 +140,14 @@ let lower ~tmap (f : Fused_op.t) =
   let padded = Params.m_pad p > m || Params.n_pad p > n || Params.k_pad p > k in
   let ts = { tmap; locals = Hashtbl.create 16 } in
 
-  (* An operand is read in place when its bytes already are the template's
-     slabs: it carries the template's blocked layout (layout propagation
-     arranged it), or — when layout propagation chose the blocking for it
-     ([read_plain]) — it is plain and unpadded on the blocked axis with
-     either K innermost and one whole-K block (a plain [M][K] row panel is
-     then an [MB, KB] slab and a plain [N][K] (transpose_b) one an
-     [NB, KB] slab), or, for B, N innermost: KB rows of a plain [K][N]
-     are the kernel's K×N form, [ldb = N] apart. *)
+  (* An operand is read in place when the kernel can address its bytes
+     where they lie: it carries the template's blocked layout (layout
+     propagation arranged it), or — when layout propagation allowed it
+     ([read_plain]) — it is plain with no tail on the blocked axis or on
+     K. A plain K-innermost operand is then MB (or NB) rows of a K-run,
+     [lda] (or [-ldb]) = K apart: A, and B under [transpose_b]. A plain
+     N-innermost B is KB of the kernel's K×N rows, [ldb = N] apart. Tails
+     still pack, as in oneDNN. *)
   let direct (src : Logical_tensor.t) ~slab ~k_inner ~rows ~block =
     conv = None
     &&
@@ -162,7 +160,8 @@ let lower ~tmap (f : Fused_op.t) =
   let b_direct =
     direct b_src ~slab:(Params.b_layout p) ~k_inner:transpose_b ~rows:n ~block:nb
   in
-  let b_rows = b_direct && (not transpose_b) && Layout.is_plain b_src.layout in
+  let a_plain = a_direct && Layout.is_plain a_src.layout in
+  let b_plain = b_direct && Layout.is_plain b_src.layout in
   (* C is accumulated straight into a plain output tile when nothing runs
      between the kernel and the store: no post-op groups, no dtype change,
      no k-slice partials, and no padded rows or columns to drop. *)
@@ -177,25 +176,27 @@ let lower ~tmap (f : Fused_op.t) =
   let msi = iv "msi" and nsi = iv "nsi" and ks = iv "ksi" in
   let mpsi = iv "mpsi" and npsi = iv "npsi" in
   let mbi = iv "mbi" and nbi = iv "nbi" in
+  (* [body] once per in-range M (N) tile of the task, with [mpsi] ([npsi])
+     bound to the tile's index *)
+  let over_m_tiles body =
+    for_ msi (Ir.Int 0) (Ir.Int msn)
+      [
+        Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
+        Ir.If (Ir.v mpsi <: Ir.Int mblocks, body, []);
+      ]
+  in
+  let over_n_tiles body =
+    for_ nsi (Ir.Int 0) (Ir.Int nsn)
+      [
+        Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
+        Ir.If (Ir.v npsi <: Ir.Int nblocks, body, []);
+      ]
+  in
 
   (* Batch index expressions of the output space, decomposed from the flat
      batch loop variable. *)
   let out_batch =
-    if not batched then [||]
-    else begin
-      let dims = Shape.to_array batch_dims in
-      let r = Array.length dims in
-      let exprs = Array.make r (Ir.Int 0) in
-      let rem = ref (Ir.v bi) in
-      for i = r - 1 downto 0 do
-        if i = 0 then exprs.(0) <- !rem
-        else begin
-          exprs.(i) <- Ir.Binop (Ir.Mod, !rem, Ir.Int dims.(i));
-          rem := Ir.Binop (Ir.Div, !rem, Ir.Int dims.(i))
-        end
-      done;
-      exprs
-    end
+    if batched then decompose_flat (Ir.v bi) (Shape.to_array batch_dims) else [||]
   in
   (* Map the output batch point into an operand's (possibly broadcast)
      batch dims, then append the two inner coordinates. *)
@@ -352,47 +353,47 @@ let lower ~tmap (f : Fused_op.t) =
   (* ---- the microkernel call ---- *)
   let kbase = Ir.v ks *: Ir.Int bs in
   (* a direct operand is addressed in its own layout: blocked ones by
-     block coordinates, plain whole-K ones by the slab's first row *)
-  let in_place (src : Logical_tensor.t) blocked row =
-    if Layout.is_plain src.layout then
-      Ir.Addr (resolve ts src, operand_index src row (Ir.Int 0))
-    else Ir.Addr (resolve ts src, blocked)
-  in
+     block coordinates, plain ones by their first element, the next batch
+     block KB further along K *)
+  let row0 = Ir.v mpsi *: Ir.Int mb and col0 = Ir.v npsi *: Ir.Int nb in
+  let k0 = kbase *: Ir.Int kb in
   let a_addr =
     match apack with
     | Some ap -> Ir.Addr (ap, [| Ir.Int 0; Ir.Int 0; Ir.Int 0 |])
-    | None ->
-        in_place a_src
-          [| Ir.v mpsi; kbase; Ir.Int 0; Ir.Int 0 |]
-          (Ir.v mpsi *: Ir.Int mb)
+    | None when a_plain -> Ir.Addr (resolve ts a_src, operand_index a_src row0 k0)
+    | None -> Ir.Addr (resolve ts a_src, [| Ir.v mpsi; kbase; Ir.Int 0; Ir.Int 0 |])
   in
   let b_addr =
     match bpack with
     | Some bp -> Ir.Addr (bp, [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |])
-    | None when b_rows ->
-        Ir.Addr (resolve ts b_src, operand_index b_src (kbase *: Ir.Int kb) (Ir.v npsi *: Ir.Int nb))
-    | None ->
-        in_place b_src
-          [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |]
-          (Ir.v npsi *: Ir.Int nb)
+    | None when b_plain ->
+        Ir.Addr
+          ( resolve ts b_src,
+            if transpose_b then operand_index b_src col0 k0 else operand_index b_src k0 col0 )
+    | None -> Ir.Addr (resolve ts b_src, [| kbase; Ir.v npsi; Ir.Int 0; Ir.Int 0 |])
   in
-  let a_stride = mb * kb in
-  let b_stride = if b_rows then kb * n else nblocks * nb * kb in
+  let a_stride = if a_plain then kb else mb * kb in
+  let b_stride =
+    if not b_plain then nblocks * nb * kb else if transpose_b then kb else kb * n
+  in
+  (* leading dimensions: N×K B's pitch is K (0 when that is the slab's),
+     K×N B's is N *)
+  let lda = if a_plain then k else kb in
+  let ldb = if not b_plain then 0 else if not transpose_b then n else if k = kb then 0 else -k in
   (* the output tile at (row, col) of a direct C *)
   let c_at row col =
     Ir.Addr (resolve ts c_lt, Array.append out_batch [| row; col |])
   in
-  let row0 = Ir.v mpsi *: Ir.Int mb in
   let brgemm_call =
     let c_addr =
-      if c_direct then c_at row0 (Ir.v npsi *: Ir.Int nb)
-      else Ir.Addr (cacc, [| Ir.v nsi; Ir.Int 0; Ir.Int 0 |])
+      if c_direct then c_at row0 col0 else Ir.Addr (cacc, [| Ir.v nsi; Ir.Int 0; Ir.Int 0 |])
     in
-    (* [ldb; ldc] only where an operand needs them, so templates that pack
-       B and stage C keep the slab form *)
+    (* trailing leading dimensions only where an operand needs them, so
+       templates that pack A and B and stage C keep the slab form *)
     let ld =
-      if c_direct || b_rows then
-        [ Ir.Int (if b_rows then n else 0); Ir.Int (if c_direct then n else nb) ]
+      let ldb = Ir.Int ldb and ldc = Ir.Int (if c_direct then n else nb) in
+      if lda <> kb then [ ldb; ldc; Ir.Int lda ]
+      else if c_direct || ldb <> Ir.Int 0 then [ ldb; ldc ]
       else []
     in
     Ir.Call
@@ -413,19 +414,10 @@ let lower ~tmap (f : Fused_op.t) =
     else if p.npn = 1 then [ Ir.Call ("zero", [ c_at row0 (Ir.Int 0); Ir.Int (mb * n) ]) ]
     else
       [
-        for_ nsi (Ir.Int 0) (Ir.Int nsn)
+        over_n_tiles
           [
-            Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-            Ir.If
-              ( Ir.v npsi <: Ir.Int nblocks,
-                [
-                  for_ mbi (Ir.Int 0) (Ir.Int mb)
-                    [
-                      Ir.Call
-                        ("zero", [ c_at (row0 +: Ir.v mbi) (Ir.v npsi *: Ir.Int nb); Ir.Int nb ]);
-                    ];
-                ],
-                [] );
+            for_ mbi (Ir.Int 0) (Ir.Int mb)
+              [ Ir.Call ("zero", [ c_at (row0 +: Ir.v mbi) (Ir.v npsi *: Ir.Int nb); Ir.Int nb ]) ];
           ];
       ]
   in
@@ -480,19 +472,7 @@ let lower ~tmap (f : Fused_op.t) =
     mk_anchor1_store (Ir.Load (cacc, [| Ir.v nsi; Ir.v mbi; Ir.v nbi |]))
   in
   let anchor1 =
-    [
-      for_ nsi (Ir.Int 0) (Ir.Int nsn)
-        [
-          Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-          Ir.If
-            ( Ir.v npsi <: Ir.Int nblocks,
-              [
-                for_ mbi (Ir.Int 0) (Ir.Int mb)
-                  [ for_ nbi (Ir.Int 0) (Ir.Int nb) anchor1_store ];
-              ],
-              [] );
-        ];
-    ]
+    [ over_n_tiles [ for_ mbi (Ir.Int 0) (Ir.Int mb) [ for_ nbi (Ir.Int 0) (Ir.Int nb) anchor1_store ] ] ]
   in
 
   (* post anchor #3: reduction-led groups over the rows this task owns *)
@@ -566,46 +546,20 @@ let lower ~tmap (f : Fused_op.t) =
             Ir.If (Ir.v rowv <: Ir.Int m, seg_stmts, []);
           ]
         in
-        [
-          for_ msi (Ir.Int 0) (Ir.Int msn)
-            [
-              Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
-              Ir.If
-                ( Ir.v mpsi <: Ir.Int mblocks,
-                  [ for_ mbi (Ir.Int 0) (Ir.Int mb) row_body ],
-                  [] );
-            ];
-        ])
+        [ over_m_tiles [ for_ mbi (Ir.Int 0) (Ir.Int mb) row_body ] ])
       post3_groups
   in
 
   (* ---- the single-core kernel ---- *)
+  let pack_allocs = List.filter_map (Option.map (fun t -> Ir.Alloc t)) [ apack; bpack ] in
   let kernel =
     (if c_direct then [] else [ Ir.Alloc cacc ])
-    @ (match apack with Some ap -> [ Ir.Alloc ap ] | None -> [])
-    @ (match bpack with Some bp -> [ Ir.Alloc bp ] | None -> [])
-    @ pack_b
+    @ pack_allocs @ pack_b
     @ [
-        for_ msi (Ir.Int 0) (Ir.Int msn)
-          [
-            Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
-            Ir.If
-              ( Ir.v mpsi <: Ir.Int mblocks,
-                zero_c
-                @ [
-                    for_ ks (Ir.Int 0) (Ir.Int ksteps)
-                      (pack_a
-                      @ [
-                          for_ nsi (Ir.Int 0) (Ir.Int nsn)
-                            [
-                              Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-                              Ir.If (Ir.v npsi <: Ir.Int nblocks, [ brgemm_call ], []);
-                            ];
-                        ]);
-                  ]
-                @ (if c_direct then [] else anchor1),
-                [] );
-          ];
+        over_m_tiles
+          (zero_c
+          @ [ for_ ks (Ir.Int 0) (Ir.Int ksteps) (pack_a @ [ over_n_tiles [ brgemm_call ] ]) ]
+          @ if c_direct then [] else anchor1);
       ]
     @ anchor3
   in
@@ -633,55 +587,33 @@ let lower ~tmap (f : Fused_op.t) =
       Ir.Binop (Ir.Min, Ir.Int ksteps, (Ir.v ksl +: Ir.Int 1) *: Ir.Int kspn)
     in
     let phase1 =
-      [ Ir.Alloc cacc ]
-      @ (match apack with Some ap -> [ Ir.Alloc ap ] | None -> [])
-      @ (match bpack with Some bp -> [ Ir.Alloc bp ] | None -> [])
+      (Ir.Alloc cacc :: pack_allocs)
       @ pack_b
       @ [
-          for_ msi (Ir.Int 0) (Ir.Int msn)
-            [
-              Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
-              Ir.If
-                ( Ir.v mpsi <: Ir.Int mblocks,
-                  zero_c
-                  @ [
-                    Ir.For
-                      {
-                        v = ks; lo = ks_lo; hi = ks_hi; step = Ir.Int 1;
-                        parallel = false; merge_tag = None;
-                        body =
-                          pack_a
-                          @ [
-                              for_ nsi (Ir.Int 0) (Ir.Int nsn)
-                                [
-                                  Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-                                  Ir.If (Ir.v npsi <: Ir.Int nblocks, [ brgemm_call ], []);
-                                ];
-                            ];
-                      };
-                    (* store this slice's raw partials *)
-                    for_ nsi (Ir.Int 0) (Ir.Int nsn)
+          over_m_tiles
+            (zero_c
+            @ [
+                Ir.For
+                  {
+                    v = ks; lo = ks_lo; hi = ks_hi; step = Ir.Int 1;
+                    parallel = false; merge_tag = None;
+                    body = pack_a @ [ over_n_tiles [ brgemm_call ] ];
+                  };
+                (* store this slice's raw partials *)
+                over_n_tiles
+                  [
+                    for_ mbi (Ir.Int 0) (Ir.Int mb)
                       [
-                        Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-                        Ir.If
-                          ( Ir.v npsi <: Ir.Int nblocks,
-                            [
-                              for_ mbi (Ir.Int 0) (Ir.Int mb)
-                                [
-                                  for_ nbi (Ir.Int 0) (Ir.Int nb)
-                                    [
-                                      Ir.Store
-                                        ( cpart,
-                                          [| Ir.v ksl; Ir.v mpsi; Ir.v npsi; Ir.v mbi; Ir.v nbi |],
-                                          Ir.Load (cacc, [| Ir.v nsi; Ir.v mbi; Ir.v nbi |]) );
-                                    ];
-                                ];
-                            ],
-                            [] );
+                        for_ nbi (Ir.Int 0) (Ir.Int nb)
+                          [
+                            Ir.Store
+                              ( cpart,
+                                [| Ir.v ksl; Ir.v mpsi; Ir.v npsi; Ir.v mbi; Ir.v nbi |],
+                                Ir.Load (cacc, [| Ir.v nsi; Ir.v mbi; Ir.v nbi |]) );
+                          ];
                       ];
-                  ],
-                  [] );
-            ];
+                  ];
+              ]);
         ]
     in
     let partial_sum =
@@ -696,25 +628,13 @@ let lower ~tmap (f : Fused_op.t) =
     in
     let phase2 =
       [
-        for_ msi (Ir.Int 0) (Ir.Int msn)
+        over_m_tiles
           [
-            Ir.Assign (mpsi, (Ir.v mpi *: Ir.Int msn) +: Ir.v msi);
-            Ir.If
-              ( Ir.v mpsi <: Ir.Int mblocks,
-                [
-                  for_ nsi (Ir.Int 0) (Ir.Int nsn)
-                    [
-                      Ir.Assign (npsi, (Ir.v npi *: Ir.Int nsn) +: Ir.v nsi);
-                      Ir.If
-                        ( Ir.v npsi <: Ir.Int nblocks,
-                          [
-                            for_ mbi (Ir.Int 0) (Ir.Int mb)
-                              [ for_ nbi (Ir.Int 0) (Ir.Int nb) (mk_anchor1_store partial_sum) ];
-                          ],
-                          [] );
-                    ];
-                ],
-                [] );
+            over_n_tiles
+              [
+                for_ mbi (Ir.Int 0) (Ir.Int mb)
+                  [ for_ nbi (Ir.Int 0) (Ir.Int nb) (mk_anchor1_store partial_sum) ];
+              ];
           ];
       ]
     in

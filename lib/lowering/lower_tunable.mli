@@ -22,12 +22,11 @@ val lower :
 
 (** [reads_plain_in_place p ~k_inner ~rows ~block]: whether the template
     under [p] reads a plain operand in place instead of packing it. It
-    must be allowed to ([p.read_plain]), and the operand's [rows] (M for
-    A, N for B) must be a multiple of their [block] (MB or NB). When K is
-    the operand's innermost axis ([k_inner]: always for A, for B under
-    [transpose_b]) K must be one whole block: the operand is then the
-    kernel's slab. Otherwise B is N-innermost and is read as the f32
-    kernel's K×N rows, which needs only K to be a multiple of KB. {!lower}
-    decides with it, and layout propagation asks it before it offers a
-    whole-K tiling. *)
+    must be allowed to ([p.read_plain]), and neither the operand's [rows]
+    (M for A, N for B) nor K may leave a tail: [rows] must be a multiple of
+    [block] (MB or NB) and K of KB. When K is the operand's innermost axis
+    ([k_inner]: always for A, for B under [transpose_b]) the kernel reads
+    its rows K apart ([lda], or N×K B's [-ldb]); otherwise B is
+    N-innermost and is read as the f32 kernel's K×N rows. {!lower} decides
+    with it, and layout propagation asks it before it sets [read_plain]. *)
 val reads_plain_in_place : Params.t -> k_inner:bool -> rows:int -> block:int -> bool

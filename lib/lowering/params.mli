@@ -25,10 +25,9 @@ type t = {
   bs : int;
   loop_order : string;  (** inner loop order the heuristic assumed, e.g. "msi,ksi,nsi" *)
   read_plain : bool;
-      (** a plain operand whose bytes already are the template's slabs
-          (one whole-K block, no padding on the blocked axis) is read in
-          place instead of packed; set by layout propagation when it chose
-          the K blocking to fit plain producers *)
+      (** a plain operand with no tail on its blocked axis or on K is read
+          in place through its row pitch instead of packed; set by layout
+          propagation where that happens *)
 }
 
 (** Derived quantities (Figure 2's table). Block counts use padded

@@ -46,17 +46,22 @@ let tile_n = 4
 (* ------------------------------------------------------------------ *)
 (* f32: 2×4 tiles, 1×4 strips for a ragged last row, 1×1 corners.
 
-   B is addressed by two strides: element (n, k) of batch block [bi] is
-   at [b_offs.(bi) + n·bn + k·bk], so an [NB, KB] slab is (bn, bk) =
-   (kb, 1) and row-major K×N rows with pitch [ldb] are (1, ldb). The k
-   loops walk B by a running offset [o] that steps by [bk]. C's rows are
-   [ldc] apart. *)
+   A's rows are [lda] apart. B is addressed by two strides: element (n, k)
+   of batch block [bi] is at [b_offs.(bi) + n·bn + k·bk], so N×K rows with
+   pitch p (the [NB, KB] slab is p = kb) are (bn, bk) = (p, 1) and K×N rows
+   with pitch [ldb] are (1, ldb). The k loops walk B by a running offset
+   [o] that steps by [bk]. C's rows are [ldc] apart.
 
-let edge_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
+   A full tile or strip loads all its operands of a k step before the first
+   multiply-add: interleaving the B loads with the multiply-adds lets
+   ocamlopt route them through one register, and since [cvtss2sd] merges
+   into its destination the loads then serialise. *)
+
+let edge_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
     (c : Buffer.f32_arr) c_off ldc batch kb m n =
   let acc = ref 0. in
   for bi = 0 to batch - 1 do
-    let arow = Array.unsafe_get a_offs bi + (m * kb) in
+    let arow = Array.unsafe_get a_offs bi + (m * lda) in
     let brow = Array.unsafe_get b_offs bi + (n * bn) in
     let o = ref brow in
     for k = 0 to kb - 1 do
@@ -67,23 +72,27 @@ let edge_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
   let ci = c_off + (m * ldc) + n in
   Array1.unsafe_set c ci (Array1.unsafe_get c ci +. !acc)
 
-let strip1xn_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
+let strip1xn_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
     (c : Buffer.f32_arr) c_off ldc batch kb m n0 =
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   for bi = 0 to batch - 1 do
-    let arow = Array.unsafe_get a_offs bi + (m * kb) in
+    let arow = Array.unsafe_get a_offs bi + (m * lda) in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
     let br1 = br0 + bn in
     let br2 = br1 + bn in
     let br3 = br2 + bn in
     let o = ref 0 in
     for k = 0 to kb - 1 do
-      let a0 = Array1.unsafe_get a (arow + k) in
       let ok = !o in
-      s0 := !s0 +. (a0 *. Array1.unsafe_get b (br0 + ok));
-      s1 := !s1 +. (a0 *. Array1.unsafe_get b (br1 + ok));
-      s2 := !s2 +. (a0 *. Array1.unsafe_get b (br2 + ok));
-      s3 := !s3 +. (a0 *. Array1.unsafe_get b (br3 + ok));
+      let a0 = Array1.unsafe_get a (arow + k) in
+      let b0 = Array1.unsafe_get b (br0 + ok) in
+      let b1 = Array1.unsafe_get b (br1 + ok) in
+      let b2 = Array1.unsafe_get b (br2 + ok) in
+      let b3 = Array1.unsafe_get b (br3 + ok) in
+      s0 := !s0 +. (a0 *. b0);
+      s1 := !s1 +. (a0 *. b1);
+      s2 := !s2 +. (a0 *. b2);
+      s3 := !s3 +. (a0 *. b3);
       o := ok + bk
     done
   done;
@@ -93,33 +102,33 @@ let strip1xn_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
   Array1.unsafe_set c (ci + 2) (Array1.unsafe_get c (ci + 2) +. !s2);
   Array1.unsafe_set c (ci + 3) (Array1.unsafe_get c (ci + 3) +. !s3)
 
-let tile_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
+let tile_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
     (c : Buffer.f32_arr) c_off ldc batch kb m0 n0 =
   (* row 0 in s0..s3, row 1 in t0..t3 *)
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   let t0 = ref 0. and t1 = ref 0. and t2 = ref 0. and t3 = ref 0. in
   for bi = 0 to batch - 1 do
-    let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
-    let ar1 = ar0 + kb in
+    let ar0 = Array.unsafe_get a_offs bi + (m0 * lda) in
+    let ar1 = ar0 + lda in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
     let br1 = br0 + bn in
     let br2 = br1 + bn in
     let br3 = br2 + bn in
     let o = ref 0 in
     for k = 0 to kb - 1 do
+      let ok = !o in
       let a0 = Array1.unsafe_get a (ar0 + k) in
       let a1 = Array1.unsafe_get a (ar1 + k) in
-      let ok = !o in
       let b0 = Array1.unsafe_get b (br0 + ok) in
+      let b1 = Array1.unsafe_get b (br1 + ok) in
+      let b2 = Array1.unsafe_get b (br2 + ok) in
+      let b3 = Array1.unsafe_get b (br3 + ok) in
       s0 := !s0 +. (a0 *. b0);
       t0 := !t0 +. (a1 *. b0);
-      let b1 = Array1.unsafe_get b (br1 + ok) in
       s1 := !s1 +. (a0 *. b1);
       t1 := !t1 +. (a1 *. b1);
-      let b2 = Array1.unsafe_get b (br2 + ok) in
       s2 := !s2 +. (a0 *. b2);
       t2 := !t2 +. (a1 *. b2);
-      let b3 = Array1.unsafe_get b (br3 + ok) in
       s3 := !s3 +. (a0 *. b3);
       t3 := !t3 +. (a1 *. b3);
       o := ok + bk
@@ -136,9 +145,13 @@ let tile_f32 (a : Buffer.f32_arr) a_offs (b : Buffer.f32_arr) b_offs bn bk
   Array1.unsafe_set c (c1 + 2) (Array1.unsafe_get c (c1 + 2) +. !t2);
   Array1.unsafe_set c (c1 + 3) (Array1.unsafe_get c (c1 + 3) +. !t3)
 
-let f32_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
+(* the row pitch of N×K B: [ldb = 0] is the [NB, KB] slab, [ldb < 0] rows
+   [-ldb] apart *)
+let nxk_pitch ~ldb ~kb = if ldb = 0 then kb else -ldb
+
+let f32_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
     ~(b : Buffer.f32_arr) ~b_offs ~(c : Buffer.f32_arr) ~c_off =
-  let bn, bk = if ldb = 0 then (kb, 1) else (1, ldb) in
+  let bn, bk = if ldb > 0 then (1, ldb) else (nxk_pitch ~ldb ~kb, 1) in
   let mfull = mb - (mb mod tile_m) in
   let nfull = nb - (nb mod tile_n) in
   let m = ref 0 in
@@ -146,28 +159,28 @@ let f32_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
     let m0 = !m in
     let n = ref 0 in
     while !n < nfull do
-      tile_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m0 !n;
+      tile_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m0 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m0 n1;
-      edge_f32 a a_offs b b_offs bn bk c c_off ldc batch kb (m0 + 1) n1
+      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m0 n1;
+      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb (m0 + 1) n1
     done;
     m := m0 + tile_m
   done;
   for m1 = mfull to mb - 1 do
     let n = ref 0 in
     while !n < nfull do
-      strip1xn_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m1 !n;
+      strip1xn_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m1 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs b b_offs bn bk c c_off ldc batch kb m1 n1
+      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m1 n1
     done
   done
 
 let f32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  f32_ld ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+  f32_ld ~lda:kb ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
 
 (* ------------------------------------------------------------------ *)
 (* int8: SWAR 2×8 tiles, column-packed 1×8 strips, scalar corners *)
@@ -211,23 +224,23 @@ let flush_1x8 c ci s0 s1 s2 s3 =
 (* The three loops below come twice, for u8 and for s8 A; the copies
    differ only in the annotated type of [a]. *)
 
-let tile_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
+let tile_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
+    bn (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
   let ci = c_off + (m0 * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
-    let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
-    let ar1 = ar0 + kb in
-    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
-    let br1 = br0 + kb in
-    let br2 = br1 + kb in
-    let br3 = br2 + kb in
-    let br4 = br3 + kb in
-    let br5 = br4 + kb in
-    let br6 = br5 + kb in
-    let br7 = br6 + kb in
+    let ar0 = Array.unsafe_get a_offs bi + (m0 * lda) in
+    let ar1 = ar0 + lda in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
+    let br1 = br0 + bn in
+    let br2 = br1 + bn in
+    let br3 = br2 + bn in
+    let br4 = br3 + bn in
+    let br5 = br4 + bn in
+    let br6 = br5 + bn in
+    let br7 = br6 + bn in
     let k0 = ref 0 in
     while !k0 < kb do
       if !run = flush_every then begin
@@ -256,21 +269,21 @@ let tile_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
   done;
   flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
-let strip_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
+let strip_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
+    bn (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
   let ci = c_off + (m * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
-    let ar = Array.unsafe_get a_offs bi + (m * kb) in
-    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
-    let br1 = br0 + kb in
-    let br2 = br1 + kb in
-    let br3 = br2 + kb in
-    let br4 = br3 + kb in
-    let br5 = br4 + kb in
-    let br6 = br5 + kb in
-    let br7 = br6 + kb in
+    let ar = Array.unsafe_get a_offs bi + (m * lda) in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
+    let br1 = br0 + bn in
+    let br2 = br1 + bn in
+    let br3 = br2 + bn in
+    let br4 = br3 + bn in
+    let br5 = br4 + bn in
+    let br6 = br5 + bn in
+    let br7 = br6 + bn in
     let k0 = ref 0 in
     while !k0 < kb do
       if !run = flush_every then begin
@@ -297,12 +310,12 @@ let strip_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
   flush_1x8 c ci !s0 !s1 !s2 !s3
 
 (* scalar corner: one plain int accumulator cannot overflow 63 bits *)
-let edge_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb ldc m n =
+let edge_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
+    bn (c : Buffer.s32_arr) c_off batch kb ldc m n =
   let acc = ref 0 in
   for bi = 0 to batch - 1 do
-    let arow = Array.unsafe_get a_offs bi + (m * kb) in
-    let brow = Array.unsafe_get b_offs bi + (n * kb) in
+    let arow = Array.unsafe_get a_offs bi + (m * lda) in
+    let brow = Array.unsafe_get b_offs bi + (n * bn) in
     for k = 0 to kb - 1 do
       acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
     done
@@ -310,23 +323,23 @@ let edge_u8 (a : Buffer.u8_arr) a_offs (b : Buffer.s8_arr) b_offs
   let ci = c_off + (m * ldc) + n in
   Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
 
-let tile_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
+let tile_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
+    bn (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
   let ci = c_off + (m0 * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
-    let ar0 = Array.unsafe_get a_offs bi + (m0 * kb) in
-    let ar1 = ar0 + kb in
-    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
-    let br1 = br0 + kb in
-    let br2 = br1 + kb in
-    let br3 = br2 + kb in
-    let br4 = br3 + kb in
-    let br5 = br4 + kb in
-    let br6 = br5 + kb in
-    let br7 = br6 + kb in
+    let ar0 = Array.unsafe_get a_offs bi + (m0 * lda) in
+    let ar1 = ar0 + lda in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
+    let br1 = br0 + bn in
+    let br2 = br1 + bn in
+    let br3 = br2 + bn in
+    let br4 = br3 + bn in
+    let br5 = br4 + bn in
+    let br6 = br5 + bn in
+    let br7 = br6 + bn in
     let k0 = ref 0 in
     while !k0 < kb do
       if !run = flush_every then begin
@@ -355,21 +368,21 @@ let tile_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
   done;
   flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
-let strip_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
+let strip_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
+    bn (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
   let ci = c_off + (m * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
-    let ar = Array.unsafe_get a_offs bi + (m * kb) in
-    let br0 = Array.unsafe_get b_offs bi + (n0 * kb) in
-    let br1 = br0 + kb in
-    let br2 = br1 + kb in
-    let br3 = br2 + kb in
-    let br4 = br3 + kb in
-    let br5 = br4 + kb in
-    let br6 = br5 + kb in
-    let br7 = br6 + kb in
+    let ar = Array.unsafe_get a_offs bi + (m * lda) in
+    let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
+    let br1 = br0 + bn in
+    let br2 = br1 + bn in
+    let br3 = br2 + bn in
+    let br4 = br3 + bn in
+    let br5 = br4 + bn in
+    let br6 = br5 + bn in
+    let br7 = br6 + bn in
     let k0 = ref 0 in
     while !k0 < kb do
       if !run = flush_every then begin
@@ -395,12 +408,12 @@ let strip_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
   done;
   flush_1x8 c ci !s0 !s1 !s2 !s3
 
-let edge_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
-    (c : Buffer.s32_arr) c_off batch kb ldc m n =
+let edge_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
+    bn (c : Buffer.s32_arr) c_off batch kb ldc m n =
   let acc = ref 0 in
   for bi = 0 to batch - 1 do
-    let arow = Array.unsafe_get a_offs bi + (m * kb) in
-    let brow = Array.unsafe_get b_offs bi + (n * kb) in
+    let arow = Array.unsafe_get a_offs bi + (m * lda) in
+    let brow = Array.unsafe_get b_offs bi + (n * bn) in
     for k = 0 to kb - 1 do
       acc := !acc + (Array1.unsafe_get a (arow + k) * Array1.unsafe_get b (brow + k))
     done
@@ -409,19 +422,20 @@ let edge_s8 (a : Buffer.s8_arr) a_offs (b : Buffer.s8_arr) b_offs
   Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
 
 (* The driver is shared: it calls the dtype's loops once per tile, strip
-   or corner, never per element. *)
-let int8_core tile strip edge batch mb nb kb a a_offs b b_offs c c_off ldc =
+   or corner, never per element. A's rows are [lda] apart, B's N×K rows
+   [bn] apart. *)
+let int8_core tile strip edge batch mb nb kb a a_offs lda b b_offs bn c c_off ldc =
   let nfull = nb - (nb mod 8) in
   let m0 = ref 0 in
   while !m0 + 1 < mb do
     let n0 = ref 0 in
     while !n0 < nfull do
-      tile a a_offs b b_offs c c_off batch kb ldc !m0 !n0;
+      tile a a_offs lda b b_offs bn c c_off batch kb ldc !m0 !n0;
       n0 := !n0 + 8
     done;
     for n = nfull to nb - 1 do
-      edge a a_offs b b_offs c c_off batch kb ldc !m0 n;
-      edge a a_offs b b_offs c c_off batch kb ldc (!m0 + 1) n
+      edge a a_offs lda b b_offs bn c c_off batch kb ldc !m0 n;
+      edge a a_offs lda b b_offs bn c c_off batch kb ldc (!m0 + 1) n
     done;
     m0 := !m0 + 2
   done;
@@ -429,28 +443,30 @@ let int8_core tile strip edge batch mb nb kb a a_offs b b_offs c c_off ldc =
     let m = mb - 1 in
     let n0 = ref 0 in
     while !n0 < nfull do
-      strip a a_offs b b_offs c c_off batch kb ldc m !n0;
+      strip a a_offs lda b b_offs bn c c_off batch kb ldc m !n0;
       n0 := !n0 + 8
     done;
     for n = nfull to nb - 1 do
-      edge a a_offs b b_offs c c_off batch kb ldc m n
+      edge a a_offs lda b b_offs bn c c_off batch kb ldc m n
     done
   end
 
 let u8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs b b_offs c c_off nb
+  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs kb b b_offs kb c c_off nb
 
 let s8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs b b_offs c c_off nb
+  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs kb b b_offs kb c c_off nb
 
-let dispatch_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+let dispatch_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
   (match ((a : Buffer.t), (b : Buffer.t), (c : Buffer.t)) with
   | (F32 a | Bf16 a), (F32 b | Bf16 b), (F32 c | Bf16 c) ->
-      f32_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
-  | U8 a, S8 b, S32 c when ldb = 0 ->
-      int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs b b_offs c c_off ldc
-  | S8 a, S8 b, S32 c when ldb = 0 ->
-      int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs b b_offs c c_off ldc
+      f32_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+  | U8 a, S8 b, S32 c when ldb <= 0 ->
+      int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs lda b b_offs
+        (nxk_pitch ~ldb ~kb) c c_off ldc
+  | S8 a, S8 b, S32 c when ldb <= 0 ->
+      int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs lda b b_offs
+        (nxk_pitch ~ldb ~kb) c c_off ldc
   | _ ->
       Gc_errors.compile_error ~stage:"microkernel"
         ~ctx:
@@ -475,4 +491,4 @@ let dispatch_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
         Buffer.set_int c c_off max_int
 
 let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  dispatch_ld ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+  dispatch_ld ~lda:kb ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off

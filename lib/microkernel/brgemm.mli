@@ -3,16 +3,22 @@ open Gc_tensor
 (** Batch-reduce GEMM microkernel (the paper's [8][24]): given a batch of
     A and B sub-matrix blocks, compute C += Σ_b A_b · B_bᵀ-block.
 
-    Operand forms (the [NB, KB] slab matches the blocked layouts the
-    lowering chooses, Figure 2/6; the leading-dimension forms let a
-    template point the kernel at tensors in place, as oneDNN's BRGEMM
-    does with its [ldb]/[ldc]):
-    - an A block is a row-major [MB, KB] slab;
-    - a B block is either a row-major [NB, KB] slab (the paper's B[K/KB,
-      N/NB, NB, KB] layout — each output column's K-run is contiguous;
-      [ldb = 0]) or KB row-major K×N rows [ldb] elements apart, element
-      (k, n) at [b_offs.(b) + k·ldb + n] ([ldb > 0]: a plain N-innermost
-      tensor read where it lies; f32 only);
+    Operand forms. The [MB, KB] and [NB, KB] slabs match the blocked
+    layouts the lowering chooses (Figure 2/6); the pitched forms let a
+    template point the kernel at tensors in place, as oneDNN's BRGEMM does
+    with its [lda]/[ldb]/[ldc]:
+    - an A block is MB row-major rows of KB elements, [lda] apart: the
+      [MB, KB] slab is [lda = kb]; [lda > kb] is a K-run of a plain
+      K-innermost tensor read where it lies;
+    - a B block is NB rows of KB elements or KB rows of NB elements:
+      - [ldb = 0]: a row-major [NB, KB] slab, the paper's B[K/KB, N/NB, NB,
+        KB] layout, where each output column's K-run is contiguous;
+      - [ldb < 0]: NB row-major N×K rows [-ldb] elements apart, element
+        (n, k) at [b_offs.(b) + n·(-ldb) + k] (a plain K-innermost tensor,
+        such as a transposed B, read in place; the slab is [-ldb = kb]);
+      - [ldb > 0]: KB row-major K×N rows [ldb] elements apart, element
+        (k, n) at [b_offs.(b) + k·ldb + n] (a plain N-innermost tensor read
+        in place; f32 only);
     - the C block is MB row-major rows of NB elements, [ldc] apart
       ([ldc = nb]: an [MB, NB] slab; [ldc > nb]: a tile of a wider
       row-major output), accumulated in place.
@@ -35,9 +41,10 @@ open Gc_tensor
       1×1 corners. Every output element is reduced by a single
       accumulator running batch-outer/k-inner and written back once, so
       the kernel is bit-identical to a naive single-accumulator reference
-      GEMM for any shape, in either B form. One driver serves both: B is
-      addressed by an (n, k) stride pair, (kb, 1) for the slab and
-      (1, ldb) for K×N rows.
+      GEMM for any shape, in every operand form. One driver serves them
+      all: A rows are [lda] apart, and B is addressed by an (n, k) stride
+      pair, (pitch, 1) for N×K rows and (1, ldb) for K×N rows. A tile
+      loads all six operands of a k step before its eight multiply-adds.
     - int8 (SWAR, "SIMD within a register"): 2×8 tiles. One 63-bit OCaml
       int carries two 32-bit lanes: a tile packs A rows m and m+1 of one
       k step as [a0 + a1·2³²] (added, not or-ed, so a negative s8 [a0]
@@ -108,9 +115,11 @@ val s8s8s32 :
 
 (** Dynamic dispatch over generic buffers in the leading-dimension forms,
     used by the Tensor IR engine's intrinsic call. The dtype combination
-    is derived from the buffers. The int8 kernels take any [ldc] but only
-    slab B ([ldb = 0]); other combinations raise a compile error. *)
+    is derived from the buffers. The int8 kernels take any [lda] and [ldc]
+    and N×K B ([ldb <= 0]), not K×N rows; other combinations raise a
+    compile error. *)
 val dispatch_ld :
+  lda:int ->
   ldb:int ->
   ldc:int ->
   batch:int ->
@@ -125,7 +134,7 @@ val dispatch_ld :
   c_off:int ->
   unit
 
-(** {!dispatch_ld} on slabs ([~ldb:0 ~ldc:nb]). *)
+(** {!dispatch_ld} on slabs ([~lda:kb ~ldb:0 ~ldc:nb]). *)
 val dispatch :
   batch:int ->
   mb:int ->

@@ -183,21 +183,21 @@ and stmt_cost ctx ~cores (s : stmt) : cost =
         else scale (float_of_int trip) body
       end
   | Call ("brgemm", args) -> (
-      match args with
-      (* either form: the modelled kernel reads slab and K×N B (and
-         writes a C tile at any ldc) at the same rate *)
-      | batch :: mb :: nb :: kb :: a :: _ ->
+      match Intrinsic.brgemm_args args with
+      (* every form: the modelled kernel reads pitched A, slab, N×K and
+         K×N B (and writes a C tile at any ldc) at the same rate *)
+      | Some g ->
           let dtype =
-            match tensor_of_addr a with Some t -> t.tdtype | None -> Dtype.F32
+            match tensor_of_addr g.a with Some t -> t.tdtype | None -> Dtype.F32
           in
           let cost =
-            Ukernel_cost.cost ~machine:m ~dtype ~mb:(max 1 (eval ctx mb))
-              ~nb:(max 1 (eval ctx nb))
-              ~kb:(max 1 (eval ctx kb))
-              ~bs:(max 1 (eval ctx batch))
+            Ukernel_cost.cost ~machine:m ~dtype ~mb:(max 1 (eval ctx g.mb))
+              ~nb:(max 1 (eval ctx g.nb))
+              ~kb:(max 1 (eval ctx g.kb))
+              ~bs:(max 1 (eval ctx g.batch))
           in
           comp cost.cycles
-      | _ -> czero)
+      | None -> czero)
   | Call ("zero", args) -> (
       match args with
       | [ addr; count ] ->

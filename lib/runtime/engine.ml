@@ -728,26 +728,20 @@ let rec cstmt_leaf ctx sites (s : stmt) : env -> unit =
 and ccall ctx name args : env -> unit =
   match name with
   | "brgemm" -> (
-      match args with
-      | batch :: mb :: nb :: kb :: a :: astride :: b :: bstride :: c :: ld ->
-          let cbatch = cint ctx batch
-          and cmb = cint ctx mb
-          and cnb = cint ctx nb
-          and ckb = cint ctx kb
-          and aslot, aoff = addr_arg ctx a
-          and castride = cint ctx astride
-          and bslot, boff = addr_arg ctx b
-          and cbstride = cint ctx bstride
-          and cslot, coff = addr_arg ctx c in
-          (* the 9-operand form is the slab form: ldb = 0, ldc = nb *)
-          let cldb, cldc =
-            match ld with
-            | [] -> ((fun _ -> 0), cnb)
-            | [ ldb; ldc ] -> (cint ctx ldb, cint ctx ldc)
-            | _ ->
-                Gc_errors.compile_error ~stage:"engine"
-                  "Engine: brgemm expects 9 or 11 args"
-          in
+      match Intrinsic.brgemm_args args with
+      | Some g ->
+          let cbatch = cint ctx g.batch
+          and cmb = cint ctx g.mb
+          and cnb = cint ctx g.nb
+          and ckb = cint ctx g.kb
+          and aslot, aoff = addr_arg ctx g.a
+          and castride = cint ctx g.a_stride
+          and bslot, boff = addr_arg ctx g.b
+          and cbstride = cint ctx g.b_stride
+          and cslot, coff = addr_arg ctx g.c
+          and clda = cint ctx g.lda
+          and cldb = cint ctx g.ldb
+          and cldc = cint ctx g.ldc in
           fun env ->
             Gc_observe.Counters.(incr kernel_invocations);
             Guard.check ();
@@ -763,16 +757,16 @@ and ccall ctx name args : env -> unit =
               Array.unsafe_set a_offs i (a0 + (i * sa));
               Array.unsafe_set b_offs i (b0 + (i * sb))
             done;
-            Gc_microkernel.Brgemm.dispatch_ld ~ldb:(cldb env) ~ldc:(cldc env)
-              ~batch ~mb:(cmb env) ~nb:(cnb env) ~kb:(ckb env)
+            Gc_microkernel.Brgemm.dispatch_ld ~lda:(clda env) ~ldb:(cldb env)
+              ~ldc:(cldc env) ~batch ~mb:(cmb env) ~nb:(cnb env) ~kb:(ckb env)
               ~a:(Array.unsafe_get env.bufs aslot)
               ~a_offs
               ~b:(Array.unsafe_get env.bufs bslot)
               ~b_offs
               ~c:(Array.unsafe_get env.bufs cslot)
               ~c_off:(coff env)
-      | _ ->
-          Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 or 11 args")
+      | None ->
+          Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 to 12 args")
   | "zero" -> (
       match args with
       | [ addr; count ] ->

@@ -161,19 +161,21 @@ and exec_call t frame name args =
     | _ -> invalid_arg "Interp: intrinsic operand must be an address"
   in
   match (name, args) with
-  | "brgemm", batch :: mb :: nb :: kb :: a :: astride :: b :: bstride :: c :: ld ->
-      let int e = as_int (eval t frame e) in
-      let batch = int batch and mb = int mb and nb = int nb and kb = int kb in
-      let abuf, a0 = addr a and bbuf, b0 = addr b and cbuf, c0 = addr c in
-      let sa = int astride and sb = int bstride in
-      let ldb, ldc =
-        match ld with
-        | [] -> (0, nb)
-        | [ ldb; ldc ] -> (int ldb, int ldc)
-        | _ -> invalid_arg "Interp: brgemm expects 9 or 11 args"
+  | "brgemm", _ ->
+      let g =
+        match Intrinsic.brgemm_args args with
+        | Some g -> g
+        | None -> invalid_arg "Interp: brgemm expects 9 to 12 args"
       in
-      (* B element (n, k) of block [bi]: an [nb, kb] slab, or K×N rows *)
-      let b_at bi n k = b0 + (bi * sb) + if ldb = 0 then (n * kb) + k else (k * ldb) + n in
+      let int e = as_int (eval t frame e) in
+      let batch = int g.batch and mb = int g.mb and nb = int g.nb and kb = int g.kb in
+      let abuf, a0 = addr g.a and bbuf, b0 = addr g.b and cbuf, c0 = addr g.c in
+      let sa = int g.a_stride and sb = int g.b_stride in
+      let lda = int g.lda and ldb = int g.ldb and ldc = int g.ldc in
+      (* B element (n, k) of block [bi]: K×N rows, or N×K rows (the slab's
+         pitch is kb) *)
+      let bn, bk = if ldb > 0 then (1, ldb) else ((if ldb = 0 then kb else -ldb), 1) in
+      let b_at bi n k = b0 + (bi * sb) + (n * bn) + (k * bk) in
       (* reference brgemm: element loops through generic accessors, one
          accumulator per output element running batch-outer/k-inner (the
          microkernel's order) *)
@@ -181,7 +183,7 @@ and exec_call t frame name args =
         for n = 0 to nb - 1 do
           let acc = ref 0. in
           for bi = 0 to batch - 1 do
-            let ao = a0 + (bi * sa) + (m * kb) in
+            let ao = a0 + (bi * sa) + (m * lda) in
             for k = 0 to kb - 1 do
               acc := !acc +. (Buffer.get abuf (ao + k) *. Buffer.get bbuf (b_at bi n k))
             done

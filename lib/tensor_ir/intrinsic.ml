@@ -1,8 +1,27 @@
-type t = { name : string; arity : int; trailing : int }
+type t = { name : string; arity : int; trailing : string list }
 
-let brgemm = { name = "brgemm"; arity = 9; trailing = 2 }
-let zero = { name = "zero"; arity = 2; trailing = 0 }
-let copy = { name = "copy"; arity = 3; trailing = 0 }
+let brgemm = { name = "brgemm"; arity = 9; trailing = [ "ldb"; "ldc"; "lda" ] }
+let zero = { name = "zero"; arity = 2; trailing = [] }
+let copy = { name = "copy"; arity = 3; trailing = [] }
 let all = [ brgemm; zero; copy ]
 let lookup name = List.find_opt (fun t -> String.equal t.name name) all
-let accepts t n = n = t.arity || (t.trailing > 0 && n = t.arity + t.trailing)
+let accepts t n = n >= t.arity && n <= t.arity + List.length t.trailing
+
+type brgemm_args = {
+  batch : Ir.expr; mb : Ir.expr; nb : Ir.expr; kb : Ir.expr;
+  a : Ir.expr; a_stride : Ir.expr; b : Ir.expr; b_stride : Ir.expr; c : Ir.expr;
+  lda : Ir.expr; ldb : Ir.expr; ldc : Ir.expr;
+}
+
+let brgemm_args = function
+  | batch :: mb :: nb :: kb :: a :: a_stride :: b :: b_stride :: c :: ld -> (
+      let args ~lda ~ldb ~ldc =
+        Some { batch; mb; nb; kb; a; a_stride; b; b_stride; c; lda; ldb; ldc }
+      in
+      match ld with
+      | [] -> args ~lda:kb ~ldb:(Ir.Int 0) ~ldc:nb
+      | [ ldb ] -> args ~lda:kb ~ldb ~ldc:nb
+      | [ ldb; ldc ] -> args ~lda:kb ~ldb ~ldc
+      | [ ldb; ldc; lda ] -> args ~lda ~ldb ~ldc
+      | _ -> None)
+  | _ -> None

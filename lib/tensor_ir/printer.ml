@@ -96,11 +96,11 @@ let rec pp_stmt_n name fmt s =
       Format.fprintf fmt "@[<v 2>if (%a) {@,%a@]@,} else {@;<0 2>@[<v>%a@]@,}"
         pp_expr c pp_body t pp_body e
   | Call (name, args) ->
-      (* brgemm's trailing leading dimensions print with their names *)
+      (* an intrinsic's optional trailing operands print with their names *)
       let label i =
-        if name <> Intrinsic.brgemm.name || i < Intrinsic.brgemm.arity then ""
-        else if i = Intrinsic.brgemm.arity then "ldb="
-        else "ldc="
+        match Intrinsic.lookup name with
+        | Some intr when i >= intr.arity -> List.nth intr.trailing (i - intr.arity) ^ "="
+        | _ -> ""
       in
       Format.fprintf fmt "@[<h>%s(%a);@]" name
         (Format.pp_print_list

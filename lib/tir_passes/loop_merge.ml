@@ -15,11 +15,10 @@ let rename_var ~from ~into body =
 let same_bounds (a : loop) (b : loop) =
   a.lo = b.lo && a.hi = b.hi && a.step = b.step && a.parallel = b.parallel
 
-let merges = ref 0
-
-(* Merge adjacent same-tag loops in one statement list; Allocs between two
-   mergeable loops are hoisted before the merged loop. *)
-let rec merge_list (stmts : stmt list) =
+(* Merge adjacent same-tag loops in one statement list, counting each
+   merged pair in [merges]; Allocs between two mergeable loops are hoisted
+   before the merged loop. *)
+let rec merge_list merges (stmts : stmt list) =
   match stmts with
   | [] -> []
   | For l1 :: rest when l1.merge_tag <> None -> (
@@ -37,17 +36,14 @@ let rec merge_list (stmts : stmt list) =
       | Some (hoisted, l2, tl) ->
           incr merges;
           let body2 = rename_var ~from:l2.v ~into:l1.v l2.body in
-          let merged = For { l1 with body = merge_list (l1.body @ body2) } in
-          merge_list (hoisted @ (merged :: tl))
-      | None -> For { l1 with body = merge_list l1.body } :: merge_list rest)
-  | For l :: rest -> For { l with body = merge_list l.body } :: merge_list rest
-  | If (c, t, e) :: rest -> If (c, merge_list t, merge_list e) :: merge_list rest
-  | s :: rest -> s :: merge_list rest
-
-let run_func (f : func) = { f with body = merge_list f.body }
+          let merged = For { l1 with body = merge_list merges (l1.body @ body2) } in
+          merge_list merges (hoisted @ (merged :: tl))
+      | None -> For { l1 with body = merge_list merges l1.body } :: merge_list merges rest)
+  | For l :: rest -> For { l with body = merge_list merges l.body } :: merge_list merges rest
+  | If (c, t, e) :: rest -> If (c, merge_list merges t, merge_list merges e) :: merge_list merges rest
+  | s :: rest -> s :: merge_list merges rest
 
 let run (m : module_) =
-  merges := 0;
-  { m with funcs = List.map run_func m.funcs }
-
-let last_merge_count () = !merges
+  let merges = ref 0 in
+  let funcs = List.map (fun (f : func) -> { f with body = merge_list merges f.body }) m.funcs in
+  ({ m with funcs }, !merges)

@@ -7,8 +7,7 @@ open Gc_tensor_ir
     statements between two mergeable loops are hoisted in front. One
     barrier and one parallel-section launch disappear per merged pair. *)
 
-val run_func : Ir.func -> Ir.func
-val run : Ir.module_ -> Ir.module_
-
-(** Number of loop pairs merged by the last {!run} (for tests/benches). *)
-val last_merge_count : unit -> int
+(** The merged module and the number of loop pairs merged. The count is
+    returned, not kept in module state, so concurrent compiles (serve
+    workers compiling buckets) each see their own. *)
+val run : Ir.module_ -> Ir.module_ * int

@@ -104,11 +104,11 @@ let addr_reaches upper t body =
       match s with
       | Call (name, args) ->
           let reaches =
-            match (name, args) with
-            | "brgemm", bs :: mb :: nb :: kb :: _ :: sa :: _ :: sb :: _ :: ld ->
+            match (name, Intrinsic.brgemm_args args) with
+            | "brgemm", Some g ->
                 (* [bs] blocks [stride] apart, each reaching [block] *)
                 let blocks stride block =
-                  match (product [ bs ], product [ stride ], block) with
+                  match (product [ g.batch ], product [ stride ], block) with
                   | Some bs, Some st, Some block -> Some (((bs - 1) * st) + block)
                   | _ -> None
                 in
@@ -118,17 +118,23 @@ let addr_reaches upper t body =
                   | Some r, Some l, Some c -> Some ((max 0 (r - 1) * l) + c)
                   | _ -> None
                 in
-                (* the 9-operand form is the slab form: ldb = 0, ldc = nb *)
-                let ldb, ldc = match ld with [ ldb; ldc ] -> (ldb, ldc) | _ -> (Int 0, nb) in
+                (* K×N rows [ldb] apart, or N×K rows [-ldb] apart (the slab's
+                   pitch is kb) *)
                 let b_block =
-                  match ldb with
-                  | Int 0 -> product [ nb; kb ]
-                  | Int l when l > 0 -> rows_of kb ldb nb
+                  match g.ldb with
+                  | Int l when l > 0 -> rows_of g.kb g.ldb g.nb
+                  | Int l -> rows_of g.nb (if l = 0 then g.kb else Int (-l)) g.kb
                   | _ -> None
                 in
-                [ None; None; None; None; blocks sa (product [ mb; kb ]); None;
-                  blocks sb b_block; None; rows_of mb ldc nb ]
-                @ List.map (fun _ -> None) ld
+                (* the A, B and C operands sit at positions 4, 6 and 8 *)
+                List.mapi
+                  (fun i _ ->
+                    match i with
+                    | 4 -> blocks g.a_stride (rows_of g.mb g.lda g.kb)
+                    | 6 -> blocks g.b_stride b_block
+                    | 8 -> rows_of g.mb g.ldc g.nb
+                    | _ -> None)
+                  args
             | ("zero" | "copy"), _ ->
                 let count = product [ List.nth args (List.length args - 1) ] in
                 List.map (fun _ -> count) args

@@ -39,12 +39,14 @@ let run ?trace ?(config = default) (m : Ir.module_) =
       ~stats:Gc_observe.Stats.of_module f m
   in
   let when_t flag name f m = if flag then timed name f m else m in
-  let m, loops_merged =
-    if config.merge_loops then begin
-      let m = timed "loop_merge" Loop_merge.run m in
-      (m, Loop_merge.last_merge_count ())
-    end
-    else (m, 0)
+  let loops_merged = ref 0 in
+  let m =
+    when_t config.merge_loops "loop_merge"
+      (fun m ->
+        let m, merged = Loop_merge.run m in
+        loops_merged := merged;
+        m)
+      m
   in
   let m = when_t config.simplify "simplify" Simplify.run m in
   let m = when_t config.scalarize "forward_store" Forward_store.run m in
@@ -58,4 +60,4 @@ let run ?trace ?(config = default) (m : Ir.module_) =
         Buffer_schedule.run m
     else (m, Buffer_schedule.empty_stats)
   in
-  (m, { loops_merged; buffers })
+  (m, { loops_merged = !loops_merged; buffers })

@@ -691,8 +691,8 @@ let run_exec_vs_reference ?layers ~kind seed =
   check_outputs ~what ~rtol ~atol got expect
 
 (* ------------------------------------------------------------------ *)
-(* 3a. Cross-configuration oracle: reading plain operands in place (a
-   whole-K block) and publishing blocked activations move data, not
+(* 3a. Cross-configuration oracle: reading plain operands in place
+   (through their row pitch) and publishing blocked activations move data, not
    arithmetic — the full pipeline must be bit-identical to the same
    configuration with [propagate_activations = false], and both must
    match the reference. The MHA grid covers the in-place path (head dim
@@ -774,12 +774,14 @@ let cross_config_bert =
 (* Bit-exact Interp vs Engine on whole compiled modules, full pipeline
    and primitives, with the graph verifier on. Both executors reduce a
    brgemm output element with one accumulator running batch-outer/k-inner
-   and store it once, so wherever the kernel reads V as K×N rows or
+   and store it once, so wherever the kernel reads a plain operand through
+   its row pitch (A and a transposed B as N×K rows, V as K×N rows) or
    accumulates straight into the output tile the two agree to the bit:
-   perfbench's MHA (V read in place, both P·V outputs written in place),
-   MHA at seq 33 (ragged: V and the output tile still go through Bpack and
-   Cacc), MHA at head dim 96 (P·V writes 32-column tiles of 96-wide rows)
-   and a 1-layer BERT (projections written in place). Both executors run
+   perfbench's MHA (Q, K, the softmax output and V read in place, both
+   P·V outputs written in place), MHA at seq 33 (ragged: V and the output
+   tile still go through Bpack and Cacc), MHA at head dim 96 (P·V writes
+   32-column tiles of 96-wide rows) and a 1-layer BERT (its unfolded
+   weights read as K×N rows, projections written in place). Both executors run
    the same Tensor IR, so each module also executes twice through
    [Core.execute] into the same pooled outputs: a template that stopped
    zero-filling its output tile would add the second run onto the
@@ -793,8 +795,10 @@ let brgemm_forms (m : Ir.module_) =
       Visit.fold_stmts
         ~stmt:(fun (kxn, ld) s ->
           match s with
-          | Ir.Call ("brgemm", args) when List.length args = 11 ->
-              ((if List.nth args 9 <> Ir.Int 0 then kxn + 1 else kxn), ld + 1)
+          | Ir.Call ("brgemm", args) when List.length args > Intrinsic.brgemm.arity -> (
+              match Intrinsic.brgemm_args args with
+              | Some { ldb = Ir.Int ldb; _ } when ldb > 0 -> (kxn + 1, ld + 1)
+              | _ -> (kxn, ld + 1))
           | _ -> (kxn, ld))
         acc f.body)
     (0, 0) m.funcs
@@ -841,11 +845,11 @@ let bit_exact_cases =
           let graph, data = build () in
           run_bit_exact ~what:name ~forms graph data))
     [
-      ("mha perfbench shape", [ (1, 1); (0, 1) ], mha ~seq:64 ~hidden:256);
+      ("mha perfbench shape", [ (1, 2); (0, 1) ], mha ~seq:64 ~hidden:256);
       ("mha seq 33", [ (0, 0); (0, 0) ], mha ~seq:33 ~hidden:128);
-      ("mha head 96", [ (1, 1); (0, 1) ], mha ~seq:16 ~hidden:384);
+      ("mha head 96", [ (1, 2); (0, 1) ], mha ~seq:16 ~hidden:384);
       ( "bert 1 layer",
-        [ (0, 5); (0, 5) ],
+        [ (6, 7); (0, 5) ],
         fun () ->
           let b = Gc_workloads.Bert.build_f32 ~layers:1 ~batch:1 ~seq:8 ~hidden:32 ~heads:2 () in
           (b.Gc_workloads.Bert.graph, b.Gc_workloads.Bert.data) );

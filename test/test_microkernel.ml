@@ -268,7 +268,7 @@ let prop_ld_forms_bit_exact =
           Buffer.set wide (c_off + (m * ldc) + n) (init ((m * nb) + n))
         done
       done;
-      Brgemm.dispatch_ld ~ldb ~ldc ~batch ~mb ~nb ~kb ~a:(F32 (Buffer.as_f32 a)) ~a_offs ~b
+      Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc ~batch ~mb ~nb ~kb ~a:(F32 (Buffer.as_f32 a)) ~a_offs ~b
         ~b_offs ~c:wide ~c_off;
       let bits buf i = Int32.bits_of_float (Buffer.get buf i) in
       let tmp = Buffer.create Dtype.F32 1 in
@@ -286,6 +286,103 @@ let prop_ld_forms_bit_exact =
       done;
       !ok)
 
+(* The pitched forms against the packed-slab path, for f32, u8·s8 and
+   s8·s8: A's rows [lda > kb] apart, as the lowering reads a plain [M][K]
+   (batch block [bi] at column [bi·kb]); B as N×K rows [-ldb] apart (a
+   transposed plain B) or, f32 only, as K×N rows [ldb] apart; C a tile at
+   [ldc] inside a wider buffer. Packing A and B into slabs and running
+   {!Brgemm.dispatch} on an [MB][NB] slab must give bit-identical tile
+   elements, and every C element outside the tile keeps its bits. *)
+let pitch_gen =
+  QCheck.Gen.(
+    pair shape_gen
+      (quad (oneofl [ `F32; `U8; `S8 ]) bool (int_range 1 5) (pair (int_range 1 4) (int_range 0 3))))
+
+let print_pitch =
+  QCheck.Print.(
+    pair (quad int int int int)
+      (quad
+         (function `F32 -> "f32" | `U8 -> "u8" | `S8 -> "s8")
+         bool int (pair int int)))
+
+let prop_pitched_forms_bit_exact =
+  QCheck.Test.make ~name:"pitched A and N×K/K×N B bit-match the packed slabs" ~count:200
+    (QCheck.make ~print:print_pitch pitch_gen)
+    (fun ((batch, mb, nb, kb), (dt, kxn, extra_a, (extra_b, extra_c))) ->
+      let kxn = kxn && dt = `F32 in
+      let adt, bdt, cdt =
+        match dt with
+        | `F32 -> (Dtype.F32, Dtype.F32, Dtype.F32)
+        | `U8 -> (Dtype.U8, Dtype.S8, Dtype.S32)
+        | `S8 -> (Dtype.S8, Dtype.S8, Dtype.S32)
+      in
+      let set buf i v =
+        if Dtype.is_float (Buffer.dtype buf) then Buffer.set buf i v
+        else Buffer.set_int buf i (int_of_float v)
+      in
+      let fill buf f = for i = 0 to Buffer.length buf - 1 do set buf i (f i) done in
+      let int_fill signed i =
+        if signed then float_of_int (((i * 41) mod 255) - 128) else float_of_int ((i * 37) mod 256)
+      in
+      (* A: a plain [mb][lda] panel, block bi at column bi·kb *)
+      let lda = (batch * kb) + extra_a in
+      let a = Buffer.create adt (mb * lda) in
+      fill a (match dt with `F32 -> (fun i -> sin (float_of_int i)) | `U8 -> int_fill false | `S8 -> int_fill true);
+      let a_offs = Array.init batch (fun bi -> bi * kb) in
+      (* B: N×K rows [pitch] apart (block bi at column bi·kb), or K×N rows
+         [ldb] apart (block bi at row bi·kb) *)
+      let pitch = (batch * kb) + extra_b and ldbkn = nb + extra_b in
+      let b = Buffer.create bdt (if kxn then batch * kb * ldbkn else nb * pitch) in
+      fill b (if dt = `F32 then (fun i -> cos (float_of_int ((3 * i) + kb))) else int_fill true);
+      let b_offs = Array.init batch (fun bi -> if kxn then bi * kb * ldbkn else bi * kb) in
+      let ldb = if kxn then ldbkn else -pitch in
+      let b_at bi n k = b_offs.(bi) + if kxn then (k * ldbkn) + n else (n * pitch) + k in
+      (* the slab path *)
+      let ap = Buffer.create adt (batch * mb * kb) and bp = Buffer.create bdt (batch * nb * kb) in
+      for bi = 0 to batch - 1 do
+        for m = 0 to mb - 1 do
+          Buffer.copy_range ~src:a ~soff:(a_offs.(bi) + (m * lda)) ~dst:ap
+            ~doff:(((bi * mb) + m) * kb) kb
+        done;
+        for n = 0 to nb - 1 do
+          for k = 0 to kb - 1 do
+            Buffer.copy_range ~src:b ~soff:(b_at bi n k) ~dst:bp ~doff:((((bi * nb) + n) * kb) + k) 1
+          done
+        done
+      done;
+      let init i = float_of_int (i mod 5) +. if cdt = Dtype.F32 then 0.25 else 0. in
+      let slab = Buffer.create cdt (mb * nb) in
+      fill slab init;
+      Brgemm.dispatch ~batch ~mb ~nb ~kb ~a:ap ~a_offs:(Array.init batch (fun i -> i * mb * kb))
+        ~b:bp ~b_offs:(Array.init batch (fun i -> i * nb * kb)) ~c:slab ~c_off:0;
+      (* the pitched path: C rows [ldc] apart from row 1, guard cells around *)
+      let ldc = nb + extra_c in
+      let c_off = ldc + extra_c in
+      let wide = Buffer.create cdt ((mb + 2) * ldc) in
+      let guard i = -7. -. float_of_int i in
+      fill wide guard;
+      for m = 0 to mb - 1 do
+        for n = 0 to nb - 1 do
+          set wide (c_off + (m * ldc) + n) (init ((m * nb) + n))
+        done
+      done;
+      Brgemm.dispatch_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c:wide ~c_off;
+      let bits buf i =
+        if cdt = Dtype.F32 then Int32.to_int (Int32.bits_of_float (Buffer.get buf i))
+        else Buffer.get_int buf i
+      in
+      let guards = Buffer.create cdt (Buffer.length wide) in
+      fill guards guard;
+      let ok = ref true in
+      for i = 0 to Buffer.length wide - 1 do
+        let r = (i - c_off) / ldc and col = (i - c_off) mod ldc in
+        let expect =
+          if i >= c_off && r < mb && col < nb then bits slab ((r * nb) + col) else bits guards i
+        in
+        if bits wide i <> expect then ok := false
+      done;
+      !ok)
+
 (* The leading-dimension path allocates nothing per call, like the slab
    path the engine used before. *)
 let test_ld_forms_allocate_nothing () =
@@ -294,7 +391,7 @@ let test_ld_forms_allocate_nothing () =
   let c = Buffer.create Dtype.F32 (mb * nb) in
   let a_offs = [| 0 |] and b_offs = [| 0 |] in
   let call ldb =
-    Brgemm.dispatch_ld ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off:0
+    Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off:0
   in
   call 0;
   call nb;
@@ -515,6 +612,7 @@ let () =
           Alcotest.test_case "blocked equals matmul" `Quick test_brgemm_matches_ref_matmul;
           QCheck_alcotest.to_alcotest prop_tiled_f32_bit_exact;
           QCheck_alcotest.to_alcotest prop_ld_forms_bit_exact;
+          QCheck_alcotest.to_alcotest prop_pitched_forms_bit_exact;
           Alcotest.test_case "ld forms allocate nothing" `Quick test_ld_forms_allocate_nothing;
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:false);
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:true);

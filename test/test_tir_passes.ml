@@ -39,8 +39,8 @@ let test_loop_merge_merges_tagged () =
     }
   in
   let m = { funcs = [ f ]; entry = "f"; init = None; globals = [] } in
-  let m' = Loop_merge.run m in
-  Alcotest.(check int) "one merge" 1 (Loop_merge.last_merge_count ());
+  let m', merged = Loop_merge.run m in
+  Alcotest.(check int) "one merge" 1 merged;
   (* one top-level loop left *)
   let f' = List.hd m'.funcs in
   Alcotest.(check int) "single loop" 1 (List.length f'.body);
@@ -64,8 +64,7 @@ let test_loop_merge_skips_different_tags () =
     }
   in
   let m = { funcs = [ f ]; entry = "f"; init = None; globals = [] } in
-  ignore (Loop_merge.run m);
-  Alcotest.(check int) "no merge" 0 (Loop_merge.last_merge_count ())
+  Alcotest.(check int) "no merge" 0 (snd (Loop_merge.run m))
 
 let test_loop_merge_skips_different_bounds () =
   let t = fresh_tensor ~name:"t" ~storage:Param Dtype.F32 [| 8 |] in
@@ -82,8 +81,7 @@ let test_loop_merge_skips_different_bounds () =
     }
   in
   let m = { funcs = [ f ]; entry = "f"; init = None; globals = [] } in
-  ignore (Loop_merge.run m);
-  Alcotest.(check int) "no merge" 0 (Loop_merge.last_merge_count ())
+  Alcotest.(check int) "no merge" 0 (snd (Loop_merge.run m))
 
 let test_loop_merge_hoists_allocs_and_const_assigns () =
   let t = fresh_tensor ~name:"t" ~storage:Param Dtype.F32 [| 4 |] in
@@ -105,8 +103,8 @@ let test_loop_merge_hoists_allocs_and_const_assigns () =
     }
   in
   let m = { funcs = [ f ]; entry = "f"; init = None; globals = [] } in
-  let m' = Loop_merge.run m in
-  Alcotest.(check int) "merged across alloc+assign" 1 (Loop_merge.last_merge_count ());
+  let m', merged = Loop_merge.run m in
+  Alcotest.(check int) "merged across alloc+assign" 1 merged;
   Alcotest.(check bool) "module still checks" true
     (Result.is_ok (Check.check_module m'))
 
@@ -373,8 +371,9 @@ let test_pipelines_leave_no_unread_assign () =
    in place (no Apack staging), and every blocked epilogue store indexes
    its block directly. The primitives keep activations plain and pack A
    in every layer. At batch 8 the third layer's tiles aligned to 8-row
-   blocks cost more than its free choice, so its A stays plain and packs
-   in f32; in int8 the coarse-grain retune aligns that layer's KB to its
+   blocks cost more than its free choice, so its A stays plain and is read
+   in place through [lda] in f32 (only the first layer's 13-wide K tail
+   packs); in int8 the coarse-grain retune aligns that layer's KB to its
    producer's NB after all and re-publishes the chain blocked. *)
 let test_mlp1_reads_blocked_a () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
@@ -384,7 +383,7 @@ let test_mlp1_reads_blocked_a () =
       (fun (name, (built : Gc_workloads.Mlp.built), full_packs) ->
         (name, Core.tir_module (Core.compile ~config built.graph), full_packs))
       [
-        ("f32 b8", Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden (), 2);
+        ("f32 b8", Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden (), 1);
         ("f32 b64", Gc_workloads.Mlp.build_f32 ~batch:64 ~hidden (), 1);
         ("int8 b32", Gc_workloads.Mlp.build_int8 ~batch:32 ~hidden (), 1);
         ("int8 b8", Gc_workloads.Mlp.build_int8 ~batch:8 ~hidden (), 1);
@@ -431,12 +430,94 @@ let test_mlp1_reads_blocked_a () =
       Alcotest.(check int) (name ^ " primitives: brgemms on packed A") 3 (packed_brgemms m))
     (modules (Gc_baseline.Baseline.config ~machine ()))
 
-(* Whole-K operand reads: in the full pipeline's Tensor IR of perfbench's
-   MHA (head dim and seq 64, one whole-K block per matmul) BRGEMM reads Q,
-   K (transposed), the softmax output and V (as K×N rows) where they lie,
-   so nothing is packed, and the softmax temporary shrinks to one head's
-   [64][64]. The primitives pack all four operands, also at head dim 16
-   where their own free choice is one whole-K block. *)
+(* Plain A read in place: the full pipeline's BRGEMM reads every plain,
+   K-innermost A with no M or K tail (M % MB = 0, K % KB = 0) where it
+   lies, its rows [lda = K] apart, so an [Apack] is left only for an A
+   with a tail. The oracle is the fused graph's own parameters. Checked on
+   MLP_1 f32 at the serving buckets 2, 4 and 8, where only the 13-wide
+   input packs, and on Table 1's MHA_2 (the module [gc_cli dump mha2]
+   prints, at batch 2), which packs nothing: K, the softmax output and V
+   are read in place too. The primitives still pack every A. *)
+let test_plain_a_read_in_place () =
+  let machine = Gc_microkernel.Machine.xeon_8358 in
+  let hidden = Gc_workloads.Table1.mlp_1.hidden in
+  let mha2 = Gc_workloads.Table1.mha_2 in
+  (* each graph with the A operands that keep a tail *)
+  let graphs =
+    List.map
+      (fun batch ->
+        ( Printf.sprintf "mlp_1 f32 b%d" batch,
+          (Gc_workloads.Mlp.build_f32 ~batch ~hidden ()).graph,
+          [ "x" ] ))
+      [ 2; 4; 8 ]
+    @ [
+        ( "mha_2 f32",
+          (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:mha2.seq_len ~hidden:mha2.hidden_size
+             ~heads:mha2.heads ())
+            .graph,
+          [] );
+      ]
+  in
+  let fold (m : module_) f =
+    List.concat_map (fun (fn : func) -> Visit.fold_stmts ~stmt:f [] fn.body) m.funcs
+  in
+  (* the tensors a pack buffer named [pre]... is filled from *)
+  let pack_sources pre m =
+    fold m (fun acc s ->
+        match s with
+        | Store (t, _, v) when String.starts_with ~prefix:pre t.tname ->
+            Visit.fold_expr
+              (fun acc e -> match e with Load (src, _) -> src.tname :: acc | _ -> acc)
+              acc v
+        | _ -> acc)
+    |> List.sort_uniq compare
+  in
+  (* the plain A operands the fused graph's parameters leave a tail on *)
+  let a_with_tail c =
+    List.filter_map
+      (fun (f : Gc_lowering.Fused_op.t) ->
+        match (f.params, f.tunable) with
+        | Some p, Some tun when tun.kind = Gc_graph_ir.Op_kind.Matmul ->
+            let a =
+              match f.pre_a with Some (op, _) -> List.hd op.inputs | None -> List.hd tun.inputs
+            in
+            if Layout.is_plain a.layout && (p.m mod p.mb <> 0 || p.k mod p.kb <> 0) then
+              Some a.name
+            else None
+        | _ -> None)
+      (Core.fused_graph c).fused
+    |> List.sort_uniq compare
+  in
+  let a_operands m =
+    fold m (fun acc s ->
+        match s with
+        | Call ("brgemm", args) -> (
+            match Intrinsic.brgemm_args args with
+            | Some { a = Addr (t, _); _ } -> t.tname :: acc
+            | _ -> acc)
+        | _ -> acc)
+  in
+  List.iter
+    (fun (name, g, tails) ->
+      let c = Core.compile ~config:(Core.default_config ~machine ()) g in
+      Alcotest.(check (list string)) (name ^ ": A with a tail") tails (a_with_tail c);
+      let m = Core.tir_module c in
+      Alcotest.(check (list string)) (name ^ ": Apack sources") tails (pack_sources "Apack" m);
+      if tails = [] then
+        Alcotest.(check (list string)) (name ^ ": Bpack sources") [] (pack_sources "Bpack" m);
+      let prims = Core.tir_module (Core.compile ~config:(Gc_baseline.Baseline.config ~machine ()) g) in
+      List.iter
+        (fun a ->
+          Alcotest.(check bool) (name ^ " primitives: A packed") true
+            (String.starts_with ~prefix:"Apack" a))
+        (a_operands prims))
+    graphs
+
+(* Operand reads in place: in the full pipeline's Tensor IR of perfbench's
+   MHA (head dim and seq 64) BRGEMM reads Q, K (transposed, as N×K rows),
+   the softmax output and V (as K×N rows) where they lie, so nothing is
+   packed, and the softmax temporary shrinks to one head's [64][64]. The
+   primitives pack all four operands, also at head dim 16. *)
 let test_mha_reads_whole_k_in_place () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
   let mha hidden = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:64 ~hidden ~heads:4 ()).graph in
@@ -492,8 +573,11 @@ let test_mha_reads_whole_k_in_place () =
    reads V as K×N rows (ldb = 64) and accumulates straight into the
    output t9 (ldc = 64), so neither a [Bpack] nor a [Cacc] write-back copy
    is left; the one [Cacc] is Q·Kᵀ's, read by its scale-and-mask
-   post-ops. The primitives keep packing K and V and lose only P·V's
-   write-back (it has no post-ops); int8 MHA keeps the slab form. *)
+   post-ops, whose B is K read in place as N×K rows (ldb = -64). The
+   primitives keep packing K and V and lose only P·V's write-back (it has
+   no post-ops). Int8 B is never read as K×N rows: the primitives keep
+   the slab form, and the full pipeline reads Kq as N×K rows and packs
+   V. *)
 let test_mha_pv_in_place () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
   let tir config g = Core.tir_module (Core.compile ~config g) in
@@ -518,12 +602,11 @@ let test_mha_pv_in_place () =
     fold m (fun acc s ->
         match s with
         | Call ("brgemm", args) -> (
-            match (List.nth args 6, List.nth args 8, List.filteri (fun i _ -> i >= 9) args) with
-            | Addr (b, _), Addr (c, _), ld -> (
+            match Intrinsic.brgemm_args args with
+            | Some { b = Addr (b, _); c = Addr (c, _); ldb = Int ldb; ldc = Int ldc; _ } ->
                 let c = if c.storage = Param then "out" else c.tname in
-                match ld with
-                | [ Int ldb; Int ldc ] -> (b.tname, ldb, c, ldc) :: acc
-                | _ -> (b.tname, 0, c, -1) :: acc)
+                let ldc = if List.length args = Intrinsic.brgemm.arity then -1 else ldc in
+                (b.tname, ldb, c, ldc) :: acc
             | _ -> Alcotest.fail "brgemm with non-address or non-literal operands")
         | _ -> acc)
     |> List.sort compare
@@ -535,7 +618,7 @@ let test_mha_pv_in_place () =
   Alcotest.(check (list string)) "full: one Cacc" [ "Cacc" ] (allocs "Cacc" full);
   Alcotest.(check (list string)) "full: write-back copies" [] (write_backs full);
   Alcotest.check brgemm "full: brgemm operand forms"
-    [ (("K", 0), ("Cacc", -1)); (("V", 64), ("out", 64)) ]
+    [ (("K", -64), ("Cacc", 64)); (("V", 64), ("out", 64)) ]
     (pairs (brgemms full));
   let prims = tir (Gc_baseline.Baseline.config ~machine ()) f32 in
   Alcotest.(check int) "primitives: Bpack allocations" 2 (List.length (allocs "Bpack" prims));
@@ -545,17 +628,21 @@ let test_mha_pv_in_place () =
     (pairs (brgemms prims));
   let int8 = (Gc_workloads.Mha.build_int8 ~batch:2 ~seq:64 ~hidden:256 ~heads:4 ()).graph in
   List.iter
-    (fun (what, config) ->
-      List.iter
-        (fun (_, _, _, ldc) -> Alcotest.(check int) (what ^ ": int8 slab form") (-1) ldc)
-        (brgemms (tir config int8)))
-    [ ("full", Core.default_config ~machine ()); ("primitives", Gc_baseline.Baseline.config ~machine ()) ]
+    (fun (what, config, expect) ->
+      Alcotest.(check (list (pair string int)))
+        (what ^ ": int8 B tensors and ldb")
+        expect
+        (List.map (fun (b, ldb, _, _) -> (b, ldb)) (brgemms (tir config int8))))
+    [
+      ("full", Core.default_config ~machine (), [ ("Bpack", 0); ("Kq", -64) ]);
+      ("primitives", Gc_baseline.Baseline.config ~machine (), [ ("Bpack", 0); ("Bpack", 0) ]);
+    ]
 
-(* Whole-K is offered only where it buys an in-place read: at seq 33 and
-   head dim 32 no MB divides M = 33 and no NB divides N = 33, so the
-   lowering would pack Q and K (and the softmax output and V) whatever K
-   blocking it gets. Layout propagation then keeps the free tiling, not a
-   whole-K one with [read_plain] set. *)
+(* [read_plain] is set only where it buys an in-place read: at seq 33 and
+   head dim 32 the free tiling leaves a tail on M = 33 and N = 33, and
+   P·V's K = 33 leaves one on the softmax output and V, so the lowering
+   packs all four operands. Layout propagation then leaves [read_plain]
+   unset. *)
 let test_mha_whole_k_only_in_place () =
   let g = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:33 ~hidden:128 ~heads:4 ()).graph in
   let c = Core.compile ~config:(Core.default_config ~machine:Gc_microkernel.Machine.xeon_8358 ()) g in
@@ -1118,6 +1205,7 @@ let () =
             test_pipelines_leave_no_unread_assign;
           Alcotest.test_case "mlp_1 reads blocked A in place" `Quick
             test_mlp1_reads_blocked_a;
+          Alcotest.test_case "plain A read in place" `Quick test_plain_a_read_in_place;
           Alcotest.test_case "mha reads whole-K operands in place" `Quick
             test_mha_reads_whole_k_in_place;
           Alcotest.test_case "mha whole-K only when read in place" `Quick
