@@ -204,7 +204,7 @@ let kxn_entry () =
   let mb = 2 and nb = 64 and kb = 64 in
   let a, b, c = f32_buffers ~na:(mb * kb) ~nb:(kb * nb) ~nc:(mb * nb) in
   let call ldb () =
-    Gc_microkernel.Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
+    Gc_microkernel.Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc:nb ~klast:kb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
       ~b_offs:[| 0 |] ~c ~c_off:0
   in
   let kxn, nxk = paired_rates ~mb ~nb ~kb (call nb) (call 0) in
@@ -224,7 +224,7 @@ let lda_entry () =
   let mb = 2 and nb = 64 and kb = 64 and lda = 256 in
   let a, b, c = f32_buffers ~na:(mb * lda) ~nb:(nb * kb) ~nc:(mb * nb) in
   let call lda () =
-    Gc_microkernel.Brgemm.dispatch_ld ~lda ~ldb:0 ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
+    Gc_microkernel.Brgemm.dispatch_ld ~lda ~ldb:0 ~ldc:nb ~klast:kb ~batch:1 ~mb ~nb ~kb ~a ~a_offs:[| 0 |] ~b
       ~b_offs:[| 0 |] ~c ~c_off:0
   in
   let pitched, slab = paired_rates ~mb ~nb ~kb (call lda) (call kb) in
@@ -236,6 +236,32 @@ let lda_entry () =
     Obj
       (tile_fields ~mb ~nb ~kb pitched
       @ [ ("lda", Int lda); ("slab_gflops", Float slab); ("lda_over_slab", Float ratio) ]) )
+
+(* A K tail read in place: MLP_1's first layer, an 8×16 tile of a plain
+   [8][13] input (lda = 13) whose one 16-deep K block stops at klast = 13,
+   against the same tile on a zero-padded [8][16] A slab running all 16
+   k steps. Both rates count the 8·16·13 useful multiply-adds. *)
+let ktail_name = "f32_8x16x13_ktail"
+
+let ktail_entry () =
+  let mb = 8 and nb = 16 and kb = 16 and k = 13 in
+  let a, b, c = f32_buffers ~na:(mb * kb) ~nb:(nb * kb) ~nc:(mb * nb) in
+  (* the slab's padding columns and B's padding rows are zero *)
+  for i = 0 to (mb * kb) - 1 do if i mod kb >= k then Buffer.set a i 0. done;
+  for i = 0 to (nb * kb) - 1 do if i mod kb >= k then Buffer.set b i 0. done;
+  let call ~lda ~klast () =
+    Gc_microkernel.Brgemm.dispatch_ld ~lda ~ldb:0 ~ldc:nb ~klast ~batch:1 ~mb ~nb ~kb ~a
+      ~a_offs:[| 0 |] ~b ~b_offs:[| 0 |] ~c ~c_off:0
+  in
+  let in_place, slab = paired_rates ~mb ~nb ~kb:k (call ~lda:k ~klast:k) (call ~lda:kb ~klast:kb) in
+  let ratio = in_place /. slab in
+  Printf.printf "  %-24s %8.3f GFLOP/s   A slab %.3f GFLOP/s   ktail/slab %.3f\n%!" ktail_name
+    in_place slab ratio;
+  let open Core.Observe.Json in
+  ( ktail_name,
+    Obj
+      (tile_fields ~mb ~nb ~kb in_place
+      @ [ ("k", Int k); ("slab_gflops", Float slab); ("ktail_over_slab", Float ratio) ]) )
 
 (* ------------------------------------------------------------------ *)
 (* Pool section: fork-join overhead and grain migration *)
@@ -411,6 +437,9 @@ let validate file =
       (* the same pin for A read in place, rows [lda] apart (a compiled
          matmul reads a plain activation this way instead of packing it) *)
       min_ratio (lda_name, "lda_over_slab");
+      (* and for a K tail read in place, its last block [klast] deep,
+         against the zero-padded slab (MLP_1's 13-wide input) *)
+      min_ratio (ktail_name, "ktail_over_slab");
       (match Option.bind (member "pool" j) (member "fork_join_ns") with
       | Some (Float _) -> ()
       | _ -> fail "missing pool.fork_join_ns");
@@ -457,7 +486,7 @@ let () =
   let shapes = match !mode with `Full -> full_shapes | `Tiny -> tiny_shapes in
   Bench_util.header "BRGEMM microkernel (single thread)";
   let brgemm = brgemm_section shapes in
-  let brgemm = brgemm @ [ kxn_entry (); lda_entry () ] in
+  let brgemm = brgemm @ [ kxn_entry (); lda_entry (); ktail_entry () ] in
   let headline =
     let open Core.Observe.Json in
     match List.assoc_opt (headline_name !mode) brgemm with

@@ -101,17 +101,10 @@ let run ?(align_tolerance = 1.15) ?(propagate_activations = true) ~machine
           | _ -> None
           | exception Invalid_argument _ -> None
         in
-        (* a plain A (and a plain B) is read in place under any tiling
-           without a tail; [read_plain] is set where that happens *)
+        (* a plain A (and a plain B) is read in place under any tiling,
+           tails included *)
         let read_plain (p : Params.t) =
-          let p' = { p with Params.read_plain = true } in
-          let reads = Lower_tunable.reads_plain_in_place p' in
-          if
-            propagate_activations
-            && (reads ~k_inner:true ~rows:m ~block:p.mb
-               || Layout.is_plain b.layout && reads ~k_inner:transpose_b ~rows:n ~block:p.nb)
-          then p'
-          else p
+          if propagate_activations then { p with Params.read_plain = true } else p
         in
         let p =
           match a.layout with

@@ -18,11 +18,11 @@ open Gc_lowering
       its modelled cost is within [align_tolerance] of the optimum;
       otherwise the consumer sends the chain that published it back to
       plain, and reads it plain;
-    - a matmul that reads a plain operand keeps the free tiling and, with
-      [propagate_activations], sets [Params.read_plain] when the lowering
-      can then read it in place ({!Lower_tunable.reads_plain_in_place}:
-      no M, N or K tail): A and a transposed B through their row pitch,
-      an untransposed f32 B as the kernel's K×N rows;
+    - a matmul that reads a plain A keeps the free tiling and, with
+      [propagate_activations], sets [Params.read_plain]: the lowering
+      then reads plain operands in place at any shape, tails included —
+      A and a transposed B through their row pitch, an untransposed f32 B
+      as the kernel's K×N rows;
     - constant weights that want a different layout get an explicit
       [Reorder] op, which is a runtime constant and is folded into the
       init function by constant-weight preprocessing;

@@ -5,28 +5,32 @@ let acc_elems_per_line machine (dtype : Dtype.t) =
   let acc_size = match dtype with S8 | U8 -> 4 | _ -> 4 in
   machine.Machine.cache_line / acc_size
 
-let cost ~machine (p : Params.t) =
-  let uk =
-    Ukernel_cost.cost ~machine ~dtype:p.dtype ~mb:p.mb ~nb:p.nb ~kb:p.kb
-      ~bs:p.bs
-  in
-  let msn = Params.msn p and nsn = Params.nsn p in
-  let ksteps = Params.ksteps_per_slice p in
+(* The modelled cycles of one configuration, on ints, given [uk], the
+   microkernel's cycles for the tile: the search prices a tile's kernel
+   once and reuses it across every grid and k-slicing, and {!cost} goes
+   through the same formula, so both agree to the bit. *)
+let cost_of ~machine ~uk ~dtype ~batch ~m ~n ~k ~mpn ~npn ~kpn ~mb ~nb ~kb ~bs =
+  let mblocks = Shape.ceil_div m mb
+  and nblocks = Shape.ceil_div n nb
+  and kblocks = Shape.ceil_div k kb in
+  let msn = Shape.ceil_div mblocks mpn and nsn = Shape.ceil_div nblocks npn in
+  let ksteps = Shape.ceil_div (Shape.ceil_div kblocks bs) kpn in
   (* single-core kernel: microkernel invocations over padded blocks (one
      k-slice's worth when k-slicing is on) *)
-  let compute = float_of_int (msn * nsn * ksteps) *. uk.cycles in
+  let compute = float_of_int (msn * nsn * ksteps) *. uk in
   (* C' zero + accumulate + the post-anchor writeback chain: the vectorized
      per-element cost of guards, index arithmetic and the eltwise chain
      (calibrated against the Tensor IR cost model) plus the L1 traffic *)
-  let line = float_of_int (acc_elems_per_line machine p.dtype) in
-  let c_elems = float_of_int (msn * nsn * p.mb * p.nb) in
+  let line = float_of_int (acc_elems_per_line machine dtype) in
+  let c_elems = float_of_int (msn * nsn * mb * nb) in
   let c_traffic =
     (c_elems *. 0.6) +. (3. *. c_elems /. line *. machine.Machine.l1_latency)
   in
   (* one pass of the A and B panels from L2 per core *)
-  let esize = float_of_int (Dtype.size_bytes p.dtype) in
-  let a_bytes = float_of_int (msn * p.mb * Params.k_pad p) *. esize in
-  let b_bytes = float_of_int (nsn * p.nb * Params.k_pad p) *. esize in
+  let esize = float_of_int (Dtype.size_bytes dtype) in
+  let k_pad = kblocks * kb in
+  let a_bytes = float_of_int (msn * mb * k_pad) *. esize in
+  let b_bytes = float_of_int (nsn * nb * k_pad) *. esize in
   let panel_traffic =
     (a_bytes +. b_bytes)
     /. float_of_int machine.Machine.cache_line
@@ -34,26 +38,35 @@ let cost ~machine (p : Params.t) =
   in
   let per_task = compute +. c_traffic +. panel_traffic in
   (* waves: tasks may exceed cores *)
-  let tasks = if p.batch > 1 then p.batch else p.mpn * p.npn * p.kpn in
+  let tasks = if batch > 1 then batch else mpn * npn * kpn in
   let waves = Shape.ceil_div tasks machine.Machine.cores in
   (* k-slicing pays a second parallel phase summing the partial Cs *)
   let reduction_phase =
-    if p.kpn <= 1 then 0.
+    if kpn <= 1 then 0.
     else begin
-      let elems = float_of_int (Params.m_pad p * Params.n_pad p) in
-      let cpart_bytes = int_of_float elems * p.kpn * 4 in
+      let elems = float_of_int (mblocks * mb * (nblocks * nb)) in
+      let cpart_bytes = int_of_float elems * kpn * 4 in
       let per_line =
         if cpart_bytes <= machine.Machine.l2_size then machine.Machine.l2_latency
         else machine.Machine.llc_latency
       in
-      let per_elem = per_line /. float_of_int (acc_elems_per_line machine p.dtype) in
-      (elems *. float_of_int (p.kpn + 1) *. per_elem
+      let per_elem = per_line /. float_of_int (acc_elems_per_line machine dtype) in
+      (elems *. float_of_int (kpn + 1) *. per_elem
       /. float_of_int machine.Machine.cores)
       +. machine.Machine.barrier_cycles
     end
   in
   (float_of_int waves *. per_task) +. reduction_phase
   +. machine.Machine.barrier_cycles
+
+let kernel_cycles ~machine ~dtype ~mb ~nb ~kb ~bs =
+  (Ukernel_cost.cost ~machine ~dtype ~mb ~nb ~kb ~bs).cycles
+
+let cost ~machine (p : Params.t) =
+  cost_of ~machine
+    ~uk:(kernel_cycles ~machine ~dtype:p.dtype ~mb:p.mb ~nb:p.nb ~kb:p.kb ~bs:p.bs)
+    ~dtype:p.dtype ~batch:p.batch ~m:p.m ~n:p.n ~k:p.k ~mpn:p.mpn ~npn:p.npn ~kpn:p.kpn
+    ~mb:p.mb ~nb:p.nb ~kb:p.kb ~bs:p.bs
 
 let grid_candidates ~cores =
   let divisor_splits c =
@@ -136,35 +149,47 @@ let choose ~machine ~dtype ?(batch = 1) ?force_grid ?force_tile ?mb_fixed
     if batch > 1 || force_grid <> None || not allow_kslice then [ 1 ]
     else [ 1; 2; 4; 8 ]
   in
+  let cores = machine.Machine.cores in
+  (* each tile's kernel is priced, and its block counts taken, once for
+     every grid and k-slicing *)
+  let priced =
+    List.map
+      (fun ((mb, nb, kb, bs) as tile) ->
+        ( tile,
+          kernel_cycles ~machine ~dtype ~mb ~nb ~kb ~bs,
+          Shape.ceil_div m mb,
+          Shape.ceil_div n nb,
+          Shape.ceil_div (Shape.ceil_div k kb) bs ))
+      tiles
+  in
   let best = ref None in
   List.iter
-    (fun grid ->
+    (fun ((mpn, npn) as grid) ->
       List.iter
-        (fun tile ->
-          List.iter
-            (fun kpn ->
-              let p = mk ~kpn grid tile in
-              (* skip grids with entirely idle rows/columns of cores, and
-                 k-slicings with nothing to slice or oversubscription *)
-              let sensible =
-                (p.mpn <= Params.mblocks p || p.mpn = 1)
-                && (p.npn <= Params.nblocks p || p.npn = 1)
-                && (kpn = 1
-                   || (Params.ksteps p >= 2 * kpn
-                      && p.mpn * p.npn * kpn <= 2 * machine.Machine.cores
-                      && p.mpn * p.npn < machine.Machine.cores))
-              in
-              if sensible then begin
-                let c = cost ~machine p in
-                match !best with
-                | Some (c0, _) when c0 <= c -> ()
-                | _ -> best := Some (c, p)
-              end)
-            kpns)
-        tiles)
+        (fun (((mb, nb, kb, bs) as tile), uk, mblocks, nblocks, ksteps) ->
+          (* skip grids with entirely idle rows/columns of cores, and
+             k-slicings with nothing to slice or oversubscription *)
+          if (mpn <= mblocks || mpn = 1) && (npn <= nblocks || npn = 1) then
+            List.iter
+              (fun kpn ->
+                if
+                  kpn = 1
+                  || (ksteps >= 2 * kpn
+                     && mpn * npn * kpn <= 2 * cores
+                     && mpn * npn < cores)
+                then begin
+                  let c =
+                    cost_of ~machine ~uk ~dtype ~batch ~m ~n ~k ~mpn ~npn ~kpn ~mb ~nb ~kb ~bs
+                  in
+                  match !best with
+                  | Some (c0, _, _, _) when c0 <= c -> ()
+                  | _ -> best := Some (c, grid, tile, kpn)
+                end)
+              kpns)
+        priced)
     grids;
   match !best with
-  | Some (_, p) -> p
+  | Some (_, grid, tile, kpn) -> mk ~kpn grid tile
   | None -> mk (List.hd grids) (List.hd tiles)
 
 let choose_conv ~machine ~dtype ~batch ~oh ~ow ~oc ~kh ~kw ~c () =

@@ -17,6 +17,15 @@ let ( <: ) a b = Ir.Binop (Ir.Lt, a, b)
 let ( >=: ) a b = Ir.Binop (Ir.Ge, a, b)
 let ( &&: ) a b = Ir.Binop (Ir.And, a, b)
 
+(* A [ri < rows] × [ci < cols] loop nest running [store] where both
+   indices are in range and [pad] elsewhere. Only an axis with a tail has
+   a range test ([Some]); the row axis is tested once per row. *)
+let guarded_nest (ri, rows, row_ok) (ci, cols, col_ok) ~store ~pad =
+  let guard ok body pad = match ok with None -> body | Some c -> [ Ir.If (c, body, pad) ] in
+  let pad_row = if pad = [] then [] else [ for_ ci (Ir.Int 0) (Ir.Int cols) pad ] in
+  for_ ri (Ir.Int 0) (Ir.Int rows)
+    (guard row_ok [ for_ ci (Ir.Int 0) (Ir.Int cols) (guard col_ok store pad) ] pad_row)
+
 (* Peel the coordinates of a flat row-major index off [expr] by div/mod
    against [dims] (innermost dimension varies fastest). *)
 let decompose_flat expr dims =
@@ -78,10 +87,6 @@ let reduce_combine (k : Op_kind.reduce_kind) acc v =
   | Max -> Ir.Binop (Ir.Max, acc, v)
   | Min -> Ir.Binop (Ir.Min, acc, v)
 
-let reads_plain_in_place (p : Params.t) ~k_inner ~rows ~block =
-  p.read_plain && rows mod block = 0 && p.k mod p.kb = 0
-  && (k_inner || (* K×N rows: the f32 kernel only *) Dtype.is_float p.dtype)
-
 let lower ~tmap (f : Fused_op.t) =
 
   let p =
@@ -137,29 +142,29 @@ let lower ~tmap (f : Fused_op.t) =
   and kblocks = Params.kblocks p in
   let msn = Params.msn p and nsn = Params.nsn p and ksteps = Params.ksteps p in
   let mb = p.mb and nb = p.nb and kb = p.kb and bs = p.bs in
-  let padded = Params.m_pad p > m || Params.n_pad p > n || Params.k_pad p > k in
+  (* the axes the tiles do not divide: only they are ever tested *)
+  let m_tail = m mod mb <> 0 and n_tail = n mod nb <> 0 and k_tail = k mod kb <> 0 in
+  let when_ tail c = if tail then Some c else None in
   let ts = { tmap; locals = Hashtbl.create 16 } in
 
   (* An operand is read in place when the kernel can address its bytes
      where they lie: it carries the template's blocked layout (layout
      propagation arranged it), or — when layout propagation allowed it
-     ([read_plain]) — it is plain with no tail on the blocked axis or on
-     K. A plain K-innermost operand is then MB (or NB) rows of a K-run,
-     [lda] (or [-ldb]) = K apart: A, and B under [transpose_b]. A plain
-     N-innermost B is KB of the kernel's K×N rows, [ldb = N] apart. Tails
-     still pack, as in oneDNN. *)
-  let direct (src : Logical_tensor.t) ~slab ~k_inner ~rows ~block =
+     ([read_plain]) — it is plain. A plain K-innermost operand is MB (or
+     NB) rows of a K-run, [lda] (or [-ldb]) = K apart: A, and B under
+     [transpose_b]. A plain N-innermost B is KB of the kernel's K×N rows,
+     [ldb = N] apart (f32 only). Tails are read in place too: the call
+     passes a ragged tile's valid rows and the last K block's extent, so
+     the kernel stops where the tensor does. *)
+  let direct (src : Logical_tensor.t) ~slab ~k_inner =
     conv = None
     &&
-    if Layout.is_plain src.layout then reads_plain_in_place p ~k_inner ~rows ~block
+    if Layout.is_plain src.layout then
+      p.read_plain && (k_inner || Dtype.is_float p.dtype)
     else (not batched) && (not transpose_b) && Layout.equal src.layout slab
   in
-  let a_direct =
-    direct a_src ~slab:(Params.a_layout p) ~k_inner:true ~rows:m ~block:mb
-  in
-  let b_direct =
-    direct b_src ~slab:(Params.b_layout p) ~k_inner:transpose_b ~rows:n ~block:nb
-  in
+  let a_direct = direct a_src ~slab:(Params.a_layout p) ~k_inner:true in
+  let b_direct = direct b_src ~slab:(Params.b_layout p) ~k_inner:transpose_b in
   let a_plain = a_direct && Layout.is_plain a_src.layout in
   let b_plain = b_direct && Layout.is_plain b_src.layout in
   (* C is accumulated straight into a plain output tile when nothing runs
@@ -168,7 +173,7 @@ let lower ~tmap (f : Fused_op.t) =
   let acc_dt = acc_dtype a_src.dtype in
   let c_direct =
     conv = None && f.post_groups = [] && p.kpn = 1 && Dtype.equal acc_dt c_lt.dtype
-    && Layout.is_plain c_lt.layout && m mod mb = 0 && n mod nb = 0
+    && Layout.is_plain c_lt.layout && (not m_tail) && not n_tail
   in
 
   (* Loop variables *)
@@ -290,19 +295,15 @@ let lower ~tmap (f : Fused_op.t) =
         let src_idx = Index_map.physical a_src.layout ~rank:(Shape.rank a_src.shape) src_idx in
         let dst = [| Ir.v bb; Ir.v i; Ir.v j |] in
         let load = Ir.Load (resolve ts a_src, src_idx) in
-        let body =
-          if padded then
-            [
-              Ir.If
-                ( arow <: Ir.Int m &&: (acol <: Ir.Int k),
-                  [ Ir.Store (ap, dst, load) ],
-                  [ Ir.Store (ap, dst, Ir.Float 0.) ] );
-            ]
-          else [ Ir.Store (ap, dst, load) ]
-        in
         [
           for_ bb (Ir.Int 0) bs_eff
-            [ for_ i (Ir.Int 0) (Ir.Int mb) [ for_ j (Ir.Int 0) (Ir.Int kb) body ] ];
+            [
+              guarded_nest
+                (i, mb, when_ m_tail (arow <: Ir.Int m))
+                (j, kb, when_ k_tail (acol <: Ir.Int k))
+                ~store:[ Ir.Store (ap, dst, load) ]
+                ~pad:[ Ir.Store (ap, dst, Ir.Float 0.) ];
+            ];
         ]
   in
   (* Pack the whole B panel once per task at pre anchor #2. *)
@@ -328,23 +329,16 @@ let lower ~tmap (f : Fused_op.t) =
         let src_idx = Index_map.physical b_src.layout ~rank:(Shape.rank b_src.shape) src_idx in
         let dst = [| Ir.v kbi; Ir.v nbj; Ir.v jn; Ir.v jk |] in
         let load = Ir.Load (resolve ts b_src, src_idx) in
-        let body =
-          if padded then
-            [
-              Ir.If
-                ( kk <: Ir.Int k &&: (nn <: Ir.Int n),
-                  [ Ir.Store (bp, dst, load) ],
-                  [ Ir.Store (bp, dst, Ir.Float 0.) ] );
-            ]
-          else [ Ir.Store (bp, dst, load) ]
-        in
         [
           for_ kbi (Ir.Int 0) (Ir.Int kblocks)
             [
               for_ nbj (Ir.Int 0) (Ir.Int nblocks)
                 [
-                  for_ jn (Ir.Int 0) (Ir.Int nb)
-                    [ for_ jk (Ir.Int 0) (Ir.Int kb) body ];
+                  guarded_nest
+                    (jn, nb, when_ n_tail (nn <: Ir.Int n))
+                    (jk, kb, when_ k_tail (kk <: Ir.Int k))
+                    ~store:[ Ir.Store (bp, dst, load) ]
+                    ~pad:[ Ir.Store (bp, dst, Ir.Float 0.) ];
                 ];
             ];
         ]
@@ -380,6 +374,18 @@ let lower ~tmap (f : Fused_op.t) =
      K×N B's is N *)
   let lda = if a_plain then k else kb in
   let ldb = if not b_plain then 0 else if not transpose_b then n else if k = kb then 0 else -k in
+  (* an operand read in place stops where the tensor does: a ragged tile
+     passes its valid rows (columns) and the batch's last K block its
+     valid extent; packed operands run on through their zero padding *)
+  let extent ~tail ~block ~total start =
+    if tail then Ir.Binop (Ir.Min, Ir.Int block, Ir.Int total -: start) else Ir.Int block
+  in
+  let mb_arg = extent ~tail:(a_plain && m_tail) ~block:mb ~total:m row0 in
+  let nb_arg = extent ~tail:(b_plain && n_tail) ~block:nb ~total:n col0 in
+  let klast =
+    extent ~tail:((a_plain || b_plain) && k_tail) ~block:kb ~total:k
+      ((kbase +: bs_eff -: Ir.Int 1) *: Ir.Int kb)
+  in
   (* the output tile at (row, col) of a direct C *)
   let c_at row col =
     Ir.Addr (resolve ts c_lt, Array.append out_batch [| row; col |])
@@ -388,18 +394,20 @@ let lower ~tmap (f : Fused_op.t) =
     let c_addr =
       if c_direct then c_at row0 col0 else Ir.Addr (cacc, [| Ir.v nsi; Ir.Int 0; Ir.Int 0 |])
     in
-    (* trailing leading dimensions only where an operand needs them, so
-       templates that pack A and B and stage C keep the slab form *)
+    (* trailing operands only where an operand needs them, so templates
+       that pack A and B and stage C keep the slab form ([ldc] is explicit
+       once [nb] is a valid extent, not the slab's width) *)
     let ld =
       let ldb = Ir.Int ldb and ldc = Ir.Int (if c_direct then n else nb) in
-      if lda <> kb then [ ldb; ldc; Ir.Int lda ]
-      else if c_direct || ldb <> Ir.Int 0 then [ ldb; ldc ]
+      if klast <> Ir.Int kb then [ ldb; ldc; Ir.Int lda; klast ]
+      else if lda <> kb then [ ldb; ldc; Ir.Int lda ]
+      else if c_direct || ldb <> Ir.Int 0 || nb_arg <> Ir.Int nb then [ ldb; ldc ]
       else []
     in
     Ir.Call
       ( "brgemm",
         [
-          bs_eff; Ir.Int mb; Ir.Int nb; Ir.Int kb;
+          bs_eff; mb_arg; nb_arg; Ir.Int kb;
           a_addr; Ir.Int a_stride;
           b_addr; Ir.Int b_stride;
           c_addr;
@@ -454,25 +462,21 @@ let lower ~tmap (f : Fused_op.t) =
         let opix = decompose_flat row [| cs.(0); cs.(1); cs.(2) |] in
         [| opix.(0); opix.(1); opix.(2); col |]
   in
-  let mk_anchor1_store acc_value =
+  (* the tile's mbi × nbi write-back; a blocked output's padding gets 0 *)
+  let mk_anchor1 acc_value =
     let chain = Chain.create ~tmap:(resolve ts) ~point in
     Chain.bind chain c_lt acc_value;
     List.iter (fun op -> ignore (Chain.apply chain op)) post1_ops;
     let value = Chain.value chain staged_lt in
     let target, idx = Index_map.access (resolve ts) staged_lt point in
-    let store = Ir.Store (target, idx, value) in
-    if not padded then [ store ]
-    else begin
-      let valid = row <: Ir.Int m &&: (col <: Ir.Int n) in
-      if Layout.is_plain staged_lt.layout then [ Ir.If (valid, [ store ], []) ]
-      else [ Ir.If (valid, [ store ], [ Ir.Store (target, idx, Ir.Float 0.) ]) ]
-    end
-  in
-  let anchor1_store =
-    mk_anchor1_store (Ir.Load (cacc, [| Ir.v nsi; Ir.v mbi; Ir.v nbi |]))
+    guarded_nest
+      (mbi, mb, when_ m_tail (row <: Ir.Int m))
+      (nbi, nb, when_ n_tail (col <: Ir.Int n))
+      ~store:[ Ir.Store (target, idx, value) ]
+      ~pad:(if Layout.is_plain staged_lt.layout then [] else [ Ir.Store (target, idx, Ir.Float 0.) ])
   in
   let anchor1 =
-    [ over_n_tiles [ for_ mbi (Ir.Int 0) (Ir.Int mb) [ for_ nbi (Ir.Int 0) (Ir.Int nb) anchor1_store ] ] ]
+    [ over_n_tiles [ mk_anchor1 (Ir.Load (cacc, [| Ir.v nsi; Ir.v mbi; Ir.v nbi |])) ] ]
   in
 
   (* post anchor #3: reduction-led groups over the rows this task owns *)
@@ -541,10 +545,8 @@ let lower ~tmap (f : Fused_op.t) =
             segs
         in
         let row_body =
-          [
-            Ir.Assign (rowv, ((Ir.v mpsi *: Ir.Int mb) +: Ir.v mbi));
-            Ir.If (Ir.v rowv <: Ir.Int m, seg_stmts, []);
-          ]
+          Ir.Assign (rowv, ((Ir.v mpsi *: Ir.Int mb) +: Ir.v mbi))
+          :: (if m_tail then [ Ir.If (Ir.v rowv <: Ir.Int m, seg_stmts, []) ] else seg_stmts)
         in
         [ over_m_tiles [ for_ mbi (Ir.Int 0) (Ir.Int mb) row_body ] ])
       post3_groups
@@ -630,11 +632,7 @@ let lower ~tmap (f : Fused_op.t) =
       [
         over_m_tiles
           [
-            over_n_tiles
-              [
-                for_ mbi (Ir.Int 0) (Ir.Int mb)
-                  [ for_ nbi (Ir.Int 0) (Ir.Int nb) (mk_anchor1_store partial_sum) ];
-              ];
+            over_n_tiles [ mk_anchor1 partial_sum ];
           ];
       ]
     in

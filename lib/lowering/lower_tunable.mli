@@ -19,14 +19,3 @@ open Gc_tensor_ir
     for internal tensors, which get function-local temporaries). *)
 val lower :
   tmap:(Logical_tensor.t -> Ir.tensor option) -> Fused_op.t -> Ir.func
-
-(** [reads_plain_in_place p ~k_inner ~rows ~block]: whether the template
-    under [p] reads a plain operand in place instead of packing it. It
-    must be allowed to ([p.read_plain]), and neither the operand's [rows]
-    (M for A, N for B) nor K may leave a tail: [rows] must be a multiple of
-    [block] (MB or NB) and K of KB. When K is the operand's innermost axis
-    ([k_inner]: always for A, for B under [transpose_b]) the kernel reads
-    its rows K apart ([lda], or N×K B's [-ldb]); otherwise B is
-    N-innermost and is read as the f32 kernel's K×N rows. {!lower} decides
-    with it, and layout propagation asks it before it sets [read_plain]. *)
-val reads_plain_in_place : Params.t -> k_inner:bool -> rows:int -> block:int -> bool

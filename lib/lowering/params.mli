@@ -25,9 +25,9 @@ type t = {
   bs : int;
   loop_order : string;  (** inner loop order the heuristic assumed, e.g. "msi,ksi,nsi" *)
   read_plain : bool;
-      (** a plain operand with no tail on its blocked axis or on K is read
-          in place through its row pitch instead of packed; set by layout
-          propagation where that happens *)
+      (** a plain operand is read in place through its row pitch instead
+          of packed, tails included; set by layout propagation on every
+          matmul whose A is plain *)
 }
 
 (** Derived quantities (Figure 2's table). Block counts use padded

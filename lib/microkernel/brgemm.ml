@@ -50,7 +50,9 @@ let tile_n = 4
    of batch block [bi] is at [b_offs.(bi) + n·bn + k·bk], so N×K rows with
    pitch p (the [NB, KB] slab is p = kb) are (bn, bk) = (p, 1) and K×N rows
    with pitch [ldb] are (1, ldb). The k loops walk B by a running offset
-   [o] that steps by [bk]. C's rows are [ldc] apart.
+   [o] that steps by [bk]. C's rows are [ldc] apart. Every batch block
+   spans [kb] k steps except the last, which spans [klast] (a K tail read
+   in place).
 
    A full tile or strip loads all its operands of a k step before the first
    multiply-add: interleaving the B loads with the multiply-adds lets
@@ -58,9 +60,10 @@ let tile_n = 4
    into its destination the loads then serialise. *)
 
 let edge_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
-    (c : Buffer.f32_arr) c_off ldc batch kb m n =
+    (c : Buffer.f32_arr) c_off ldc batch kb klast m n =
   let acc = ref 0. in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let arow = Array.unsafe_get a_offs bi + (m * lda) in
     let brow = Array.unsafe_get b_offs bi + (n * bn) in
     let o = ref brow in
@@ -73,9 +76,10 @@ let edge_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
   Array1.unsafe_set c ci (Array1.unsafe_get c ci +. !acc)
 
 let strip1xn_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
-    (c : Buffer.f32_arr) c_off ldc batch kb m n0 =
+    (c : Buffer.f32_arr) c_off ldc batch kb klast m n0 =
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let arow = Array.unsafe_get a_offs bi + (m * lda) in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
     let br1 = br0 + bn in
@@ -103,11 +107,12 @@ let strip1xn_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn 
   Array1.unsafe_set c (ci + 3) (Array1.unsafe_get c (ci + 3) +. !s3)
 
 let tile_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
-    (c : Buffer.f32_arr) c_off ldc batch kb m0 n0 =
+    (c : Buffer.f32_arr) c_off ldc batch kb klast m0 n0 =
   (* row 0 in s0..s3, row 1 in t0..t3 *)
   let s0 = ref 0. and s1 = ref 0. and s2 = ref 0. and s3 = ref 0. in
   let t0 = ref 0. and t1 = ref 0. and t2 = ref 0. and t3 = ref 0. in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let ar0 = Array.unsafe_get a_offs bi + (m0 * lda) in
     let ar1 = ar0 + lda in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
@@ -149,7 +154,7 @@ let tile_f32 (a : Buffer.f32_arr) a_offs lda (b : Buffer.f32_arr) b_offs bn bk
    [-ldb] apart *)
 let nxk_pitch ~ldb ~kb = if ldb = 0 then kb else -ldb
 
-let f32_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
+let f32_ld ~lda ~ldb ~ldc ~klast ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
     ~(b : Buffer.f32_arr) ~b_offs ~(c : Buffer.f32_arr) ~c_off =
   let bn, bk = if ldb > 0 then (1, ldb) else (nxk_pitch ~ldb ~kb, 1) in
   let mfull = mb - (mb mod tile_m) in
@@ -159,28 +164,28 @@ let f32_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~(a : Buffer.f32_arr) ~a_offs
     let m0 = !m in
     let n = ref 0 in
     while !n < nfull do
-      tile_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m0 !n;
+      tile_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb klast m0 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m0 n1;
-      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb (m0 + 1) n1
+      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb klast m0 n1;
+      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb klast (m0 + 1) n1
     done;
     m := m0 + tile_m
   done;
   for m1 = mfull to mb - 1 do
     let n = ref 0 in
     while !n < nfull do
-      strip1xn_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m1 !n;
+      strip1xn_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb klast m1 !n;
       n := !n + tile_n
     done;
     for n1 = nfull to nb - 1 do
-      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb m1 n1
+      edge_f32 a a_offs lda b b_offs bn bk c c_off ldc batch kb klast m1 n1
     done
   done
 
 let f32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  f32_ld ~lda:kb ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+  f32_ld ~lda:kb ~ldb:0 ~ldc:nb ~klast:kb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
 
 (* ------------------------------------------------------------------ *)
 (* int8: SWAR 2×8 tiles, column-packed 1×8 strips, scalar corners *)
@@ -225,12 +230,13 @@ let flush_1x8 c ci s0 s1 s2 s3 =
    differ only in the annotated type of [a]. *)
 
 let tile_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
-    bn (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
+    bn (c : Buffer.s32_arr) c_off batch kb klast ldc m0 n0 =
   let ci = c_off + (m0 * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let ar0 = Array.unsafe_get a_offs bi + (m0 * lda) in
     let ar1 = ar0 + lda in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
@@ -270,11 +276,12 @@ let tile_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
   flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
 let strip_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
-    bn (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
+    bn (c : Buffer.s32_arr) c_off batch kb klast ldc m n0 =
   let ci = c_off + (m * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let ar = Array.unsafe_get a_offs bi + (m * lda) in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
     let br1 = br0 + bn in
@@ -311,9 +318,10 @@ let strip_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
 
 (* scalar corner: one plain int accumulator cannot overflow 63 bits *)
 let edge_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
-    bn (c : Buffer.s32_arr) c_off batch kb ldc m n =
+    bn (c : Buffer.s32_arr) c_off batch kb klast ldc m n =
   let acc = ref 0 in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let arow = Array.unsafe_get a_offs bi + (m * lda) in
     let brow = Array.unsafe_get b_offs bi + (n * bn) in
     for k = 0 to kb - 1 do
@@ -324,12 +332,13 @@ let edge_u8 (a : Buffer.u8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
   Array1.unsafe_set c ci (Int32.add (Array1.unsafe_get c ci) (Int32.of_int !acc))
 
 let tile_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
-    bn (c : Buffer.s32_arr) c_off batch kb ldc m0 n0 =
+    bn (c : Buffer.s32_arr) c_off batch kb klast ldc m0 n0 =
   let ci = c_off + (m0 * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let s4 = ref 0 and s5 = ref 0 and s6 = ref 0 and s7 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let ar0 = Array.unsafe_get a_offs bi + (m0 * lda) in
     let ar1 = ar0 + lda in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
@@ -369,11 +378,12 @@ let tile_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
   flush_2x8 c ci ldc !s0 !s1 !s2 !s3 !s4 !s5 !s6 !s7
 
 let strip_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
-    bn (c : Buffer.s32_arr) c_off batch kb ldc m n0 =
+    bn (c : Buffer.s32_arr) c_off batch kb klast ldc m n0 =
   let ci = c_off + (m * ldc) + n0 in
   let s0 = ref 0 and s1 = ref 0 and s2 = ref 0 and s3 = ref 0 in
   let run = ref 0 in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let ar = Array.unsafe_get a_offs bi + (m * lda) in
     let br0 = Array.unsafe_get b_offs bi + (n0 * bn) in
     let br1 = br0 + bn in
@@ -409,9 +419,10 @@ let strip_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
   flush_1x8 c ci !s0 !s1 !s2 !s3
 
 let edge_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
-    bn (c : Buffer.s32_arr) c_off batch kb ldc m n =
+    bn (c : Buffer.s32_arr) c_off batch kb klast ldc m n =
   let acc = ref 0 in
   for bi = 0 to batch - 1 do
+    let kb = if bi = batch - 1 then klast else kb in
     let arow = Array.unsafe_get a_offs bi + (m * lda) in
     let brow = Array.unsafe_get b_offs bi + (n * bn) in
     for k = 0 to kb - 1 do
@@ -423,19 +434,19 @@ let edge_s8 (a : Buffer.s8_arr) a_offs lda (b : Buffer.s8_arr) b_offs
 
 (* The driver is shared: it calls the dtype's loops once per tile, strip
    or corner, never per element. A's rows are [lda] apart, B's N×K rows
-   [bn] apart. *)
-let int8_core tile strip edge batch mb nb kb a a_offs lda b b_offs bn c c_off ldc =
+   [bn] apart; the last batch block spans [klast] k steps. *)
+let int8_core tile strip edge batch mb nb kb klast a a_offs lda b b_offs bn c c_off ldc =
   let nfull = nb - (nb mod 8) in
   let m0 = ref 0 in
   while !m0 + 1 < mb do
     let n0 = ref 0 in
     while !n0 < nfull do
-      tile a a_offs lda b b_offs bn c c_off batch kb ldc !m0 !n0;
+      tile a a_offs lda b b_offs bn c c_off batch kb klast ldc !m0 !n0;
       n0 := !n0 + 8
     done;
     for n = nfull to nb - 1 do
-      edge a a_offs lda b b_offs bn c c_off batch kb ldc !m0 n;
-      edge a a_offs lda b b_offs bn c c_off batch kb ldc (!m0 + 1) n
+      edge a a_offs lda b b_offs bn c c_off batch kb klast ldc !m0 n;
+      edge a a_offs lda b b_offs bn c c_off batch kb klast ldc (!m0 + 1) n
     done;
     m0 := !m0 + 2
   done;
@@ -443,29 +454,29 @@ let int8_core tile strip edge batch mb nb kb a a_offs lda b b_offs bn c c_off ld
     let m = mb - 1 in
     let n0 = ref 0 in
     while !n0 < nfull do
-      strip a a_offs lda b b_offs bn c c_off batch kb ldc m !n0;
+      strip a a_offs lda b b_offs bn c c_off batch kb klast ldc m !n0;
       n0 := !n0 + 8
     done;
     for n = nfull to nb - 1 do
-      edge a a_offs lda b b_offs bn c c_off batch kb ldc m n
+      edge a a_offs lda b b_offs bn c c_off batch kb klast ldc m n
     done
   end
 
 let u8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs kb b b_offs kb c c_off nb
+  int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb kb a a_offs kb b b_offs kb c c_off nb
 
 let s8s8s32 ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs kb b b_offs kb c c_off nb
+  int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb kb a a_offs kb b b_offs kb c c_off nb
 
-let dispatch_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
+let dispatch_ld ~lda ~ldb ~ldc ~klast ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
   (match ((a : Buffer.t), (b : Buffer.t), (c : Buffer.t)) with
   | (F32 a | Bf16 a), (F32 b | Bf16 b), (F32 c | Bf16 c) ->
-      f32_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+      f32_ld ~lda ~ldb ~ldc ~klast ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
   | U8 a, S8 b, S32 c when ldb <= 0 ->
-      int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb a a_offs lda b b_offs
+      int8_core tile_u8 strip_u8 edge_u8 batch mb nb kb klast a a_offs lda b b_offs
         (nxk_pitch ~ldb ~kb) c c_off ldc
   | S8 a, S8 b, S32 c when ldb <= 0 ->
-      int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb a a_offs lda b b_offs
+      int8_core tile_s8 strip_s8 edge_s8 batch mb nb kb klast a a_offs lda b b_offs
         (nxk_pitch ~ldb ~kb) c c_off ldc
   | _ ->
       Gc_errors.compile_error ~stage:"microkernel"
@@ -491,4 +502,4 @@ let dispatch_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_of
         Buffer.set_int c c_off max_int
 
 let dispatch ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off =
-  dispatch_ld ~lda:kb ~ldb:0 ~ldc:nb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off
+  dispatch_ld ~lda:kb ~ldb:0 ~ldc:nb ~klast:kb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off

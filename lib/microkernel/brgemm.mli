@@ -21,7 +21,15 @@ open Gc_tensor
         in place; f32 only);
     - the C block is MB row-major rows of NB elements, [ldc] apart
       ([ldc = nb]: an [MB, NB] slab; [ldc > nb]: a tile of a wider
-      row-major output), accumulated in place.
+      row-major output), accumulated in place;
+    - every batch block spans KB k steps except the last, which spans
+      [klast ≤ kb] ([klast = kb]: no tail). A template reads an operand
+      whose K is not a multiple of KB in place this way: the last block
+      stops at K, where a zero-padded copy would have run on through
+      zero products. MB and NB are likewise a tile's valid extents, not
+      the padded ones, so a ragged tile reads and writes no padding.
+      The pitches stay the padded ones: a tail K block of a [NB, KB]
+      slab is still read [kb] apart.
 
     Blocks are addressed by element offsets into flat buffers ([a_offs] /
     [b_offs] play the role of the template's A_addr/B_addr pointer
@@ -115,13 +123,14 @@ val s8s8s32 :
 
 (** Dynamic dispatch over generic buffers in the leading-dimension forms,
     used by the Tensor IR engine's intrinsic call. The dtype combination
-    is derived from the buffers. The int8 kernels take any [lda] and [ldc]
-    and N×K B ([ldb <= 0]), not K×N rows; other combinations raise a
-    compile error. *)
+    is derived from the buffers. The int8 kernels take any [lda], [ldc]
+    and [klast] and N×K B ([ldb <= 0]), not K×N rows; other combinations
+    raise a compile error. *)
 val dispatch_ld :
   lda:int ->
   ldb:int ->
   ldc:int ->
+  klast:int ->
   batch:int ->
   mb:int ->
   nb:int ->
@@ -134,7 +143,7 @@ val dispatch_ld :
   c_off:int ->
   unit
 
-(** {!dispatch_ld} on slabs ([~lda:kb ~ldb:0 ~ldc:nb]). *)
+(** {!dispatch_ld} on slabs ([~lda:kb ~ldb:0 ~ldc:nb ~klast:kb]). *)
 val dispatch :
   batch:int ->
   mb:int ->

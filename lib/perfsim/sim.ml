@@ -185,16 +185,20 @@ and stmt_cost ctx ~cores (s : stmt) : cost =
   | Call ("brgemm", args) -> (
       match Intrinsic.brgemm_args args with
       (* every form: the modelled kernel reads pitched A, slab, N×K and
-         K×N B (and writes a C tile at any ldc) at the same rate *)
+         K×N B (and writes a C tile at any ldc) at the same rate. It is
+         priced as one block over the call's whole k extent, which is
+         the same price as [bs] blocks of [kb] and lets the last block
+         stop at [klast]. *)
       | Some g ->
           let dtype =
             match tensor_of_addr g.a with Some t -> t.tdtype | None -> Dtype.F32
           in
+          let bs = max 1 (eval ctx g.batch) in
+          let k_ext = ((bs - 1) * eval ctx g.kb) + eval ctx g.klast in
           let cost =
             Ukernel_cost.cost ~machine:m ~dtype ~mb:(max 1 (eval ctx g.mb))
               ~nb:(max 1 (eval ctx g.nb))
-              ~kb:(max 1 (eval ctx g.kb))
-              ~bs:(max 1 (eval ctx g.batch))
+              ~kb:(max 1 k_ext) ~bs:1
           in
           comp cost.cycles
       | None -> czero)

@@ -741,7 +741,8 @@ and ccall ctx name args : env -> unit =
           and cslot, coff = addr_arg ctx g.c
           and clda = cint ctx g.lda
           and cldb = cint ctx g.ldb
-          and cldc = cint ctx g.ldc in
+          and cldc = cint ctx g.ldc
+          and cklast = cint ctx g.klast in
           fun env ->
             Gc_observe.Counters.(incr kernel_invocations);
             Guard.check ();
@@ -758,7 +759,7 @@ and ccall ctx name args : env -> unit =
               Array.unsafe_set b_offs i (b0 + (i * sb))
             done;
             Gc_microkernel.Brgemm.dispatch_ld ~lda:(clda env) ~ldb:(cldb env)
-              ~ldc:(cldc env) ~batch ~mb:(cmb env) ~nb:(cnb env) ~kb:(ckb env)
+              ~ldc:(cldc env) ~klast:(cklast env) ~batch ~mb:(cmb env) ~nb:(cnb env) ~kb:(ckb env)
               ~a:(Array.unsafe_get env.bufs aslot)
               ~a_offs
               ~b:(Array.unsafe_get env.bufs bslot)
@@ -766,7 +767,7 @@ and ccall ctx name args : env -> unit =
               ~c:(Array.unsafe_get env.bufs cslot)
               ~c_off:(coff env)
       | None ->
-          Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 to 12 args")
+          Gc_errors.compile_error ~stage:"engine" "Engine: brgemm expects 9 to 13 args")
   | "zero" -> (
       match args with
       | [ addr; count ] ->

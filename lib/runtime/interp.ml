@@ -165,13 +165,13 @@ and exec_call t frame name args =
       let g =
         match Intrinsic.brgemm_args args with
         | Some g -> g
-        | None -> invalid_arg "Interp: brgemm expects 9 to 12 args"
+        | None -> invalid_arg "Interp: brgemm expects 9 to 13 args"
       in
       let int e = as_int (eval t frame e) in
       let batch = int g.batch and mb = int g.mb and nb = int g.nb and kb = int g.kb in
       let abuf, a0 = addr g.a and bbuf, b0 = addr g.b and cbuf, c0 = addr g.c in
       let sa = int g.a_stride and sb = int g.b_stride in
-      let lda = int g.lda and ldb = int g.ldb and ldc = int g.ldc in
+      let lda = int g.lda and ldb = int g.ldb and ldc = int g.ldc and klast = int g.klast in
       (* B element (n, k) of block [bi]: K×N rows, or N×K rows (the slab's
          pitch is kb) *)
       let bn, bk = if ldb > 0 then (1, ldb) else ((if ldb = 0 then kb else -ldb), 1) in
@@ -184,7 +184,7 @@ and exec_call t frame name args =
           let acc = ref 0. in
           for bi = 0 to batch - 1 do
             let ao = a0 + (bi * sa) + (m * lda) in
-            for k = 0 to kb - 1 do
+            for k = 0 to (if bi = batch - 1 then klast else kb) - 1 do
               acc := !acc +. (Buffer.get abuf (ao + k) *. Buffer.get bbuf (b_at bi n k))
             done
           done;

@@ -1,6 +1,6 @@
 type t = { name : string; arity : int; trailing : string list }
 
-let brgemm = { name = "brgemm"; arity = 9; trailing = [ "ldb"; "ldc"; "lda" ] }
+let brgemm = { name = "brgemm"; arity = 9; trailing = [ "ldb"; "ldc"; "lda"; "klast" ] }
 let zero = { name = "zero"; arity = 2; trailing = [] }
 let copy = { name = "copy"; arity = 3; trailing = [] }
 let all = [ brgemm; zero; copy ]
@@ -10,18 +10,19 @@ let accepts t n = n >= t.arity && n <= t.arity + List.length t.trailing
 type brgemm_args = {
   batch : Ir.expr; mb : Ir.expr; nb : Ir.expr; kb : Ir.expr;
   a : Ir.expr; a_stride : Ir.expr; b : Ir.expr; b_stride : Ir.expr; c : Ir.expr;
-  lda : Ir.expr; ldb : Ir.expr; ldc : Ir.expr;
+  lda : Ir.expr; ldb : Ir.expr; ldc : Ir.expr; klast : Ir.expr;
 }
 
 let brgemm_args = function
   | batch :: mb :: nb :: kb :: a :: a_stride :: b :: b_stride :: c :: ld -> (
-      let args ~lda ~ldb ~ldc =
-        Some { batch; mb; nb; kb; a; a_stride; b; b_stride; c; lda; ldb; ldc }
+      let args ?(ldb = Ir.Int 0) ?(ldc = nb) ?(lda = kb) ?(klast = kb) () =
+        Some { batch; mb; nb; kb; a; a_stride; b; b_stride; c; lda; ldb; ldc; klast }
       in
       match ld with
-      | [] -> args ~lda:kb ~ldb:(Ir.Int 0) ~ldc:nb
-      | [ ldb ] -> args ~lda:kb ~ldb ~ldc:nb
-      | [ ldb; ldc ] -> args ~lda:kb ~ldb ~ldc
-      | [ ldb; ldc; lda ] -> args ~lda ~ldb ~ldc
+      | [] -> args ()
+      | [ ldb ] -> args ~ldb ()
+      | [ ldb; ldc ] -> args ~ldb ~ldc ()
+      | [ ldb; ldc; lda ] -> args ~ldb ~ldc ~lda ()
+      | [ ldb; ldc; lda; klast ] -> args ~ldb ~ldc ~lda ~klast ()
       | _ -> None)
   | _ -> None

@@ -4,12 +4,12 @@
 
     Signatures (all operands are expressions; addresses are [Ir.Addr]):
     - [brgemm(batch, mb, nb, kb, &A, a_stride, &B, b_stride, &C, ldb, ldc,
-      lda)]: C[mb,nb] += Σ_{i<batch} A_i[mb,kb] · B_i[nb,kb]ᵀ where A_i
+      lda, klast)]: C[mb,nb] += Σ_{i<batch} A_i[mb,kb] · B_i[nb,kb]ᵀ where A_i
       starts [i·a_stride] elements after [&A] and B_i [i·b_stride] after
       [&B] (the template's A_addr/B_addr[0..BS-1] pointer arrays have
-      constant stride in every instantiation). The three trailing leading
-      dimensions may be left out from the end, each taking its slab
-      default:
+      constant stride in every instantiation). [mb] and [nb] are the
+      tile's valid extents. The four trailing operands may be left out
+      from the end, each taking its slab default:
       - [lda] (default [kb]): A_i's rows are [lda] elements apart, so a
         plain K-innermost tensor is read in place;
       - [ldb] (default 0): [0] keeps B_i an [nb, kb] slab; [ldb < 0] reads
@@ -20,6 +20,9 @@
       - [ldc] (default [nb]): C's rows are [ldc] elements apart, so the
         kernel can accumulate into a tile of a wider row-major output;
         only the mb×nb tile is written;
+      - [klast] (default [kb]): the last block A_{batch-1}/B_{batch-1}
+        spans only [klast ≤ kb] of K, so an operand with a K tail is read
+        in place up to K (the pitches of slabs stay [kb]);
     - [zero(&T, count)]: zero-fill [count] elements;
     - [copy(&Dst, &Src, count)]: contiguous element copy (with dtype
       conversion when buffers differ). *)
@@ -42,7 +45,7 @@ val accepts : t -> int -> bool
 type brgemm_args = {
   batch : Ir.expr; mb : Ir.expr; nb : Ir.expr; kb : Ir.expr;
   a : Ir.expr; a_stride : Ir.expr; b : Ir.expr; b_stride : Ir.expr; c : Ir.expr;
-  lda : Ir.expr; ldb : Ir.expr; ldc : Ir.expr;
+  lda : Ir.expr; ldb : Ir.expr; ldc : Ir.expr; klast : Ir.expr;
 }
 
 (** [None] when the operand count is not one {!brgemm} accepts. *)

@@ -92,24 +92,56 @@ let index_sites t body =
 
 (* Each [Addr] site of [t] (addresses are call operands only) with the
    number of elements the callee may touch from there; [None] when that
-   is unknown — a sibling function's parameter. *)
-let addr_reaches upper t body =
+   is unknown — a sibling function's parameter. The index returned is the
+   one to bound the touched range from, which differs from the site's
+   only for a ragged tile (below). *)
+let addr_reaches range t body =
+  let upper e = Option.map snd (range e) in
   let product xs =
     List.fold_left
       (fun acc x -> Option.bind acc (fun a -> Option.map (( * ) a) (upper x)))
       (Some 1) xs
   in
+  let stride d =
+    Array.fold_left ( * ) 1 (Array.sub t.dims (d + 1) (Array.length t.dims - d - 1))
+  in
+  (* A ragged tile's [min(blk, total - s)] rows (or columns) start at
+     index [s] of the dimension the pitch [ld] steps: whatever [s] is,
+     they end before index [total]. Bounded as one row (column) at
+     [total - 1] (given [s >= 0]), the bound does not add the largest
+     [s] to the largest extent. *)
+  let pin_ragged idx extent ld =
+    match (extent, ld) with
+    | Binop (Min, Int _, Binop (Sub, Int total, s)), Int l -> (
+        let rec find d =
+          if d >= Array.length idx then None
+          else if idx.(d) = s && stride d = l
+                  && (match range s with Some (lo, _) -> lo >= 0 | None -> false)
+          then Some d
+          else find (d + 1)
+        in
+        match find 0 with
+        | Some d -> (Array.mapi (fun i x -> if i = d then Int (total - 1) else x) idx, Int 1)
+        | None -> (idx, extent))
+    | _ -> (idx, extent)
+  in
   Visit.fold_stmts
     ~stmt:(fun acc s ->
       match s with
       | Call (name, args) ->
-          let reaches =
+          (* per operand position: the bound's index and the reach *)
+          let reaches : (expr array -> expr array * int option) list =
             match (name, Intrinsic.brgemm_args args) with
             | "brgemm", Some g ->
-                (* [bs] blocks [stride] apart, each reaching [block] *)
-                let blocks stride block =
-                  match (product [ g.batch ], product [ stride ], block) with
-                  | Some bs, Some st, Some block -> Some (((bs - 1) * st) + block)
+                (* [bs] blocks [stride] apart, each reaching [block] but
+                   the last, which reaches [last] (its K extent is
+                   [klast]); both reaches grow with the block count, so
+                   the count's upper bound bounds them *)
+                let blocks stride (block, last) =
+                  match (product [ g.batch ], product [ stride ], block, last) with
+                  | Some bs, Some st, Some block, Some last ->
+                      let last = ((bs - 1) * st) + last in
+                      Some (if bs < 2 then last else max last (((bs - 2) * st) + block))
                   | _ -> None
                 in
                 (* [rows] rows of [cols], [ld] apart *)
@@ -118,31 +150,40 @@ let addr_reaches upper t body =
                   | Some r, Some l, Some c -> Some ((max 0 (r - 1) * l) + c)
                   | _ -> None
                 in
+                let a idx =
+                  let idx, rows = pin_ragged idx g.mb g.lda in
+                  (idx, blocks g.a_stride (rows_of rows g.lda g.kb, rows_of rows g.lda g.klast))
+                in
                 (* K×N rows [ldb] apart, or N×K rows [-ldb] apart (the slab's
                    pitch is kb) *)
-                let b_block =
+                let b idx =
                   match g.ldb with
-                  | Int l when l > 0 -> rows_of g.kb g.ldb g.nb
-                  | Int l -> rows_of g.nb (if l = 0 then g.kb else Int (-l)) g.kb
-                  | _ -> None
+                  | Int l when l > 0 ->
+                      let idx, cols = pin_ragged idx g.nb (Int 1) in
+                      (idx, blocks g.b_stride (rows_of g.kb g.ldb cols, rows_of g.klast g.ldb cols))
+                  | Int l ->
+                      let pitch = if l = 0 then g.kb else Int (-l) in
+                      let idx, rows = pin_ragged idx g.nb pitch in
+                      (idx, blocks g.b_stride (rows_of rows pitch g.kb, rows_of rows pitch g.klast))
+                  | _ -> (idx, None)
                 in
                 (* the A, B and C operands sit at positions 4, 6 and 8 *)
                 List.mapi
                   (fun i _ ->
                     match i with
-                    | 4 -> blocks g.a_stride (rows_of g.mb g.lda g.kb)
-                    | 6 -> blocks g.b_stride b_block
-                    | 8 -> rows_of g.mb g.ldc g.nb
-                    | _ -> None)
+                    | 4 -> a
+                    | 6 -> b
+                    | 8 -> fun idx -> (idx, rows_of g.mb g.ldc g.nb)
+                    | _ -> fun idx -> (idx, None))
                   args
             | ("zero" | "copy"), _ ->
                 let count = product [ List.nth args (List.length args - 1) ] in
-                List.map (fun _ -> count) args
-            | _ -> List.map (fun _ -> None) args
+                List.map (fun _ idx -> (idx, count)) args
+            | _ -> List.map (fun _ idx -> (idx, None)) args
           in
           List.fold_left2
             (fun acc e r ->
-              match e with Addr (t', idx) when tensor_equal t t' -> (idx, r) :: acc | _ -> acc)
+              match e with Addr (t', idx) when tensor_equal t t' -> r idx :: acc | _ -> acc)
             acc args reaches
       | _ -> acc)
     [] body
@@ -152,8 +193,7 @@ let shrink_tensor ~range t body =
   | None -> (t, body)
   | Some enclosing ->
       let sites = index_sites t body in
-      let upper e = Option.map snd (range e) in
-      let addrs = lazy (addr_reaches upper t body) in
+      let addrs = lazy (addr_reaches range t body) in
       (* elements of [t] per index of dimension [d] *)
       let stride d =
         Array.fold_left ( * ) 1 (Array.sub t.dims (d + 1) (Array.length t.dims - d - 1))

@@ -778,10 +778,12 @@ let cross_config_bert =
    its row pitch (A and a transposed B as N×K rows, V as K×N rows) or
    accumulates straight into the output tile the two agree to the bit:
    perfbench's MHA (Q, K, the softmax output and V read in place, both
-   P·V outputs written in place), MHA at seq 33 (ragged: V and the output
-   tile still go through Bpack and Cacc), MHA at head dim 96 (P·V writes
+   P·V outputs written in place), MHA at seq 33 (ragged: Q, K, the
+   softmax output and V are read in place up to their M, N and K tails,
+   the output tile goes through Cacc), MHA at head dim 96 (P·V writes
    32-column tiles of 96-wide rows) and a 1-layer BERT (its unfolded
-   weights read as K×N rows, projections written in place). Both executors run
+   weights read as K×N rows, projections written in place, the ragged
+   ones read in place too). Both executors run
    the same Tensor IR, so each module also executes twice through
    [Core.execute] into the same pooled outputs: a template that stopped
    zero-filling its output tile would add the second run onto the
@@ -846,10 +848,10 @@ let bit_exact_cases =
           run_bit_exact ~what:name ~forms graph data))
     [
       ("mha perfbench shape", [ (1, 2); (0, 1) ], mha ~seq:64 ~hidden:256);
-      ("mha seq 33", [ (0, 0); (0, 0) ], mha ~seq:33 ~hidden:128);
+      ("mha seq 33", [ (1, 2); (0, 0) ], mha ~seq:33 ~hidden:128);
       ("mha head 96", [ (1, 2); (0, 1) ], mha ~seq:16 ~hidden:384);
       ( "bert 1 layer",
-        [ (6, 7); (0, 5) ],
+        [ (7, 8); (0, 5) ],
         fun () ->
           let b = Gc_workloads.Bert.build_f32 ~layers:1 ~batch:1 ~seq:8 ~hidden:32 ~heads:2 () in
           (b.Gc_workloads.Bert.graph, b.Gc_workloads.Bert.data) );

@@ -90,6 +90,153 @@ let test_heuristic_int8_cheaper () =
   let i8 = Heuristic.cost ~machine (Heuristic.choose ~machine ~dtype:Dtype.U8 ~m:512 ~n:512 ~k:512 ()) in
   Alcotest.(check bool) "int8 cheaper" true (i8 < f32)
 
+(* The search prices each tile's microkernel once and tests [sensible]
+   on ints, building a [Params.t] only for its pick. The search it
+   replaced, kept here as the oracle, built a [Params.t] and re-priced the
+   tile for every grid and k-slicing. Both must pick the same parameters
+   (or both fail) over machines, dtypes, batched problems and the aligned
+   queries layout propagation makes, and [cost] must price the pick to
+   the bit. *)
+module Oracle = struct
+  let acc_elems_per_line machine (_ : Dtype.t) = machine.Machine.cache_line / 4
+
+  let cost ~machine (p : Params.t) =
+    let uk = Ukernel_cost.cost ~machine ~dtype:p.dtype ~mb:p.mb ~nb:p.nb ~kb:p.kb ~bs:p.bs in
+    let msn = Params.msn p and nsn = Params.nsn p in
+    let ksteps = Params.ksteps_per_slice p in
+    let compute = float_of_int (msn * nsn * ksteps) *. uk.cycles in
+    let line = float_of_int (acc_elems_per_line machine p.dtype) in
+    let c_elems = float_of_int (msn * nsn * p.mb * p.nb) in
+    let c_traffic = (c_elems *. 0.6) +. (3. *. c_elems /. line *. machine.Machine.l1_latency) in
+    let esize = float_of_int (Dtype.size_bytes p.dtype) in
+    let a_bytes = float_of_int (msn * p.mb * Params.k_pad p) *. esize in
+    let b_bytes = float_of_int (nsn * p.nb * Params.k_pad p) *. esize in
+    let panel_traffic =
+      (a_bytes +. b_bytes) /. float_of_int machine.Machine.cache_line *. machine.Machine.l2_latency
+    in
+    let per_task = compute +. c_traffic +. panel_traffic in
+    let tasks = if p.batch > 1 then p.batch else p.mpn * p.npn * p.kpn in
+    let waves = Shape.ceil_div tasks machine.Machine.cores in
+    let reduction_phase =
+      if p.kpn <= 1 then 0.
+      else begin
+        let elems = float_of_int (Params.m_pad p * Params.n_pad p) in
+        let cpart_bytes = int_of_float elems * p.kpn * 4 in
+        let per_line =
+          if cpart_bytes <= machine.Machine.l2_size then machine.Machine.l2_latency
+          else machine.Machine.llc_latency
+        in
+        let per_elem = per_line /. float_of_int (acc_elems_per_line machine p.dtype) in
+        (elems *. float_of_int (p.kpn + 1) *. per_elem /. float_of_int machine.Machine.cores)
+        +. machine.Machine.barrier_cycles
+      end
+    in
+    (float_of_int waves *. per_task) +. reduction_phase +. machine.Machine.barrier_cycles
+
+  let grid_candidates ~cores =
+    let divisor_splits c =
+      List.filter_map (fun p -> if c mod p = 0 then Some (p, c / p) else None) (List.init c (fun i -> i + 1))
+    in
+    let half = if cores >= 2 then divisor_splits (cores / 2) else [] in
+    List.sort_uniq compare (divisor_splits cores @ half @ [ (1, 1); (1, cores); (cores, 1) ])
+
+  let tile_candidates ~machine ~dtype =
+    let tm = Ukernel_cost.tile_m and tn = Ukernel_cost.tile_n in
+    List.concat_map
+      (fun mb ->
+        List.concat_map
+          (fun nb ->
+            List.concat_map
+              (fun kb ->
+                List.filter_map
+                  (fun bs ->
+                    if Ukernel_cost.valid ~machine ~dtype ~mb ~nb ~kb ~bs then Some (mb, nb, kb, bs)
+                    else None)
+                  [ 1; 2; 4 ])
+              [ 16; 32; 64 ])
+          [ 4 * tn; 8 * tn; 12 * tn; 16 * tn ])
+      [ 1; tm; 2 * tm; 3 * tm; 4 * tm; 6 * tm; 8 * tm; 16 * tm ]
+
+  let choose ~machine ~dtype ~batch ?mb_fixed ?kb_fixed ~allow_kslice ~m ~n ~k () =
+    let grids = if batch > 1 then [ (1, 1) ] else grid_candidates ~cores:machine.Machine.cores in
+    let tiles =
+      tile_candidates ~machine ~dtype
+      |> List.filter (fun (mb, _, kb, _) ->
+             (match mb_fixed with Some v -> mb = v | None -> true)
+             && match kb_fixed with Some v -> kb = v | None -> true)
+    in
+    if tiles = [] then invalid_arg "no tiles";
+    let mk ?(kpn = 1) (mpn, npn) (mb, nb, kb, bs) =
+      { Params.m; n; k; batch; dtype; mpn; npn; kpn; mb; nb; kb; bs;
+        loop_order = "msi,ksi,nsi"; read_plain = false }
+    in
+    let kpns = if batch > 1 || not allow_kslice then [ 1 ] else [ 1; 2; 4; 8 ] in
+    let best = ref None in
+    List.iter
+      (fun grid ->
+        List.iter
+          (fun tile ->
+            List.iter
+              (fun kpn ->
+                let p = mk ~kpn grid tile in
+                let sensible =
+                  (p.mpn <= Params.mblocks p || p.mpn = 1)
+                  && (p.npn <= Params.nblocks p || p.npn = 1)
+                  && (kpn = 1
+                     || (Params.ksteps p >= 2 * kpn
+                        && p.mpn * p.npn * kpn <= 2 * machine.Machine.cores
+                        && p.mpn * p.npn < machine.Machine.cores))
+                in
+                if sensible then begin
+                  let c = cost ~machine p in
+                  match !best with
+                  | Some (c0, _) when c0 <= c -> ()
+                  | _ -> best := Some (c, p)
+                end)
+              kpns)
+          tiles)
+      grids;
+    match !best with Some (_, p) -> p | None -> mk (List.hd grids) (List.hd tiles)
+end
+
+let prop_choose_matches_oracle =
+  let machines =
+    [ machine; Machine.test_machine ]
+    @ List.map (fun cores -> { machine with Machine.cores }) [ 1; 2; 4; 8 ]
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (quad (int_bound (List.length machines - 1)) (oneofl Dtype.[ F32; Bf16; U8; S8 ])
+           (frequency [ (3, return 1); (1, int_range 2 16) ])
+           (triple (int_range 1 600) (int_range 1 600) (int_range 1 600)))
+        (triple (opt (oneofl [ 1; 2; 4; 6; 8; 12; 16; 32 ])) (opt (oneofl [ 16; 32; 64 ])) bool))
+  in
+  let print ((mi, dt, batch, (m, n, k)), (mbf, kbf, ks)) =
+    let o = function Some v -> string_of_int v | None -> "-" in
+    Printf.sprintf "machine %d %s batch %d %dx%dx%d mb_fixed %s kb_fixed %s kslice %b" mi
+      (Dtype.to_string dt) batch m n k (o mbf) (o kbf) ks
+  in
+  QCheck.Test.make ~name:"choose picks what the per-candidate search picked" ~count:400
+    (QCheck.make ~print gen)
+    (fun ((mi, dtype, batch, (m, n, k)), (mb_fixed, kb_fixed, allow_kslice)) ->
+      let machine = List.nth machines mi in
+      let run f = match f () with p -> Ok p | exception Invalid_argument _ -> Error () in
+      let got =
+        run (fun () ->
+            Heuristic.choose ~machine ~dtype ~batch ?mb_fixed ?kb_fixed ~allow_kslice ~m ~n ~k ())
+      and want =
+        run (fun () -> Oracle.choose ~machine ~dtype ~batch ?mb_fixed ?kb_fixed ~allow_kslice ~m ~n ~k ())
+      in
+      match (got, want) with
+      | Ok p, Ok q ->
+          p = q
+          && Int64.equal
+               (Int64.bits_of_float (Heuristic.cost ~machine p))
+               (Int64.bits_of_float (Oracle.cost ~machine q))
+      | Error (), Error () -> true
+      | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Anchors (Figure 3 formulas) *)
 
@@ -560,6 +707,7 @@ let () =
           Alcotest.test_case "force" `Quick test_heuristic_force;
           Alcotest.test_case "padding penalty" `Quick test_heuristic_cost_padding_penalty;
           Alcotest.test_case "int8 cheaper" `Quick test_heuristic_int8_cheaper;
+          QCheck_alcotest.to_alcotest prop_choose_matches_oracle;
         ] );
       ( "anchors",
         [

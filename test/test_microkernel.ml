@@ -268,7 +268,7 @@ let prop_ld_forms_bit_exact =
           Buffer.set wide (c_off + (m * ldc) + n) (init ((m * nb) + n))
         done
       done;
-      Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc ~batch ~mb ~nb ~kb ~a:(F32 (Buffer.as_f32 a)) ~a_offs ~b
+      Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc ~klast:kb ~batch ~mb ~nb ~kb ~a:(F32 (Buffer.as_f32 a)) ~a_offs ~b
         ~b_offs ~c:wide ~c_off;
       let bits buf i = Int32.bits_of_float (Buffer.get buf i) in
       let tmp = Buffer.create Dtype.F32 1 in
@@ -366,7 +366,7 @@ let prop_pitched_forms_bit_exact =
           set wide (c_off + (m * ldc) + n) (init ((m * nb) + n))
         done
       done;
-      Brgemm.dispatch_ld ~lda ~ldb ~ldc ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c:wide ~c_off;
+      Brgemm.dispatch_ld ~lda ~ldb ~ldc ~klast:kb ~batch ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c:wide ~c_off;
       let bits buf i =
         if cdt = Dtype.F32 then Int32.to_int (Int32.bits_of_float (Buffer.get buf i))
         else Buffer.get_int buf i
@@ -383,6 +383,140 @@ let prop_pitched_forms_bit_exact =
       done;
       !ok)
 
+(* Ragged extents against the zero-padded slab path, for f32, u8·s8 and
+   s8·s8, as the lowering calls the kernel on a tail tile read in place:
+   the tile's valid [vm ≤ mb] rows and [vn ≤ nb] columns, and a last
+   batch block [klast ≤ kb] deep, so K = (batch - 1)·kb + klast. A is a
+   plain [vm][K] panel with guard cells after each row's K elements; B
+   is an [NB][KB] slab with guards in its padding, N×K rows with guards
+   after K, or (f32) K×N rows with guards after vn; C is a tile of a
+   wider buffer with guards around it. Zero-padding A and B to full
+   blocks and running {!Brgemm.dispatch} on the whole [MB][NB] tile must
+   give the same bits in the valid region (the skipped terms are the
+   padding's exact +0 products), and no guard may be read or written:
+   an f32 guard is NaN, an int8 one the dtype's extreme. *)
+let ragged_gen =
+  QCheck.Gen.(
+    shape_gen >>= fun (batch, mb, nb, kb) ->
+    map
+      (fun (vm, vn, klast, (dt, form)) -> ((batch, mb, nb, kb), (vm, vn, klast), (dt, form)))
+      (quad (int_range 1 mb) (int_range 1 nb) (int_range 1 kb)
+         (pair (oneofl [ `F32; `U8; `S8 ]) (oneofl [ `Slab; `Nxk; `Kxn ]))))
+
+let print_ragged =
+  QCheck.Print.(
+    triple (quad int int int int) (triple int int int)
+      (pair
+         (function `F32 -> "f32" | `U8 -> "u8" | `S8 -> "s8")
+         (function `Slab -> "slab" | `Nxk -> "N×K" | `Kxn -> "K×N")))
+
+let prop_ragged_extents_bit_exact =
+  QCheck.Test.make ~name:"ragged M/N extents and last K block bit-match the padded slabs"
+    ~count:300
+    (QCheck.make ~print:print_ragged ragged_gen)
+    (fun ((batch, mb, nb, kb), (vm, vn, klast), (dt, form)) ->
+      let form = if dt <> `F32 && form = `Kxn then `Nxk else form in
+      let adt, bdt, cdt =
+        match dt with
+        | `F32 -> (Dtype.F32, Dtype.F32, Dtype.F32)
+        | `U8 -> (Dtype.U8, Dtype.S8, Dtype.S32)
+        | `S8 -> (Dtype.S8, Dtype.S8, Dtype.S32)
+      in
+      let set buf i v =
+        if Dtype.is_float (Buffer.dtype buf) then Buffer.set buf i v
+        else Buffer.set_int buf i (int_of_float v)
+      in
+      let k_total = ((batch - 1) * kb) + klast in
+      let a_val m k =
+        match dt with
+        | `F32 -> sin (float_of_int ((m * 131) + k))
+        | `U8 -> float_of_int (((m * 131) + k) * 37 mod 256)
+        | `S8 -> float_of_int ((((m * 131) + k) * 41 mod 255) - 128)
+      in
+      let b_val n k =
+        if dt = `F32 then cos (float_of_int ((n * 97) + (3 * k)))
+        else float_of_int ((((n * 97) + k) * 41 mod 255) - 128)
+      in
+      let a_guard = match dt with `F32 -> Float.nan | `U8 -> 255. | `S8 -> -128. in
+      let b_guard = if dt = `F32 then Float.nan else 127. in
+      (* A: [vm] rows [lda > K] apart, block bi at column bi·kb *)
+      let lda = k_total + 2 in
+      let a = Buffer.create adt ((vm * lda) + 3) in
+      for i = 0 to Buffer.length a - 1 do
+        let m = i / lda and k = i mod lda in
+        set a i (if m < vm && k < k_total then a_val m k else a_guard)
+      done;
+      let a_offs = Array.init batch (fun bi -> bi * kb) in
+      (* B and where its element (n, k) of block bi lies *)
+      let b_size, b_offs, ldb, b_at =
+        match form with
+        | `Slab ->
+            ( batch * nb * kb,
+              Array.init batch (fun bi -> bi * nb * kb),
+              0,
+              fun bi n k -> (((bi * nb) + n) * kb) + k )
+        | `Nxk ->
+            let pitch = k_total + 3 in
+            ((vn * pitch) + 2, Array.init batch (fun bi -> bi * kb), -pitch, fun bi n k -> (n * pitch) + (bi * kb) + k)
+        | `Kxn ->
+            let ldb = vn + 2 in
+            ( (k_total * ldb) + 2,
+              Array.init batch (fun bi -> bi * kb * ldb),
+              ldb,
+              fun bi n k -> (((bi * kb) + k) * ldb) + n )
+      in
+      let b = Buffer.create bdt b_size in
+      for i = 0 to b_size - 1 do set b i b_guard done;
+      for bi = 0 to batch - 1 do
+        for n = 0 to vn - 1 do
+          for k = 0 to (if bi = batch - 1 then klast else kb) - 1 do
+            set b (b_at bi n k) (b_val n ((bi * kb) + k))
+          done
+        done
+      done;
+      (* the zero-padded slab path over the whole tile *)
+      let ap = Buffer.create adt (batch * mb * kb) and bp = Buffer.create bdt (batch * nb * kb) in
+      for bi = 0 to batch - 1 do
+        for k = 0 to kb - 1 do
+          let kk = (bi * kb) + k in
+          if kk < k_total then begin
+            for m = 0 to vm - 1 do set ap (((bi * mb) + m) * kb + k) (a_val m kk) done;
+            for n = 0 to vn - 1 do set bp (((bi * nb) + n) * kb + k) (b_val n kk) done
+          end
+        done
+      done;
+      let init i = float_of_int (i mod 5) +. if cdt = Dtype.F32 then 0.25 else 0. in
+      let slab = Buffer.create cdt (mb * nb) in
+      for i = 0 to (mb * nb) - 1 do set slab i (init i) done;
+      Brgemm.dispatch ~batch ~mb ~nb ~kb ~a:ap ~a_offs:(Array.init batch (fun i -> i * mb * kb))
+        ~b:bp ~b_offs:(Array.init batch (fun i -> i * nb * kb)) ~c:slab ~c_off:0;
+      (* the ragged call: C rows [ldc = nb + 1] apart from row 1 *)
+      let ldc = nb + 1 in
+      let c_off = ldc + 1 in
+      let wide = Buffer.create cdt ((mb + 2) * ldc) in
+      let guard i = -7. -. float_of_int i in
+      for i = 0 to Buffer.length wide - 1 do set wide i (guard i) done;
+      for m = 0 to vm - 1 do
+        for n = 0 to vn - 1 do set wide (c_off + (m * ldc) + n) (init ((m * nb) + n)) done
+      done;
+      Brgemm.dispatch_ld ~lda ~ldb ~ldc ~klast ~batch ~mb:vm ~nb:vn ~kb ~a ~a_offs ~b ~b_offs
+        ~c:wide ~c_off;
+      let bits buf i =
+        if cdt = Dtype.F32 then Int32.to_int (Int32.bits_of_float (Buffer.get buf i))
+        else Buffer.get_int buf i
+      in
+      let guards = Buffer.create cdt (Buffer.length wide) in
+      for i = 0 to Buffer.length guards - 1 do set guards i (guard i) done;
+      let ok = ref true in
+      for i = 0 to Buffer.length wide - 1 do
+        let r = (i - c_off) / ldc and col = (i - c_off) mod ldc in
+        let expect =
+          if i >= c_off && r < vm && col < vn then bits slab ((r * nb) + col) else bits guards i
+        in
+        if bits wide i <> expect then ok := false
+      done;
+      !ok)
+
 (* The leading-dimension path allocates nothing per call, like the slab
    path the engine used before. *)
 let test_ld_forms_allocate_nothing () =
@@ -391,7 +525,7 @@ let test_ld_forms_allocate_nothing () =
   let c = Buffer.create Dtype.F32 (mb * nb) in
   let a_offs = [| 0 |] and b_offs = [| 0 |] in
   let call ldb =
-    Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc:nb ~batch:1 ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off:0
+    Brgemm.dispatch_ld ~lda:kb ~ldb ~ldc:nb ~klast:kb ~batch:1 ~mb ~nb ~kb ~a ~a_offs ~b ~b_offs ~c ~c_off:0
   in
   call 0;
   call nb;
@@ -613,6 +747,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_tiled_f32_bit_exact;
           QCheck_alcotest.to_alcotest prop_ld_forms_bit_exact;
           QCheck_alcotest.to_alcotest prop_pitched_forms_bit_exact;
+          QCheck_alcotest.to_alcotest prop_ragged_extents_bit_exact;
           Alcotest.test_case "ld forms allocate nothing" `Quick test_ld_forms_allocate_nothing;
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:false);
           QCheck_alcotest.to_alcotest (prop_tiled_int8_exact ~signed:true);

@@ -94,9 +94,9 @@ let test_time_consistent_with_frequency () =
 
 let golden =
   [
-    ("mlp-full", `Full, `Mlp, 7018.70, 1);
-    ("mlp-baseline", `Baseline, `Mlp, 13545.94, 2);
-    ("mha-full", `Full, `Mha, 7979.76, 1);
+    ("mlp-full", `Full, `Mlp, 6958.18, 1);
+    ("mlp-baseline", `Baseline, `Mlp, 13516.90, 2);
+    ("mha-full", `Full, `Mha, 7974.48, 1);
     ("mha-baseline", `Baseline, `Mha, 23501.44, 3);
   ]
 

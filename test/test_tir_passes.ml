@@ -372,9 +372,10 @@ let test_pipelines_leave_no_unread_assign () =
    its block directly. The primitives keep activations plain and pack A
    in every layer. At batch 8 the third layer's tiles aligned to 8-row
    blocks cost more than its free choice, so its A stays plain and is read
-   in place through [lda] in f32 (only the first layer's 13-wide K tail
-   packs); in int8 the coarse-grain retune aligns that layer's KB to its
-   producer's NB after all and re-publishes the chain blocked. *)
+   in place through [lda] in f32; in int8 the coarse-grain retune aligns
+   that layer's KB to its producer's NB after all and re-publishes the
+   chain blocked. The first layer reads its 13-wide input in place up to
+   K, so no brgemm of the full pipeline reads a packed A. *)
 let test_mlp1_reads_blocked_a () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
   let hidden = Gc_workloads.Table1.mlp_1.hidden in
@@ -383,10 +384,10 @@ let test_mlp1_reads_blocked_a () =
       (fun (name, (built : Gc_workloads.Mlp.built), full_packs) ->
         (name, Core.tir_module (Core.compile ~config built.graph), full_packs))
       [
-        ("f32 b8", Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden (), 1);
-        ("f32 b64", Gc_workloads.Mlp.build_f32 ~batch:64 ~hidden (), 1);
-        ("int8 b32", Gc_workloads.Mlp.build_int8 ~batch:32 ~hidden (), 1);
-        ("int8 b8", Gc_workloads.Mlp.build_int8 ~batch:8 ~hidden (), 1);
+        ("f32 b8", Gc_workloads.Mlp.build_f32 ~batch:8 ~hidden (), 0);
+        ("f32 b64", Gc_workloads.Mlp.build_f32 ~batch:64 ~hidden (), 0);
+        ("int8 b32", Gc_workloads.Mlp.build_int8 ~batch:32 ~hidden (), 0);
+        ("int8 b8", Gc_workloads.Mlp.build_int8 ~batch:8 ~hidden (), 0);
       ]
   in
   let packed_brgemms (m : module_) =
@@ -430,32 +431,84 @@ let test_mlp1_reads_blocked_a () =
       Alcotest.(check int) (name ^ " primitives: brgemms on packed A") 3 (packed_brgemms m))
     (modules (Gc_baseline.Baseline.config ~machine ()))
 
+(* Guards test only the axes with a tail. MLP_1 int8 at 32 rows has no M
+   or N tail (32 rows, N = 512/256/128), only the first layer's K = 13:
+   the full pipeline reads that input in place and has no element guard
+   at all, and the primitives keep one, the [j < 13] K test of their A
+   pack. Tile-index guards ([mpsi < MBLOCKS], [npsi < NBLOCKS]) are not
+   element guards. At 3 rows the M tail adds row tests: every element
+   guard still tests only M or K against their extents. *)
+let test_guards_only_tail_axes () =
+  let machine = Gc_microkernel.Machine.xeon_8358 in
+  let hidden = Gc_workloads.Table1.mlp_1.hidden in
+  (* the conditions of every If that is not a tile-index guard *)
+  let element_guards config batch =
+    let g = (Gc_workloads.Mlp.build_int8 ~batch ~hidden ()).graph in
+    let m = Core.tir_module (Core.compile ~config g) in
+    let tile_guard = function
+      | Binop (Lt, Var v, Int _) ->
+          String.starts_with ~prefix:"mpsi" v.vname || String.starts_with ~prefix:"npsi" v.vname
+      | _ -> false
+    in
+    List.concat_map
+      (fun (fn : func) ->
+        Visit.fold_stmts
+          ~stmt:(fun acc s ->
+            match s with If (c, _, _) when not (tile_guard c) -> c :: acc | _ -> acc)
+          [] fn.body)
+      m.funcs
+  in
+  (* the constant each [_ < c] of a guard compares against *)
+  let rec bounds = function
+    | Binop (And, a, b) -> bounds a @ bounds b
+    | Binop (Lt, _, Int c) -> [ c ]
+    | e -> Alcotest.failf "unexpected guard %s" (Printer.expr_to_string e)
+  in
+  let full = Core.default_config ~machine () and prims = Gc_baseline.Baseline.config ~machine () in
+  Alcotest.(check (list (list int))) "full b32: element guards" []
+    (List.map bounds (element_guards full 32));
+  Alcotest.(check (list (list int))) "primitives b32: element guards" [ [ 13 ] ]
+    (List.map bounds (element_guards prims 32));
+  List.iter
+    (fun (what, config) ->
+      List.iter
+        (fun c ->
+          List.iter
+            (fun b ->
+              Alcotest.(check bool) (what ^ " b3: guard tests M = 3 or K = 13") true
+                (b = 3 || b = 13))
+            (bounds c))
+        (element_guards config 3))
+    [ ("full", full); ("primitives", prims) ]
+
 (* Plain A read in place: the full pipeline's BRGEMM reads every plain,
-   K-innermost A with no M or K tail (M % MB = 0, K % KB = 0) where it
-   lies, its rows [lda = K] apart, so an [Apack] is left only for an A
-   with a tail. The oracle is the fused graph's own parameters. Checked on
-   MLP_1 f32 at the serving buckets 2, 4 and 8, where only the 13-wide
-   input packs, and on Table 1's MHA_2 (the module [gc_cli dump mha2]
-   prints, at batch 2), which packs nothing: K, the softmax output and V
-   are read in place too. The primitives still pack every A. *)
+   K-innermost A where it lies, its rows [lda = K] apart, tails included:
+   a ragged tile passes its valid rows and the last K block its extent,
+   so no [Apack] is left at any shape. The oracle is the fused graph's
+   own parameters, which do leave tails (M % MB or K % KB nonzero) on the
+   listed A operands. Checked on MLP_1 f32 at batches 1 to 8 (the 13-wide
+   input has a K tail, batches 1, 3, 5 and 7 an M tail too), MLP_1 int8 at
+   batch 3, Table 1's MHA_2 (the module [gc_cli dump mha2] prints, at
+   batch 2) and MHA at seq 33, whose M, N and K all have tails: neither an
+   [Apack] nor a [Bpack] is filled, so K (N×K rows) and V (K×N rows) are
+   read in place too. The primitives still pack every A. *)
 let test_plain_a_read_in_place () =
   let machine = Gc_microkernel.Machine.xeon_8358 in
   let hidden = Gc_workloads.Table1.mlp_1.hidden in
   let mha2 = Gc_workloads.Table1.mha_2 in
-  (* each graph with the A operands that keep a tail *)
+  let mha ~seq ~hidden ~heads = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq ~hidden ~heads ()).graph in
+  (* each graph with whether its parameters leave a plain A with a tail *)
   let graphs =
     List.map
       (fun batch ->
         ( Printf.sprintf "mlp_1 f32 b%d" batch,
           (Gc_workloads.Mlp.build_f32 ~batch ~hidden ()).graph,
-          [ "x" ] ))
-      [ 2; 4; 8 ]
+          true ))
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
     @ [
-        ( "mha_2 f32",
-          (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:mha2.seq_len ~hidden:mha2.hidden_size
-             ~heads:mha2.heads ())
-            .graph,
-          [] );
+        ("mlp_1 int8 b3", (Gc_workloads.Mlp.build_int8 ~batch:3 ~hidden ()).graph, true);
+        ("mha_2 f32", mha ~seq:mha2.seq_len ~hidden:mha2.hidden_size ~heads:mha2.heads, false);
+        ("mha seq 33 f32", mha ~seq:33 ~hidden:128 ~heads:4, true);
       ]
   in
   let fold (m : module_) f =
@@ -500,16 +553,16 @@ let test_plain_a_read_in_place () =
   List.iter
     (fun (name, g, tails) ->
       let c = Core.compile ~config:(Core.default_config ~machine ()) g in
-      Alcotest.(check (list string)) (name ^ ": A with a tail") tails (a_with_tail c);
+      Alcotest.(check bool) (name ^ ": a plain A with a tail") tails (a_with_tail c <> []);
       let m = Core.tir_module c in
-      Alcotest.(check (list string)) (name ^ ": Apack sources") tails (pack_sources "Apack" m);
-      if tails = [] then
-        Alcotest.(check (list string)) (name ^ ": Bpack sources") [] (pack_sources "Bpack" m);
+      Alcotest.(check (list string)) (name ^ ": Apack sources") [] (pack_sources "Apack" m);
+      Alcotest.(check (list string)) (name ^ ": Bpack sources") [] (pack_sources "Bpack" m);
       let prims = Core.tir_module (Core.compile ~config:(Gc_baseline.Baseline.config ~machine ()) g) in
       List.iter
         (fun a ->
+          (* a single-task kernel's Apack is planned into an arena *)
           Alcotest.(check bool) (name ^ " primitives: A packed") true
-            (String.starts_with ~prefix:"Apack" a))
+            (String.starts_with ~prefix:"Apack" a || String.starts_with ~prefix:"arena" a))
         (a_operands prims))
     graphs
 
@@ -638,12 +691,15 @@ let test_mha_pv_in_place () =
       ("primitives", Gc_baseline.Baseline.config ~machine (), [ ("Bpack", 0); ("Bpack", 0) ]);
     ]
 
-(* [read_plain] is set only where it buys an in-place read: at seq 33 and
-   head dim 32 the free tiling leaves a tail on M = 33 and N = 33, and
-   P·V's K = 33 leaves one on the softmax output and V, so the lowering
-   packs all four operands. Layout propagation then leaves [read_plain]
-   unset. *)
-let test_mha_whole_k_only_in_place () =
+(* Tails read in place: at seq 33 and head dim 32 the free tilings leave
+   a tail on M = 33 and N = 33, and P·V's K = 33 one on the softmax
+   output and V. Layout propagation still sets [read_plain] on both
+   matmuls, and every brgemm reads its operands where they lie: Q and
+   the softmax output as A rows [lda] apart, K as N×K rows, V as K×N rows,
+   each call passing its tile's valid rows and the last K block's
+   extent. The ragged tiles stay inside one head of the softmax output,
+   so it still shrinks to one head's [33][33]. *)
+let test_mha_tails_in_place () =
   let g = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:33 ~hidden:128 ~heads:4 ()).graph in
   let c = Core.compile ~config:(Core.default_config ~machine:Gc_microkernel.Machine.xeon_8358 ()) g in
   let read_plain =
@@ -652,27 +708,36 @@ let test_mha_whole_k_only_in_place () =
         match f.params with Some p -> p.Gc_lowering.Params.read_plain | None -> false)
       (Core.fused_graph c).fused
   in
-  Alcotest.(check int) "fused ops with read_plain" 0 (List.length read_plain);
-  let operands =
+  Alcotest.(check int) "fused ops with read_plain" 2 (List.length read_plain);
+  (* (A, B, ldb) of every brgemm, a function-local A named by its dims, and
+     which of its M, N and K extents are the ragged ones (not the tile's
+     constant) *)
+  let brgemms =
     List.concat_map
       (fun (fn : func) ->
         Visit.fold_stmts
           ~stmt:(fun acc s ->
             match s with
             | Call ("brgemm", args) -> (
-                match (List.nth args 4, List.nth args 6) with
-                | Addr (a, _), Addr (b, _) -> a.tname :: b.tname :: acc
-                | _ -> acc)
+                match Intrinsic.brgemm_args args with
+                | Some { a = Addr (a, _); b = Addr (b, _); ldb = Int ldb; mb; nb; kb; klast; _ } ->
+                    let ragged e = match e with Int _ -> false | _ -> true in
+                    let a =
+                      if a.storage = Local then
+                        "local" ^ String.concat "" (List.map (Printf.sprintf "[%d]") (Array.to_list a.dims))
+                      else a.tname
+                    in
+                    ((a, b.tname, ldb), (ragged mb, ragged nb, klast <> kb)) :: acc
+                | _ -> Alcotest.fail "brgemm with non-address or non-literal ldb")
             | _ -> acc)
           [] fn.body)
       (Core.tir_module c).funcs
+    |> List.sort compare
   in
-  Alcotest.(check int) "brgemm operands" 4 (List.length operands);
-  List.iter
-    (fun name ->
-      Alcotest.(check bool) (name ^ " is a pack buffer") true
-        (String.starts_with ~prefix:"Apack" name || String.starts_with ~prefix:"Bpack" name))
-    operands
+  Alcotest.(check (list (pair (triple string string int) (triple bool bool bool))))
+    "brgemm operands and ragged extents"
+    [ (("Q", "K", -32), (true, true, false)); (("local[1][1][33][33]", "V", 32), (true, false, true)) ]
+    brgemms
 
 (* ------------------------------------------------------------------ *)
 (* Tensor shrink *)
@@ -1206,10 +1271,11 @@ let () =
           Alcotest.test_case "mlp_1 reads blocked A in place" `Quick
             test_mlp1_reads_blocked_a;
           Alcotest.test_case "plain A read in place" `Quick test_plain_a_read_in_place;
+          Alcotest.test_case "guards test only tail axes" `Quick test_guards_only_tail_axes;
           Alcotest.test_case "mha reads whole-K operands in place" `Quick
             test_mha_reads_whole_k_in_place;
-          Alcotest.test_case "mha whole-K only when read in place" `Quick
-            test_mha_whole_k_only_in_place;
+          Alcotest.test_case "mha seq 33 reads tails in place" `Quick
+            test_mha_tails_in_place;
           Alcotest.test_case "mha P·V reads V and writes C in place" `Quick
             test_mha_pv_in_place;
         ] );
