@@ -691,10 +691,52 @@ let test_mha_pv_in_place () =
       ("primitives", Gc_baseline.Baseline.config ~machine (), [ ("Bpack", 0); ("Bpack", 0) ]);
     ]
 
+(* [read_plain], which layout propagation once set only with a whole-K
+   tiling, marks exactly the matmuls whose brgemms read in place, tails
+   included. On MHA at seq 33 and head dim 32 (M, N and P·V's K all have
+   tails) the full pipeline sets it on both matmuls and no brgemm reads a
+   pack buffer; the primitives set it on neither and pack all four
+   operands. *)
+let test_mha_whole_k_only_in_place () =
+  let machine = Gc_microkernel.Machine.xeon_8358 in
+  let g = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:33 ~hidden:128 ~heads:4 ()).graph in
+  List.iter
+    (fun (what, config, read_plain, packed) ->
+      let c = Core.compile ~config g in
+      Alcotest.(check int) (what ^ ": fused ops with read_plain") read_plain
+        (List.length
+           (List.filter
+              (fun (f : Gc_lowering.Fused_op.t) ->
+                match f.params with Some p -> p.Gc_lowering.Params.read_plain | None -> false)
+              (Core.fused_graph c).fused));
+      let operands =
+        List.concat_map
+          (fun (fn : func) ->
+            Visit.fold_stmts
+              ~stmt:(fun acc s ->
+                match s with
+                | Call ("brgemm", args) -> (
+                    match Intrinsic.brgemm_args args with
+                    | Some { a = Addr (a, _); b = Addr (b, _); _ } -> a.tname :: b.tname :: acc
+                    | _ -> Alcotest.fail "brgemm with non-address operands")
+                | _ -> acc)
+              [] fn.body)
+          (Core.tir_module c).funcs
+      in
+      Alcotest.(check int) (what ^ ": brgemm operands") 4 (List.length operands);
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (what ^ ": " ^ name ^ " is a pack buffer") packed
+            (String.starts_with ~prefix:"Apack" name || String.starts_with ~prefix:"Bpack" name))
+        operands)
+    [
+      ("full", Core.default_config ~machine (), 2, false);
+      ("primitives", Gc_baseline.Baseline.config ~machine (), 0, true);
+    ]
+
 (* Tails read in place: at seq 33 and head dim 32 the free tilings leave
    a tail on M = 33 and N = 33, and P·V's K = 33 one on the softmax
-   output and V. Layout propagation still sets [read_plain] on both
-   matmuls, and every brgemm reads its operands where they lie: Q and
+   output and V. Every brgemm reads its operands where they lie: Q and
    the softmax output as A rows [lda] apart, K as N×K rows, V as K×N rows,
    each call passing its tile's valid rows and the last K block's
    extent. The ragged tiles stay inside one head of the softmax output,
@@ -702,13 +744,6 @@ let test_mha_pv_in_place () =
 let test_mha_tails_in_place () =
   let g = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq:33 ~hidden:128 ~heads:4 ()).graph in
   let c = Core.compile ~config:(Core.default_config ~machine:Gc_microkernel.Machine.xeon_8358 ()) g in
-  let read_plain =
-    List.filter
-      (fun (f : Gc_lowering.Fused_op.t) ->
-        match f.params with Some p -> p.Gc_lowering.Params.read_plain | None -> false)
-      (Core.fused_graph c).fused
-  in
-  Alcotest.(check int) "fused ops with read_plain" 2 (List.length read_plain);
   (* (A, B, ldb) of every brgemm, a function-local A named by its dims, and
      which of its M, N and K extents are the ragged ones (not the tile's
      constant) *)
@@ -1274,6 +1309,8 @@ let () =
           Alcotest.test_case "guards test only tail axes" `Quick test_guards_only_tail_axes;
           Alcotest.test_case "mha reads whole-K operands in place" `Quick
             test_mha_reads_whole_k_in_place;
+          Alcotest.test_case "mha whole-K only when read in place" `Quick
+            test_mha_whole_k_only_in_place;
           Alcotest.test_case "mha seq 33 reads tails in place" `Quick
             test_mha_tails_in_place;
           Alcotest.test_case "mha P·V reads V and writes C in place" `Quick
