@@ -378,7 +378,7 @@ let lower ~tmap (f : Fused_op.t) =
      passes its valid rows (columns) and the batch's last K block its
      valid extent; packed operands run on through their zero padding *)
   let extent ~tail ~block ~total start =
-    if tail then Ir.Binop (Ir.Min, Ir.Int block, Ir.Int total -: start) else Ir.Int block
+    if tail then Intrinsic.ragged_extent ~block ~total start else Ir.Int block
   in
   let mb_arg = extent ~tail:(a_plain && m_tail) ~block:mb ~total:m row0 in
   let nb_arg = extent ~tail:(b_plain && n_tail) ~block:nb ~total:n col0 in

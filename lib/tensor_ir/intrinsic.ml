@@ -26,3 +26,12 @@ let brgemm_args = function
       | [ ldb; ldc; lda; klast ] -> args ~ldb ~ldc ~lda ~klast ()
       | _ -> None)
   | _ -> None
+
+let ragged_extent ~block ~total start =
+  Ir.Binop (Ir.Min, Ir.Int block, Ir.Binop (Ir.Sub, Ir.Int total, start))
+
+let as_ragged_extent = function
+  | Ir.Binop (Ir.Min, Ir.Int block, Ir.Binop (Ir.Sub, Ir.Int total, start))
+  | Ir.Binop (Ir.Min, Ir.Binop (Ir.Sub, Ir.Int total, start), Ir.Int block) ->
+      Some (block, total, start)
+  | _ -> None

@@ -50,3 +50,13 @@ type brgemm_args = {
 
 (** [None] when the operand count is not one {!brgemm} accepts. *)
 val brgemm_args : Ir.expr list -> brgemm_args option
+
+(** [ragged_extent ~block ~total start] is a tile's valid extent
+    [min(block, total - start)] along an axis of [total] elements: the
+    [mb], [nb] or [klast] operand of a brgemm that reads an operand with
+    a tail where it lies. *)
+val ragged_extent : block:int -> total:int -> Ir.expr -> Ir.expr
+
+(** [Some (block, total, start)] when the expression is a
+    {!ragged_extent}, its [min] operands in either order. *)
+val as_ragged_extent : Ir.expr -> (int * int * Ir.expr) option

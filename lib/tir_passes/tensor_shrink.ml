@@ -111,8 +111,8 @@ let addr_reaches range t body =
      [total - 1] (given [s >= 0]), the bound does not add the largest
      [s] to the largest extent. *)
   let pin_ragged idx extent ld =
-    match (extent, ld) with
-    | Binop (Min, Int _, Binop (Sub, Int total, s)), Int l -> (
+    match (Intrinsic.as_ragged_extent extent, ld) with
+    | Some (_, total, s), Int l -> (
         let rec find d =
           if d >= Array.length idx then None
           else if idx.(d) = s && stride d = l

@@ -497,18 +497,31 @@ let test_plain_a_read_in_place () =
   let hidden = Gc_workloads.Table1.mlp_1.hidden in
   let mha2 = Gc_workloads.Table1.mha_2 in
   let mha ~seq ~hidden ~heads = (Gc_workloads.Mha.build_f32 ~batch:2 ~seq ~hidden ~heads ()).graph in
-  (* each graph with whether its parameters leave a plain A with a tail *)
+  (* each graph with the plain A operands its parameters leave a tail on
+     (a graph input by name, an intermediate as [#i], the output of fused
+     op i) and how many of the primitives' A packs are planned into an
+     arena (a single-task kernel's, at batch 1) *)
   let graphs =
     List.map
-      (fun batch ->
+      (fun (batch, tails, arenas) ->
         ( Printf.sprintf "mlp_1 f32 b%d" batch,
           (Gc_workloads.Mlp.build_f32 ~batch ~hidden ()).graph,
-          true ))
-      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+          tails,
+          arenas ))
+      [
+        (1, [ "x" ], 1);
+        (2, [ "x" ], 0);
+        (3, [ "#1"; "x" ], 0);
+        (4, [ "x" ], 0);
+        (5, [ "#1"; "x" ], 0);
+        (6, [ "#1"; "x" ], 0);
+        (7, [ "#1"; "x" ], 0);
+        (8, [ "x" ], 0);
+      ]
     @ [
-        ("mlp_1 int8 b3", (Gc_workloads.Mlp.build_int8 ~batch:3 ~hidden ()).graph, true);
-        ("mha_2 f32", mha ~seq:mha2.seq_len ~hidden:mha2.hidden_size ~heads:mha2.heads, false);
-        ("mha seq 33 f32", mha ~seq:33 ~hidden:128 ~heads:4, true);
+        ("mlp_1 int8 b3", (Gc_workloads.Mlp.build_int8 ~batch:3 ~hidden ()).graph, [ "xq" ], 0);
+        ("mha_2 f32", mha ~seq:mha2.seq_len ~hidden:mha2.hidden_size ~heads:mha2.heads, [], 0);
+        ("mha seq 33 f32", mha ~seq:33 ~hidden:128 ~heads:4, [ "#0"; "Q" ], 0);
       ]
   in
   let fold (m : module_) f =
@@ -525,8 +538,8 @@ let test_plain_a_read_in_place () =
         | _ -> acc)
     |> List.sort_uniq compare
   in
-  (* the plain A operands the fused graph's parameters leave a tail on *)
-  let a_with_tail c =
+  (* the A operand of each matmul with its parameters *)
+  let matmul_a c =
     List.filter_map
       (fun (f : Gc_lowering.Fused_op.t) ->
         match (f.params, f.tunable) with
@@ -534,12 +547,49 @@ let test_plain_a_read_in_place () =
             let a =
               match f.pre_a with Some (op, _) -> List.hd op.inputs | None -> List.hd tun.inputs
             in
-            if Layout.is_plain a.layout && (p.m mod p.mb <> 0 || p.k mod p.kb <> 0) then
-              Some a.name
-            else None
+            Some (a, p)
         | _ -> None)
       (Core.fused_graph c).fused
+  in
+  (* a tensor's label: its name if a graph input, else [#i] for the output
+     of fused op i (generated names depend on what was built before) *)
+  let label c (t : Gc_graph_ir.Logical_tensor.t) =
+    let fg = Core.fused_graph c in
+    if List.exists (fun (i : Gc_graph_ir.Logical_tensor.t) -> i.name = t.name) fg.g_inputs then t.name
+    else
+      let rec find i = function
+        | [] -> t.name
+        | (f : Gc_lowering.Fused_op.t) :: rest ->
+            if List.exists (fun (o : Gc_graph_ir.Logical_tensor.t) -> o.name = t.name) f.f_outputs then
+              Printf.sprintf "#%d" i
+            else find (i + 1) rest
+      in
+      find 0 fg.fused
+  in
+  (* the plain A operands the fused graph's parameters leave a tail on *)
+  let a_with_tail c =
+    List.filter_map
+      (fun ((a : Gc_graph_ir.Logical_tensor.t), (p : Gc_lowering.Params.t)) ->
+        if Layout.is_plain a.layout && (p.m mod p.mb <> 0 || p.k mod p.kb <> 0) then
+          Some (label c a)
+        else None)
+      (matmul_a c)
     |> List.sort_uniq compare
+  in
+  (* a buffer is a pack of A when every store into it is a zero or a plain
+     load of some matmul's A operand *)
+  let is_a_pack c m buf =
+    let sources = List.map (fun ((a : Gc_graph_ir.Logical_tensor.t), _) -> a.name) (matmul_a c) in
+    let stores =
+      fold m (fun acc s -> match s with Store (t, _, v) when t.tname = buf -> v :: acc | _ -> acc)
+    in
+    stores <> []
+    && List.for_all
+         (function
+           | Int 0 | Float 0.0 -> true
+           | Load (src, _) -> List.mem src.tname sources
+           | _ -> false)
+         stores
   in
   let a_operands m =
     fold m (fun acc s ->
@@ -551,19 +601,25 @@ let test_plain_a_read_in_place () =
         | _ -> acc)
   in
   List.iter
-    (fun (name, g, tails) ->
+    (fun (name, g, tails, arenas) ->
       let c = Core.compile ~config:(Core.default_config ~machine ()) g in
-      Alcotest.(check bool) (name ^ ": a plain A with a tail") tails (a_with_tail c <> []);
+      Alcotest.(check (list string)) (name ^ ": A with a tail") tails (a_with_tail c);
       let m = Core.tir_module c in
       Alcotest.(check (list string)) (name ^ ": Apack sources") [] (pack_sources "Apack" m);
       Alcotest.(check (list string)) (name ^ ": Bpack sources") [] (pack_sources "Bpack" m);
-      let prims = Core.tir_module (Core.compile ~config:(Gc_baseline.Baseline.config ~machine ()) g) in
+      (* nor one planned into an arena *)
+      Alcotest.(check (list string)) (name ^ ": brgemms on a pack of A") []
+        (List.filter (is_a_pack c m) (a_operands m));
+      let pc = Core.compile ~config:(Gc_baseline.Baseline.config ~machine ()) g in
+      let prims = Core.tir_module pc in
+      let a_ops = List.sort_uniq compare (a_operands prims) in
+      let in_arena = List.filter (String.starts_with ~prefix:"arena") a_ops in
+      Alcotest.(check int) (name ^ " primitives: A packs in an arena") arenas (List.length in_arena);
       List.iter
         (fun a ->
-          (* a single-task kernel's Apack is planned into an arena *)
           Alcotest.(check bool) (name ^ " primitives: A packed") true
-            (String.starts_with ~prefix:"Apack" a || String.starts_with ~prefix:"arena" a))
-        (a_operands prims))
+            (String.starts_with ~prefix:"Apack" a || (List.mem a in_arena && is_a_pack pc prims a)))
+        a_ops)
     graphs
 
 (* Operand reads in place: in the full pipeline's Tensor IR of perfbench's
