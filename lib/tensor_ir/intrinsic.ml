@@ -31,7 +31,6 @@ let ragged_extent ~block ~total start =
   Ir.Binop (Ir.Min, Ir.Int block, Ir.Binop (Ir.Sub, Ir.Int total, start))
 
 let as_ragged_extent = function
-  | Ir.Binop (Ir.Min, Ir.Int block, Ir.Binop (Ir.Sub, Ir.Int total, start))
-  | Ir.Binop (Ir.Min, Ir.Binop (Ir.Sub, Ir.Int total, start), Ir.Int block) ->
+  | Ir.Binop (Ir.Min, Ir.Int block, Ir.Binop (Ir.Sub, Ir.Int total, start)) ->
       Some (block, total, start)
   | _ -> None

@@ -58,5 +58,5 @@ val brgemm_args : Ir.expr list -> brgemm_args option
 val ragged_extent : block:int -> total:int -> Ir.expr -> Ir.expr
 
 (** [Some (block, total, start)] when the expression is a
-    {!ragged_extent}, its [min] operands in either order. *)
+    {!ragged_extent}. *)
 val as_ragged_extent : Ir.expr -> (int * int * Ir.expr) option
